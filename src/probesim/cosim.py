@@ -13,14 +13,14 @@ primitive's toggle amplitude at the lock-in frequency.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import defense as defense_mod
 from .fabric import FabricModel
-from .sensor import SensorInstance
+from .sensor import SensorInstance, window_pulses
 from .thermal import LaserSpot, ThermalField
 
 
@@ -75,17 +75,6 @@ class ShiftStimulus(Stimulus):
         return inputs
 
 
-class IdleStimulus(Stimulus):
-    """Nothing toggles."""
-
-    def __init__(self, static: dict[str, int] | None = None):
-        self.period_cycles = 1
-        self.static = dict(static or {})
-
-    def inputs_at(self, cycle: int) -> dict[str, int]:
-        return dict(self.static)
-
-
 def stimulus_for_target_freq(clock_mhz: float, target_freq_mhz: float,
                              static=None) -> ResetToggleStimulus:
     if target_freq_mhz > clock_mhz / 2.0:
@@ -118,8 +107,7 @@ class CoSimulation:
 
     def __init__(self, model: FabricModel, thermal: ThermalField,
                  sensor: SensorInstance, policy: defense_mod.DefensePolicy,
-                 stimulus: Stimulus, seed: int, t_detect: int = 255,
-                 record_counters: bool = True):
+                 stimulus: Stimulus, seed: int, t_detect: int = 255):
         self.model = model
         self.thermal = thermal
         self.sensor = sensor
@@ -127,17 +115,17 @@ class CoSimulation:
         self.stimulus = stimulus
         self.seed = seed
         self.t_detect = t_detect
-        self.record_counters = record_counters
         self.cycle_ps = sensor.cycle_ps
         self.window_ps = t_detect * self.cycle_ps
         self.t_ps = 0
         self.windows_done = 0
         self.threshold: float | None = policy.threshold
         ss = np.random.SeedSequence(seed)
-        streams = ss.spawn(3)
+        streams = ss.spawn(4)
         self.sensor_rng = np.random.default_rng(streams[0])
         self.image_rng = np.random.default_rng(streams[1])
         self.eop_rng = np.random.default_rng(streams[2])
+        self.pulse_rng = np.random.default_rng(streams[3])
         # The defense stream also keys on the policy's own seed so one-time
         # randomness can be re-rolled independently of the scenario seed.
         self.defense_rng = np.random.default_rng(
@@ -145,7 +133,10 @@ class CoSimulation:
         )
         self.pending_event: defense_mod.ReconfigEvent | None = None
         self.trigger_time_us: float | None = None
-        self.counters_log: list[tuple[int, int, int, int]] = []
+        # Zero count of every window so far, in window order, 8 bytes each;
+        # counter_rows() builds the full counter log from them.
+        self.window_counts = array("q")
+        self._pulses = np.zeros(0, dtype=np.int64)
         self.defense_log: list[dict] = []
         self._epochs: list[tuple[int, int]] = [(0, 0)]
         self._epoch_id = 0
@@ -199,65 +190,47 @@ class CoSimulation:
 
     # -- sensor window stream ------------------------------------------------
 
-    def _window_delta_ts(self, n: int) -> np.ndarray:
-        """Sensor-site temperature at the next n window ends (projected)."""
-        first_end = (self.windows_done + 1) * self.window_ps
-        ends_us = (first_end + self.window_ps * np.arange(n) - self.t_ps) / 1e6
-        site = self.sensor.site
-        now = self.thermal.delta_t_at_site(site)
-        iy, ix = self.thermal._cell_index(
-            (site.x + 0.5) * self.thermal.site_pitch_um,
-            (site.y + 0.5) * self.thermal.site_pitch_um,
-        )
-        steady = float(self.thermal._source[iy, ix]) * self.thermal.tau_us
-        return steady + (now - steady) * np.exp(-ends_us / self.thermal.tau_us)
-
     def _run_windows_until(self, t_ps: int) -> None:
         n = t_ps // self.window_ps - self.windows_done
         if n <= 0:
             return
-        delta_ts = self._window_delta_ts(n)
-        # Slack is affine in the delay factor; evaluate it exactly per window.
-        ambient_slack = self.sensor.slack_ps(1.0)
-        factors = 1.0 + self.thermal.alpha_per_k * delta_ts
-        shift = (self.sensor.clock_route_ps
-                 - self.sensor.data_route_ps
-                 - self.sensor.lut_pin_base_ps
-                 - self.sensor.tune.lut_select * self.sensor.lut_pin_step_ps)
-        slacks = ambient_slack + (factors - 1.0) * shift
-        p0 = 1.0 - ndtr(slacks / self.sensor.jitter_sigma_ps)
-        if self.record_counters:
-            draws = self.sensor_rng.random((n, self.t_detect))
-            zeros = draws < p0[:, None]
-            counts = zeros.sum(axis=1)
-            pulses = np.zeros(n, dtype=int)
-            run = np.zeros(n, dtype=int)
-            for j in range(self.t_detect):
-                run = (run + 1) * zeros[:, j]
-                np.maximum(pulses, run, out=pulses)
-        else:
-            counts = self.sensor_rng.binomial(self.t_detect, p0)
-            pulses = None
+        ends_ps = (self.windows_done + 1 + np.arange(n)) * self.window_ps
+        # Sensor-site temperature at each window end, projected from now.
+        delta_ts = self.thermal.project(self.sensor.site, (ends_ps - self.t_ps) / 1e6)
+        p0 = self.sensor.zero_probability(1.0 + self.thermal.alpha_per_k * delta_ts)
+        counts = self.sensor_rng.binomial(self.t_detect, p0)
         if self.threshold is not None and not self.sensor.latched:
             hits = np.flatnonzero(counts >= self.threshold)
             if hits.size:
-                k = int(hits[0])
-                fire_ps = (self.windows_done + k + 1) * self.window_ps
                 self.sensor.latched = True
                 self.model.set_latch_net(1)
-                self._fire_defense(fire_ps)
-        if self.record_counters:
-            base = self.windows_done
-            latched_from = None
-            if self.trigger_time_us is not None:
-                latched_from = round(self.trigger_time_us * 1e6)
-            for i in range(n):
-                end_ps = (base + i + 1) * self.window_ps
-                latched = int(latched_from is not None and end_ps >= latched_from)
-                self.counters_log.append(
-                    (base + i, int(counts[i]), int(pulses[i]), latched)
-                )
+                self._fire_defense(int(ends_ps[hits[0]]))
+        self.window_counts.frombytes(counts.astype(np.int64, copy=False).tobytes())
         self.windows_done += n
+
+    def counter_rows(self) -> np.ndarray:
+        """The counter log as one (windows, 4) integer array with columns
+        window index, zero count, max pulse and latched flag.
+
+        Only the zero counts feed back into the run; the rest follows from
+        them.  A window is latched when it ends at or after the trigger.
+        Max pulses are drawn here, in one batch for the windows logged since
+        the last call; the pulse stream is consumed in window order, so the
+        pulses do not depend on when or how often this is called.
+        """
+        if not self.window_counts:
+            return np.zeros((0, 4), dtype=np.int64)
+        counts = np.array(self.window_counts, dtype=np.int64)
+        index = np.arange(len(counts))
+        drawn = len(self._pulses)
+        if drawn < len(counts):
+            new = window_pulses(counts[drawn:], self.t_detect, self.pulse_rng)
+            self._pulses = np.concatenate([self._pulses, new])
+        latched = np.zeros(len(counts), dtype=np.int64)
+        if self.trigger_time_us is not None:
+            ends_ps = (index + 1) * self.window_ps
+            latched[ends_ps >= round(self.trigger_time_us * 1e6)] = 1
+        return np.column_stack([index, counts, self._pulses, latched])
 
     # -- defense ---------------------------------------------------------------
 

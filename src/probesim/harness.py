@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import attacker, sensor as sensor_mod
 from .attacker import EofmImage, EopTrace, ScanConfig
@@ -406,11 +405,18 @@ class RunSummary:
         return "\n".join(lines) + "\n"
 
 
-def write_counters_csv(path, rows) -> None:
+# Rows formatted per write; one string for the whole log would cost more
+# memory than the log itself.
+CSV_CHUNK_ROWS = 1024
+
+
+def write_counters_csv(path, rows: np.ndarray) -> None:
+    """Write a (windows, 4) integer counter log, one CSV line per window."""
     with open(path, "w") as fh:
         fh.write("window_index,zero_count,max_pulse,latched\n")
-        for idx, zc, mp, latched in rows:
-            fh.write(f"{idx},{zc},{mp},{latched}\n")
+        for start in range(0, len(rows), CSV_CHUNK_ROWS):
+            chunk = rows[start:start + CSV_CHUNK_ROWS]
+            fh.write("%d,%d,%d,%d\n" * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def write_defense_log(path, entries) -> None:
@@ -471,7 +477,6 @@ def stability_test(sensor: SensorInstance, threshold: float, seed: int,
     if n_logs < 1:
         raise ScenarioError("stability run shorter than one logging interval")
     rng = np.random.default_rng([seed & 0xFFFFFFFF, 0x57AB])
-    slack0 = sensor.slack_ps(1.0)
     if spec.drift_sigma_ps > 0:
         rho = math.exp(-spec.log_every_ms / (spec.drift_tau_s * 1e3))
         steps = rng.normal(0.0, spec.drift_sigma_ps * math.sqrt(1 - rho * rho),
@@ -483,10 +488,7 @@ def stability_test(sensor: SensorInstance, threshold: float, seed: int,
             drift[i] = prev
     else:
         drift = np.zeros(n_logs)
-    if sensor.jitter_sigma_ps > 0:
-        p0 = 1.0 - ndtr((slack0 + drift) / sensor.jitter_sigma_ps)
-    else:
-        p0 = ((slack0 + drift) < 0).astype(float)
+    p0 = sensor.zero_probability(1.0, offset_ps=drift)
     counts = rng.binomial(window, p0)
     t_us = (np.arange(n_logs) + 1) * spec.log_every_ms * 1e3
     running_max = np.maximum.accumulate(counts)
@@ -525,7 +527,7 @@ class RunResult:
     sim: CoSimulation | None = None
 
 
-def run(scn: Scenario, out_dir=None, record_counters: bool = True) -> RunResult:
+def run(scn: Scenario, out_dir=None) -> RunResult:
     """Execute one scenario end to end and (optionally) write artifacts."""
     try:
         model = load_netlist(scn.netlist_path)
@@ -550,12 +552,11 @@ def run(scn: Scenario, out_dir=None, record_counters: bool = True) -> RunResult:
         )
 
     if scn.kind == "eofm_key":
-        result = _run_eofm_key(scn, model, thermal, sensor, policy, record_counters)
+        result = _run_eofm_key(scn, model, thermal, sensor, policy)
     elif scn.kind == "eofm_function":
-        result = _run_eofm_function(scn, model, thermal, sensor, policy,
-                                    record_counters)
+        result = _run_eofm_function(scn, model, thermal, sensor, policy)
     elif scn.kind == "eop":
-        result = _run_eop(scn, model, thermal, sensor, policy, record_counters)
+        result = _run_eop(scn, model, thermal, sensor, policy)
     else:
         result = _run_stability(scn, model, thermal, sensor, policy)
     result.summary.tune = str(tuned)
@@ -567,13 +568,11 @@ def run(scn: Scenario, out_dir=None, record_counters: bool = True) -> RunResult:
 
 def _summary_base(scn: Scenario, sim: CoSimulation | None,
                   threshold: float) -> RunSummary:
-    if sim is not None and sim.counters_log:
-        zeros = np.array([row[1] for row in sim.counters_log])
-        pulses = np.array([row[2] for row in sim.counters_log])
-        stats = (len(sim.counters_log), float(zeros.mean()), int(zeros.max()),
-                 int(pulses.max()))
-    else:
-        stats = (0, 0.0, 0, 0)
+    stats = (0, 0.0, 0, 0)
+    if sim is not None and sim.windows_done:
+        rows = sim.counter_rows()
+        stats = (len(rows), float(rows[:, 1].mean()), int(rows[:, 1].max()),
+                 int(rows[:, 2].max()))
     return RunSummary(
         scenario=scn.name,
         kind=scn.kind,
@@ -608,7 +607,7 @@ def _scan_echo(scan: ScanConfig) -> dict:
     }
 
 
-def _run_eofm_key(scn, model, thermal, sensor, policy, record_counters):
+def _run_eofm_key(scn, model, thermal, sensor, policy):
     if not model.protected:
         raise ConfigError(f"{scn.netlist_path}: eofm_key needs a protect line")
     key_bits = scenario_key_bits(scn, len(model.protected))
@@ -621,7 +620,7 @@ def _run_eofm_key(scn, model, thermal, sensor, policy, record_counters):
     stim = stimulus_for_target_freq(sensor.clock_mhz, scn.scan.target_freq_mhz,
                                     static)
     sim = CoSimulation(model, thermal, sensor, policy, stim, scn.seed,
-                       scn.t_detect, record_counters)
+                       scn.t_detect)
     original_sites = _protected_sites_um(model)
     image = attacker.eofm_scan(sim, scn.scan)
     recovered = attacker.recover_bits(image, original_sites, scn.bit_threshold)
@@ -638,7 +637,7 @@ def _run_eofm_key(scn, model, thermal, sensor, policy, record_counters):
     return RunResult(summary, image=image, sim=sim)
 
 
-def _run_eofm_function(scn, model, thermal, sensor, policy, record_counters):
+def _run_eofm_function(scn, model, thermal, sensor, policy):
     spec = scn.function
     if not spec.operand_nets or not spec.output_cells or not spec.vectors:
         raise ConfigError(
@@ -659,7 +658,7 @@ def _run_eofm_function(scn, model, thermal, sensor, policy, record_counters):
         scan = ScanConfig(**{**scan.__dict__, "region_um": spec.region_um})
     stim = stimulus_for_target_freq(sensor.clock_mhz, scan.target_freq_mhz)
     sim = CoSimulation(model, thermal, sensor, policy, stim, scn.seed,
-                       scn.t_detect, record_counters)
+                       scn.t_detect)
     table = attacker.recover_function(sim, scan, spec.operand_nets, out_sites,
                                       spec.vectors, scn.bit_threshold)
     summary = _summary_base(scn, sim, policy.threshold)
@@ -668,7 +667,7 @@ def _run_eofm_function(scn, model, thermal, sensor, policy, record_counters):
     return RunResult(summary, sim=sim)
 
 
-def _run_eop(scn, model, thermal, sensor, policy, record_counters):
+def _run_eop(scn, model, thermal, sensor, policy):
     spec = scn.eop
     if not spec.probe_cells:
         raise ConfigError(f"scenario {scn.name}: [eop] needs probe_cells")
@@ -678,7 +677,7 @@ def _run_eop(scn, model, thermal, sensor, policy, record_counters):
         stim = stimulus_for_target_freq(sensor.clock_mhz,
                                         scn.scan.target_freq_mhz)
     sim = CoSimulation(model, thermal, sensor, policy, stim, scn.seed,
-                       scn.t_detect, record_counters)
+                       scn.t_detect)
     traces = {}
     for cell in spec.probe_cells:
         if cell not in model.ffs and cell not in model.luts:
@@ -728,15 +727,23 @@ def write_artifacts(result: RunResult, out_dir: Path) -> None:
     if result.stability is not None:
         result.stability.to_csv(out_dir / "counters.csv")
     if result.sim is not None:
-        write_counters_csv(out_dir / "counters.csv", result.sim.counters_log)
+        write_counters_csv(out_dir / "counters.csv", result.sim.counter_rows())
         write_defense_log(out_dir / "defense_log.csv", result.sim.defense_log)
 
 
 def run_batch(paths, out_root, jobs: int = 1,
               seed_override: int | None = None) -> list[RunSummary]:
-    """Run independent scenarios, optionally in parallel threads."""
+    """Run independent scenarios, optionally in parallel threads.
+
+    Each run writes into ``out_root/<scenario name>``, so the names must be
+    unique; a repeated name raises ConfigError before any run starts.
+    """
     out_root = Path(out_root)
     scenarios = [load_scenario(p, seed_override) for p in paths]
+    names = [s.name for s in scenarios]
+    duplicates = sorted({n for n in names if names.count(n) > 1})
+    if duplicates:
+        raise ConfigError(f"batch lists scenario names more than once: {duplicates}")
 
     def _one(scn: Scenario) -> RunSummary:
         return run(scn, out_root / scn.name).summary

@@ -154,15 +154,31 @@ class SensorInstance:
                 - self.data_arrival_ps(t, factor)
                 + self.ambient_offset_ps)
 
-    def one_probability(self, factor: float = 1.0,
-                        tune: TuneValue | None = None) -> float:
-        if self.jitter_sigma_ps <= 0:
-            return 1.0 if self.slack_ps(factor, tune) >= 0 else 0.0
-        return float(ndtr(self.slack_ps(factor, tune) / self.jitter_sigma_ps))
+    def zero_probability(self, factor: float | np.ndarray = 1.0,
+                         tune: TuneValue | None = None,
+                         offset_ps: float | np.ndarray = 0.0) -> float | np.ndarray:
+        """Probability that one sample reads 0, vectorised over ``factor``.
 
-    def zero_probability(self, factor: float = 1.0,
-                         tune: TuneValue | None = None) -> float:
-        return 1.0 - self.one_probability(factor, tune)
+        Slack is affine in the delay factor, so it is evaluated exactly as
+        the ambient slack plus the heated share of the race; ``offset_ps``
+        adds an extra slack term such as slow ambient drift.  With zero
+        jitter the race is a step: a slack >= 0 always samples 1.  Returns a
+        float for scalar inputs and an array otherwise.
+        """
+        t = tune or self.tune
+        ambient = self.slack_ps(1.0, t)
+        shift = (self.clock_route_ps - self.data_route_ps - self.lut_pin_base_ps
+                 - t.lut_select * self.lut_pin_step_ps)
+        slack = ambient + (factor - 1.0) * shift + offset_ps
+        if self.jitter_sigma_ps > 0:
+            p0 = 1.0 - ndtr(slack / self.jitter_sigma_ps)
+        else:
+            p0 = np.less(slack, 0.0).astype(float)
+        return float(p0) if np.ndim(p0) == 0 else p0
+
+    def one_probability(self, factor: float | np.ndarray = 1.0,
+                        tune: TuneValue | None = None) -> float | np.ndarray:
+        return 1.0 - self.zero_probability(factor, tune)
 
     def reset_latch(self) -> None:
         self.latched = False
@@ -190,11 +206,56 @@ def read_counters(sensor: SensorInstance, thermal, rng,
 
 def longest_run(zeros: np.ndarray) -> int:
     """Length of the longest run of True values in a boolean vector."""
-    if not zeros.any():
-        return 0
-    padded = np.concatenate(([False], zeros, [False]))
-    edges = np.flatnonzero(np.diff(padded.astype(np.int8)))
-    return int((edges[1::2] - edges[0::2]).max())
+    return int(longest_runs(np.asarray(zeros)[None, :])[0])
+
+
+def longest_runs(zeros: np.ndarray) -> np.ndarray:
+    """Length of the longest run of True values in each row of a matrix.
+
+    Rows are padded with False on both sides and laid end to end, so the
+    rising and falling edges of one flat difference pair up within rows.
+    """
+    rows, width = zeros.shape
+    padded = np.zeros((rows, width + 2), dtype=np.int8)
+    padded[:, 1:-1] = zeros
+    edges = np.flatnonzero(np.diff(padded.ravel()))
+    starts, ends = edges[0::2], edges[1::2]
+    best = np.zeros(rows, dtype=np.int64)
+    np.maximum.at(best, starts // (width + 2), ends - starts)
+    return best
+
+
+# Mixed windows drawn per block; blocks keep the key matrix in cache.
+PULSE_BLOCK_ROWS = 256
+
+
+def window_pulses(counts: np.ndarray, window: int, rng) -> np.ndarray:
+    """Longest zero pulse of each window, drawn given its zero count.
+
+    Within a window the samples are i.i.d., so given k zeros their positions
+    are a uniform k-subset of the window: the slots of the k smallest of
+    ``window`` random keys.  The pulse then has the distribution that
+    read_counters() gives for that count.  Only windows with
+    1 < k < window draw keys; the others have a pulse of min(k, 1) or, when
+    every sample is zero, of the whole window.  Each key is random bits
+    above the slot number, so the keys are distinct and exactly k slots are
+    marked; a tie in the random bits (about 1e-12 per window) breaks toward
+    the lower slot.  Keys are drawn in window order, so the result does not
+    depend on how the counts are split across calls.
+    """
+    counts = np.asarray(counts)
+    pulses = np.where(counts >= window, window, np.minimum(counts, 1))
+    mixed = np.flatnonzero((counts > 1) & (counts < window))
+    slot_bits = int(window - 1).bit_length()
+    slots = np.arange(window, dtype=np.uint64)
+    for start in range(0, mixed.size, PULSE_BLOCK_ROWS):
+        rows = mixed[start:start + PULSE_BLOCK_ROWS]
+        keys = rng.integers(0, 1 << (63 - slot_bits), size=(rows.size, window),
+                            dtype=np.uint64)
+        keys = keys << np.uint64(slot_bits) | slots
+        kth = np.sort(keys, axis=1)[np.arange(rows.size), counts[rows] - 1]
+        pulses[rows] = longest_runs(keys <= kth[:, None])
+    return pulses
 
 
 def counters_from_stream(bits: np.ndarray, window: int) -> SensorReadout:
@@ -230,6 +291,8 @@ def window_zero_counts(p0: float, n_windows: int, window: int, rng) -> np.ndarra
 
 METASTABLE_BAND = (1e-4, 0.5)
 PROBE_BATCH = 10_000
+# Windows per block when a tune's score is drawn against the best so far.
+SCORE_BLOCK_WINDOWS = 4096
 
 
 def _tune_rng(seed: int, tune: TuneValue, purpose: int):
@@ -248,13 +311,28 @@ def probe_zero_rate(sensor: SensorInstance, tune: TuneValue, seed: int,
 
 
 def max_zero_count(sensor: SensorInstance, tune: TuneValue, seed: int,
-                   t_sense_ms: float, window: int = 255) -> int:
-    """Largest window zero count over the characterization interval."""
+                   t_sense_ms: float, window: int = 255,
+                   stop_above: int | None = None) -> int:
+    """Largest window zero count over the characterization interval.
+
+    With ``stop_above`` set, the windows are drawn in blocks and the draw
+    stops after the first block whose largest count exceeds it; the value
+    returned then exceeds ``stop_above`` but may fall short of the full
+    maximum.  The blocks consume the tune's stream in order, so a draw that
+    does not stop returns the full maximum.
+    """
     cycles = int(t_sense_ms * 1e3 * sensor.clock_mhz)
     n_windows = max(cycles // window, 1)
     p0 = sensor.zero_probability(1.0, tune)
     rng = _tune_rng(seed, tune, 1)
-    return int(window_zero_counts(p0, n_windows, window, rng).max())
+    block = n_windows if stop_above is None else SCORE_BLOCK_WINDOWS
+    best = 0
+    for start in range(0, n_windows, block):
+        counts = window_zero_counts(p0, min(block, n_windows - start), window, rng)
+        best = max(best, int(counts.max()))
+        if stop_above is not None and best > stop_above:
+            break
+    return best
 
 
 def is_metastable(rate: float, band=METASTABLE_BAND) -> bool:
@@ -291,7 +369,10 @@ def tune(sensor: SensorInstance, seed: int, t_sense_ms: float = 100.0,
                 rate = probe_zero_rate(sensor, cand, seed, probe_batch)
                 if not is_metastable(rate, band):
                     continue
-                score = max_zero_count(sensor, cand, seed, t_sense_ms, window)
+                # A candidate whose count exceeds the best score cannot win,
+                # so its draw stops there.
+                score = max_zero_count(sensor, cand, seed, t_sense_ms, window,
+                                       None if best is None else best[0][0])
                 key = (score, cand.clock_code, cand.data_code, cand.lut_select)
                 if best is None or key < best[0]:
                     best = (key, cand)

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fabric import SliceCoord
+
 
 @dataclass
 class LaserSpot:
@@ -88,20 +90,30 @@ class ThermalField:
         iy = min(max(int(y_um / self.site_pitch_um), 0), self.grid_height - 1)
         return iy, ix
 
+    def project(self, site, dts_us: float | np.ndarray) -> float | np.ndarray:
+        """Temperature elevation of a site's cell after each interval in dts_us.
+
+        Applies the exact exponential solution under the current spot
+        without mutating the field; valid as long as the spot does not move
+        in between.  Vectorised over ``dts_us``.
+        """
+        iy, ix = self._cell_index((site.x + 0.5) * self.site_pitch_um,
+                                  (site.y + 0.5) * self.site_pitch_um)
+        now = self.delta_t[iy, ix]
+        steady = self._source[iy, ix] * self.tau_us
+        return steady + (now - steady) * np.exp(-np.asarray(dts_us) / self.tau_us)
+
     def delta_t_at_um(self, x_um: float, y_um: float,
                       at_time_us: float | None = None) -> float:
         """Temperature elevation of the cell containing (x, y).
 
-        With ``at_time_us`` set, projects that cell forward analytically by
-        the given interval under the current spot, without mutating the
-        field.  Valid as long as the spot does not move in between.
+        With ``at_time_us`` set, projects that cell forward by the given
+        interval (see project()).
         """
         iy, ix = self._cell_index(x_um, y_um)
-        now = float(self.delta_t[iy, ix])
         if at_time_us is None or at_time_us == 0.0:
-            return now
-        steady = float(self._source[iy, ix]) * self.tau_us
-        return steady + (now - steady) * math.exp(-at_time_us / self.tau_us)
+            return float(self.delta_t[iy, ix])
+        return float(self.project(SliceCoord(ix, iy), at_time_us))
 
     def delta_t_at_site(self, site, at_time_us: float | None = None) -> float:
         x = (site.x + 0.5) * self.site_pitch_um

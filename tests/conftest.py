@@ -39,7 +39,7 @@ def build_shift_model(n=8, x0=14, y=5):
 
 
 def build_sim(model, key=None, policy=None, seed=1, stimulus=None,
-              sensor_site=SliceCoord(15, 8), record_counters=False):
+              sensor_site=SliceCoord(15, 8)):
     sensor = SensorInstance(site=sensor_site, tune=DEFAULT_TUNE)
     thermal = ThermalField.for_model(model)
     policy = policy or DefensePolicy(mode="none", threshold=3.0)
@@ -50,8 +50,7 @@ def build_sim(model, key=None, policy=None, seed=1, stimulus=None,
         if key is not None:
             static = {f"kd{i}": b for i, b in enumerate(key)}
         stimulus = stimulus_for_target_freq(sensor.clock_mhz, 1.25, static)
-    return CoSimulation(model, thermal, sensor, policy, stimulus, seed,
-                        record_counters=record_counters)
+    return CoSimulation(model, thermal, sensor, policy, stimulus, seed)
 
 
 @pytest.fixture

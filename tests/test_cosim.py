@@ -163,14 +163,44 @@ class TestCounterLog:
     def test_rows_mark_latched_windows(self):
         model = build_key_model(KEY)
         policy = DefensePolicy(mode="none", threshold=3.0)
-        sim = build_sim(model, key=KEY, policy=policy, record_counters=True)
+        sim = build_sim(model, key=KEY, policy=policy)
         park_on_sensor(sim)
         sim.advance_for(1_000_000_000)
-        rows = sim.counters_log
-        assert rows, "no windows logged"
-        latched = [r[3] for r in rows]
+        rows = sim.counter_rows()
+        assert len(rows), "no windows logged"
+        latched = rows[:, 3].tolist()
         # Latched flag is monotone: once set it stays set.
         assert all(b >= a for a, b in zip(latched, latched[1:]))
         assert latched[-1] == 1
         idx = latched.index(1)
         assert rows[idx][1] >= 3  # the crossing window carries the count
+
+    def test_counts_follow_the_binomial_stream(self):
+        # The zero counts are the sensor stream's binomial draws; the max
+        # pulses come from a stream of their own.
+        model = build_key_model(KEY)
+        sim = build_sim(model, key=KEY)
+        park_on_sensor(sim)
+        # One batch of 39 windows, projected from the unheated start.
+        ends_us = (np.arange(39) + 1) * sim.window_ps / 1e6
+        p0 = sim.sensor.zero_probability(
+            1.0 + sim.thermal.alpha_per_k * sim.thermal.project(sim.sensor.site, ends_us))
+        sim.advance_for(100_000_000)
+        rows = sim.counter_rows()
+        ref = np.random.default_rng(np.random.SeedSequence(1).spawn(1)[0])
+        assert np.array_equal(rows[:, 1], ref.binomial(255, p0))
+        assert (rows[:, 2] <= rows[:, 1]).all()
+
+    def test_pulses_do_not_depend_on_when_the_log_is_read(self):
+        logs = []
+        for read_midway in (False, True):
+            model = build_key_model(KEY)
+            sim = build_sim(model, key=KEY)
+            park_on_sensor(sim, power=0.6)
+            sim.advance_for(300_000_000)
+            if read_midway:
+                sim.counter_rows()
+            sim.advance_for(300_000_000)
+            logs.append(sim.counter_rows())
+        assert ((logs[0][:, 1] > 1) & (logs[0][:, 1] < 255)).any()
+        assert np.array_equal(logs[0], logs[1])

@@ -1,5 +1,6 @@
 import filecmp
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +138,50 @@ class TestRunPipeline:
         first = lines[1].split(",")
         assert len(first) == 4 and first[0] == "0"
 
+    def test_counters_csv_matches_the_log(self, tmp_path):
+        result = run(small_key_scenario(), out_dir=tmp_path)
+        rows = np.loadtxt(tmp_path / "counters.csv", delimiter=",",
+                          skiprows=1, dtype=np.int64, ndmin=2)
+        assert np.array_equal(rows, result.sim.counter_rows())
+        assert result.summary.windows == len(rows)
+        assert result.summary.max_pulse_len == rows[:, 2].max()
+
+    def test_zero_jitter_run_is_finite_and_silent(self):
+        scn = load_scenario(SCENARIOS / "unprotected_key.scn")
+        scn.sensor["jitter_sigma_ps"] = 0.0
+        scn.pinned_tune = TuneValue(16, 2, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run(scn)
+            sim = result.sim
+            factors = np.linspace(1.0, 1.1, 101)
+            p0 = sim.sensor.zero_probability(factors)
+        assert np.isfinite(p0).all()
+        # With no jitter a window is all ones or all zeros.
+        counts = sim.counter_rows()[:, 1]
+        assert set(np.unique(counts).tolist()) <= {0, 255}
+        assert math.isfinite(result.summary.mean_zero_count)
+
+
+# trigger_time_us of every bundled co-simulated scenario at seed 1.  The
+# window counts are binomial draws from the scenario's sensor stream; these
+# values were recorded from that stream, so a change to the count model or
+# its stream shows here.
+SEED1_TRIGGER_US = {
+    "unprotected_key": 238126.65,
+    "mtd_inter_key": 238126.65,
+    "mtd_intra_key": 238126.65,
+    "xor_unprotected": 8045.25,
+    "xor_polymorphic": 8045.25,
+    "eop_shift": None,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEED1_TRIGGER_US))
+def test_seed1_trigger_times(name):
+    result = run(load_scenario(SCENARIOS / f"{name}.scn", 1))
+    assert result.summary.trigger_time_us == SEED1_TRIGGER_US[name]
+
 
 class TestThresholdAndResources:
     def test_derived_threshold_clears_idle_support(self):
@@ -208,6 +253,19 @@ class TestStability:
 
 
 class TestBatch:
+    def test_duplicate_scenario_names_rejected(self, tmp_path):
+        paths = [SCENARIOS / "stability.scn", SCENARIOS / "stability.scn"]
+        with pytest.raises(ConfigError, match="stability"):
+            run_batch(paths, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_duplicate_scenario_names_exit_code(self, capsys, tmp_path):
+        path = str(SCENARIOS / "stability.scn")
+        rc = cli.main(["batch", "--scenario", path, "--scenario", path,
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert not (tmp_path / "out").exists()
+
     def test_parallel_matches_serial(self, tmp_path):
         paths = [SCENARIOS / "stability.scn", SCENARIOS / "eop_shift.scn"]
         serial = run_batch(paths, tmp_path / "serial", jobs=1)

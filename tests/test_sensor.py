@@ -1,16 +1,22 @@
 import math
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import chi2_contingency
 
 from probesim.fabric import DelayElement, SliceCoord
 from probesim.sensor import (SensorInstance, SensorReadout,
                              TuneValue, TuningError, chain_code_bits,
                              chain_delay, counters_from_stream,
                              decode_chain_taps, is_metastable, longest_run,
-                             max_zero_count, probe_zero_rate, read_counters,
-                             ro_calibration, ro_calibration_series, sample,
-                             tap_from_code, tune, update_latch,
+                             longest_runs, max_zero_count, probe_zero_rate,
+                             read_counters, ro_calibration,
+                             ro_calibration_series, sample, tap_from_code,
+                             tune, update_latch, window_pulses,
                              window_zero_counts)
 from probesim.thermal import ThermalField
 
@@ -178,6 +184,112 @@ class TestCounters:
             2 * 255 * p0 / 4000)
 
 
+class TestZeroProbability:
+    def test_vectorised_over_factors(self):
+        s = SensorInstance(tune=TuneValue(16, 2, 2))
+        factors = np.linspace(1.0, 1.05, 11)
+        p0 = s.zero_probability(factors)
+        assert p0.shape == factors.shape
+        assert p0 == pytest.approx([s.zero_probability(f) for f in factors],
+                                   rel=1e-12)
+        assert isinstance(s.zero_probability(1.0), float)
+
+    def test_matches_slack_at_every_factor(self):
+        s = SensorInstance(tune=TuneValue(20, 40, 3))
+        for f in (1.0, 1.01, 1.03):
+            expected = 0.5 * math.erfc(s.slack_ps(f) / (15.0 * math.sqrt(2)))
+            assert s.zero_probability(f) == pytest.approx(expected, rel=1e-9)
+            assert s.one_probability(f) == pytest.approx(1.0 - expected)
+
+    def test_offset_shifts_the_slack(self):
+        s = sensor_with_slack(20.0)
+        shifted = sensor_with_slack(5.0)
+        assert s.zero_probability(1.0, offset_ps=-15.0) == pytest.approx(
+            shifted.zero_probability(1.0), rel=1e-12)
+
+    def test_zero_jitter_zero_slack_samples_one(self):
+        s = SensorInstance(jitter_sigma_ps=0.0, tune=TuneValue(16, 2, 2))
+        s.ambient_offset_ps = -s.slack_ps(1.0)
+        assert s.slack_ps(1.0) == 0.0
+        assert s.zero_probability(1.0) == 0.0
+        assert s.one_probability(1.0) == 1.0
+
+    def test_zero_jitter_is_a_step_without_warnings(self):
+        s = SensorInstance(jitter_sigma_ps=0.0, tune=TuneValue(16, 2, 2))
+        s.ambient_offset_ps = -s.slack_ps(1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p0 = s.zero_probability(np.array([1.0, 1.001, 1.01]))
+        # Heating shifts the slack below zero: zeros every sample.
+        assert p0.tolist() == [0.0, 1.0, 1.0]
+
+
+def window_counts_strategy():
+    return st.integers(2, 300).flatmap(lambda w: st.tuples(
+        st.just(w), st.lists(st.integers(0, w), max_size=40)))
+
+
+class TestWindowPulses:
+    def test_longest_runs_per_row(self):
+        rows = np.array([[0, 0, 0, 0, 0],
+                         [1, 1, 0, 1, 0],
+                         [1, 1, 1, 1, 1],
+                         [0, 1, 1, 1, 0]], dtype=bool)
+        assert longest_runs(rows).tolist() == [0, 2, 5, 3]
+
+    def test_fixed_counts(self):
+        pulses = window_pulses(np.array([0, 1, 255]), 255,
+                               np.random.default_rng(0))
+        assert pulses.tolist() == [0, 1, 255]
+
+    @settings(max_examples=200, deadline=None)
+    @given(window_counts_strategy(), st.integers(0, 2 ** 32 - 1))
+    def test_pulse_bounded_by_count(self, window_counts, seed):
+        window, counts = window_counts
+        counts = np.array(counts, dtype=np.int64)
+        pulses = window_pulses(counts, window, np.random.default_rng(seed))
+        assert (pulses <= counts).all()
+        assert (pulses[counts == window] == window).all()
+        assert (pulses[counts == 0] == 0).all()
+        # k zeros fall into the window - k + 1 gaps between the ones.
+        mixed = counts > 0
+        assert (pulses[mixed] * (window - counts[mixed] + 1)
+                >= counts[mixed]).all()
+
+    def test_split_calls_draw_the_same_pulses(self):
+        counts = np.random.default_rng(3).binomial(255, 0.2, size=900)
+        whole = window_pulses(counts, 255, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        parts = [window_pulses(counts[:301], 255, rng),
+                 window_pulses(counts[301:], 255, rng)]
+        assert np.array_equal(whole, np.concatenate(parts))
+
+    def test_joint_distribution_matches_read_counters(self):
+        # The binomial count plus the conditional pulse draw against the
+        # sample-level reference, over the joint (zero_count, max_pulse)
+        # cells; sparse cells are pooled so every kept cell expects >= 20.
+        s = sensor_with_slack(28.2)
+        field = make_field()
+        p0 = s.zero_probability(1.0)
+        assert 0.025 < p0 < 0.035
+        n = 40_000
+        rng = np.random.default_rng(2024)
+        oracle = [read_counters(s, field, rng, 255) for _ in range(n)]
+        slow = [(r.zero_count, r.max_pulse_len) for r in oracle]
+        counts = window_zero_counts(p0, n, 255, rng)
+        fast = list(zip(counts.tolist(),
+                        window_pulses(counts, 255, rng).tolist()))
+        tallies = [Counter(slow), Counter(fast)]
+        cells = sorted(set(slow) | set(fast))
+        table = np.array([[tally[c] for c in cells] for tally in tallies])
+        dense = table.sum(axis=0) >= 40
+        table = np.column_stack([table[:, dense],
+                                 table[:, ~dense].sum(axis=1)])
+        assert dense.sum() >= 20
+        _, p_value, _, _ = chi2_contingency(table)
+        assert p_value > 1e-3
+
+
 class TestLatch:
     def test_below_threshold_stays_clear(self):
         s = SensorInstance()
@@ -197,6 +309,19 @@ class TestLatch:
 
 
 class TestTune:
+    @pytest.mark.parametrize("tune_value", [TuneValue(16, 2, 2),
+                                            TuneValue(15, 1, 5),
+                                            TuneValue(16, 1, 0)])
+    def test_stopped_score_decides_like_the_full_score(self, tune_value):
+        # A stopped draw either equals the full maximum or exceeds the
+        # bound, so comparing it with the best score so far gives the same
+        # answer as the full draw.
+        s = SensorInstance()
+        full = max_zero_count(s, tune_value, 3, 100.0)
+        for bound in sorted({0, 1, full // 2, full - 1, full, full + 1}):
+            stopped = max_zero_count(s, tune_value, 3, 100.0, stop_above=bound)
+            assert stopped == full if full <= bound else bound < stopped <= full
+
     def test_identical_seed_gives_identical_tune(self):
         t1 = tune(SensorInstance(), seed=9, t_sense_ms=10.0)
         t2 = tune(SensorInstance(), seed=9, t_sense_ms=10.0)

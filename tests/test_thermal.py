@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from probesim.fabric import SliceCoord
 from probesim.thermal import LaserSpot, ThermalField
 
 
@@ -108,6 +109,18 @@ def test_projection_matches_advance():
     projected = field.delta_t_at_um(35.0, 35.0, at_time_us=9.0)
     field.advance(9.0)
     assert projected == pytest.approx(field.delta_t_at_um(35.0, 35.0), rel=1e-12)
+
+
+def test_vector_projection_matches_advance():
+    field = ThermalField(8, 8)
+    field.set_spot(LaserSpot((35.0, 35.0)))
+    field.advance(13.0)
+    site = SliceCoord(3, 3)
+    projected = field.project(site, np.array([4.0, 9.0]))
+    field.advance(4.0)
+    assert projected[0] == pytest.approx(field.delta_t_at_site(site), rel=1e-12)
+    field.advance(5.0)
+    assert projected[1] == pytest.approx(field.delta_t_at_site(site), rel=1e-12)
 
 
 def test_nonpositive_dt_rejected():
