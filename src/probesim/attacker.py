@@ -183,10 +183,16 @@ def eop_probe(sim: CoSimulation, point_um: tuple[float, float],
     """Average the probed node's stimulus-locked waveform over many runs.
 
     Each iteration replays the stimulus from phase zero and samples the
-    probed net's logic value plus Gaussian noise at the probing resolution;
-    the beam heats the probe point continuously, so the defense races the
-    integration.  If the probed slot is vacated mid-attack the remaining
-    iterations see no signal.
+    probed net's logic value at the probing resolution; the beam heats the
+    probe point throughout, so the defense races the integration.
+    Iteration i starts at ``t0 + i * duration`` and sees the epoch in
+    effect then, with every defense event at or before that time applied;
+    if the probed slot is vacated mid-attack the later iterations see no
+    signal.  Time runs one epoch at a time, so the sum of the clean
+    iterations is the epoch-weighted sum of n_e * clean_e over the epochs
+    the iterations started in.  The per-sample noise of N iterations of
+    N(0, noise_sigma) is one draw of N(0, noise_sigma * sqrt(N)), which is
+    exact because a sum of i.i.d. Gaussians is Gaussian.
     """
     fab_w = sim.model.grid_width * sim.model.site_pitch_um
     fab_h = sim.model.grid_height * sim.model.site_pitch_um
@@ -194,8 +200,14 @@ def eop_probe(sim: CoSimulation, point_um: tuple[float, float],
         raise ScenarioError(f"probe point {point_um} outside fabric")
     if iterations < 1 or duration_cycles < 1:
         raise ScenarioError("iterations and duration must be >= 1")
-    sim.set_spot(LaserSpot(point_um, power, spot_sigma_um))
     duration_ps = duration_cycles * sim.cycle_ps
+    if not 1 <= resolution_ps <= duration_ps:
+        raise ScenarioError(
+            f"resolution {resolution_ps} ps must be in 1..{duration_ps} ps "
+            "(the probe duration)")
+    if noise_sigma < 0 or power < 0:
+        raise ScenarioError("noise sigma and power must be >= 0")
+    sim.set_spot(LaserSpot(point_um, power, spot_sigma_um))
     n_samples = duration_ps // resolution_ps
     times = np.arange(n_samples, dtype=np.int64) * resolution_ps
     cycle_of_sample = (times // sim.cycle_ps).astype(int)
@@ -205,7 +217,10 @@ def eop_probe(sim: CoSimulation, point_um: tuple[float, float],
     warm_net = sim.resolve_probe_net(*point_um)
     if warm_net is not None:
         sim.cycle_trace(warm_net, duration_cycles)
-    for _ in range(iterations):
+    t0 = sim.t_ps
+    t_end = t0 + iterations * duration_ps
+    done = 0
+    while done < iterations:
         eid = sim.epoch_id
         clean = clean_cache.get(eid)
         if clean is None:
@@ -216,9 +231,13 @@ def eop_probe(sim: CoSimulation, point_um: tuple[float, float],
                 per_cycle = sim.cycle_trace(net, duration_cycles)
                 clean = per_cycle[cycle_of_sample]
             clean_cache[eid] = clean
-        accum += clean
-        accum += sim.eop_rng.normal(0.0, noise_sigma, n_samples)
-        sim.advance_for(duration_ps)
+        t = sim.advance_to_epoch_change(t_end)
+        # Iterations that start before the epoch change ran in this epoch.
+        started = -(-(t - t0) // duration_ps)
+        accum += (started - done) * clean
+        done = started
+        sim.advance_to(t0 + done * duration_ps)
+    accum += sim.eop_rng.normal(0.0, noise_sigma * np.sqrt(iterations), n_samples)
     sim.set_spot(None)
     return EopTrace(times, accum / iterations, iterations, resolution_ps)
 

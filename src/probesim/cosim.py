@@ -160,25 +160,37 @@ class CoSimulation:
 
     def advance_to(self, t_target_ps: int) -> None:
         """Run sensor windows and defense events up to the target time."""
+        while self.advance_to_epoch_change(t_target_ps) < t_target_ps:
+            pass
+
+    def advance_to_epoch_change(self, t_target_ps: int) -> int:
+        """Advance towards the target, stopping at the first new epoch.
+
+        One window batch runs up to the target or the pending completion,
+        whichever comes first.  If the batch fires the trigger, time stops
+        at the trigger instead; windows already drawn past it stay drawn,
+        which is exact while the spot stays put.  A completion due by the
+        time reached is applied before returning, so the epoch in effect
+        afterwards has every event at or before the returned time applied.
+        Epochs started before the call (``invalidate_activity``) do not
+        stop it.  Returns the time reached in ps.
+        """
         if t_target_ps < self.t_ps:
             raise ScenarioError("time cannot run backwards")
-        while True:
-            boundary = t_target_ps
-            ev_ps = self._pending_completion_ps()
-            if ev_ps is not None and ev_ps <= t_target_ps:
-                boundary = max(ev_ps, self.t_ps)
-            self._run_windows_until(boundary)
-            self._advance_field(boundary)
-            self.t_ps = boundary
-            # A trigger inside the window batch may schedule a completion
-            # that falls within the interval just covered; apply it with its
-            # true timestamp before handing time back to the caller.
-            ev_ps = self._pending_completion_ps()
-            if ev_ps is not None and ev_ps <= self.t_ps:
-                self._complete_event()
-                continue
-            if self.t_ps >= t_target_ps:
-                break
+        epoch_before = self._epoch_id
+        stop = t_target_ps
+        ev_ps = self._pending_completion_ps()
+        if ev_ps is not None and ev_ps <= t_target_ps:
+            stop = max(ev_ps, self.t_ps)
+        self._run_windows_until(stop)
+        if self._epoch_id != epoch_before:
+            stop = self._epochs[-1][0]  # the trigger's time
+        self._advance_field(stop)
+        self.t_ps = stop
+        ev_ps = self._pending_completion_ps()
+        if ev_ps is not None and ev_ps <= self.t_ps:
+            self._complete_event()
+        return self.t_ps
 
     def advance_for(self, duration_ps: int) -> None:
         self.advance_to(self.t_ps + duration_ps)

@@ -189,6 +189,8 @@ def _decode_scenario(parser, path: Path, seed_override) -> Scenario:
                 scn.bit_threshold = float(val)
             else:
                 kwargs[key] = float(val)
+        if kwargs.get("power", 0.0) < 0:
+            raise ConfigError(f"{path}: [scan] power must be >= 0")
         scn.scan = ScanConfig(**kwargs)
 
     if "defense" in parser:
@@ -237,6 +239,16 @@ def _decode_scenario(parser, path: Path, seed_override) -> Scenario:
         for key in ("noise_sigma", "power"):
             if key in sec:
                 setattr(spec, key, float(sec[key]))
+        if spec.duration_cycles < 1 or spec.iterations < 1:
+            raise ConfigError(
+                f"{path}: [eop] duration_cycles and iterations must be >= 1")
+        duration_ps = spec.duration_cycles * build_sensor(scn).cycle_ps
+        if not 1 <= spec.resolution_ps <= duration_ps:
+            raise ConfigError(
+                f"{path}: [eop] resolution_ps must be in 1..{duration_ps} "
+                "(the probe duration)")
+        if spec.noise_sigma < 0 or spec.power < 0:
+            raise ConfigError(f"{path}: [eop] noise_sigma and power must be >= 0")
 
     if "function" in parser:
         sec = parser["function"]

@@ -24,7 +24,6 @@ class LaserSpot:
     center_um: tuple[float, float] = (0.0, 0.0)
     power: float = 1.0
     sigma_um: float = 8.0
-    enabled: bool = True
 
     def __post_init__(self):
         if self.power < 0:
@@ -69,7 +68,7 @@ class ThermalField:
     def set_spot(self, spot: LaserSpot | None) -> None:
         """Park (or disable) the heating spot; takes effect on next advance."""
         self.spot = spot
-        if spot is None or not spot.enabled or spot.power == 0.0:
+        if spot is None or spot.power == 0.0:
             self._source = np.zeros_like(self.delta_t)
             return
         dx = self._cell_x - spot.center_um[0]

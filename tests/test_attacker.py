@@ -9,6 +9,7 @@ from probesim.attacker import (EofmImage, ScanConfig, eofm_scan, eop_probe,
 from probesim.cosim import EpochActivity, ScenarioError, ShiftStimulus
 from probesim.defense import DefensePolicy, region_slices
 from probesim.fabric import SliceCoord
+from probesim.thermal import LaserSpot
 
 
 def small_scan(**kwargs):
@@ -197,6 +198,15 @@ class TestEopProbe:
         with pytest.raises(ScenarioError):
             eop_probe(sim, (500.0, 0.0), duration_cycles=8)
 
+    @pytest.mark.parametrize("bad", [
+        dict(resolution_ps=0), dict(resolution_ps=-100),
+        dict(resolution_ps=240_001), dict(noise_sigma=-1.0), dict(power=-1.0),
+    ])
+    def test_bad_inputs_rejected(self, shift_sim, bad):
+        sim, _ = shift_sim
+        with pytest.raises(ScenarioError):
+            eop_probe(sim, (150.0, 55.0), duration_cycles=24, **bad)
+
     def test_trace_writer(self, shift_sim, tmp_path):
         sim, model = shift_sim
         ff = model.ffs["s0"]
@@ -231,3 +241,98 @@ class TestDefenseRace:
         assert all(image.amplitude_at_um(x, y) < 0.35 for x, y in original)
         sites = {model.ffs[n].site for n in model.protected}
         assert sites <= set(policy.allowed_region)
+
+
+def per_iteration_eop(sim, point_um, duration_cycles, resolution_ps,
+                      iterations, noise_sigma, power=1.0, spot_sigma_um=8.0):
+    """Reference EOP loop: one replay, one noise draw and one co-simulation
+    step of one probe duration per iteration; returns the averaged values."""
+    sim.set_spot(LaserSpot(point_um, power, spot_sigma_um))
+    duration_ps = duration_cycles * sim.cycle_ps
+    n_samples = duration_ps // resolution_ps
+    times = np.arange(n_samples, dtype=np.int64) * resolution_ps
+    cycle_of_sample = (times // sim.cycle_ps).astype(int)
+    accum = np.zeros(n_samples)
+    clean_cache = {}
+    warm_net = sim.resolve_probe_net(*point_um)
+    if warm_net is not None:
+        sim.cycle_trace(warm_net, duration_cycles)
+    for _ in range(iterations):
+        eid = sim.epoch_id
+        clean = clean_cache.get(eid)
+        if clean is None:
+            net = sim.resolve_probe_net(*point_um)
+            if net is None:
+                clean = np.zeros(n_samples)
+            else:
+                clean = sim.cycle_trace(net, duration_cycles)[cycle_of_sample]
+            clean_cache[eid] = clean
+        accum += clean
+        accum += sim.eop_rng.normal(0.0, noise_sigma, n_samples)
+        sim.advance_for(duration_ps)
+    sim.set_spot(None)
+    return accum / iterations
+
+
+class TestEopRace:
+    """EOP against a firing defense, checked against the per-iteration loop.
+
+    The probe heats s0 next to the sensor, so the trigger fires mid-probe
+    (at 58.65 us at seed 1); noise is off, so the averaged values are exact
+    sums of clean iterations on both sides.
+    """
+
+    ITERATIONS = 1000
+    DURATION_CYCLES = 24
+
+    def race(self, probe, **policy_kwargs):
+        model = build_shift_model()
+        policy = DefensePolicy(threshold=3.0, **policy_kwargs)
+        sim = build_sim(model, policy=policy, stimulus=ShiftStimulus("10110001"),
+                        sensor_site=SliceCoord(13, 5))
+        ff = model.ffs["s0"]
+        point = model.slot_position_um(ff.site, ff.slot, "ff")
+        values = probe(sim, point, self.DURATION_CYCLES, 100,
+                       self.ITERATIONS, 0.0)
+        return sim, values
+
+    def assert_matches_reference(self, **policy_kwargs):
+        ref, ref_values = self.race(per_iteration_eop, **policy_kwargs)
+        sim, values = self.race(
+            lambda *args: eop_probe(*args).values, **policy_kwargs)
+        assert ref.trigger_time_us is not None
+        assert ref.trigger_time_us * 1e6 < sim.t_ps  # fired mid-probe
+        assert np.array_equal(values, ref_values)
+        assert sim.trigger_time_us == ref.trigger_time_us
+        assert sim.defense_log == ref.defense_log
+        assert sim.windows_done == ref.windows_done
+        assert sim.t_ps == ref.t_ps
+        return sim, values
+
+    @pytest.mark.parametrize("pr_latency_us", [50.0, 0.1])
+    def test_mtd_inter(self, pr_latency_us):
+        _, values = self.assert_matches_reference(
+            mode="mtd_inter", pr_latency_us=pr_latency_us,
+            allowed_region=region_slices(26, 4, 30, 12))
+        # The node was vacated mid-probe, so the average is neither the
+        # full pattern nor empty.
+        assert 0.0 < values.max() < 1.0
+
+    def test_mtd_intra(self):
+        self.assert_matches_reference(mode="mtd_intra", pr_latency_us=50.0)
+
+    def test_zeroize(self):
+        self.assert_matches_reference(mode="zeroize")
+
+    def test_completion_on_an_iteration_start(self):
+        # Pick the latency that puts the completion exactly on the start of
+        # the third iteration after the trigger: that iteration and every
+        # later one see the relocated placement.
+        probe_sim, _ = self.race(lambda *args: eop_probe(*args).values)
+        fire_ps = round(probe_sim.trigger_time_us * 1e6)
+        duration_ps = self.DURATION_CYCLES * probe_sim.cycle_ps
+        landing_ps = (-(-fire_ps // duration_ps) + 2) * duration_ps
+        sim, _ = self.assert_matches_reference(
+            mode="mtd_inter", pr_latency_us=(landing_ps - fire_ps) / 1e6,
+            allowed_region=region_slices(26, 4, 30, 12))
+        assert sim._epochs[-1][0] == landing_ps

@@ -204,3 +204,53 @@ class TestCounterLog:
             logs.append(sim.counter_rows())
         assert ((logs[0][:, 1] > 1) & (logs[0][:, 1] < 255)).any()
         assert np.array_equal(logs[0], logs[1])
+
+
+class TestAdvanceToEpochChange:
+    def test_stops_at_the_trigger_then_at_the_completion(self):
+        sim, _ = mtd_sim()
+        park_on_sensor(sim)
+        target = 2_000_000_000
+        t_fire = sim.advance_to_epoch_change(target)
+        assert sim.trigger_time_us is not None
+        assert t_fire == round(sim.trigger_time_us * 1e6) == sim.t_ps
+        assert sim.epoch_segments(0, t_fire + 1)[-1][0] == t_fire
+        assert sim.pending_event is not None
+        t_done = sim.advance_to_epoch_change(target)
+        assert t_done == round(sim.defense_log[0]["event_complete_us"] * 1e6)
+        assert sim.pending_event is None
+        assert sim.epoch_segments(0, t_done + 1)[-1][0] == t_done
+        assert sim.advance_to_epoch_change(target) == target
+
+    def test_repeated_steps_match_one_advance_to(self):
+        target = 2_000_000_000
+        sims = []
+        for stepped in (False, True):
+            sim, _ = mtd_sim()
+            park_on_sensor(sim)
+            if stepped:
+                calls = 1
+                while sim.advance_to_epoch_change(target) < target:
+                    calls += 1
+                assert calls == 3  # trigger, completion, target
+            else:
+                sim.advance_to(target)
+            sims.append(sim)
+        a, b = sims
+        assert a.window_counts == b.window_counts
+        assert a._epochs == b._epochs
+        assert a.defense_log == b.defense_log
+        assert a.t_ps == b.t_ps == target
+
+    def test_earlier_epoch_does_not_stop_it(self):
+        sim, _ = mtd_sim()
+        sim.advance_for(10_000_000)
+        sim.invalidate_activity()
+        assert sim.advance_to_epoch_change(50_000_000) == 50_000_000
+        assert sim.trigger_time_us is None
+
+    def test_time_cannot_run_backwards(self):
+        sim, _ = mtd_sim()
+        sim.advance_for(1_000_000)
+        with pytest.raises(ScenarioError):
+            sim.advance_to_epoch_change(0)

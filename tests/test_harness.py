@@ -328,6 +328,30 @@ class TestCli:
             (SCENARIOS / "shift8.net").read_text())
         assert cli.main(["attack", "--scenario", str(bad)]) == 3
 
+    @pytest.mark.parametrize("command, scenario, line, bad", [
+        ("eop", "eop_shift", "resolution_ps = 100", "resolution_ps = 0"),
+        ("eop", "eop_shift", "resolution_ps = 100", "resolution_ps = -100"),
+        ("eop", "eop_shift", "resolution_ps = 100", "resolution_ps = 500000"),
+        ("eop", "eop_shift", "duration_cycles = 24", "duration_cycles = 0"),
+        ("eop", "eop_shift", "iterations = 10000", "iterations = 0"),
+        ("eop", "eop_shift", "noise_sigma = 1.0", "noise_sigma = -1.0"),
+        ("eop", "eop_shift", "\npower = 1.0", "\npower = -1.0"),
+        ("attack", "xor_unprotected", "\npower = 1.0", "\npower = -1.0"),
+    ])
+    def test_bad_probe_input_exit_code(self, capsys, tmp_path, command,
+                                       scenario, line, bad):
+        # Each is rejected while the scenario is decoded, before any run.
+        text = (SCENARIOS / f"{scenario}.scn").read_text()
+        assert text.count(line) == 1
+        path = tmp_path / f"{scenario}.scn"
+        path.write_text(text.replace(line, bad))
+        netlist = load_scenario(SCENARIOS / f"{scenario}.scn").netlist_path
+        (tmp_path / netlist.name).write_text(netlist.read_text())
+        assert cli.main([command, "--scenario", str(path),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_capacity_error_exit_code(self, capsys, tmp_path):
         # One slice (4 slots) can never hold the 8 protected bits.
         text = (SCENARIOS / "mtd_inter_key.scn").read_text()

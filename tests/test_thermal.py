@@ -75,7 +75,7 @@ def test_total_elevation_never_increases_while_disabled():
     rng = np.random.default_rng(3)
     field = ThermalField(8, 8)
     field.delta_t[:] = rng.uniform(0, 10, size=(8, 8))
-    field.set_spot(LaserSpot((40, 40), enabled=False))
+    field.set_spot(None)
     prev = field.total_delta_t()
     for _ in range(20):
         field.advance(7.0)
