@@ -117,8 +117,8 @@ class EopTrace:
 def eofm_scan(sim: CoSimulation, scan: ScanConfig) -> EofmImage:
     """Raster the region left-to-right, top-to-bottom; one dwell per pixel.
 
-    Per pixel the spot parks at the pixel center and the co-simulation runs
-    for the dwell time; the recorded amplitude integrates each defense
+    Per pixel the spot parks at the pixel center for the dwell time
+    (CoSimulation.raster); the recorded amplitude integrates each defense
     epoch's primitive activity weighted by the fraction of the dwell it
     covered, plus additive measurement noise (clipped at zero).
     """
@@ -131,23 +131,22 @@ def eofm_scan(sim: CoSimulation, scan: ScanConfig) -> EofmImage:
         )
     nx, ny = scan.n_pixels
     dwell_ps = scan.dwell_ps
-    image = np.zeros((ny, nx))
-    for iy in range(ny):
-        cy = y0 + (iy + 0.5) * scan.pixel_pitch_um
-        for ix in range(nx):
-            cx = x0 + (ix + 0.5) * scan.pixel_pitch_um
-            sim.set_spot(LaserSpot((cx, cy), scan.power, scan.spot_sigma_um))
-            t_start = sim.t_ps
-            sim.advance_for(dwell_ps)
-            signal = 0.0
-            for s, e, eid in sim.epoch_segments(t_start, t_start + dwell_ps):
-                frac = (e - s) / dwell_ps
-                signal += frac * sim.activity(eid).signal_at(
-                    cx, cy, scan.psf_sigma_um
-                )
-            noisy = signal + sim.image_rng.normal(0.0, scan.noise_sigma)
-            image[iy, ix] = max(noisy, 0.0)
+    # Pixel centers in raster order: rows top to bottom, each left to right.
+    cx = np.tile(x0 + (np.arange(nx) + 0.5) * scan.pixel_pitch_um, ny)
+    cy = np.repeat(y0 + (np.arange(ny) + 0.5) * scan.pixel_pitch_um, nx)
+    t0 = sim.raster(np.column_stack([cx, cy]), dwell_ps, scan.power,
+                    scan.spot_sigma_um)
+    starts = t0 + np.arange(nx * ny, dtype=np.int64) * dwell_ps
+    signal = np.zeros(nx * ny)
+    # Epochs in time order; a pixel outside an epoch adds 0.0 exactly.
+    for s, e, eid in sim.epoch_segments(t0, t0 + nx * ny * dwell_ps):
+        overlap = np.clip(np.minimum(starts + dwell_ps, e) - np.maximum(starts, s),
+                          0, None)
+        signal += overlap / dwell_ps * sim.activity(eid).signals(
+            cx, cy, scan.psf_sigma_um)
+    noisy = signal + sim.image_rng.normal(0.0, scan.noise_sigma, nx * ny)
     sim.set_spot(None)
+    image = np.maximum(noisy, 0.0).reshape(ny, nx)
     return EofmImage(image, x0, y0, scan.pixel_pitch_um, scan.target_freq_mhz)
 
 

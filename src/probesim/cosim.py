@@ -21,7 +21,12 @@ import numpy as np
 from . import defense as defense_mod
 from .fabric import FabricModel
 from .sensor import SensorInstance, window_pulses
-from .thermal import LaserSpot, ThermalField
+from .thermal import LaserSpot, ThermalField, relax
+
+# Sensor windows per vectorised pass of a raster stretch.  At 16,384 the
+# pass is no faster, and its 128 kB temporaries raise the peak RSS of a
+# run of the five EOFM scenarios by about 0.7 MB over 4,096.
+RASTER_CHUNK_WINDOWS = 4096
 
 
 class ScenarioError(Exception):
@@ -95,11 +100,20 @@ class EpochActivity:
     names: list[str]
 
     def signal_at(self, x_um: float, y_um: float, psf_sigma_um: float) -> float:
+        return float(self.signals(np.array([x_um]), np.array([y_um]),
+                                  psf_sigma_um)[0])
+
+    def signals(self, x_um: np.ndarray, y_um: np.ndarray,
+                psf_sigma_um: float) -> np.ndarray:
+        """Lock-in amplitude at each probe point: the magnitude of the
+        point-spread-weighted sum of the coefficients.  Each point's sum is
+        a row reduction, so a point's value does not depend on how many
+        points are asked for at once."""
         if self.xs.size == 0:
-            return 0.0
-        d2 = (self.xs - x_um) ** 2 + (self.ys - y_um) ** 2
+            return np.zeros(len(x_um))
+        d2 = (self.xs - x_um[:, None]) ** 2 + (self.ys - y_um[:, None]) ** 2
         weights = np.exp(-d2 / (psf_sigma_um ** 2))
-        return float(abs(np.dot(weights, self.coefs)))
+        return np.abs((weights * self.coefs).sum(axis=1))
 
 
 class CoSimulation:
@@ -194,6 +208,92 @@ class CoSimulation:
 
     def advance_for(self, duration_ps: int) -> None:
         self.advance_to(self.t_ps + duration_ps)
+
+    def raster(self, centers_um, dwell_ps: int, power: float,
+               sigma_um: float) -> int:
+        """Park the spot at each center for one dwell in turn; returns the
+        raster's start time in ps.
+
+        Gives the same windows, events and field as set_spot() plus
+        advance_for(dwell_ps) per center.  Event-free stretches of dwells
+        run as one vectorised window pass (_raster_stretch); the dwell that
+        fires the trigger or holds a pending completion steps through
+        advance_to_epoch_change().  Each epoch's activity is recorded as it
+        is entered, so a short-lived epoch such as the hold state of a
+        relocation is imaged as it was, not as the fabric is after it.
+        """
+        centers = np.asarray(centers_um, dtype=float).reshape(-1, 2)
+        LaserSpot((0.0, 0.0), power, sigma_um)  # validates power and sigma
+        t0 = self.t_ps
+        self.activity()
+        i = 0
+        while i < len(centers):
+            last = len(centers)
+            ev_ps = self._pending_completion_ps()
+            if ev_ps is not None:
+                # Dwells before the one whose end reaches the completion.
+                last = min(last, (ev_ps - t0 - 1) // dwell_ps)
+            i = self._raster_stretch(centers, i, last, t0, dwell_ps, power,
+                                     sigma_um)
+            if i == len(centers):
+                break
+            self.thermal.set_spot(LaserSpot(tuple(centers[i]), power, sigma_um))
+            end_ps = t0 + (i + 1) * dwell_ps
+            while self.t_ps < end_ps:
+                epoch = self._epoch_id
+                self.advance_to_epoch_change(end_ps)
+                if self._epoch_id != epoch:
+                    self.activity()
+            i += 1
+        return t0
+
+    def _raster_stretch(self, centers, first: int, last: int, t0: int,
+                        dwell_ps: int, power: float, sigma_um: float) -> int:
+        """Dwells first..last-1 of a raster, none of which holds a pending
+        completion, in one pass; returns the first dwell not run.
+
+        Window ends are projected from each dwell's start with the cell
+        temperatures of ThermalField.raster_cell, and the counts are drawn
+        RASTER_CHUNK_WINDOWS at a time; batched binomial draws equal the
+        per-dwell ones.  If a chunk fires the trigger, the stream is rewound
+        to the chunk's start, the windows before the firing dwell are
+        redrawn, and the stretch ends there: that dwell is left to
+        advance_to_epoch_change().
+        """
+        if last <= first:
+            return first
+        dwell_us = dwell_ps / 1e6
+        starts, steady = self.thermal.raster_cell(
+            self.sensor.site, centers[first:last], power, sigma_um, dwell_us)
+        begin_ps = t0 + first * dwell_ps
+        n = (t0 + last * dwell_ps) // self.window_ps - self.windows_done
+        armed = self.threshold is not None and not self.sensor.latched
+        stop = last
+        for done in range(0, n, RASTER_CHUNK_WINDOWS):
+            index = self.windows_done + np.arange(min(RASTER_CHUNK_WINDOWS, n - done))
+            ends_ps = (index + 1) * self.window_ps
+            dwell = (ends_ps - begin_ps - 1) // dwell_ps
+            dts_us = (ends_ps - (begin_ps + dwell * dwell_ps)) / 1e6
+            delta_ts = relax(starts[dwell], steady[dwell],
+                             np.exp(-dts_us / self.thermal.tau_us))
+            p0 = self.sensor.zero_probability(1.0 + self.thermal.alpha_per_k * delta_ts)
+            if armed:
+                state = self.sensor_rng.bit_generator.state
+            counts = self.sensor_rng.binomial(self.t_detect, p0)
+            hits = np.flatnonzero(counts >= self.threshold) if armed else ()
+            if len(hits):
+                fired = int(dwell[hits[0]])
+                keep = int(np.searchsorted(dwell, fired))
+                self.sensor_rng.bit_generator.state = state
+                counts = self.sensor_rng.binomial(self.t_detect, p0[:keep])
+                stop = first + fired
+            self.window_counts.frombytes(counts.astype(np.int64, copy=False).tobytes())
+            self.windows_done += len(counts)
+            if stop < last:
+                break
+        self.thermal.advance_raster(centers[first:stop], power, sigma_um, dwell_us)
+        self.t_ps = t0 + stop * dwell_ps
+        return stop
 
     def _advance_field(self, t_target_ps: int) -> None:
         dt_us = (t_target_ps - self.t_ps) / 1e6
@@ -314,11 +414,18 @@ class CoSimulation:
         return segs
 
     def activity(self, epoch_id: int | None = None) -> EpochActivity:
-        """Primitive toggle amplitudes for the current epoch."""
+        """Primitive toggle amplitudes of an epoch, the current one by default.
+
+        An epoch's activity is simulated from the fabric as it is, so a past
+        epoch can only be read if it was recorded while it was in effect.
+        """
         eid = self._epoch_id if epoch_id is None else epoch_id
         cached = self._activity_cache.get(eid)
         if cached is not None:
             return cached
+        if eid != self._epoch_id:
+            raise ScenarioError(
+                f"activity of epoch {eid} was not recorded while it was in effect")
         act = self._simulate_activity()
         self._activity_cache[eid] = act
         return act

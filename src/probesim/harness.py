@@ -174,6 +174,12 @@ def _decode_scenario(parser, path: Path, seed_override) -> Scenario:
                 scn.sensor[key] = int(val)
             elif key in _SENSOR_FLOAT:
                 scn.sensor[key] = float(val)
+        if not scn.sensor.get("clock_mhz", 1.0) > 0:
+            raise ConfigError(f"{path}: [sensor] clock_mhz must be > 0")
+        if scn.t_detect < 1:
+            raise ConfigError(f"{path}: [sensor] t_detect_cycles must be >= 1")
+        if not scn.sensor.get("jitter_sigma_ps", 0.0) >= 0:
+            raise ConfigError(f"{path}: [sensor] jitter_sigma_ps must be >= 0")
 
     if "scan" in parser:
         sec = parser["scan"]
@@ -417,18 +423,54 @@ class RunSummary:
         return "\n".join(lines) + "\n"
 
 
-# Rows formatted per write; one string for the whole log would cost more
+# Rows formatted per write; one buffer for the whole log would cost more
 # memory than the log itself.
-CSV_CHUNK_ROWS = 1024
+CSV_CHUNK_ROWS = 4096
 
 
 def write_counters_csv(path, rows: np.ndarray) -> None:
-    """Write a (windows, 4) integer counter log, one CSV line per window."""
-    with open(path, "w") as fh:
-        fh.write("window_index,zero_count,max_pulse,latched\n")
+    """Write a (windows, 4) non-negative integer counter log, one CSV line
+    per window."""
+    with open(path, "wb") as fh:
+        fh.write(b"window_index,zero_count,max_pulse,latched\n")
         for start in range(0, len(rows), CSV_CHUNK_ROWS):
-            chunk = rows[start:start + CSV_CHUNK_ROWS]
-            fh.write("%d,%d,%d,%d\n" * len(chunk) % tuple(chunk.ravel().tolist()))
+            fh.write(format_int_rows(rows[start:start + CSV_CHUNK_ROWS]))
+
+
+def format_int_rows(rows: np.ndarray) -> bytes:
+    """Comma-separated decimal lines of a 2-D non-negative integer array.
+
+    Each column is written into a fixed-width block of ASCII digits, one
+    integer division by 10 per digit, into a (line bytes, rows) matrix;
+    the leading zeros are then masked out and the kept bytes read off row
+    by row.  Widths come from the data.
+    """
+    n, cols = rows.shape
+    if n == 0:
+        return b""
+    if int(rows.min()) < 0:
+        raise ValueError("format_int_rows needs non-negative integers")
+    top = rows.max(axis=0)
+    dtype = np.uint32 if int(top.max()) < 2 ** 32 else np.uint64
+    ten = dtype(10)
+    widths = [len(str(int(v))) for v in top]
+    mat = np.full((sum(widths) + cols, n), ord(","), dtype=np.uint8)
+    mat[-1] = ord("\n")
+    keep = np.ones(mat.shape, dtype=bool)
+    offset = 0
+    for col, width in enumerate(widths):
+        value = rows[:, col].astype(dtype)
+        v = value
+        for pos in range(offset + width - 1, offset, -1):
+            q = v // ten
+            mat[pos] = v - q * ten + ord("0")
+            v = q
+        mat[offset] = v + ord("0")
+        # Digit k of a width-w block is a leading zero iff value < 10**(w-1-k).
+        for k in range(width - 1):
+            keep[offset + k] = value >= dtype(10 ** (width - 1 - k))
+        offset += width + 1
+    return mat.T[keep.T].tobytes()
 
 
 def write_defense_log(path, entries) -> None:
@@ -537,6 +579,9 @@ class RunResult:
     traces: dict[str, EopTrace] | None = None
     stability: StabilityReport | None = None
     sim: CoSimulation | None = None
+    # The co-simulation's counter log (CoSimulation.counter_rows), built
+    # once per run for the summary and counters.csv.
+    counters: np.ndarray | None = None
 
 
 def run(scn: Scenario, out_dir=None) -> RunResult:
@@ -572,6 +617,9 @@ def run(scn: Scenario, out_dir=None) -> RunResult:
     else:
         result = _run_stability(scn, model, thermal, sensor, policy)
     result.summary.tune = str(tuned)
+    if result.sim is not None:
+        result.counters = result.sim.counter_rows()
+        _count_stats(result.summary, result.counters)
     result.summary.resources = report_resources(model, sensor, policy)
     if out_dir is not None:
         write_artifacts(result, Path(out_dir))
@@ -580,11 +628,6 @@ def run(scn: Scenario, out_dir=None) -> RunResult:
 
 def _summary_base(scn: Scenario, sim: CoSimulation | None,
                   threshold: float) -> RunSummary:
-    stats = (0, 0.0, 0, 0)
-    if sim is not None and sim.windows_done:
-        rows = sim.counter_rows()
-        stats = (len(rows), float(rows[:, 1].mean()), int(rows[:, 1].max()),
-                 int(rows[:, 2].max()))
     return RunSummary(
         scenario=scn.name,
         kind=scn.kind,
@@ -593,12 +636,21 @@ def _summary_base(scn: Scenario, sim: CoSimulation | None,
         threshold=threshold,
         trigger_time_us=sim.trigger_time_us if sim else None,
         total_sim_time_us=sim.t_us if sim else 0.0,
-        windows=stats[0],
-        mean_zero_count=stats[1],
-        max_zero_count=stats[2],
-        max_pulse_len=stats[3],
+        windows=0,
+        mean_zero_count=0.0,
+        max_zero_count=0,
+        max_pulse_len=0,
         resources={},
     )
+
+
+def _count_stats(summary: RunSummary, rows: np.ndarray) -> None:
+    """Window statistics of a counter log into the summary."""
+    if len(rows):
+        summary.windows = len(rows)
+        summary.mean_zero_count = float(rows[:, 1].mean())
+        summary.max_zero_count = int(rows[:, 1].max())
+        summary.max_pulse_len = int(rows[:, 2].max())
 
 
 def _protected_sites_um(model: FabricModel) -> list[tuple[float, float]]:
@@ -738,8 +790,9 @@ def write_artifacts(result: RunResult, out_dir: Path) -> None:
                 trace.to_csv(out_dir / "trace.csv")
     if result.stability is not None:
         result.stability.to_csv(out_dir / "counters.csv")
+    if result.counters is not None:
+        write_counters_csv(out_dir / "counters.csv", result.counters)
     if result.sim is not None:
-        write_counters_csv(out_dir / "counters.csv", result.sim.counter_rows())
         write_defense_log(out_dir / "defense_log.csv", result.sim.defense_log)
 
 

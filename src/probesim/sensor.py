@@ -304,8 +304,14 @@ def _tune_rng(seed: int, tune: TuneValue, purpose: int):
 
 def probe_zero_rate(sensor: SensorInstance, tune: TuneValue, seed: int,
                     batch: int = PROBE_BATCH) -> float:
-    """Observed zero rate of a probe batch at ambient conditions."""
+    """Observed zero rate of a probe batch at ambient conditions.
+
+    A zero probability of exactly 0 or 1 is its own rate: the binomial
+    draw is then 0 or the whole batch, so no stream is built for it.
+    """
     p0 = sensor.zero_probability(1.0, tune)
+    if p0 == 0.0 or p0 == 1.0:
+        return p0
     rng = _tune_rng(seed, tune, 0)
     return float(rng.binomial(batch, p0)) / batch
 

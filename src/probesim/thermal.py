@@ -32,6 +32,18 @@ class LaserSpot:
             raise ValueError("spot sigma must be > 0")
 
 
+# Dwells a raster replays per block of spot sources in advance_raster().
+RASTER_BLOCK_DWELLS = 256
+# -ln of the smallest subnormal double is 744.4: after this many time
+# constants, any start temperature has decayed below it.
+RASTER_MEMORY_TAUS = 746
+
+
+def relax(start, steady, decay):
+    """Exact exponential relaxation towards steady: the one thermal update."""
+    return steady + (start - steady) * decay
+
+
 class ThermalField:
     """Per-cell temperature elevation over the slice grid.
 
@@ -71,23 +83,33 @@ class ThermalField:
         if spot is None or spot.power == 0.0:
             self._source = np.zeros_like(self.delta_t)
             return
-        dx = self._cell_x - spot.center_um[0]
-        dy = self._cell_y - spot.center_um[1]
-        g = np.exp(-(dx * dx + dy * dy) / (2.0 * spot.sigma_um ** 2))
-        self._source = spot.power * self.power_to_rate_k_per_us * g
+        self._source = self._rates(spot.center_um[0], spot.center_um[1],
+                                   spot.power, spot.sigma_um,
+                                   self._cell_x, self._cell_y)
+
+    def _rates(self, cx, cy, power: float, sigma_um: float, xs, ys):
+        """Deposition rate at cell centers (xs, ys) of a spot at (cx, cy);
+        broadcasts over spot centers and cells alike."""
+        dx = xs - cx
+        dy = ys - cy
+        g = np.exp(-(dx * dx + dy * dy) / (2.0 * sigma_um ** 2))
+        return power * self.power_to_rate_k_per_us * g
 
     def advance(self, dt_us: float) -> None:
         """Integrate all cells exactly over dt_us with the current spot."""
         if dt_us <= 0:
             raise ValueError("dt must be > 0")
         steady = self._source * self.tau_us
-        decay = math.exp(-dt_us / self.tau_us)
-        self.delta_t = steady + (self.delta_t - steady) * decay
+        self.delta_t = relax(self.delta_t, steady, math.exp(-dt_us / self.tau_us))
 
     def _cell_index(self, x_um: float, y_um: float) -> tuple[int, int]:
         ix = min(max(int(x_um / self.site_pitch_um), 0), self.grid_width - 1)
         iy = min(max(int(y_um / self.site_pitch_um), 0), self.grid_height - 1)
         return iy, ix
+
+    def _site_cell(self, site) -> tuple[int, int]:
+        return self._cell_index((site.x + 0.5) * self.site_pitch_um,
+                                (site.y + 0.5) * self.site_pitch_um)
 
     def project(self, site, dts_us: float | np.ndarray) -> float | np.ndarray:
         """Temperature elevation of a site's cell after each interval in dts_us.
@@ -96,11 +118,78 @@ class ThermalField:
         without mutating the field; valid as long as the spot does not move
         in between.  Vectorised over ``dts_us``.
         """
-        iy, ix = self._cell_index((site.x + 0.5) * self.site_pitch_um,
-                                  (site.y + 0.5) * self.site_pitch_um)
-        now = self.delta_t[iy, ix]
+        iy, ix = self._site_cell(site)
         steady = self._source[iy, ix] * self.tau_us
-        return steady + (now - steady) * np.exp(-np.asarray(dts_us) / self.tau_us)
+        return relax(self.delta_t[iy, ix], steady,
+                     np.exp(-np.asarray(dts_us) / self.tau_us))
+
+    # -- rasters -------------------------------------------------------------
+
+    def raster_cell(self, site, centers_um: np.ndarray, power: float,
+                    sigma_um: float, dwell_us: float) -> tuple[np.ndarray, np.ndarray]:
+        """A site's cell over a raster that parks the spot at each center
+        for ``dwell_us`` in turn, without mutating the field.
+
+        Returns the cell's temperature elevation at the start of each dwell
+        and its steady state under each spot.  These are the values that
+        set_spot() and advance() once per dwell would give that cell, float
+        op for float op, so project() from a dwell start can be replaced by
+        relax(start, steady, exp(-dt / tau)).
+        """
+        iy, ix = self._site_cell(site)
+        steady = self._rates(centers_um[:, 0], centers_um[:, 1], power, sigma_um,
+                             self._cell_x[iy, ix], self._cell_y[iy, ix]) * self.tau_us
+        decay = math.exp(-dwell_us / self.tau_us)
+        starts = []
+        x = float(self.delta_t[iy, ix])
+        for s in steady.tolist():
+            starts.append(x)
+            x = relax(x, s, decay)
+        return np.array(starts), steady
+
+    def advance_raster(self, centers_um: np.ndarray, power: float,
+                       sigma_um: float, dwell_us: float) -> None:
+        """Park the spot at each center for ``dwell_us`` in turn.
+
+        Leaves the field exactly as set_spot() and advance() once per dwell
+        would, with the last spot parked.  A cell forgets its temperature
+        once decay**k underflows, so only the last RASTER_MEMORY_TAUS * tau
+        of dwells are replayed, from a lower and an upper bound of every
+        cell at once.  Each dwell's update is monotone in the cell's
+        temperature, so when both bounds land on the same floats the
+        replay is exact; otherwise every dwell is replayed from the field.
+        """
+        n = len(centers_um)
+        if n == 0:
+            return
+        decay = math.exp(-dwell_us / self.tau_us)
+        tail = min(n, math.ceil(RASTER_MEMORY_TAUS * self.tau_us / dwell_us) + 2)
+        grid = None
+        if 2 * tail < n:
+            peak = power * self.power_to_rate_k_per_us * self.tau_us
+            bound = 2.0 * max(float(self.delta_t.max()), peak) + 1.0
+            bounds = np.stack([np.zeros_like(self.delta_t),
+                               np.full_like(self.delta_t, bound)])
+            bounds = self._relax_dwells(bounds, centers_um[n - tail:], power,
+                                        sigma_um, decay)
+            if np.array_equal(bounds[0], bounds[1]):
+                grid = bounds[0]
+        if grid is None:
+            grid = self._relax_dwells(self.delta_t, centers_um, power,
+                                      sigma_um, decay)
+        self.delta_t = grid
+        self.set_spot(LaserSpot(tuple(centers_um[-1]), power, sigma_um))
+
+    def _relax_dwells(self, grid, centers_um, power, sigma_um, decay):
+        """advance() over one dwell per center, in blocks of spot sources."""
+        for start in range(0, len(centers_um), RASTER_BLOCK_DWELLS):
+            block = centers_um[start:start + RASTER_BLOCK_DWELLS]
+            steady = self._rates(block[:, 0, None, None], block[:, 1, None, None],
+                                 power, sigma_um, self._cell_x,
+                                 self._cell_y) * self.tau_us
+            for s in steady:
+                grid = relax(grid, s, decay)
+        return grid
 
     def delta_t_at_um(self, x_um: float, y_um: float,
                       at_time_us: float | None = None) -> float:

@@ -1,15 +1,22 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import build_key_model, build_shift_model, build_sim
+from probesim import cosim
 from probesim.attacker import (EofmImage, ScanConfig, eofm_scan, eop_probe,
                                localize, recover_bits)
-from probesim.cosim import EpochActivity, ScenarioError, ShiftStimulus
+from probesim.cosim import (EpochActivity, ScenarioError, ShiftStimulus,
+                            stimulus_for_target_freq)
 from probesim.defense import DefensePolicy, region_slices
 from probesim.fabric import SliceCoord
+from probesim.netlist import load_netlist
 from probesim.thermal import LaserSpot
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "probesim" / "scenarios"
 
 
 def small_scan(**kwargs):
@@ -336,3 +343,194 @@ class TestEopRace:
             mode="mtd_inter", pr_latency_us=(landing_ps - fire_ps) / 1e6,
             allowed_region=region_slices(26, 4, 30, 12))
         assert sim._epochs[-1][0] == landing_ps
+
+
+def per_pixel_eofm(sim, scan):
+    """Reference raster: one set_spot and one dwell of co-simulation per
+    pixel, stepped through advance_to_epoch_change so that each epoch's
+    activity is recorded as it is entered; one noise draw per pixel."""
+    x0, y0, _, _ = scan.region_um
+    nx, ny = scan.n_pixels
+    image = np.zeros((ny, nx))
+    sim.activity()
+    for iy in range(ny):
+        cy = y0 + (iy + 0.5) * scan.pixel_pitch_um
+        for ix in range(nx):
+            cx = x0 + (ix + 0.5) * scan.pixel_pitch_um
+            sim.set_spot(LaserSpot((cx, cy), scan.power, scan.spot_sigma_um))
+            t_start = sim.t_ps
+            end = t_start + scan.dwell_ps
+            while sim.t_ps < end:
+                epoch = sim.epoch_id
+                sim.advance_to_epoch_change(end)
+                if sim.epoch_id != epoch:
+                    sim.activity()
+            signal = 0.0
+            for s, e, eid in sim.epoch_segments(t_start, end):
+                frac = (e - s) / scan.dwell_ps
+                signal += frac * sim.activity(eid).signal_at(
+                    cx, cy, scan.psf_sigma_um)
+            noisy = signal + sim.image_rng.normal(0.0, scan.noise_sigma)
+            image[iy, ix] = max(noisy, 0.0)
+    sim.set_spot(None)
+    return image
+
+
+def key_race_sim(seed=1, tau_us=50.0, **policy_kwargs):
+    key = (1, 0, 1, 1, 0, 0, 0, 1)
+    policy_kwargs.setdefault("threshold", 3.0)
+    if policy_kwargs.get("mode", "").startswith("mtd"):
+        policy_kwargs.setdefault("allowed_region", region_slices(26, 4, 30, 12))
+    sim = build_sim(build_key_model(key), key=key, seed=seed,
+                    policy=DefensePolicy(**policy_kwargs))
+    sim.thermal.tau_us = tau_us
+    return sim
+
+
+def poly_race_sim(seed=1):
+    model = load_netlist(SCENARIOS / "xor4_poly.net")
+    stim = stimulus_for_target_freq(100.0, 1.25, {"a0": 1, "a1": 1, "a2": 1,
+                                                  "a3": 1})
+    policy = DefensePolicy(mode="polymorphic", threshold=3.0)
+    return build_sim(model, policy=policy, seed=seed, stimulus=stim,
+                     sensor_site=SliceCoord(16, 7))
+
+
+POLY_SCAN = dict(region_um=(160.0, 40.0, 200.0, 120.0))
+
+
+class TestRasterSchedule:
+    """CoSimulation.raster against the per-pixel reference raster.
+
+    The small scan heats the sensor at (15, 8) from its second row on, so
+    the trigger fires in dwell 20 at 20134.8 us at seed 1.
+    """
+
+    def assert_matches_reference(self, make_sim, scan):
+        ref = make_sim()
+        ref_image = per_pixel_eofm(ref, scan)
+        sim = make_sim()
+        image = eofm_scan(sim, scan).amplitudes
+        assert np.array_equal(sim.window_counts, ref.window_counts)
+        assert sim.trigger_time_us == ref.trigger_time_us
+        assert sim.defense_log == ref.defense_log
+        assert sim._epochs == ref._epochs
+        assert np.array_equal(image, ref_image)
+        assert sim.t_ps == ref.t_ps
+        assert sim.sensor.site == ref.sensor.site
+        assert np.array_equal(sim.thermal.delta_t, ref.thermal.delta_t)
+        return sim
+
+    def fire_ps(self, scan, **policy_kwargs):
+        sim = key_race_sim(**policy_kwargs)
+        eofm_scan(sim, scan)
+        return round(sim.trigger_time_us * 1e6)
+
+    @pytest.fixture(params=[cosim.RASTER_CHUNK_WINDOWS, 700])
+    def chunk(self, request, monkeypatch):
+        # 700-window chunks put the trigger in a later chunk of a stretch.
+        monkeypatch.setattr(cosim, "RASTER_CHUNK_WINDOWS", request.param)
+
+    def test_none(self, chunk):
+        sim = self.assert_matches_reference(
+            lambda: key_race_sim(mode="none"), small_scan())
+        assert sim.trigger_time_us == pytest.approx(20134.8)
+
+    @pytest.mark.parametrize("where", ["firing dwell", "next dwell",
+                                       "three dwells on", "1 ps on"])
+    @pytest.mark.parametrize("move_sensor", [False, True])
+    def test_mtd_inter(self, chunk, where, move_sensor):
+        scan = small_scan()
+        fire = self.fire_ps(scan, mode="mtd_inter", pr_latency_us=223.0)
+        dwell_end = -(-fire // scan.dwell_ps) * scan.dwell_ps
+        latency_ps = {
+            "firing dwell": (dwell_end - fire) // 2,
+            "next dwell": dwell_end - fire + scan.dwell_ps // 2,
+            "three dwells on": dwell_end - fire + 3 * scan.dwell_ps,
+            "1 ps on": 1,  # MTD modes need a latency > 0
+        }[where]
+        sim = self.assert_matches_reference(
+            lambda: key_race_sim(mode="mtd_inter", pr_latency_us=latency_ps / 1e6,
+                                 move_sensor=move_sensor),
+            scan)
+        assert sim.defense_log[0]["placement_diff"]
+        assert (sim.sensor.site != SliceCoord(15, 8)) == move_sensor
+
+    def test_mtd_intra(self, chunk):
+        self.assert_matches_reference(
+            lambda: key_race_sim(mode="mtd_intra", pr_latency_us=223.0),
+            small_scan())
+
+    def test_polymorphic(self, chunk):
+        sim = self.assert_matches_reference(poly_race_sim, small_scan(**POLY_SCAN))
+        assert sim.trigger_time_us is not None
+
+    def test_hold_epoch_is_imaged_dark(self):
+        # The hold epoch of a relocation (trigger to completion) is recorded
+        # while it is in effect: the protected bits hold, so nothing toggles.
+        sim = key_race_sim(mode="mtd_inter", pr_latency_us=223.0)
+        eofm_scan(sim, small_scan())
+        (_, before), (_, hold), (_, after) = sim._epochs
+        assert np.abs(sim.activity(before).coefs).max() == pytest.approx(1.0)
+        assert np.abs(sim.activity(hold).coefs).max() == 0.0
+        assert np.abs(sim.activity(after).coefs).max() == pytest.approx(1.0)
+
+    def test_past_epoch_without_a_record_is_rejected(self):
+        sim = key_race_sim(mode="none")
+        sim.invalidate_activity()
+        with pytest.raises(ScenarioError, match="not recorded"):
+            sim.activity(0)
+
+    def test_no_per_pixel_steps(self, monkeypatch):
+        # The raster neither parks the spot nor advances time once per pixel.
+        calls = {"set_spot": 0, "advance_for": 0}
+        for name, owner in (("set_spot", cosim.ThermalField),
+                            ("advance_for", cosim.CoSimulation)):
+            original = getattr(owner, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        sim = key_race_sim(mode="mtd_inter", pr_latency_us=223.0)
+        eofm_scan(sim, small_scan())
+        assert calls["advance_for"] == 0
+        assert calls["set_spot"] <= 4  # stretch ends, the firing dwell, the end
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(1, 10_000),
+    mode=st.sampled_from(["none", "mtd_inter", "mtd_intra", "zeroize"]),
+    move_sensor=st.booleans(),
+    latency_us=st.floats(1e-6, 3000.0),
+    # 2.55 ms is 1,000 windows: every dwell ends on a window end.
+    dwell_ms=st.sampled_from([0.04, 0.3, 1.0, 2.5, 2.55]),
+    tau_us=st.sampled_from([5.0, 50.0]),
+    threshold=st.sampled_from([2.0, 3.0, 6.0, 300.0]),
+    rows=st.tuples(st.integers(3, 11), st.integers(1, 3)),
+    cols=st.tuples(st.integers(10, 17), st.integers(1, 6)),
+    chunk=st.sampled_from([64, 1000, 16384]),
+)
+def test_raster_matches_per_pixel_reference(seed, mode, move_sensor, latency_us,
+                                            dwell_ms, tau_us, threshold, rows,
+                                            cols, chunk):
+    # Small rasters near the sensor at (15, 8), under every defense that
+    # changes the epoch, and with triggers that fire early, late or never.
+    scan = small_scan(region_um=(cols[0] * 10.0, rows[0] * 10.0,
+                                 (cols[0] + cols[1]) * 10.0,
+                                 (rows[0] + rows[1]) * 10.0),
+                      dwell_ms=dwell_ms)
+
+    def make_sim():
+        return key_race_sim(seed=seed, tau_us=tau_us, mode=mode,
+                            pr_latency_us=latency_us, threshold=threshold,
+                            move_sensor=move_sensor)
+
+    original = cosim.RASTER_CHUNK_WINDOWS
+    cosim.RASTER_CHUNK_WINDOWS = chunk
+    try:
+        TestRasterSchedule().assert_matches_reference(make_sim, scan)
+    finally:
+        cosim.RASTER_CHUNK_WINDOWS = original

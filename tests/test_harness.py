@@ -11,7 +11,8 @@ from probesim.defense import DefensePolicy
 from probesim.harness import (ConfigError, Scenario, StabilitySpec,
                               derive_threshold, load_scenario,
                               report_resources, run, run_batch,
-                              scenario_key_bits, stability_test)
+                              scenario_key_bits, stability_test,
+                              write_counters_csv)
 from probesim.netlist import NetlistError, load_netlist
 from probesim.sensor import SensorInstance, TuneValue
 
@@ -161,6 +162,46 @@ class TestRunPipeline:
         counts = sim.counter_rows()[:, 1]
         assert set(np.unique(counts).tolist()) <= {0, 255}
         assert math.isfinite(result.summary.mean_zero_count)
+
+
+def percent_counters_csv(path, rows):
+    """Reference writer: one %-format per row."""
+    with open(path, "w") as fh:
+        fh.write("window_index,zero_count,max_pulse,latched\n")
+        for row in rows.tolist():
+            fh.write("%d,%d,%d,%d\n" % tuple(row))
+
+
+class TestCountersCsv:
+    @pytest.mark.parametrize("n, first", [
+        (0, 0), (1, 0), (20, 0),
+        (30, 0),            # index width 1 -> 2 inside a chunk
+        (5000, 0),          # index widths 1..4 across two chunks
+        (8, 99_996),        # index width 5 -> 6
+        (4100, 999_000),    # index width 6 -> 7 at a chunk edge
+    ])
+    def test_matches_percent_format(self, tmp_path, n, first):
+        rng = np.random.default_rng(n)
+        # A t_detect of 1023 gives four-digit counts next to one-digit ones.
+        counts = rng.choice([0, 1, 9, 10, 99, 100, 1023], size=n)
+        pulses = np.minimum(counts, rng.integers(0, 12, size=n))
+        rows = np.column_stack([first + np.arange(n), counts, pulses,
+                                rng.integers(0, 2, size=n)]).astype(np.int64)
+        write_counters_csv(tmp_path / "new.csv", rows)
+        percent_counters_csv(tmp_path / "ref.csv", rows)
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes())
+
+    def test_large_values(self, tmp_path):
+        rows = np.array([[2 ** 32 + 5, 0, 0, 1], [7, 2 ** 40, 3, 0]], dtype=np.int64)
+        write_counters_csv(tmp_path / "new.csv", rows)
+        percent_counters_csv(tmp_path / "ref.csv", rows)
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes())
+
+    def test_negative_values_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_counters_csv(tmp_path / "new.csv", np.array([[0, -1, 0, 0]]))
 
 
 # trigger_time_us of every bundled co-simulated scenario at seed 1.  The
@@ -350,6 +391,29 @@ class TestCli:
         assert cli.main([command, "--scenario", str(path),
                          "--out", str(tmp_path / "out")]) == 2
         assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, scenario, line, bad", [
+        ("attack", "unprotected_key", "clock_mhz = 100.0", "clock_mhz = 0"),
+        ("eop", "eop_shift", "clock_mhz = 100.0", "clock_mhz = 0"),
+        ("attack", "unprotected_key", "t_detect_cycles = 255",
+         "t_detect_cycles = 0"),
+        ("attack", "unprotected_key", "t_detect_cycles = 255",
+         "t_detect_cycles = -5"),
+        ("attack", "unprotected_key", "jitter_sigma_ps = 15.0",
+         "jitter_sigma_ps = -1.0"),
+    ])
+    def test_bad_sensor_input_exit_code(self, capsys, tmp_path, command,
+                                        scenario, line, bad):
+        text = (SCENARIOS / f"{scenario}.scn").read_text()
+        assert text.count(line) == 1
+        path = tmp_path / f"{scenario}.scn"
+        path.write_text(text.replace(line, bad))
+        netlist = load_scenario(SCENARIOS / f"{scenario}.scn").netlist_path
+        (tmp_path / netlist.name).write_text(netlist.read_text())
+        assert cli.main([command, "--scenario", str(path),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert "[sensor]" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_capacity_error_exit_code(self, capsys, tmp_path):

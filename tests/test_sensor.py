@@ -322,6 +322,16 @@ class TestTune:
             stopped = max_zero_count(s, tune_value, 3, 100.0, stop_above=bound)
             assert stopped == full if full <= bound else bound < stopped <= full
 
+    @pytest.mark.parametrize("clock_code", [0, 2, 20, 255])
+    def test_probe_rate_at_a_certain_outcome(self, clock_code):
+        # Zero probabilities of exactly 0 or 1 skip the stream; the rate is
+        # the one the binomial draw gives, and other rates still draw.
+        s = SensorInstance(jitter_sigma_ps=0.0 if clock_code != 2 else 15.0)
+        cand = TuneValue(16, clock_code, 0)
+        p0 = s.zero_probability(1.0, cand)
+        rng = np.random.default_rng([3, 16, clock_code, 0, 0])
+        assert probe_zero_rate(s, cand, 3) == rng.binomial(10_000, p0) / 10_000
+
     def test_identical_seed_gives_identical_tune(self):
         t1 = tune(SensorInstance(), seed=9, t_sense_ms=10.0)
         t2 = tune(SensorInstance(), seed=9, t_sense_ms=10.0)

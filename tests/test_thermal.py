@@ -145,3 +145,58 @@ def test_pgm_dump(tmp_path):
     assert lines[0] == "P2"
     assert lines[1] == "4 2"
     assert lines[3].split()[0] == "255"
+
+
+def per_dwell_raster(field, centers, power, sigma_um, dwell_us, site):
+    """Reference: set_spot and advance once per dwell; returns the site
+    cell's temperature at each dwell start."""
+    starts = []
+    for center in centers:
+        starts.append(field.delta_t_at_site(site))
+        field.set_spot(LaserSpot(tuple(center), power, sigma_um))
+        field.advance(dwell_us)
+    return np.array(starts)
+
+
+def raster_centers(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return np.column_stack([rng.uniform(0, 320, n), rng.uniform(0, 160, n)])
+
+
+@pytest.mark.parametrize("n, dwell_us, tau_us", [
+    (100, 1000.0, 50.0),   # long raster: only the last dwells are replayed
+    (100, 20.0, 50.0),     # dwell short against tau: every dwell replayed
+    (3, 1000.0, 50.0),
+    (300, 5000.0, 2.0),
+])
+def test_raster_matches_per_dwell_updates(n, dwell_us, tau_us):
+    site = SliceCoord(15, 8)
+    centers = raster_centers(n)
+    ref = ThermalField(32, 16, tau_us=tau_us)
+    ref.delta_t[:] = 7.0  # a start state the raster has to forget
+    field = ThermalField(32, 16, tau_us=tau_us)
+    field.delta_t[:] = 7.0
+    ref_starts = per_dwell_raster(ref, centers, 0.8, 6.0, dwell_us, site)
+    starts, steady = field.raster_cell(site, centers, 0.8, 6.0, dwell_us)
+    field.advance_raster(centers, 0.8, 6.0, dwell_us)
+    assert np.array_equal(starts, ref_starts)
+    assert np.array_equal(field.delta_t, ref.delta_t)
+    assert np.array_equal(field._source, ref._source)
+    assert field.spot == ref.spot
+    # The steady states are those of the per-dwell sources at that cell.
+    iy, ix = field._site_cell(site)
+    ref.set_spot(LaserSpot(tuple(centers[-1]), 0.8, 6.0))
+    assert steady[-1] == ref._source[iy, ix] * tau_us
+
+
+def test_raster_falls_back_when_the_tail_is_too_short(monkeypatch):
+    # With a one-tau memory the two bounds stay apart, so every dwell is
+    # replayed from the field, and the result is still exact.
+    from probesim import thermal
+    monkeypatch.setattr(thermal, "RASTER_MEMORY_TAUS", 1)
+    centers = raster_centers(60, seed=1)
+    ref = ThermalField(32, 16)
+    field = ThermalField(32, 16)
+    per_dwell_raster(ref, centers, 1.0, 8.0, 1000.0, SliceCoord(0, 0))
+    field.advance_raster(centers, 1.0, 8.0, 1000.0)
+    assert np.array_equal(field.delta_t, ref.delta_t)
