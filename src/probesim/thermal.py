@@ -34,9 +34,6 @@ class LaserSpot:
 
 # Dwells a raster replays per block of spot sources in advance_raster().
 RASTER_BLOCK_DWELLS = 256
-# -ln of the smallest subnormal double is 744.4: after this many time
-# constants, any start temperature has decayed below it.
-RASTER_MEMORY_TAUS = 746
 
 
 def relax(start, steady, decay):
@@ -152,36 +149,13 @@ class ThermalField:
         """Park the spot at each center for ``dwell_us`` in turn.
 
         Leaves the field exactly as set_spot() and advance() once per dwell
-        would, with the last spot parked.  A cell forgets its temperature
-        once decay**k underflows, so only the last RASTER_MEMORY_TAUS * tau
-        of dwells are replayed, from a lower and an upper bound of every
-        cell at once.  Each dwell's update is monotone in the cell's
-        temperature, so when both bounds land on the same floats the
-        replay is exact; otherwise every dwell is replayed from the field.
+        would, with the last spot parked: the same updates, with the spot
+        sources computed RASTER_BLOCK_DWELLS at a time.
         """
-        n = len(centers_um)
-        if n == 0:
+        if len(centers_um) == 0:
             return
         decay = math.exp(-dwell_us / self.tau_us)
-        tail = min(n, math.ceil(RASTER_MEMORY_TAUS * self.tau_us / dwell_us) + 2)
-        grid = None
-        if 2 * tail < n:
-            peak = power * self.power_to_rate_k_per_us * self.tau_us
-            bound = 2.0 * max(float(self.delta_t.max()), peak) + 1.0
-            bounds = np.stack([np.zeros_like(self.delta_t),
-                               np.full_like(self.delta_t, bound)])
-            bounds = self._relax_dwells(bounds, centers_um[n - tail:], power,
-                                        sigma_um, decay)
-            if np.array_equal(bounds[0], bounds[1]):
-                grid = bounds[0]
-        if grid is None:
-            grid = self._relax_dwells(self.delta_t, centers_um, power,
-                                      sigma_um, decay)
-        self.delta_t = grid
-        self.set_spot(LaserSpot(tuple(centers_um[-1]), power, sigma_um))
-
-    def _relax_dwells(self, grid, centers_um, power, sigma_um, decay):
-        """advance() over one dwell per center, in blocks of spot sources."""
+        grid = self.delta_t
         for start in range(0, len(centers_um), RASTER_BLOCK_DWELLS):
             block = centers_um[start:start + RASTER_BLOCK_DWELLS]
             steady = self._rates(block[:, 0, None, None], block[:, 1, None, None],
@@ -189,7 +163,8 @@ class ThermalField:
                                  self._cell_y) * self.tau_us
             for s in steady:
                 grid = relax(grid, s, decay)
-        return grid
+        self.delta_t = grid
+        self.set_spot(LaserSpot(tuple(centers_um[-1]), power, sigma_um))
 
     def delta_t_at_um(self, x_um: float, y_um: float,
                       at_time_us: float | None = None) -> float:

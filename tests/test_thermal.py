@@ -164,8 +164,9 @@ def raster_centers(n, seed=0):
 
 
 @pytest.mark.parametrize("n, dwell_us, tau_us", [
-    (100, 1000.0, 50.0),   # long raster: only the last dwells are replayed
-    (100, 20.0, 50.0),     # dwell short against tau: every dwell replayed
+    (100, 1000.0, 50.0),   # the start state is forgotten
+    (100, 20.0, 50.0),     # dwell short against tau: it is remembered
+    (600, 1000.0, 50.0),   # more than one block of spot sources
     (3, 1000.0, 50.0),
     (300, 5000.0, 2.0),
 ])
@@ -173,7 +174,7 @@ def test_raster_matches_per_dwell_updates(n, dwell_us, tau_us):
     site = SliceCoord(15, 8)
     centers = raster_centers(n)
     ref = ThermalField(32, 16, tau_us=tau_us)
-    ref.delta_t[:] = 7.0  # a start state the raster has to forget
+    ref.delta_t[:] = 7.0  # a warm start state
     field = ThermalField(32, 16, tau_us=tau_us)
     field.delta_t[:] = 7.0
     ref_starts = per_dwell_raster(ref, centers, 0.8, 6.0, dwell_us, site)
@@ -188,15 +189,3 @@ def test_raster_matches_per_dwell_updates(n, dwell_us, tau_us):
     ref.set_spot(LaserSpot(tuple(centers[-1]), 0.8, 6.0))
     assert steady[-1] == ref._source[iy, ix] * tau_us
 
-
-def test_raster_falls_back_when_the_tail_is_too_short(monkeypatch):
-    # With a one-tau memory the two bounds stay apart, so every dwell is
-    # replayed from the field, and the result is still exact.
-    from probesim import thermal
-    monkeypatch.setattr(thermal, "RASTER_MEMORY_TAUS", 1)
-    centers = raster_centers(60, seed=1)
-    ref = ThermalField(32, 16)
-    field = ThermalField(32, 16)
-    per_dwell_raster(ref, centers, 1.0, 8.0, 1000.0, SliceCoord(0, 0))
-    field.advance_raster(centers, 1.0, 8.0, 1000.0)
-    assert np.array_equal(field.delta_t, ref.delta_t)
