@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .cosim import CoSimulation, ScenarioError
 from .fabric import SliceCoord
@@ -153,6 +152,9 @@ def eofm_scan(sim: CoSimulation, scan: ScanConfig) -> EofmImage:
 def localize(image: EofmImage, threshold: float,
              model=None) -> list[SliceCoord]:
     """Connected bright components mapped to their nearest slice sites."""
+    # Imported here, its one use, so importing probesim does not load it.
+    from scipy import ndimage
+
     mask = image.amplitudes >= threshold
     labels, n = ndimage.label(mask)
     sites = []

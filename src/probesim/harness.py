@@ -195,8 +195,12 @@ def _decode_scenario(parser, path: Path, seed_override) -> Scenario:
                 scn.bit_threshold = float(val)
             else:
                 kwargs[key] = float(val)
-        if kwargs.get("power", 0.0) < 0:
-            raise ConfigError(f"{path}: [scan] power must be >= 0")
+        for key in ("power", "noise_sigma"):
+            if not kwargs.get(key, 0.0) >= 0:
+                raise ConfigError(f"{path}: [scan] {key} must be >= 0")
+        for key in ("spot_sigma_um", "psf_sigma_um"):
+            if not kwargs.get(key, 1.0) > 0:
+                raise ConfigError(f"{path}: [scan] {key} must be > 0")
         scn.scan = ScanConfig(**kwargs)
 
     if "defense" in parser:
@@ -548,9 +552,13 @@ def stability_test(sensor: SensorInstance, threshold: float, seed: int,
     running_max = np.maximum.accumulate(counts)
     kernel = np.ones(spec.rolling_window) / spec.rolling_window
     rolling = np.convolve(counts, kernel, mode="full")[: n_logs]
-    # Early entries average over fewer logs than the kernel width.
-    head = min(spec.rolling_window, n_logs)
-    rolling[: head - 1] = np.cumsum(counts[: head - 1]) / np.arange(1, head)
+    # The first rolling_window - 1 entries average over the logs so far.
+    # They are logged but do not set rolling_max, so one early log cannot;
+    # a run shorter than the kernel counts only its last entry, the mean of
+    # every log.
+    head = min(spec.rolling_window - 1, n_logs)
+    rolling[:head] = np.cumsum(counts[:head]) / np.arange(1, head + 1)
+    full = min(spec.rolling_window, n_logs) - 1
     hits = np.flatnonzero(counts >= threshold)
     triggered = hits.size > 0
     plateau_idx = int(np.argmax(counts == counts.max()))
@@ -564,7 +572,7 @@ def stability_test(sensor: SensorInstance, threshold: float, seed: int,
         max_zero_count=int(counts.max()),
         plateau_time_us=float(t_us[plateau_idx]),
         mean_zero_count=float(counts.mean()),
-        rolling_max=float(rolling.max()),
+        rolling_max=float(rolling[full:].max()),
         series=np.column_stack([t_us, counts, running_max, rolling]),
     )
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import bdtr, bdtrc, ndtr, ndtri
 
 from .fabric import TAP_MAX, SliceCoord
 
@@ -25,14 +25,26 @@ class TuningError(Exception):
     """No metastable operating point was found."""
 
 
-def tap_from_code(code: int) -> int:
+def _check_codes(code, top: int, what: str) -> None:
+    """Raise ValueError unless every code lies in 0..top-1."""
+    if isinstance(code, np.ndarray):
+        ok = code.size == 0 or (code.min() >= 0 and code.max() < top)
+    else:
+        ok = 0 <= code < top
+    if not ok:
+        raise ValueError(f"{what} {code} outside {top.bit_length() - 1} bits")
+
+
+def tap_from_code(code):
     """Map a 5-bit delay code to a physical tap.
 
     The top code (0b11111) addresses the top calibrated tap; wraparound
-    applies only to raw tap writes, which tuning never performs.
+    applies only to raw tap writes, which tuning never performs.  An
+    integer array of codes maps element by element.
     """
-    if not 0 <= code <= 31:
-        raise ValueError(f"delay code {code} outside 5 bits")
+    _check_codes(code, 32, "delay code")
+    if isinstance(code, np.ndarray):
+        return np.minimum(code, TAP_MAX)
     return min(code, TAP_MAX)
 
 
@@ -43,17 +55,17 @@ def chain_code_bits(chain_len: int) -> int:
     return n + 5
 
 
-def chain_delay(code: int, chain_len: int, per_tap_ps: float = 78.0,
-                base_ps: float = 600.0) -> float:
+def chain_delay(code, chain_len: int, per_tap_ps: float = 78.0,
+                base_ps: float = 600.0):
     """Total delay of a 2^n-element chain for an (n+5)-bit code, in ps.
 
     The five least significant bits set one element's tap; the n most
     significant bits count elements held at the maximum tap; the remaining
-    elements sit at the minimum tap.
+    elements sit at the minimum tap.  An integer array of codes gives an
+    array of delays.
     """
     bits = chain_code_bits(chain_len)
-    if not 0 <= code < 2 ** bits:
-        raise ValueError(f"chain code {code} outside {bits} bits")
+    _check_codes(code, 2 ** bits, "chain code")
     n_max = code >> 5
     fine = tap_from_code(code & 0x1F)
     return chain_len * base_ps + per_tap_ps * (n_max * TAP_MAX + fine)
@@ -61,9 +73,7 @@ def chain_delay(code: int, chain_len: int, per_tap_ps: float = 78.0,
 
 def decode_chain_taps(code: int, chain_len: int) -> list[int]:
     """Per-element tap settings for a chain code (fine, max..., min...)."""
-    bits = chain_code_bits(chain_len)
-    if not 0 <= code < 2 ** bits:
-        raise ValueError(f"chain code {code} outside {bits} bits")
+    _check_codes(code, 2 ** chain_code_bits(chain_len), "chain code")
     n_max = code >> 5
     taps = [tap_from_code(code & 0x1F)]
     taps += [TAP_MAX] * n_max
@@ -162,8 +172,10 @@ class SensorInstance:
         Slack is affine in the delay factor, so it is evaluated exactly as
         the ambient slack plus the heated share of the race; ``offset_ps``
         adds an extra slack term such as slow ambient drift.  With zero
-        jitter the race is a step: a slack >= 0 always samples 1.  Returns a
-        float for scalar inputs and an array otherwise.
+        jitter the race is a step: a slack >= 0 always samples 1.  The
+        fields of ``tune`` may also be integer arrays, one candidate per
+        element, as in tuning; each element equals the candidate's scalar
+        value.  Returns a float for scalar inputs and an array otherwise.
         """
         t = tune or self.tune
         ambient = self.slack_ps(1.0, t)
@@ -280,9 +292,9 @@ def update_latch(sensor: SensorInstance, readout: SensorReadout,
 def window_zero_counts(p0: float, n_windows: int, window: int, rng) -> np.ndarray:
     """Per-window zero counts for a constant zero probability.
 
-    Fast path for tuning and idle monitoring: with a static thermal state,
-    samples are i.i.d. Bernoulli, so per-window counts are exactly
-    binomial.  read_counters() remains the sample-level reference.
+    Used by threshold derivation: with a static thermal state, samples are
+    i.i.d. Bernoulli, so per-window counts are exactly binomial.
+    read_counters() remains the sample-level reference.
     """
     return rng.binomial(window, min(max(p0, 0.0), 1.0), size=n_windows)
 
@@ -291,58 +303,162 @@ def window_zero_counts(p0: float, n_windows: int, window: int, rng) -> np.ndarra
 
 METASTABLE_BAND = (1e-4, 0.5)
 PROBE_BATCH = 10_000
-# Windows per block when a tune's score is drawn against the best so far.
-SCORE_BLOCK_WINDOWS = 4096
+# Purposes of a candidate's keyed uniform.
+PROBE, SCORE = 0, 1
+_MASK64 = 2 ** 64 - 1
 
 
-def _tune_rng(seed: int, tune: TuneValue, purpose: int):
-    """Deterministic per-tune stream so search and oracle agree exactly."""
-    return np.random.default_rng(
-        [seed & 0xFFFFFFFF, tune.data_code, tune.clock_code, tune.lut_select, purpose]
-    )
+def _splitmix64(x):
+    """One splitmix64 step on a Python int or a uint64 array.
+
+    uint64 arithmetic wraps modulo 2**64 and the masks truncate a Python
+    int to the same bits, so both give the same values.
+    """
+    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+def tune_uniform(seed: int, tune: TuneValue, purpose: int):
+    """One uniform in (0, 1) per candidate, keyed by seed, tune and purpose.
+
+    The fields of ``tune`` are ints, giving a float, or integer arrays that
+    broadcast together, one candidate per element, giving an array; a
+    candidate's uniform is the same either way.  Starting from the low 32
+    bits of the seed, the purpose, data code, clock code and LUT select are
+    each folded in by one splitmix64 step; the top 52 bits of the last step,
+    offset by half a step, give the uniform, so it is exact and lies
+    strictly inside (0, 1).
+    """
+    x = seed & 0xFFFFFFFF
+    for field in (purpose, tune.data_code, tune.clock_code, tune.lut_select):
+        field = (field.astype(np.uint64) if isinstance(field, np.ndarray)
+                 else int(field))
+        x = _splitmix64(x ^ field)
+    return ((x >> 12) + 0.5) / 2.0 ** 52
+
+
+def _smallest(ok, top: int, guess):
+    """Smallest k in 0..top with ``ok(k)``, for a scalar or array ``guess``.
+
+    ``ok`` must be false below the answer, true from it on, and true at
+    ``top``, so the answer depends on nothing but ``ok``.  Arrays bisect
+    0..top in lock-step, element by element.  A scalar steps away from its
+    guess by 1, 2, 4, ... until ``ok`` changes, then bisects the bracket, so
+    a close guess takes few calls.
+    """
+    if np.ndim(guess):
+        lo = np.zeros(np.shape(guess), dtype=np.int64)
+        hi = np.full(np.shape(guess), top, dtype=np.int64)
+        while (lo < hi).any():
+            mid = (lo + hi) // 2
+            hit = ok(mid)  # a finished element probes its answer, which holds
+            hi = np.where(hit, mid, hi)
+            lo = np.where(hit, lo, mid + 1)
+        return lo
+    lo, hi = 0, top  # ok(lo - 1) is false, ok(hi) is true
+    k, step = min(max(int(guess), 0), top), 1
+    if ok(k):
+        hi = k
+        while lo < hi:
+            k = max(hi - step, lo)
+            if not ok(k):
+                lo = k + 1
+                break
+            hi, step = k, 2 * step
+    else:
+        lo = k + 1
+        while lo < hi:
+            k = min(lo + step - 1, hi)
+            if ok(k):
+                hi = k
+                break
+            lo, step = k + 1, 2 * step
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def probe_count(p0, u, batch: int = PROBE_BATCH):
+    """Zeros in a probe batch: the smallest k with bdtr(k, batch, p0) >= u.
+
+    This inverts the Binomial(batch, p0) CDF at ``u``, so a uniform ``u``
+    gives a binomial count.  Scalars give an int, arrays an array.  A
+    normal approximation picks where a scalar search starts.
+    """
+    mean = batch * p0
+    guess = np.floor(mean + np.sqrt(mean * (1.0 - p0)) * ndtri(u))
+    return _smallest(lambda k: bdtr(k, batch, p0) >= u, batch, guess)
+
+
+def max_count(p0, u, n_windows: int, window: int = 255):
+    """Largest zero count of ``n_windows`` windows, by inverting its CDF.
+
+    The windows' counts are i.i.d. Binomial(window, p0) with CDF F, so
+    their maximum has CDF F(k)**n.  The result is the smallest k with
+    F(k)**n >= u, tested as bdtrc(k) <= -expm1(log(u) / n), which keeps the
+    precision of both tails.  Scalars give an int, arrays an array.
+    """
+    tail = -np.expm1(np.log(u) / n_windows)
+    return _smallest(lambda k: bdtrc(k, window, p0) <= tail, window,
+                     np.zeros_like(tail))
+
+
+def characterization_windows(sensor: SensorInstance, t_sense_ms: float,
+                             window: int = 255) -> int:
+    """Whole windows in the characterization interval (at least one)."""
+    cycles = int(t_sense_ms * 1e3 * sensor.clock_mhz)
+    return max(cycles // window, 1)
 
 
 def probe_zero_rate(sensor: SensorInstance, tune: TuneValue, seed: int,
                     batch: int = PROBE_BATCH) -> float:
     """Observed zero rate of a probe batch at ambient conditions.
 
-    A zero probability of exactly 0 or 1 is its own rate: the binomial
-    draw is then 0 or the whole batch, so no stream is built for it.
+    The count is probe_count() at the tune's keyed uniform.  A zero
+    probability of exactly 0 or 1 is its own rate, the count it gives.
     """
     p0 = sensor.zero_probability(1.0, tune)
     if p0 == 0.0 or p0 == 1.0:
         return p0
-    rng = _tune_rng(seed, tune, 0)
-    return float(rng.binomial(batch, p0)) / batch
+    k = probe_count(p0, tune_uniform(seed, tune, PROBE), batch)
+    return float(k) / batch
 
 
 def max_zero_count(sensor: SensorInstance, tune: TuneValue, seed: int,
-                   t_sense_ms: float, window: int = 255,
-                   stop_above: int | None = None) -> int:
+                   t_sense_ms: float, window: int = 255) -> int:
     """Largest window zero count over the characterization interval.
 
-    With ``stop_above`` set, the windows are drawn in blocks and the draw
-    stops after the first block whose largest count exceeds it; the value
-    returned then exceeds ``stop_above`` but may fall short of the full
-    maximum.  The blocks consume the tune's stream in order, so a draw that
-    does not stop returns the full maximum.
+    The count is max_count() at the tune's keyed uniform.
     """
-    cycles = int(t_sense_ms * 1e3 * sensor.clock_mhz)
-    n_windows = max(cycles // window, 1)
     p0 = sensor.zero_probability(1.0, tune)
-    rng = _tune_rng(seed, tune, 1)
-    block = n_windows if stop_above is None else SCORE_BLOCK_WINDOWS
-    best = 0
-    for start in range(0, n_windows, block):
-        counts = window_zero_counts(p0, min(block, n_windows - start), window, rng)
-        best = max(best, int(counts.max()))
-        if stop_above is not None and best > stop_above:
-            break
-    return best
+    n_windows = characterization_windows(sensor, t_sense_ms, window)
+    return int(max_count(p0, tune_uniform(seed, tune, SCORE), n_windows, window))
 
 
 def is_metastable(rate: float, band=METASTABLE_BAND) -> bool:
     return band[0] <= rate <= band[1]
+
+
+def _probe_in_band(p0, u, batch: int, band) -> np.ndarray:
+    """is_metastable() of probe_count(p0, u, batch) / batch, per element.
+
+    The counts whose rate lies in the band are one run k_lo..k_hi, so the
+    test needs two CDF values, bdtr(k_lo - 1) < u <= bdtr(k_hi), and no
+    inversion.
+    """
+    k = np.arange(batch + 1)
+    inside = np.flatnonzero((band[0] <= k / batch) & (k / batch <= band[1]))
+    if inside.size == 0:
+        return np.zeros(np.shape(u), dtype=bool)
+    k_lo, k_hi = inside[0], inside[-1]
+    below = bdtr(k_lo - 1, batch, p0) if k_lo > 0 else 0.0
+    return (below < u) & (u <= bdtr(k_hi, batch, p0))
 
 
 def tune(sensor: SensorInstance, seed: int, t_sense_ms: float = 100.0,
@@ -356,38 +472,44 @@ def tune(sensor: SensorInstance, seed: int, t_sense_ms: float = 100.0,
     metastability band are scored by their maximum window zero count over
     the characterization interval; ties break toward the smallest clock
     code.  Raises TuningError when no candidate is metastable.
+
+    The 32 searches run in lock-step and the neighbourhoods are scored as
+    one array.  A candidate's probe and score are probe_count() and
+    max_count() at its keyed uniforms, as in probe_zero_rate() and
+    max_zero_count(); the searches only ask whether the probe saw a zero,
+    u > bdtr(0), or lies in the band, which needs no inversion.
     """
     clock_max = 2 ** sensor.clock_code_bits - 1
-    best: tuple | None = None
-    for data_code in range(32):
-        lo, hi = 0, clock_max
-        while lo < hi:
-            mid = (lo + hi) // 2
-            cand = TuneValue(data_code, mid, 0)
-            rate = probe_zero_rate(sensor, cand, seed, probe_batch)
-            if rate > 0.0:
-                lo = mid + 1  # zeros seen: clock still too early
-            else:
-                hi = mid
-        for clock_code in range(max(lo - 2, 0), min(lo + 2, clock_max + 1)):
-            for select in range(sensor.lut_arity):
-                cand = TuneValue(data_code, clock_code, select)
-                rate = probe_zero_rate(sensor, cand, seed, probe_batch)
-                if not is_metastable(rate, band):
-                    continue
-                # A candidate whose count exceeds the best score cannot win,
-                # so its draw stops there.
-                score = max_zero_count(sensor, cand, seed, t_sense_ms, window,
-                                       None if best is None else best[0][0])
-                key = (score, cand.clock_code, cand.data_code, cand.lut_select)
-                if best is None or key < best[0]:
-                    best = (key, cand)
-    if best is None:
+    data = np.arange(32)
+    lo = np.zeros(32, dtype=np.int64)
+    hi = np.full(32, clock_max, dtype=np.int64)
+    while (active := lo < hi).any():
+        mid = (lo + hi) // 2
+        cand = TuneValue(data, mid, 0)
+        p0 = sensor.zero_probability(1.0, cand)
+        zeros = tune_uniform(seed, cand, PROBE) > bdtr(0, probe_batch, p0)
+        lo = np.where(active & zeros, mid + 1, lo)  # zeros: clock too early
+        hi = np.where(active & ~zeros, mid, hi)
+
+    d, c, s = np.broadcast_arrays(data[:, None, None],
+                                  lo[:, None, None] + np.arange(-2, 2)[:, None],
+                                  np.arange(sensor.lut_arity))
+    keep = (c >= 0) & (c <= clock_max)
+    d, c, s = d[keep], c[keep], s[keep]
+    cand = TuneValue(d, c, s)
+    p0 = sensor.zero_probability(1.0, cand)
+    ok = _probe_in_band(p0, tune_uniform(seed, cand, PROBE), probe_batch, band)
+    if not ok.any():
         raise TuningError(
             "no metastable tune found; check path delay parameters"
         )
-    sensor.tune = best[1]
-    return best[1]
+    d, c, s, p0 = d[ok], c[ok], s[ok], p0[ok]
+    n_windows = characterization_windows(sensor, t_sense_ms, window)
+    score = max_count(p0, tune_uniform(seed, TuneValue(d, c, s), SCORE),
+                      n_windows, window)
+    best = np.lexsort((s, d, c, score))[0]
+    sensor.tune = TuneValue(int(d[best]), int(c[best]), int(s[best]))
+    return sensor.tune
 
 
 # -- ring-oscillator characterization ---------------------------------------

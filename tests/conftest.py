@@ -7,8 +7,9 @@ from probesim.fabric import FabricModel, FlipFlop, SliceCoord
 from probesim.sensor import SensorInstance, TuneValue
 from probesim.thermal import ThermalField
 
-# Tune value recorded from the default-parameter search at seed 1; slack is
-# 66 ps (4.4 sigma), zero rate ~5e-6 per sample.
+# Tune value recorded from the default-parameter search at seed 1 under the
+# earlier generator-stream tuner; slack is 66 ps (4.4 sigma), zero rate ~5e-6
+# per sample.
 DEFAULT_TUNE = TuneValue(16, 2, 2)
 
 

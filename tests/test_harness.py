@@ -205,15 +205,16 @@ class TestCountersCsv:
 
 
 # trigger_time_us of every bundled co-simulated scenario at seed 1.  The
-# window counts are binomial draws from the scenario's sensor stream; these
-# values were recorded from that stream, so a change to the count model or
-# its stream shows here.
+# window counts are binomial draws from the scenario's sensor stream at the
+# tuned operating point (data=14 clock=0 select=3 at seed 1); these values
+# were recorded from that stream, so a change to the count model, its
+# stream or the tune shows here.
 SEED1_TRIGGER_US = {
-    "unprotected_key": 238126.65,
-    "mtd_inter_key": 238126.65,
-    "mtd_intra_key": 238126.65,
-    "xor_unprotected": 8045.25,
-    "xor_polymorphic": 8045.25,
+    "unprotected_key": 238039.95,
+    "mtd_inter_key": 238039.95,
+    "mtd_intra_key": 238039.95,
+    "xor_unprotected": 8017.2,
+    "xor_polymorphic": 8017.2,
     "eop_shift": None,
 }
 
@@ -282,6 +283,23 @@ class TestStability:
         report = stability_test(sensor, thr, seed=1, spec=spec)
         assert report.triggered is False
         assert report.mean_zero_count < 1.0
+
+    def test_rolling_max_over_full_kernels(self):
+        # At seed 16 the first log reads one zero; its one-log average of
+        # 1.0 stays in the logged series but no longer sets rolling_max.
+        report = run(load_scenario(SCENARIOS / "stability.scn", 16)).stability
+        rolling = report.series[:, 3]
+        assert rolling[0] == 1.0
+        assert report.rolling_max == rolling[99:].max() < 1.0
+
+    def test_rolling_max_of_a_run_shorter_than_the_kernel(self):
+        # Only the last entry, the average over every log, counts.
+        sensor = SensorInstance(tune=TuneValue(16, 2, 3))
+        spec = StabilitySpec(duration_min=1.0, rolling_window=100)
+        report = stability_test(sensor, 3.0, seed=16, spec=spec)
+        assert report.n_logs == 60
+        assert report.rolling_max == report.series[-1, 3]
+        assert report.rolling_max == pytest.approx(report.mean_zero_count)
 
     def test_report_csv(self, tmp_path):
         sensor = SensorInstance(tune=TuneValue(16, 2, 3))
@@ -378,6 +396,11 @@ class TestCli:
         ("eop", "eop_shift", "noise_sigma = 1.0", "noise_sigma = -1.0"),
         ("eop", "eop_shift", "\npower = 1.0", "\npower = -1.0"),
         ("attack", "xor_unprotected", "\npower = 1.0", "\npower = -1.0"),
+        ("attack", "xor_unprotected", "psf_sigma_um = 4.0", "psf_sigma_um = 0"),
+        ("attack", "xor_unprotected", "spot_sigma_um = 8.0",
+         "spot_sigma_um = 0"),
+        ("attack", "xor_unprotected", "noise_sigma = 0.04",
+         "noise_sigma = -0.04"),
     ])
     def test_bad_probe_input_exit_code(self, capsys, tmp_path, command,
                                        scenario, line, bad):

@@ -6,18 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import bdtr
 from scipy.stats import chi2_contingency
 
 from probesim.fabric import DelayElement, SliceCoord
-from probesim.sensor import (SensorInstance, SensorReadout,
+from probesim.sensor import (PROBE, SCORE, SensorInstance, SensorReadout,
                              TuneValue, TuningError, chain_code_bits,
                              chain_delay, counters_from_stream,
                              decode_chain_taps, is_metastable, longest_run,
-                             longest_runs, max_zero_count, probe_zero_rate,
-                             read_counters, ro_calibration,
-                             ro_calibration_series, sample, tap_from_code,
-                             tune, update_latch, window_pulses,
-                             window_zero_counts)
+                             longest_runs, max_count, max_zero_count,
+                             probe_count, probe_zero_rate, read_counters,
+                             ro_calibration, ro_calibration_series, sample,
+                             tap_from_code, tune, tune_uniform, update_latch,
+                             window_pulses, window_zero_counts)
 from probesim.thermal import ThermalField
 
 
@@ -312,25 +313,113 @@ class TestTune:
     @pytest.mark.parametrize("tune_value", [TuneValue(16, 2, 2),
                                             TuneValue(15, 1, 5),
                                             TuneValue(16, 1, 0)])
-    def test_stopped_score_decides_like_the_full_score(self, tune_value):
-        # A stopped draw either equals the full maximum or exceeds the
-        # bound, so comparing it with the best score so far gives the same
-        # answer as the full draw.
+    def test_score_inverts_the_maximum_cdf(self, tune_value):
+        # The score is the smallest s with F(s)**n >= u, where F is the
+        # Binomial(255, p0) CDF, n the characterization windows and u the
+        # tune's keyed uniform; F**n is evaluated directly here.
         s = SensorInstance()
-        full = max_zero_count(s, tune_value, 3, 100.0)
-        for bound in sorted({0, 1, full // 2, full - 1, full, full + 1}):
-            stopped = max_zero_count(s, tune_value, 3, 100.0, stop_above=bound)
-            assert stopped == full if full <= bound else bound < stopped <= full
+        p0 = s.zero_probability(1.0, tune_value)
+        assert 0.0 < p0 < 1.0
+        score = max_zero_count(s, tune_value, 3, 100.0)
+        u = tune_uniform(3, tune_value, SCORE)
+        n = 39_215
+        below = bdtr(score - 1, 255, p0) ** n if score > 0 else 0.0
+        assert below < u <= bdtr(score, 255, p0) ** n
 
     @pytest.mark.parametrize("clock_code", [0, 2, 20, 255])
     def test_probe_rate_at_a_certain_outcome(self, clock_code):
-        # Zero probabilities of exactly 0 or 1 skip the stream; the rate is
-        # the one the binomial draw gives, and other rates still draw.
+        # Zero probabilities of exactly 0 or 1 give a rate of 0 or 1; other
+        # rates invert the binomial CDF at the keyed uniform.
         s = SensorInstance(jitter_sigma_ps=0.0 if clock_code != 2 else 15.0)
         cand = TuneValue(16, clock_code, 0)
         p0 = s.zero_probability(1.0, cand)
-        rng = np.random.default_rng([3, 16, clock_code, 0, 0])
-        assert probe_zero_rate(s, cand, 3) == rng.binomial(10_000, p0) / 10_000
+        rate = probe_zero_rate(s, cand, 3)
+        if p0 in (0.0, 1.0):
+            assert rate == p0
+        else:
+            k, u = round(rate * 10_000), tune_uniform(3, cand, PROBE)
+            assert probe_cdf(k - 1, p0) < u <= probe_cdf(k, p0)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_probe_inverts_the_binomial_cdf(self, seed):
+        # Every uncertain candidate of one data code's neighbourhood: the
+        # probe count k satisfies bdtr(k - 1) < u <= bdtr(k).
+        s = SensorInstance()
+        checked = 0
+        for clock in range(8):
+            for select in range(s.lut_arity):
+                cand = TuneValue(16, clock, select)
+                p0 = s.zero_probability(1.0, cand)
+                if p0 in (0.0, 1.0):
+                    continue
+                k = round(probe_zero_rate(s, cand, seed) * 10_000)
+                u = tune_uniform(seed, cand, PROBE)
+                assert probe_cdf(k - 1, p0) < u <= probe_cdf(k, p0)
+                checked += 1
+        assert checked >= 10
+
+    def test_probe_count_matches_binomial_draws(self):
+        # Keyed uniforms over the m=2 code grid (12,288 keys), inverted at
+        # fixed zero probabilities, against numpy's binomial sampler.
+        d, c, sel = np.meshgrid(np.arange(32), np.arange(64), np.arange(6),
+                                indexing="ij")
+        u = tune_uniform(5, TuneValue(d.ravel(), c.ravel(), sel.ravel()), PROBE)
+        rng = np.random.default_rng(11)
+        for p0 in (3e-4, 0.2):
+            keyed = probe_count(p0, u, 10_000)
+            drawn = rng.binomial(10_000, p0, size=u.size)
+            assert contingency_p_value(keyed, drawn) > 1e-3
+
+    def test_score_matches_maximum_of_binomial_draws(self):
+        # The inverted maximum of n windows against the maximum of n
+        # explicit Binomial(255, p0) draws, over 10,000 keys.
+        n_keys, n_windows = 10_000, 200
+        keys = np.arange(n_keys)
+        u = tune_uniform(5, TuneValue(keys % 32, keys // 32, keys % 6), SCORE)
+        rng = np.random.default_rng(12)
+        for p0 in (5e-3, 0.3):
+            keyed = max_count(p0, u, n_windows, 255)
+            drawn = rng.binomial(255, p0, size=(n_keys, n_windows)).max(axis=1)
+            assert contingency_p_value(keyed, drawn) > 1e-3
+
+    def test_array_zero_probability_equals_scalar(self):
+        # The tuner's array p0 over the full m=8 grid is the scalar
+        # zero_probability of each candidate, bit for bit.
+        s = SensorInstance()
+        d, c, sel = (a.ravel() for a in np.meshgrid(
+            np.arange(32), np.arange(256), np.arange(6), indexing="ij"))
+        p0 = s.zero_probability(1.0, TuneValue(d, c, sel))
+        scalar = [s.zero_probability(1.0, TuneValue(int(a), int(b), int(e)))
+                  for a, b, e in zip(d, c, sel)]
+        assert np.array_equal(p0, scalar)
+        assert 0 < np.count_nonzero((p0 > 0) & (p0 < 1)) < p0.size
+
+    def test_keyed_uniform_arrays_equal_scalars(self):
+        d, c, sel = (a.ravel() for a in np.meshgrid(
+            np.arange(32), np.arange(64), np.arange(6), indexing="ij"))
+        for seed, purpose in ((1, PROBE), (2**40 + 7, SCORE), (-3, PROBE)):
+            u = tune_uniform(seed, TuneValue(d, c, sel), purpose)
+            scalar = [tune_uniform(seed, TuneValue(int(a), int(b), int(e)),
+                                   purpose) for a, b, e in zip(d, c, sel)]
+            assert np.array_equal(u, scalar)
+            assert ((u > 0) & (u < 1)).all()
+        # Only the low 32 bits of the seed key the uniform.
+        assert tune_uniform(2**32 + 9, TuneValue(1, 2, 3), SCORE) == \
+            tune_uniform(9, TuneValue(1, 2, 3), SCORE)
+        assert tune_uniform(9, TuneValue(1, 2, 3), SCORE) != \
+            tune_uniform(9, TuneValue(1, 2, 3), PROBE)
+
+    @pytest.mark.parametrize("params", [{}, {"chain_len": 2}, {"chain_len": 4},
+                                        {"jitter_sigma_ps": 40.0},
+                                        {"jitter_sigma_ps": 150.0}],
+                             ids=["m8", "m2", "chain4", "jitter40", "jitter150"])
+    def test_lockstep_tune_equals_scalar_reference(self, params):
+        # At 150 ps of jitter the boundary searches' own probes are random,
+        # so a search that drew them from another stream would show.
+        for seed in range(1, 41):
+            found = tune(SensorInstance(**params), seed)
+            assert found == scalar_reference_tune(SensorInstance(**params),
+                                                  seed), seed
 
     def test_identical_seed_gives_identical_tune(self):
         t1 = tune(SensorInstance(), seed=9, t_sense_ms=10.0)
@@ -390,6 +479,55 @@ class TestTune:
                     if best is None or score < best:
                         best = score
         assert got == best
+
+
+def probe_cdf(k, p0, batch=10_000):
+    """Binomial(batch, p0) CDF at k; 0 below the support."""
+    return bdtr(k, batch, p0) if k >= 0 else 0.0
+
+
+def contingency_p_value(a, b, min_cell=40):
+    """Chi-square p-value that two integer samples share one distribution.
+
+    Cells with fewer than ``min_cell`` pooled counts are merged into one.
+    """
+    cells = np.union1d(a, b)
+    table = np.array([[np.count_nonzero(x == v) for v in cells] for x in (a, b)])
+    dense = table.sum(axis=0) >= min_cell
+    table = np.column_stack([table[:, dense], table[:, ~dense].sum(axis=1)])
+    table = table[:, table.sum(axis=0) > 0]
+    assert dense.sum() >= 3
+    return chi2_contingency(table)[1]
+
+
+def scalar_reference_tune(sensor, seed, t_sense_ms=100.0, window=255):
+    """The tuner's search, one candidate at a time through the oracles.
+
+    For each data code, binary-search the clock code with LUT select 0 on
+    whether probe_zero_rate() saw a zero, then score every metastable
+    candidate of the four clock codes around the boundary with
+    max_zero_count(); the lowest (score, clock, data, select) wins.
+    """
+    clock_max = 2 ** sensor.clock_code_bits - 1
+    best = None
+    for data in range(32):
+        lo, hi = 0, clock_max
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if probe_zero_rate(sensor, TuneValue(data, mid, 0), seed) > 0.0:
+                lo = mid + 1
+            else:
+                hi = mid
+        for clock in range(max(lo - 2, 0), min(lo + 2, clock_max + 1)):
+            for select in range(sensor.lut_arity):
+                cand = TuneValue(data, clock, select)
+                if not is_metastable(probe_zero_rate(sensor, cand, seed)):
+                    continue
+                score = max_zero_count(sensor, cand, seed, t_sense_ms, window)
+                key = (score, clock, data, select)
+                if best is None or key < best[0]:
+                    best = (key, cand)
+    return best[1]
 
 
 class TestRoCalibration:
