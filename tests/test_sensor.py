@@ -11,7 +11,8 @@ from scipy.stats import chi2_contingency
 
 from probesim.fabric import DelayElement, SliceCoord
 from probesim.sensor import (PROBE, SCORE, SensorInstance, SensorReadout,
-                             TuneValue, TuningError, chain_code_bits,
+                             TuneValue, TuningError, _smallest,
+                             _smallest_near, chain_code_bits,
                              chain_delay, counters_from_stream,
                              decode_chain_taps, is_metastable, longest_run,
                              longest_runs, max_count, max_zero_count,
@@ -479,6 +480,48 @@ class TestTune:
                     if best is None or score < best:
                         best = score
         assert got == best
+
+
+class TestSearch:
+    @pytest.mark.parametrize("top", [0, 1, 2, 7, 16, 255])
+    def test_lockstep_bisection_finds_every_threshold(self, top):
+        thresholds = np.arange(top + 1)
+        assert np.array_equal(
+            _smallest(lambda k: k >= thresholds, top, thresholds.shape),
+            thresholds)
+
+    @pytest.mark.parametrize("top", [0, 1, 2, 7, 16, 255])
+    def test_search_near_a_guess_finds_every_threshold(self, top):
+        # Every answer from every guess, including guesses outside 0..top:
+        # the answer is exact, ok() is only asked inside 0..top, and an
+        # answer d from the clipped guess costs at most 2 (d + 1).bit_length()
+        # calls, two for a correct guess.
+        for answer in range(top + 1):
+            for guess in range(-3, top + 4):
+                calls = []
+
+                def ok(k):
+                    calls.append(k)
+                    return k >= answer
+
+                assert _smallest_near(ok, top, guess) == answer
+                assert all(0 <= k <= top for k in calls)
+                d = abs(answer - min(max(guess, 0), top))
+                assert len(calls) <= 2 * (d + 1).bit_length()
+
+    def test_scalar_and_array_inversions_agree(self):
+        # The oracles' scalar searches and the tuner's array searches give
+        # the same counts for the same inputs.
+        keys = np.arange(600)
+        u = tune_uniform(7, TuneValue(keys % 32, keys // 32, keys % 6), SCORE)
+        p0 = np.geomspace(1e-7, 0.999, keys.size)
+        probes = probe_count(p0, u, 10_000)
+        scores = max_count(p0, u, 39_215, 255)
+        assert np.array_equal(probes, [probe_count(float(p), float(v), 10_000)
+                                       for p, v in zip(p0, u)])
+        assert np.array_equal(scores, [max_count(float(p), float(v), 39_215)
+                                       for p, v in zip(p0, u)])
+        assert len(np.unique(probes)) > 100 and len(np.unique(scores)) > 50
 
 
 def probe_cdf(k, p0, batch=10_000):
