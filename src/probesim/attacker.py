@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import format_rows, write_pgm, write_rows
 from .cosim import CoSimulation, ScenarioError
 from .fabric import SliceCoord
 from .thermal import LaserSpot
@@ -78,23 +79,16 @@ class EofmImage:
         return float(self.amplitudes[iy, ix])
 
     def to_pgm(self, path) -> None:
-        peak = max(float(self.amplitudes.max()), 1e-12)
-        scaled = np.clip(self.amplitudes / peak * 255.0, 0, 255).astype(int)
-        ny, nx = self.amplitudes.shape
-        lines = ["P2", f"{nx} {ny}", "255"]
-        for row in scaled:
-            lines.append(" ".join(str(v) for v in row))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_pgm(path, self.amplitudes,
+                  max(float(self.amplitudes.max()), 1e-12))
 
     def to_csv(self, path) -> None:
+        """One line per pixel in raster order: its center and amplitude."""
         ny, nx = self.amplitudes.shape
-        with open(path, "w") as fh:
-            fh.write("x_um,y_um,amplitude\n")
-            for iy in range(ny):
-                for ix in range(nx):
-                    x, y = self.pixel_center_um(ix, iy)
-                    fh.write(f"{x:.1f},{y:.1f},{self.amplitudes[iy, ix]:.6f}\n")
+        x, _ = self.pixel_center_um(np.arange(nx), 0)
+        _, y = self.pixel_center_um(0, np.arange(ny))
+        write_rows(path, "x_um,y_um,amplitude", "%.1f,%.1f,%.6f\n",
+                   (np.tile(x, ny), np.repeat(y, nx), self.amplitudes.ravel()))
 
 
 @dataclass
@@ -106,11 +100,13 @@ class EopTrace:
     iterations: int
     resolution_ps: float
 
+    def csv_text(self) -> str:
+        return format_rows("time_ps,value", "%d,%.6f\n",
+                           (self.times_ps, self.values))
+
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write("time_ps,value\n")
-            for t, v in zip(self.times_ps, self.values):
-                fh.write(f"{int(t)},{v:.6f}\n")
+            fh.write(self.csv_text())
 
 
 def eofm_scan(sim: CoSimulation, scan: ScanConfig) -> EofmImage:

@@ -438,9 +438,8 @@ class CoSimulation:
         fundamental of the stimulus period.  Normalization makes an ideal
         0/1 square toggle come out at amplitude 1.
         """
-        model, stim = self.model, self.stimulus
-        period = stim.period_cycles
-        model.set_latch_net(int(self.sensor.latched))
+        model = self.model
+        period = self.stimulus.period_cycles
         names, xs, ys = [], [], []
         for name, ff in model.ffs.items():
             names.append(name)
@@ -455,8 +454,7 @@ class CoSimulation:
             xs.append(x)
             ys.append(y)
         waves = np.zeros((len(names), period))
-        for cycle in range(2 * period):
-            model.step_clock(stim.inputs_at(cycle))
+        for cycle in self._replay(2 * period):
             if cycle >= period:
                 t = cycle - period
                 for i, ff_name in enumerate(model.ffs):
@@ -492,10 +490,34 @@ class CoSimulation:
 
     def cycle_trace(self, net: str, n_cycles: int) -> np.ndarray:
         """Net value per cycle for one stimulus replay from phase zero."""
-        model = self.model
-        model.set_latch_net(int(self.sensor.latched))
         values = np.zeros(n_cycles)
-        for cycle in range(n_cycles):
-            model.step_clock(self.stimulus.inputs_at(cycle))
-            values[cycle] = model.net_values[net]
+        for cycle in self._replay(n_cycles):
+            values[cycle] = self.model.net_values[net]
         return values
+
+    def _replay(self, n_cycles: int):
+        """Clock the fabric through stimulus cycles 0..n_cycles-1, yielding
+        each cycle after its edge.
+
+        Within one replay the logic, the latch net and the hold state are
+        fixed, so an edge's outcome depends only on the register state and
+        the inputs before it; an edge that repeats an earlier (state,
+        inputs) pair takes that edge's register state and net values
+        instead of a new step_clock call.  The fabric ends as a plain
+        replay leaves it.
+        """
+        model, stim = self.model, self.stimulus
+        model.set_latch_net(int(self.sensor.latched))
+        ffs = list(model.ffs)
+        seen: dict[tuple, tuple[dict, dict]] = {}
+        for cycle in range(n_cycles):
+            inputs = stim.inputs_at(cycle)
+            key = (tuple([model.state[name] for name in ffs]),
+                   tuple(inputs.items()))
+            after = seen.get(key)
+            if after is None:
+                model.step_clock(inputs)
+                seen[key] = (model.state, model.net_values)
+            else:
+                model.state, model.net_values = after
+            yield cycle

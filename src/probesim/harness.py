@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import attacker, sensor as sensor_mod
+from .artifacts import write_counters_csv, write_rows
 from .attacker import EofmImage, EopTrace, ScanConfig
 from .cosim import (CoSimulation, ScenarioError, ShiftStimulus,
                     stimulus_for_target_freq)
@@ -292,6 +293,14 @@ def _decode_scenario(parser, path: Path, seed_override) -> Scenario:
                 setattr(spec, key, float(sec[key]))
         if "rolling_window" in sec:
             spec.rolling_window = int(sec["rolling_window"])
+        for key, ok, rule in (
+                ("duration_min", spec.duration_min > 0, "> 0"),
+                ("rolling_window", spec.rolling_window >= 1, ">= 1"),
+                ("log_every_ms", spec.log_every_ms > 0, "> 0"),
+                ("drift_tau_s", spec.drift_tau_s > 0, "> 0"),
+                ("drift_sigma_ps", spec.drift_sigma_ps >= 0, ">= 0")):
+            if not ok:
+                raise ConfigError(f"{path}: [stability] {key} must be {rule}")
     return scn
 
 
@@ -427,56 +436,6 @@ class RunSummary:
         return "\n".join(lines) + "\n"
 
 
-# Rows formatted per write; one buffer for the whole log would cost more
-# memory than the log itself.
-CSV_CHUNK_ROWS = 4096
-
-
-def write_counters_csv(path, rows: np.ndarray) -> None:
-    """Write a (windows, 4) non-negative integer counter log, one CSV line
-    per window."""
-    with open(path, "wb") as fh:
-        fh.write(b"window_index,zero_count,max_pulse,latched\n")
-        for start in range(0, len(rows), CSV_CHUNK_ROWS):
-            fh.write(format_int_rows(rows[start:start + CSV_CHUNK_ROWS]))
-
-
-def format_int_rows(rows: np.ndarray) -> bytes:
-    """Comma-separated decimal lines of a 2-D non-negative integer array.
-
-    Each column is written into a fixed-width block of ASCII digits, one
-    integer division by 10 per digit, into a (line bytes, rows) matrix;
-    the leading zeros are then masked out and the kept bytes read off row
-    by row.  Widths come from the data.
-    """
-    n, cols = rows.shape
-    if n == 0:
-        return b""
-    if int(rows.min()) < 0:
-        raise ValueError("format_int_rows needs non-negative integers")
-    top = rows.max(axis=0)
-    dtype = np.uint32 if int(top.max()) < 2 ** 32 else np.uint64
-    ten = dtype(10)
-    widths = [len(str(int(v))) for v in top]
-    mat = np.full((sum(widths) + cols, n), ord(","), dtype=np.uint8)
-    mat[-1] = ord("\n")
-    keep = np.ones(mat.shape, dtype=bool)
-    offset = 0
-    for col, width in enumerate(widths):
-        value = rows[:, col].astype(dtype)
-        v = value
-        for pos in range(offset + width - 1, offset, -1):
-            q = v // ten
-            mat[pos] = v - q * ten + ord("0")
-            v = q
-        mat[offset] = v + ord("0")
-        # Digit k of a width-w block is a leading zero iff value < 10**(w-1-k).
-        for k in range(width - 1):
-            keep[offset + k] = value >= dtype(10 ** (width - 1 - k))
-        offset += width + 1
-    return mat.T[keep.T].tobytes()
-
-
 def write_defense_log(path, entries) -> None:
     with open(path, "w") as fh:
         fh.write("trigger_time_us,mode,event_complete_us,placement_diff,permutation\n")
@@ -515,10 +474,8 @@ class StabilityReport:
         }
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("t_us,zero_count,running_max,rolling_avg\n")
-            for t, zc, rm, ra in self.series:
-                fh.write(f"{t:.1f},{int(zc)},{int(rm)},{ra:.6f}\n")
+        write_rows(path, "t_us,zero_count,running_max,rolling_avg",
+                   "%.1f,%d,%d,%.6f\n", self.series.T)
 
 
 def stability_test(sensor: SensorInstance, threshold: float, seed: int,
@@ -598,6 +555,10 @@ def run(scn: Scenario, out_dir=None) -> RunResult:
         model = load_netlist(scn.netlist_path)
     except NetlistError as exc:
         raise ConfigError(str(exc)) from None
+    except FileNotFoundError:
+        raise ConfigError(
+            f"scenario {scn.name}: netlist file {scn.netlist_path} not found"
+        ) from None
     thermal = ThermalField.for_model(model, **scn.thermal)
     sensor = build_sensor(scn)
     policy = build_policy(scn)
@@ -792,10 +753,12 @@ def write_artifacts(result: RunResult, out_dir: Path) -> None:
         result.image.to_pgm(out_dir / "image.pgm")
         result.image.to_csv(out_dir / "image.csv")
     if result.traces:
+        # trace.csv is the first probe cell's trace, formatted once for both.
         for i, (cell, trace) in enumerate(result.traces.items()):
-            trace.to_csv(out_dir / f"trace_{cell}.csv")
+            text = trace.csv_text()
+            (out_dir / f"trace_{cell}.csv").write_text(text)
             if i == 0:
-                trace.to_csv(out_dir / "trace.csv")
+                (out_dir / "trace.csv").write_text(text)
     if result.stability is not None:
         result.stability.to_csv(out_dir / "counters.csv")
     if result.counters is not None:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_pgm
 from .fabric import SliceCoord
 
 
@@ -195,9 +196,4 @@ class ThermalField:
     def to_pgm(self, path, max_k: float | None = None) -> None:
         """Dump the field as an ASCII portable graymap for debugging."""
         peak = max_k if max_k is not None else max(float(self.delta_t.max()), 1e-12)
-        scaled = np.clip(self.delta_t / peak * 255.0, 0, 255).astype(int)
-        lines = [f"P2", f"{self.grid_width} {self.grid_height}", "255"]
-        for row in scaled:
-            lines.append(" ".join(str(v) for v in row))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_pgm(path, self.delta_t, peak)

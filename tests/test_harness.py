@@ -439,6 +439,38 @@ class TestCli:
         assert "[sensor]" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("line, bad", [
+        ("duration_min = 30.0", "duration_min = nan"),
+        ("rolling_window = 100", "rolling_window = 0"),
+        ("rolling_window = 100", "rolling_window = -3"),
+        ("log_every_ms = 1000.0", "log_every_ms = 0"),
+        ("drift_tau_s = 20.0", "drift_tau_s = 0"),
+        ("drift_sigma_ps = 1.5", "drift_sigma_ps = -1"),
+    ])
+    def test_bad_stability_input_exit_code(self, capsys, tmp_path, line, bad):
+        text = (SCENARIOS / "stability.scn").read_text()
+        assert text.count(line) == 1
+        path = tmp_path / "stability.scn"
+        path.write_text(text.replace(line, bad))
+        (tmp_path / "key8.net").write_text((SCENARIOS / "key8.net").read_text())
+        assert cli.main(["stability", "--scenario", str(path),
+                         "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and f"[stability] {bad.split()[0]}" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_netlist_exit_code(self, capsys, tmp_path):
+        text = (SCENARIOS / "eop_shift.scn").read_text()
+        assert text.count("netlist = shift8.net") == 1
+        path = tmp_path / "eop_shift.scn"
+        path.write_text(text.replace("netlist = shift8.net",
+                                     "netlist = absent.net"))
+        assert cli.main(["eop", "--scenario", str(path),
+                         "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and str((tmp_path / "absent.net").resolve()) in err
+        assert not (tmp_path / "out").exists()
+
     def test_capacity_error_exit_code(self, capsys, tmp_path):
         # One slice (4 slots) can never hold the 8 protected bits.
         text = (SCENARIOS / "mtd_inter_key.scn").read_text()
