@@ -10,9 +10,8 @@ from .fabric import (CombinationalCycleError, DelayElement, FabricError,
                      propagation_delay)
 from .harness import ConfigError, RunSummary, Scenario, load_scenario, run
 from .netlist import NetlistError, load_netlist
-from .sensor import (SensorInstance, SensorReadout, TuneValue, TuningError,
-                     chain_delay, read_counters, ro_calibration, sample, tune,
-                     update_latch)
+from .sensor import (SensorInstance, TuneValue, TuningError, chain_delay,
+                     read_counters, ro_calibration, tune)
 from .thermal import LaserSpot, ThermalField
 
 __version__ = "0.1.0"

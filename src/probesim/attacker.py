@@ -28,15 +28,10 @@ class ScanConfig:
     pixel_pitch_um: float = 10.0
     dwell_ms: float = 1.0
     target_freq_mhz: float = 1.25
-    bandwidth_khz: float = 1.0
     power: float = 1.0
     spot_sigma_um: float = 8.0
     psf_sigma_um: float = 4.0
     noise_sigma: float = 0.04
-
-    def __post_init__(self):
-        if self.dwell_ms <= 0 or self.pixel_pitch_um <= 0 or self.target_freq_mhz <= 0:
-            raise ScenarioError("dwell, pixel pitch and target freq must be > 0")
 
     @property
     def dwell_ps(self) -> int:

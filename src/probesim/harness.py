@@ -20,7 +20,7 @@ from .artifacts import write_counters_csv, write_rows
 from .attacker import EofmImage, EopTrace, ScanConfig
 from .cosim import (CoSimulation, ScenarioError, ShiftStimulus,
                     stimulus_for_target_freq)
-from .defense import CapacityError, DefensePolicy, region_slices
+from .defense import MODES, CapacityError, DefensePolicy, region_slices
 from .fabric import FabricModel, SliceCoord
 from .netlist import NetlistError, load_netlist
 from .sensor import SensorInstance, TuneValue, window_zero_counts
@@ -33,23 +33,10 @@ class ConfigError(Exception):
     """Scenario file could not be parsed or fails validation."""
 
 
-def _parse_rect(text: str):
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 4:
-        raise ValueError(f"expected x0,y0,x1,y1, got {text!r}")
-    return tuple(parts)
-
-
-def _parse_site(text: str) -> SliceCoord:
-    x, y = text.split(",")
-    return SliceCoord(int(x), int(y))
-
-
 @dataclass
 class StimulusSpec:
     program: str = "reset_toggle"
-    key: str = ""
-    key_random: bool = False
+    key: str = ""  # a bit string, MSB first, or "random"
     pattern: str = "10110001"
     serial_net: str = "sin"
 
@@ -104,15 +91,137 @@ class Scenario:
     characterize_windows: int = 1000
 
 
-_SENSOR_KEYS = {
-    "site", "chain_len", "clock_mhz", "jitter_sigma_ps", "element_base_ps",
-    "per_tap_ps", "lut_pin_base_ps", "lut_pin_step_ps", "lut_arity",
-    "data_route_ps", "clock_route_ps",
-}
-_SENSOR_FLOAT = {"clock_mhz", "jitter_sigma_ps", "element_base_ps",
-                 "per_tap_ps", "lut_pin_base_ps", "lut_pin_step_ps",
-                 "data_route_ps", "clock_route_ps"}
-_THERMAL_KEYS = {"tau_us", "alpha_per_k", "power_to_rate_k_per_us"}
+# -- scenario decoding --------------------------------------------------------
+#
+# Each row of SCENARIO_KEYS is one key a scenario file may set: its section
+# and name, its value type (a parser, a check of the parsed value and the
+# rule that check enforces) and its destination, an attribute of Scenario or
+# a field of one of its specs ("scan.dwell_ms").  README.md lists the same
+# keys with the same rules.
+
+
+def _above(low: float):
+    return float, lambda v: math.isfinite(v) and v > low, f"finite and > {low:g}"
+
+
+def _at_least(low: float):
+    return float, lambda v: math.isfinite(v) and v >= low, f"finite and >= {low:g}"
+
+
+def _integer(low: int):
+    return int, lambda v: v >= low, f"an integer >= {low}"
+
+
+def _one_of(*options: str):
+    return str, lambda v: v in options, "one of " + " | ".join(options)
+
+
+def _numbers(text: str, count: int, kind=float) -> tuple:
+    """``count`` comma-separated numbers."""
+    parts = tuple(kind(p) for p in text.split(","))
+    if len(parts) != count:
+        raise ValueError(text)
+    return parts
+
+
+def _names(text: str) -> list[str]:
+    return [n.strip() for n in text.split(",")]
+
+
+def _is_bits(text: str) -> bool:
+    return bool(text) and not set(text) - {"0", "1"}
+
+
+_TEXT = str, bool, "non-empty"
+_NAMES = _names, all, "comma-separated names"
+_RECT = (lambda t: _numbers(t, 4),
+         lambda r: all(map(math.isfinite, r)) and r[0] < r[2] and r[1] < r[3],
+         "x0,y0,x1,y1, finite, with x0 < x1 and y0 < y1")
+
+SCENARIO_KEYS = {(section, key): (*value, dest) for section, key, value, dest in [
+    ("scenario", "name", _TEXT, "name"),
+    ("scenario", "kind", _one_of(*KINDS), "kind"),
+    ("scenario", "netlist", _TEXT, "netlist_path"),
+    ("scenario", "seed", _integer(0), "seed"),
+    ("thermal", "tau_us", _above(0), "thermal.tau_us"),
+    ("thermal", "alpha_per_k", _at_least(0), "thermal.alpha_per_k"),
+    ("thermal", "power_to_rate_k_per_us", _at_least(0),
+     "thermal.power_to_rate_k_per_us"),
+    ("sensor", "site", (lambda t: SliceCoord(*_numbers(t, 2, int)),
+                        lambda s: s.x >= 0 and s.y >= 0,
+                        "x,y, integers >= 0, on the netlist grid"), "sensor.site"),
+    ("sensor", "chain_len", (int, lambda n: n > 0 and n & (n - 1) == 0,
+                             "a power of two"), "sensor.chain_len"),
+    ("sensor", "clock_mhz", (float, lambda v: 0 < v <= 1e6,
+                             "finite, > 0 and <= 1e6"), "sensor.clock_mhz"),
+    ("sensor", "jitter_sigma_ps", _at_least(0), "sensor.jitter_sigma_ps"),
+    ("sensor", "element_base_ps", _at_least(0), "sensor.element_base_ps"),
+    ("sensor", "per_tap_ps", _at_least(0), "sensor.per_tap_ps"),
+    ("sensor", "lut_pin_base_ps", _at_least(0), "sensor.lut_pin_base_ps"),
+    ("sensor", "lut_pin_step_ps", _at_least(0), "sensor.lut_pin_step_ps"),
+    ("sensor", "lut_arity", _integer(1), "sensor.lut_arity"),
+    ("sensor", "data_route_ps", _at_least(0), "sensor.data_route_ps"),
+    ("sensor", "clock_route_ps", _at_least(0), "sensor.clock_route_ps"),
+    ("sensor", "tune", (lambda t: TuneValue(*_numbers(t, 3, int)),
+                        lambda t: min(t.data_code, t.clock_code, t.lut_select) >= 0,
+                        "data,clock,select, integers >= 0"), "pinned_tune"),
+    ("sensor", "t_sense_ms", _above(0), "t_sense_ms"),
+    ("sensor", "t_detect_cycles", _integer(1), "t_detect"),
+    ("scan", "region_um", _RECT, "scan.region_um"),
+    ("scan", "pixel_pitch_um", _above(0), "scan.pixel_pitch_um"),
+    ("scan", "dwell_ms", _above(0), "scan.dwell_ms"),
+    ("scan", "target_freq_mhz", _above(0), "scan.target_freq_mhz"),
+    ("scan", "power", _at_least(0), "scan.power"),
+    ("scan", "spot_sigma_um", _above(0), "scan.spot_sigma_um"),
+    ("scan", "psf_sigma_um", _above(0), "scan.psf_sigma_um"),
+    ("scan", "noise_sigma", _at_least(0), "scan.noise_sigma"),
+    ("scan", "bit_threshold", _above(0), "bit_threshold"),
+    ("defense", "mode", _one_of(*MODES), "defense.mode"),
+    ("defense", "pr_latency_us", _above(0), "defense.pr_latency_us"),
+    ("defense", "allowed_region", (
+        lambda t: region_slices(*_numbers(t, 4, int)),
+        lambda r: bool(r) and r[0].x >= 0 and r[0].y >= 0,
+        "x0,y0,x1,y1 slices, inclusive, with 0 <= x0 <= x1 and 0 <= y0 <= y1"),
+     "defense.allowed_region"),
+    ("defense", "threshold", (
+        lambda t: None if t == "auto" else float(t),
+        lambda v: v is None or math.isfinite(v) and v > 0,
+        "auto, or finite, > 0 and <= t_detect_cycles"), "defense.threshold"),
+    ("defense", "mid_pr_state", _one_of("hold", "zero"), "defense.mid_pr_state"),
+    ("defense", "move_sensor", (
+        lambda t: configparser.ConfigParser.BOOLEAN_STATES[t.lower()],
+        lambda v: True, "a boolean: true | false | yes | no | on | off | 1 | 0"),
+     "defense.move_sensor"),
+    ("stimulus", "program", _one_of("reset_toggle", "shift"), "stimulus.program"),
+    ("stimulus", "key", (str, lambda k: k == "random" or _is_bits(k),
+                         "a bit string, MSB first, or random"), "stimulus.key"),
+    ("stimulus", "pattern", (str, _is_bits, "a bit string"), "stimulus.pattern"),
+    ("stimulus", "serial_net", _TEXT, "stimulus.serial_net"),
+    ("eop", "probe_cells", _NAMES, "eop.probe_cells"),
+    ("eop", "duration_cycles", _integer(1), "eop.duration_cycles"),
+    ("eop", "resolution_ps", (int, lambda v: v >= 1,
+                              "an integer >= 1 and <= the probe duration"),
+     "eop.resolution_ps"),
+    ("eop", "iterations", _integer(1), "eop.iterations"),
+    ("eop", "noise_sigma", _at_least(0), "eop.noise_sigma"),
+    ("eop", "power", _at_least(0), "eop.power"),
+    ("function", "operand_nets", (lambda t: [_names(g) for g in t.split(";")],
+                                  lambda groups: all(map(all, groups)),
+                                  "groups of names split by ;"),
+     "function.operand_nets"),
+    ("function", "output_cells", _NAMES, "function.output_cells"),
+    ("function", "vectors", (
+        lambda t: [tuple(int(v) for v in g.split(",")) for g in t.split(";")],
+        lambda vectors: min(map(min, vectors)) >= 0,
+        "groups of integers >= 0 split by ;"), "function.vectors"),
+    ("function", "region_um", _RECT, "function.region_um"),
+    ("stability", "duration_min", _above(0), "stability.duration_min"),
+    ("stability", "log_every_ms", _above(0), "stability.log_every_ms"),
+    ("stability", "rolling_window", _integer(1), "stability.rolling_window"),
+    ("stability", "drift_sigma_ps", _at_least(0), "stability.drift_sigma_ps"),
+    ("stability", "drift_tau_s", _above(0), "stability.drift_tau_s"),
+]}
+_SECTIONS = {section for section, _ in SCENARIO_KEYS}
 
 
 def load_scenario(path, seed_override: int | None = None) -> Scenario:
@@ -123,194 +232,58 @@ def load_scenario(path, seed_override: int | None = None) -> Scenario:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         parser.read(path)
+        return _decode_scenario(parser, path, seed_override)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    try:
-        return _decode_scenario(parser, path, seed_override)
-    except (ValueError, KeyError, configparser.Error) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _bad_value(where, section: str, key: str, got) -> ConfigError:
+    rule = SCENARIO_KEYS[section, key][2]
+    return ConfigError(f"{where}: [{section}] {key} must be {rule}, got {got}")
 
 
 def _decode_scenario(parser, path: Path, seed_override) -> Scenario:
     if "scenario" not in parser:
         raise ConfigError(f"{path}: missing [scenario] section")
-    sec = parser["scenario"]
-    kind = sec.get("kind", "")
-    if kind not in KINDS:
-        raise ConfigError(f"{path}: kind must be one of {KINDS}, got {kind!r}")
-    netlist_rel = sec.get("netlist")
-    if not netlist_rel:
-        raise ConfigError(f"{path}: [scenario] needs netlist = <file>")
-    scn = Scenario(
-        name=sec.get("name", path.stem),
-        kind=kind,
-        netlist_path=(path.parent / netlist_rel).resolve(),
-        seed=int(sec.get("seed", "1")),
-    )
     if seed_override is not None:
-        scn.seed = seed_override
-    known = {"name", "kind", "netlist", "seed"}
-    _reject_unknown(path, "scenario", sec, known)
-
-    if "thermal" in parser:
-        sec = parser["thermal"]
-        _reject_unknown(path, "thermal", sec, _THERMAL_KEYS)
-        scn.thermal = {k: float(v) for k, v in sec.items()}
-
-    if "sensor" in parser:
-        sec = parser["sensor"]
-        _reject_unknown(path, "sensor", sec,
-                        _SENSOR_KEYS | {"tune", "t_sense_ms", "t_detect_cycles"})
-        for key, val in sec.items():
-            if key == "site":
-                scn.sensor["site"] = _parse_site(val)
-            elif key == "tune":
-                d, c, s = (int(p) for p in val.split(","))
-                scn.pinned_tune = TuneValue(d, c, s)
-            elif key == "t_sense_ms":
-                scn.t_sense_ms = float(val)
-            elif key == "t_detect_cycles":
-                scn.t_detect = int(val)
-            elif key in ("chain_len", "lut_arity"):
-                scn.sensor[key] = int(val)
-            elif key in _SENSOR_FLOAT:
-                scn.sensor[key] = float(val)
-        if not scn.sensor.get("clock_mhz", 1.0) > 0:
-            raise ConfigError(f"{path}: [sensor] clock_mhz must be > 0")
-        if scn.t_detect < 1:
-            raise ConfigError(f"{path}: [sensor] t_detect_cycles must be >= 1")
-        if not scn.sensor.get("jitter_sigma_ps", 0.0) >= 0:
-            raise ConfigError(f"{path}: [sensor] jitter_sigma_ps must be >= 0")
-
-    if "scan" in parser:
-        sec = parser["scan"]
-        known = {"region_um", "pixel_pitch_um", "dwell_ms", "target_freq_mhz",
-                 "bandwidth_khz", "power", "spot_sigma_um", "psf_sigma_um",
-                 "noise_sigma", "bit_threshold"}
-        _reject_unknown(path, "scan", sec, known)
-        kwargs = {}
-        for key, val in sec.items():
-            if key == "region_um":
-                kwargs["region_um"] = _parse_rect(val)
-            elif key == "bit_threshold":
-                scn.bit_threshold = float(val)
+        # Checked like the seed it replaces.
+        parser["scenario"]["seed"] = str(seed_override)
+    scn = Scenario(name=path.stem, kind="", netlist_path=Path())
+    for section in parser.sections():
+        if section not in _SECTIONS:
+            raise ConfigError(f"{path}: unknown section [{section}]")
+        for key, text in parser[section].items():
+            if (section, key) not in SCENARIO_KEYS:
+                raise ConfigError(f"{path}: unknown key [{section}] {key}")
+            parse, ok, _, dest = SCENARIO_KEYS[section, key]
+            try:
+                value = parse(text)
+                valid = ok(value)
+            except (ValueError, KeyError):
+                valid = False
+            if not valid:
+                raise _bad_value(path, section, key, repr(text))
+            owner, _, attr = dest.rpartition(".")
+            target = getattr(scn, owner) if owner else scn
+            if isinstance(target, dict):
+                target[attr] = value
             else:
-                kwargs[key] = float(val)
-        for key in ("power", "noise_sigma"):
-            if not kwargs.get(key, 0.0) >= 0:
-                raise ConfigError(f"{path}: [scan] {key} must be >= 0")
-        for key in ("spot_sigma_um", "psf_sigma_um"):
-            if not kwargs.get(key, 1.0) > 0:
-                raise ConfigError(f"{path}: [scan] {key} must be > 0")
-        scn.scan = ScanConfig(**kwargs)
-
-    if "defense" in parser:
-        sec = parser["defense"]
-        known = {"mode", "pr_latency_us", "allowed_region", "threshold",
-                 "mid_pr_state", "move_sensor"}
-        _reject_unknown(path, "defense", sec, known)
-        scn.defense = {"mode": sec.get("mode", "none")}
-        if "pr_latency_us" in sec:
-            scn.defense["pr_latency_us"] = float(sec["pr_latency_us"])
-        if "mid_pr_state" in sec:
-            scn.defense["mid_pr_state"] = sec["mid_pr_state"]
-        if "move_sensor" in sec:
-            scn.defense["move_sensor"] = sec.getboolean("move_sensor")
-        if "allowed_region" in sec:
-            x0, y0, x1, y1 = (int(p) for p in sec["allowed_region"].split(","))
-            scn.defense["allowed_region"] = region_slices(x0, y0, x1, y1)
-        if sec.get("threshold", "auto") != "auto":
-            scn.defense["threshold"] = float(sec["threshold"])
-
-    if "stimulus" in parser:
-        sec = parser["stimulus"]
-        known = {"program", "key", "pattern", "serial_net"}
-        _reject_unknown(path, "stimulus", sec, known)
-        spec = scn.stimulus
-        spec.program = sec.get("program", spec.program)
-        key = sec.get("key", "")
-        if key == "random":
-            spec.key_random = True
-        else:
-            spec.key = key
-        spec.pattern = sec.get("pattern", spec.pattern)
-        spec.serial_net = sec.get("serial_net", spec.serial_net)
-
-    if "eop" in parser:
-        sec = parser["eop"]
-        known = {"probe_cells", "duration_cycles", "resolution_ps",
-                 "iterations", "noise_sigma", "power"}
-        _reject_unknown(path, "eop", sec, known)
-        spec = scn.eop
-        if "probe_cells" in sec:
-            spec.probe_cells = [c.strip() for c in sec["probe_cells"].split(",")]
-        for key in ("duration_cycles", "resolution_ps", "iterations"):
-            if key in sec:
-                setattr(spec, key, int(sec[key]))
-        for key in ("noise_sigma", "power"):
-            if key in sec:
-                setattr(spec, key, float(sec[key]))
-        if spec.duration_cycles < 1 or spec.iterations < 1:
-            raise ConfigError(
-                f"{path}: [eop] duration_cycles and iterations must be >= 1")
-        duration_ps = spec.duration_cycles * build_sensor(scn).cycle_ps
-        if not 1 <= spec.resolution_ps <= duration_ps:
-            raise ConfigError(
-                f"{path}: [eop] resolution_ps must be in 1..{duration_ps} "
-                "(the probe duration)")
-        if spec.noise_sigma < 0 or spec.power < 0:
-            raise ConfigError(f"{path}: [eop] noise_sigma and power must be >= 0")
-
-    if "function" in parser:
-        sec = parser["function"]
-        known = {"operand_nets", "output_cells", "vectors", "region_um"}
-        _reject_unknown(path, "function", sec, known)
-        spec = scn.function
-        if "operand_nets" in sec:
-            spec.operand_nets = [
-                [n.strip() for n in group.split(",")]
-                for group in sec["operand_nets"].split(";")
-            ]
-        if "output_cells" in sec:
-            spec.output_cells = [c.strip() for c in sec["output_cells"].split(",")]
-        if "vectors" in sec:
-            spec.vectors = [
-                tuple(int(v) for v in group.split(","))
-                for group in sec["vectors"].split(";")
-            ]
-        if "region_um" in sec:
-            spec.region_um = _parse_rect(sec["region_um"])
-
-    if "stability" in parser:
-        sec = parser["stability"]
-        known = {"duration_min", "log_every_ms", "rolling_window",
-                 "drift_sigma_ps", "drift_tau_s"}
-        _reject_unknown(path, "stability", sec, known)
-        spec = scn.stability
-        for key in ("duration_min", "log_every_ms", "drift_sigma_ps",
-                    "drift_tau_s"):
-            if key in sec:
-                setattr(spec, key, float(sec[key]))
-        if "rolling_window" in sec:
-            spec.rolling_window = int(sec["rolling_window"])
-        for key, ok, rule in (
-                ("duration_min", spec.duration_min > 0, "> 0"),
-                ("rolling_window", spec.rolling_window >= 1, ">= 1"),
-                ("log_every_ms", spec.log_every_ms > 0, "> 0"),
-                ("drift_tau_s", spec.drift_tau_s > 0, "> 0"),
-                ("drift_sigma_ps", spec.drift_sigma_ps >= 0, ">= 0")):
-            if not ok:
-                raise ConfigError(f"{path}: [stability] {key} must be {rule}")
+                setattr(target, attr, value)
+    for key in ("kind", "netlist"):
+        if key not in parser["scenario"]:
+            raise ConfigError(f"{path}: [scenario] needs {key}")
+    scn.netlist_path = (path.parent / scn.netlist_path).resolve()
+    # The rules that tie one key to another.
+    if scn.kind == "eop":
+        duration_ps = scn.eop.duration_cycles * build_sensor(scn).cycle_ps
+        if scn.eop.resolution_ps > duration_ps:
+            raise _bad_value(path, "eop", "resolution_ps",
+                             f"{scn.eop.resolution_ps} for a {duration_ps} ps probe")
+    threshold = scn.defense.get("threshold")
+    if threshold is not None and threshold > scn.t_detect:
+        raise _bad_value(path, "defense", "threshold",
+                         f"{threshold:g} with t_detect_cycles = {scn.t_detect}")
     return scn
-
-
-def _reject_unknown(path, section, sec, known):
-    unknown = set(sec.keys()) - known
-    if unknown:
-        raise ConfigError(
-            f"{path}: unknown keys in [{section}]: {sorted(unknown)}"
-        )
-
 
 # -- building blocks ---------------------------------------------------------
 
@@ -325,7 +298,10 @@ def build_policy(scn: Scenario) -> DefensePolicy:
 
 def tune_sensor(scn: Scenario, sensor: SensorInstance) -> TuneValue:
     if scn.pinned_tune is not None:
-        sensor.tune = sensor.validate_tune(scn.pinned_tune)
+        try:
+            sensor.tune = sensor.validate_tune(scn.pinned_tune)
+        except ValueError as exc:
+            raise ConfigError(f"scenario {scn.name}: [sensor] tune: {exc}") from None
         return sensor.tune
     return sensor_mod.tune(sensor, scn.seed, scn.t_sense_ms, scn.t_detect)
 
@@ -346,7 +322,7 @@ def derive_threshold(sensor: SensorInstance, seed: int,
 
 def scenario_key_bits(scn: Scenario, n_bits: int) -> list[int]:
     """Programmed key, LSB first; 'random' draws per-seed bits."""
-    if scn.stimulus.key_random:
+    if scn.stimulus.key == "random":
         rng = np.random.default_rng([scn.seed & 0xFFFFFFFF, 0x6E7])
         return [int(b) for b in rng.integers(0, 2, size=n_bits)]
     key = scn.stimulus.key
@@ -561,6 +537,11 @@ def run(scn: Scenario, out_dir=None) -> RunResult:
         ) from None
     thermal = ThermalField.for_model(model, **scn.thermal)
     sensor = build_sensor(scn)
+    site = sensor.site
+    if not (site.x < model.grid_width and site.y < model.grid_height):
+        raise _bad_value(f"scenario {scn.name}", "sensor", "site",
+                         f"{site.x},{site.y} on a {model.grid_width}x"
+                         f"{model.grid_height} grid")
     policy = build_policy(scn)
     if policy.mode == "mtd_inter":
         # A region that could never hold the register is a scenario defect;
@@ -634,7 +615,6 @@ def _scan_echo(scan: ScanConfig) -> dict:
         "scan_pixel_pitch_um": f"{scan.pixel_pitch_um:g}",
         "scan_dwell_ms": f"{scan.dwell_ms:g}",
         "scan_target_freq_mhz": f"{scan.target_freq_mhz:g}",
-        "scan_bandwidth_khz": f"{scan.bandwidth_khz:g}",
         "scan_power": f"{scan.power:g}",
         "scan_noise_sigma": f"{scan.noise_sigma:g}",
     }

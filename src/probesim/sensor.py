@@ -188,20 +188,6 @@ class SensorInstance:
             p0 = np.less(slack, 0.0).astype(float)
         return float(p0) if np.ndim(p0) == 0 else p0
 
-    def one_probability(self, factor: float | np.ndarray = 1.0,
-                        tune: TuneValue | None = None) -> float | np.ndarray:
-        return 1.0 - self.zero_probability(factor, tune)
-
-    def reset_latch(self) -> None:
-        self.latched = False
-
-
-def sample(sensor: SensorInstance, thermal, rng) -> int:
-    """Draw one sensor output bit under the current thermal state."""
-    dt = thermal.delta_t_at_site(sensor.site)
-    p1 = sensor.one_probability(thermal.delay_factor(dt))
-    return int(rng.random() < p1)
-
 
 def read_counters(sensor: SensorInstance, thermal, rng,
                   window: int = 255) -> SensorReadout:
@@ -268,25 +254,6 @@ def window_pulses(counts: np.ndarray, window: int, rng) -> np.ndarray:
         kth = np.sort(keys, axis=1)[np.arange(rows.size), counts[rows] - 1]
         pulses[rows] = longest_runs(keys <= kth[:, None])
     return pulses
-
-
-def counters_from_stream(bits: np.ndarray, window: int) -> SensorReadout:
-    """Readout over an explicit sample stream (1s and 0s) of length window."""
-    bits = np.asarray(bits)
-    if bits.size != window:
-        raise ValueError(f"stream has {bits.size} samples, window is {window}")
-    zeros = bits == 0
-    return SensorReadout(int(zeros.sum()), longest_run(zeros), window)
-
-
-def update_latch(sensor: SensorInstance, readout: SensorReadout,
-                 threshold: float) -> bool:
-    """Sticky trigger: latch once the window zero count reaches threshold."""
-    if not 0 < threshold <= readout.window:
-        raise ValueError(f"threshold {threshold} outside (0, {readout.window}]")
-    if readout.zero_count >= threshold:
-        sensor.latched = True
-    return sensor.latched
 
 
 def window_zero_counts(p0: float, n_windows: int, window: int, rng) -> np.ndarray:

@@ -1,5 +1,6 @@
 import filecmp
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 
 from probesim import cli
 from probesim.defense import DefensePolicy
-from probesim.harness import (ConfigError, Scenario, StabilitySpec,
+from probesim.harness import (SCENARIO_KEYS, ConfigError, StabilitySpec,
                               derive_threshold, load_scenario,
                               report_resources, run, run_batch,
                               scenario_key_bits, stability_test,
@@ -65,6 +66,16 @@ class TestScenarioFiles:
         with pytest.raises(ConfigError, match="dwell_sec"):
             load_scenario(bad)
 
+    def test_readme_lists_every_key_with_its_rule(self):
+        readme = (SCENARIOS.parents[2] / "README.md").read_text()
+        section = readme.split("## Scenario file format")[1].split("\n## ")[0]
+        listed = {(sec, key): " ".join(rest.split()) for sec, key, rest in
+                  re.findall(r"^- `\[(\w+)\] (\w+)`(.*(?:\n  .*)*)", section,
+                             re.M)}
+        assert set(listed) == set(SCENARIO_KEYS)
+        for key, (_, _, rule, _) in SCENARIO_KEYS.items():
+            assert f"`{rule}`" in listed[key], key
+
     def test_bad_kind_rejected(self, tmp_path):
         text = (SCENARIOS / "unprotected_key.scn").read_text()
         bad = tmp_path / "bad.scn"
@@ -87,7 +98,7 @@ class TestScenarioFiles:
 
     def test_random_key_reproducible_per_seed(self):
         scn = load_scenario(SCENARIOS / "unprotected_key.scn", 5)
-        scn.stimulus.key_random = True
+        scn.stimulus.key = "random"
         assert scenario_key_bits(scn, 8) == scenario_key_bits(scn, 8)
 
 
@@ -336,6 +347,24 @@ class TestBatch:
                            shallow=False)
 
 
+def run_edited(capsys, tmp_path, command, scenario, line, bad):
+    """Run the CLI on a copy of a bundled scenario with one line changed.
+
+    Returns the exit code, stderr and the ``[section] key`` that the
+    changed line sets.
+    """
+    text = (SCENARIOS / f"{scenario}.scn").read_text()
+    assert text.count(line) == 1
+    path = tmp_path / f"{scenario}.scn"
+    path.write_text(text.replace(line, bad))
+    netlist = load_scenario(SCENARIOS / f"{scenario}.scn").netlist_path
+    (tmp_path / netlist.name).write_text(netlist.read_text())
+    rc = cli.main([command, "--scenario", str(path),
+                   "--out", str(tmp_path / "out")])
+    section = re.findall(r"^\[(\w+)\]", text[:text.index(line)], re.M)[-1]
+    return rc, capsys.readouterr().err, f"[{section}] {bad.split('=')[0].strip()}"
+
+
 class TestCli:
     def test_config_error_exit_code(self, capsys):
         assert cli.main(["attack", "--scenario", "/missing.scn"]) == 2
@@ -401,19 +430,29 @@ class TestCli:
          "spot_sigma_um = 0"),
         ("attack", "xor_unprotected", "noise_sigma = 0.04",
          "noise_sigma = -0.04"),
+        ("attack", "xor_unprotected", "dwell_ms = 1.0", "dwell_ms = 0"),
+        ("attack", "xor_unprotected", "pixel_pitch_um = 10.0",
+         "pixel_pitch_um = 0"),
+        ("attack", "xor_unprotected", "pixel_pitch_um = 10.0",
+         "pixel_pitch_um = nan"),
+        ("attack", "xor_unprotected", "target_freq_mhz = 1.25",
+         "target_freq_mhz = 0"),
+        ("attack", "unprotected_key", "bit_threshold = 0.35",
+         "bit_threshold = nan"),
+        ("eop", "eop_shift", "seed = 1", "seed = -3"),
+        ("eop", "eop_shift", "tau_us = 50.0", "tau_us = 0"),
+        ("eop", "eop_shift", "program = shift", "program = shfit"),
+        ("attack", "mtd_inter_key", "threshold = auto", "threshold = 0"),
+        ("attack", "mtd_inter_key", "threshold = auto", "threshold = 300"),
+        ("attack", "mtd_inter_key", "threshold = auto", "threshold = nan"),
     ])
     def test_bad_probe_input_exit_code(self, capsys, tmp_path, command,
                                        scenario, line, bad):
         # Each is rejected while the scenario is decoded, before any run.
-        text = (SCENARIOS / f"{scenario}.scn").read_text()
-        assert text.count(line) == 1
-        path = tmp_path / f"{scenario}.scn"
-        path.write_text(text.replace(line, bad))
-        netlist = load_scenario(SCENARIOS / f"{scenario}.scn").netlist_path
-        (tmp_path / netlist.name).write_text(netlist.read_text())
-        assert cli.main([command, "--scenario", str(path),
-                         "--out", str(tmp_path / "out")]) == 2
-        assert "config error:" in capsys.readouterr().err
+        rc, err, named = run_edited(capsys, tmp_path, command, scenario,
+                                    line, bad)
+        assert rc == 2
+        assert "config error:" in err and named in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, scenario, line, bad", [
@@ -425,18 +464,17 @@ class TestCli:
          "t_detect_cycles = -5"),
         ("attack", "unprotected_key", "jitter_sigma_ps = 15.0",
          "jitter_sigma_ps = -1.0"),
+        ("attack", "unprotected_key", "chain_len = 8", "chain_len = 3"),
+        # Rejected once the netlist gives the grid: key8.net is 32x16.
+        ("attack", "unprotected_key", "site = 15,8", "site = 99,99"),
+        ("stability", "stability", "tune = 16,2,3", "tune = 40,2,3"),
     ])
     def test_bad_sensor_input_exit_code(self, capsys, tmp_path, command,
                                         scenario, line, bad):
-        text = (SCENARIOS / f"{scenario}.scn").read_text()
-        assert text.count(line) == 1
-        path = tmp_path / f"{scenario}.scn"
-        path.write_text(text.replace(line, bad))
-        netlist = load_scenario(SCENARIOS / f"{scenario}.scn").netlist_path
-        (tmp_path / netlist.name).write_text(netlist.read_text())
-        assert cli.main([command, "--scenario", str(path),
-                         "--out", str(tmp_path / "out")]) == 2
-        assert "[sensor]" in capsys.readouterr().err
+        rc, err, named = run_edited(capsys, tmp_path, command, scenario,
+                                    line, bad)
+        assert rc == 2
+        assert "config error:" in err and named in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("line, bad", [
@@ -446,17 +484,34 @@ class TestCli:
         ("log_every_ms = 1000.0", "log_every_ms = 0"),
         ("drift_tau_s = 20.0", "drift_tau_s = 0"),
         ("drift_sigma_ps = 1.5", "drift_sigma_ps = -1"),
+        ("tau_us = 50.0", "tau_us = 0"),
     ])
     def test_bad_stability_input_exit_code(self, capsys, tmp_path, line, bad):
-        text = (SCENARIOS / "stability.scn").read_text()
-        assert text.count(line) == 1
-        path = tmp_path / "stability.scn"
-        path.write_text(text.replace(line, bad))
-        (tmp_path / "key8.net").write_text((SCENARIOS / "key8.net").read_text())
-        assert cli.main(["stability", "--scenario", str(path),
-                         "--out", str(tmp_path / "out")]) == 2
+        rc, err, named = run_edited(capsys, tmp_path, "stability",
+                                    "stability", line, bad)
+        assert rc == 2
+        assert "config error:" in err and named in err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_override_exit_code(self, capsys, tmp_path):
+        rc = cli.main(["stability", "--scenario",
+                       str(SCENARIOS / "stability.scn"), "--seed", "-3",
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
         err = capsys.readouterr().err
-        assert "config error:" in err and f"[stability] {bad.split()[0]}" in err
+        assert "config error:" in err and "[scenario] seed" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("scenario, line, bad", [
+        ("mtd_inter_key", "[defense]", "[defence]"),
+        ("unprotected_key", "[scan]", "[scans]"),
+    ])
+    def test_unknown_section_exit_code(self, capsys, tmp_path, scenario,
+                                       line, bad):
+        rc, err, _ = run_edited(capsys, tmp_path, "attack", scenario, line,
+                                bad)
+        assert rc == 2
+        assert "config error:" in err and f"unknown section {bad}" in err
         assert not (tmp_path / "out").exists()
 
     def test_missing_netlist_exit_code(self, capsys, tmp_path):

@@ -13,14 +13,47 @@ from probesim.fabric import DelayElement, SliceCoord
 from probesim.sensor import (PROBE, SCORE, SensorInstance, SensorReadout,
                              TuneValue, TuningError, _smallest,
                              _smallest_near, chain_code_bits,
-                             chain_delay, counters_from_stream,
-                             decode_chain_taps, is_metastable, longest_run,
-                             longest_runs, max_count, max_zero_count,
-                             probe_count, probe_zero_rate, read_counters,
-                             ro_calibration, ro_calibration_series, sample,
-                             tap_from_code, tune, tune_uniform, update_latch,
-                             window_pulses, window_zero_counts)
+                             chain_delay, decode_chain_taps, is_metastable,
+                             longest_run, longest_runs, max_count,
+                             max_zero_count, probe_count, probe_zero_rate,
+                             read_counters, ro_calibration,
+                             ro_calibration_series, tap_from_code, tune,
+                             tune_uniform, window_pulses, window_zero_counts)
 from probesim.thermal import ThermalField
+
+
+# Sample-level reference models.  No scenario path uses them; the tests
+# check the sensor's closed forms and window statistics against them.
+
+
+def one_probability(sensor: SensorInstance, factor=1.0):
+    return 1.0 - sensor.zero_probability(factor)
+
+
+def sample(sensor: SensorInstance, thermal, rng) -> int:
+    """Draw one sensor output bit under the current thermal state."""
+    dt = thermal.delta_t_at_site(sensor.site)
+    p1 = one_probability(sensor, thermal.delay_factor(dt))
+    return int(rng.random() < p1)
+
+
+def counters_from_stream(bits: np.ndarray, window: int) -> SensorReadout:
+    """Readout over an explicit sample stream (1s and 0s) of length window."""
+    bits = np.asarray(bits)
+    if bits.size != window:
+        raise ValueError(f"stream has {bits.size} samples, window is {window}")
+    zeros = bits == 0
+    return SensorReadout(int(zeros.sum()), longest_run(zeros), window)
+
+
+def update_latch(sensor: SensorInstance, readout: SensorReadout,
+                 threshold: float) -> bool:
+    """Sticky trigger: latch once the window zero count reaches threshold."""
+    if not 0 < threshold <= readout.window:
+        raise ValueError(f"threshold {threshold} outside (0, {readout.window}]")
+    if readout.zero_count >= threshold:
+        sensor.latched = True
+    return sensor.latched
 
 
 def brute_force_chain_delay(code, chain_len, per_tap=78.0, base=600.0):
@@ -99,14 +132,14 @@ def sensor_with_slack(slack_ps, jitter=15.0):
 class TestSample:
     def test_deep_positive_slack_is_constant_one(self):
         s = sensor_with_slack(10 * 15.0)
-        assert s.one_probability(1.0) > 1 - 1e-15
+        assert one_probability(s, 1.0) > 1 - 1e-15
         rng = np.random.default_rng(0)
         field = make_field()
         assert all(sample(s, field, rng) == 1 for _ in range(1000))
 
     def test_zero_slack_is_balanced(self):
         s = sensor_with_slack(0.0)
-        assert s.one_probability(1.0) == pytest.approx(0.5)
+        assert one_probability(s, 1.0) == pytest.approx(0.5)
 
     def test_deep_negative_slack_is_constant_zero(self):
         s = sensor_with_slack(-10 * 15.0)
@@ -201,7 +234,7 @@ class TestZeroProbability:
         for f in (1.0, 1.01, 1.03):
             expected = 0.5 * math.erfc(s.slack_ps(f) / (15.0 * math.sqrt(2)))
             assert s.zero_probability(f) == pytest.approx(expected, rel=1e-9)
-            assert s.one_probability(f) == pytest.approx(1.0 - expected)
+            assert one_probability(s, f) == pytest.approx(1.0 - expected)
 
     def test_offset_shifts_the_slack(self):
         s = sensor_with_slack(20.0)
@@ -214,7 +247,7 @@ class TestZeroProbability:
         s.ambient_offset_ps = -s.slack_ps(1.0)
         assert s.slack_ps(1.0) == 0.0
         assert s.zero_probability(1.0) == 0.0
-        assert s.one_probability(1.0) == 1.0
+        assert one_probability(s, 1.0) == 1.0
 
     def test_zero_jitter_is_a_step_without_warnings(self):
         s = SensorInstance(jitter_sigma_ps=0.0, tune=TuneValue(16, 2, 2))
