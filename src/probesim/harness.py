@@ -108,8 +108,10 @@ def _at_least(low: float):
     return float, lambda v: math.isfinite(v) and v >= low, f"finite and >= {low:g}"
 
 
-def _integer(low: int):
-    return int, lambda v: v >= low, f"an integer >= {low}"
+def _integer(low: int, high: int | None = None):
+    if high is None:
+        return int, lambda v: v >= low, f"an integer >= {low}"
+    return int, lambda v: low <= v <= high, f"an integer >= {low} and <= {high}"
 
 
 def _one_of(*options: str):
@@ -139,7 +141,9 @@ _RECT = (lambda t: _numbers(t, 4),
          "x0,y0,x1,y1, finite, with x0 < x1 and y0 < y1")
 
 SCENARIO_KEYS = {(section, key): (*value, dest) for section, key, value, dest in [
-    ("scenario", "name", _TEXT, "name"),
+    ("scenario", "name", (str, lambda v: v not in ("", ".", "..")
+                          and not set(v) & set("/\\"),
+                          "non-empty, with no / or \\, and not . or .."), "name"),
     ("scenario", "kind", _one_of(*KINDS), "kind"),
     ("scenario", "netlist", _TEXT, "netlist_path"),
     ("scenario", "seed", _integer(0), "seed"),
@@ -166,11 +170,13 @@ SCENARIO_KEYS = {(section, key): (*value, dest) for section, key, value, dest in
                         lambda t: min(t.data_code, t.clock_code, t.lut_select) >= 0,
                         "data,clock,select, integers >= 0"), "pinned_tune"),
     ("sensor", "t_sense_ms", _above(0), "t_sense_ms"),
-    ("sensor", "t_detect_cycles", _integer(1), "t_detect"),
+    ("sensor", "t_detect_cycles", _integer(1, sensor_mod.MAX_WINDOW), "t_detect"),
     ("scan", "region_um", _RECT, "scan.region_um"),
     ("scan", "pixel_pitch_um", _above(0), "scan.pixel_pitch_um"),
     ("scan", "dwell_ms", _above(0), "scan.dwell_ms"),
-    ("scan", "target_freq_mhz", _above(0), "scan.target_freq_mhz"),
+    ("scan", "target_freq_mhz", (float, lambda v: math.isfinite(v) and v > 0,
+                                 "finite, > 0 and <= [sensor] clock_mhz / 2"),
+     "scan.target_freq_mhz"),
     ("scan", "power", _at_least(0), "scan.power"),
     ("scan", "spot_sigma_um", _above(0), "scan.spot_sigma_um"),
     ("scan", "psf_sigma_um", _above(0), "scan.psf_sigma_um"),
@@ -196,7 +202,8 @@ SCENARIO_KEYS = {(section, key): (*value, dest) for section, key, value, dest in
     ("stimulus", "key", (str, lambda k: k == "random" or _is_bits(k),
                          "a bit string, MSB first, or random"), "stimulus.key"),
     ("stimulus", "pattern", (str, _is_bits, "a bit string"), "stimulus.pattern"),
-    ("stimulus", "serial_net", _TEXT, "stimulus.serial_net"),
+    ("stimulus", "serial_net", (str, bool, "an external input net of the netlist"),
+     "stimulus.serial_net"),
     ("eop", "probe_cells", _NAMES, "eop.probe_cells"),
     ("eop", "duration_cycles", _integer(1), "eop.duration_cycles"),
     ("eop", "resolution_ps", (int, lambda v: v >= 1,
@@ -213,7 +220,8 @@ SCENARIO_KEYS = {(section, key): (*value, dest) for section, key, value, dest in
     ("function", "vectors", (
         lambda t: [tuple(int(v) for v in g.split(",")) for g in t.split(";")],
         lambda vectors: min(map(min, vectors)) >= 0,
-        "groups of integers >= 0 split by ;"), "function.vectors"),
+        "groups of integers >= 0 split by ;, one integer per operand group, "
+        "each below 2 ** the group's net count"), "function.vectors"),
     ("function", "region_um", _RECT, "function.region_um"),
     ("stability", "duration_min", _above(0), "stability.duration_min"),
     ("stability", "log_every_ms", _above(0), "stability.log_every_ms"),
@@ -272,6 +280,8 @@ def _decode_scenario(parser, path: Path, seed_override) -> Scenario:
     for key in ("kind", "netlist"):
         if key not in parser["scenario"]:
             raise ConfigError(f"{path}: [scenario] needs {key}")
+    if not SCENARIO_KEYS["scenario", "name"][1](scn.name):  # the file name
+        raise _bad_value(path, "scenario", "name", f"{scn.name!r} from the file name")
     scn.netlist_path = (path.parent / scn.netlist_path).resolve()
     # The rules that tie one key to another.
     if scn.kind == "eop":
@@ -279,6 +289,18 @@ def _decode_scenario(parser, path: Path, seed_override) -> Scenario:
         if scn.eop.resolution_ps > duration_ps:
             raise _bad_value(path, "eop", "resolution_ps",
                              f"{scn.eop.resolution_ps} for a {duration_ps} ps probe")
+    if scn.kind == "eofm_function":
+        sizes = [len(group) for group in scn.function.operand_nets]
+        for vec in scn.function.vectors:
+            if len(vec) != len(sizes) or any(v >> n for v, n in zip(vec, sizes)):
+                raise _bad_value(path, "function", "vectors",
+                                 f"{vec} for operand groups of {sizes} nets")
+    uses_target_freq = scn.kind.startswith("eofm") or (
+        scn.kind == "eop" and scn.stimulus.program == "reset_toggle")
+    clock_mhz = build_sensor(scn).clock_mhz
+    if uses_target_freq and scn.scan.target_freq_mhz > clock_mhz / 2.0:
+        raise _bad_value(path, "scan", "target_freq_mhz",
+                         f"{scn.scan.target_freq_mhz:g} with clock_mhz = {clock_mhz:g}")
     threshold = scn.defense.get("threshold")
     if threshold is not None and threshold > scn.t_detect:
         raise _bad_value(path, "defense", "threshold",
@@ -542,6 +564,11 @@ def run(scn: Scenario, out_dir=None) -> RunResult:
         raise _bad_value(f"scenario {scn.name}", "sensor", "site",
                          f"{site.x},{site.y} on a {model.grid_width}x"
                          f"{model.grid_height} grid")
+    serial_net = scn.stimulus.serial_net
+    if (scn.kind == "eop" and scn.stimulus.program == "shift"
+            and serial_net not in model.inputs):
+        raise _bad_value(f"scenario {scn.name}", "stimulus", "serial_net",
+                         repr(serial_net))
     policy = build_policy(scn)
     if policy.mode == "mtd_inter":
         # A region that could never hold the register is a scenario defect;

@@ -12,10 +12,12 @@ turn those statistics into a defense trigger.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.special import bdtr, bdtrc, ndtr, ndtri
 
 from .fabric import TAP_MAX, SliceCoord
@@ -204,55 +206,100 @@ def read_counters(sensor: SensorInstance, thermal, rng,
 
 def longest_run(zeros: np.ndarray) -> int:
     """Length of the longest run of True values in a boolean vector."""
-    return int(longest_runs(np.asarray(zeros)[None, :])[0])
+    padded = np.concatenate(([0], np.asarray(zeros, dtype=np.int8), [0]))
+    edges = np.flatnonzero(np.diff(padded))  # rising, falling, rising, ...
+    return int((edges[1::2] - edges[0::2]).max(initial=0))
 
 
-def longest_runs(zeros: np.ndarray) -> np.ndarray:
-    """Length of the longest run of True values in each row of a matrix.
+# Largest detection window: C(n, k), the pulse table's largest entry,
+# overflows float64 beyond n = 1029.
+MAX_WINDOW = 1023
 
-    Rows are padded with False on both sides and laid end to end, so the
-    rising and falling edges of one flat difference pair up within rows.
+
+# Columns r of the pulse table computed per pass; bounds its scratch memory.
+PULSE_TABLE_COLUMNS = 64
+
+
+@functools.lru_cache(maxsize=8)
+def pulse_cdf(window: int, top: int) -> np.ndarray:
+    """P(longest zero pulse <= r | k zeros) for k in 0..top, read-only.
+
+    Row k holds r = 0..k at offset k (k + 1) / 2 of the result, the rows
+    laid end to end; it is exactly 1 from r = k on.  Given k zeros in
+    ``window`` samples, the zero runs are a uniform weak composition of k
+    into m = window - k + 1 parts (the gaps around the ones), so the
+    probability is the share of the C(window, k) compositions whose parts
+    are all at most r.  With Q[r, j] the compositions of j into the current
+    number of parts, each at most r, one more part gives Q[r, j] = sum of
+    Q[r, j - i] for i in 0..r: a running sum less the same sum lagged by
+    r + 1, read through one strided view.  Step m completes row
+    k = window + 1 - m, and later steps need only smaller j and r, so rows
+    up to ``top`` need only j, r <= top, and an entry does not depend on
+    ``top``: a smaller table is a prefix of a larger one.  Each column r
+    evolves alone, so the columns are computed a block at a time.  The counts are integer-valued floats, exact zeros
+    below the least possible pulse ceil(k / m), and are divided by the
+    unconstrained count C(window, k) from the same recurrence.
     """
-    rows, width = zeros.shape
-    padded = np.zeros((rows, width + 2), dtype=np.int8)
-    padded[:, 1:-1] = zeros
-    edges = np.flatnonzero(np.diff(padded.ravel()))
-    starts, ends = edges[0::2], edges[1::2]
-    best = np.zeros(rows, dtype=np.int64)
-    np.maximum.at(best, starts // (width + 2), ends - starts)
-    return best
-
-
-# Mixed windows drawn per block; blocks keep the key matrix in cache.
-PULSE_BLOCK_ROWS = 256
+    if not 1 <= window <= MAX_WINDOW or not 0 <= top <= window:
+        raise ValueError(f"window {window} outside 1..{MAX_WINDOW} "
+                         f"or top {top} outside 0..window")
+    c = top + 1
+    start = np.arange(c + 1) * np.arange(1, c + 2) // 2  # row k at start[k]
+    cdf = np.ones(start[c])
+    if top == window:
+        cdf[start[top]:start[top + 1] - 1] = 0.0  # one part of the window
+    j = np.arange(c)
+    for r0 in range(0, top, PULSE_TABLE_COLUMNS):
+        rs = np.arange(r0, min(r0 + PULSE_TABLE_COLUMNS, top))
+        buf = np.zeros((rs.size, 2 * c))  # row i: c zeros, then sums
+        sums = buf[:, c:]
+        row, col = buf.strides
+        lagged = as_strided(  # [i, j] = sums[i, j - rs[i] - 1]
+            buf.ravel()[c - r0 - 1:], shape=(rs.size, c), strides=(row - col, col))
+        q = (j <= rs[:, None]).astype(float)  # one part: Q[r, j] = [j <= r]
+        free = np.ones(c)  # and with no bound on the part
+        for k in range(window - 1, r0, -1):
+            size = min(k + 1, c)
+            np.cumsum(q[:, :size], axis=1, out=sums[:, :size])
+            q = np.subtract(sums[:, :size], lagged[:, :size], out=q[:, :size])
+            free = np.cumsum(free[:size])
+            if k <= top:
+                r1 = min(rs[-1] + 1, k)
+                cdf[start[k] + r0:start[k] + r1] = q[:r1 - r0, k] / free[k]
+    for k in range(2, c):  # no fall from rounding
+        np.maximum.accumulate(cdf[start[k]:start[k + 1]],
+                              out=cdf[start[k]:start[k + 1]])
+    cdf.flags.writeable = False
+    return cdf
 
 
 def window_pulses(counts: np.ndarray, window: int, rng) -> np.ndarray:
     """Longest zero pulse of each window, drawn given its zero count.
 
-    Within a window the samples are i.i.d., so given k zeros their positions
-    are a uniform k-subset of the window: the slots of the k smallest of
-    ``window`` random keys.  The pulse then has the distribution that
-    read_counters() gives for that count.  Only windows with
-    1 < k < window draw keys; the others have a pulse of min(k, 1) or, when
-    every sample is zero, of the whole window.  Each key is random bits
-    above the slot number, so the keys are distinct and exactly k slots are
-    marked; a tie in the random bits (about 1e-12 per window) breaks toward
-    the lower slot.  Keys are drawn in window order, so the result does not
-    depend on how the counts are split across calls.
+    Within a window the samples are i.i.d., so given k zeros their
+    positions are a uniform k-subset of the window, and the pulse has the
+    distribution pulse_cdf() tabulates, the one read_counters() gives for
+    that count.  Windows with 1 < k < window draw one uniform u in (0, 1]
+    each, in window order, and take the smallest r with
+    P(pulse <= r | k) >= u; as u > 0, the pulse is at least
+    ceil(k / (window - k + 1)).  The others have a pulse of min(k, 1) or,
+    when every sample is zero, of the whole window.  The table covers the
+    counts up to the largest one present, rounded up to 2**b - 1, so a run
+    whose counts stay small builds a small one; its entries and so the
+    pulses are the same for any size.  The result does not depend on how
+    the counts are split across calls.
     """
     counts = np.asarray(counts)
     pulses = np.where(counts >= window, window, np.minimum(counts, 1))
     mixed = np.flatnonzero((counts > 1) & (counts < window))
-    slot_bits = int(window - 1).bit_length()
-    slots = np.arange(window, dtype=np.uint64)
-    for start in range(0, mixed.size, PULSE_BLOCK_ROWS):
-        rows = mixed[start:start + PULSE_BLOCK_ROWS]
-        keys = rng.integers(0, 1 << (63 - slot_bits), size=(rows.size, window),
-                            dtype=np.uint64)
-        keys = keys << np.uint64(slot_bits) | slots
-        kth = np.sort(keys, axis=1)[np.arange(rows.size), counts[rows] - 1]
-        pulses[rows] = longest_runs(keys <= kth[:, None])
+    if mixed.size:
+        k = counts[mixed]
+        u = 1.0 - rng.random(mixed.size)
+        top = min((1 << int(k.max()).bit_length()) - 1, window)
+        cdf = pulse_cdf(window, top)
+        start = k * (k + 1) // 2
+        pulses[mixed] = _smallest(lambda r: cdf[start + np.minimum(r, k)] >= u,
+                                  top, k.shape)
     return pulses
 
 

@@ -336,6 +336,35 @@ class TestBatch:
         assert rc == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name", ["../escaped", "inner/deeper", "..",
+                                      ".", "back\\slash"])
+    def test_name_with_a_path_exit_code(self, capsys, tmp_path, name):
+        text = (SCENARIOS / "eop_shift.scn").read_text()
+        assert text.count("name = eop_shift") == 1
+        path = tmp_path / "e.scn"
+        path.write_text(text.replace("name = eop_shift", f"name = {name}"))
+        (tmp_path / "shift8.net").write_text(
+            (SCENARIOS / "shift8.net").read_text())
+        rc = cli.main(["batch", "--scenario", str(path),
+                       "--out", str(tmp_path / "runs" / "inner")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "[scenario] name" in err
+        assert not (tmp_path / "runs").exists()
+
+    def test_file_name_with_a_path_exit_code(self, capsys, tmp_path):
+        # With no name line, a file named "...scn" would be named "..".
+        text = (SCENARIOS / "eop_shift.scn").read_text()
+        path = tmp_path / "...scn"
+        path.write_text(text.replace("name = eop_shift\n", ""))
+        (tmp_path / "shift8.net").write_text(
+            (SCENARIOS / "shift8.net").read_text())
+        rc = cli.main(["batch", "--scenario", str(path),
+                       "--out", str(tmp_path / "runs" / "inner")])
+        assert rc == 2
+        assert "[scenario] name" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_parallel_matches_serial(self, tmp_path):
         paths = [SCENARIOS / "stability.scn", SCENARIOS / "eop_shift.scn"]
         serial = run_batch(paths, tmp_path / "serial", jobs=1)
@@ -445,6 +474,14 @@ class TestCli:
         ("attack", "mtd_inter_key", "threshold = auto", "threshold = 0"),
         ("attack", "mtd_inter_key", "threshold = auto", "threshold = 300"),
         ("attack", "mtd_inter_key", "threshold = auto", "threshold = nan"),
+        # Vectors must fit the two 4-net operand groups.
+        ("attack", "xor_unprotected", "vectors = 0,0;15,0;0,15;15,15;5,10",
+         "vectors = 99,0"),
+        ("attack", "xor_unprotected", "vectors = 0,0;15,0;0,15;15,15;5,10",
+         "vectors = 0,0,3;15"),
+        # Above half the 100 MHz sensor clock.
+        ("attack", "unprotected_key", "target_freq_mhz = 1.25",
+         "target_freq_mhz = 60"),
     ])
     def test_bad_probe_input_exit_code(self, capsys, tmp_path, command,
                                        scenario, line, bad):
@@ -462,12 +499,16 @@ class TestCli:
          "t_detect_cycles = 0"),
         ("attack", "unprotected_key", "t_detect_cycles = 255",
          "t_detect_cycles = -5"),
+        ("attack", "unprotected_key", "t_detect_cycles = 255",
+         "t_detect_cycles = 1024"),
         ("attack", "unprotected_key", "jitter_sigma_ps = 15.0",
          "jitter_sigma_ps = -1.0"),
         ("attack", "unprotected_key", "chain_len = 8", "chain_len = 3"),
         # Rejected once the netlist gives the grid: key8.net is 32x16.
         ("attack", "unprotected_key", "site = 15,8", "site = 99,99"),
         ("stability", "stability", "tune = 16,2,3", "tune = 40,2,3"),
+        # Rejected once the netlist gives its inputs.
+        ("attack", "eop_shift", "serial_net = sin", "serial_net = nothere"),
     ])
     def test_bad_sensor_input_exit_code(self, capsys, tmp_path, command,
                                         scenario, line, bad):

@@ -7,16 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import bdtr
-from scipy.stats import chi2_contingency
+from scipy.stats import chi2_contingency, chisquare
 
 from probesim.fabric import DelayElement, SliceCoord
 from probesim.sensor import (PROBE, SCORE, SensorInstance, SensorReadout,
                              TuneValue, TuningError, _smallest,
                              _smallest_near, chain_code_bits,
                              chain_delay, decode_chain_taps, is_metastable,
-                             longest_run, longest_runs, max_count,
+                             longest_run, max_count,
                              max_zero_count, probe_count, probe_zero_rate,
-                             read_counters, ro_calibration,
+                             pulse_cdf, read_counters, ro_calibration,
                              ro_calibration_series, tap_from_code, tune,
                              tune_uniform, window_pulses, window_zero_counts)
 from probesim.thermal import ThermalField
@@ -270,7 +270,7 @@ class TestWindowPulses:
                          [1, 1, 0, 1, 0],
                          [1, 1, 1, 1, 1],
                          [0, 1, 1, 1, 0]], dtype=bool)
-        assert longest_runs(rows).tolist() == [0, 2, 5, 3]
+        assert [longest_run(row) for row in rows] == [0, 2, 5, 3]
 
     def test_fixed_counts(self):
         pulses = window_pulses(np.array([0, 1, 255]), 255,
@@ -323,6 +323,140 @@ class TestWindowPulses:
         assert dense.sum() >= 20
         _, p_value, _, _ = chi2_contingency(table)
         assert p_value > 1e-3
+
+
+def exact_pulse_counts(window: int, k: int) -> list[int]:
+    """Zero placements of k in the window with longest pulse <= r, per r.
+
+    Inclusion-exclusion over the parts of k into m = window - k + 1 gaps
+    that exceed r, in exact integers.
+    """
+    m = window - k + 1
+    return [sum((-1) ** i * math.comb(m, i)
+                * math.comb(k - i * (r + 1) + m - 1, m - 1)
+                for i in range(k // (r + 1) + 1))
+            for r in range(window + 1)]
+
+
+def cdf_rows(window: int, top: int) -> list[np.ndarray]:
+    """The rows k = 0..top of pulse_cdf(window, top), each over r = 0..k."""
+    cdf = pulse_cdf(window, top)
+    assert cdf.size == (top + 1) * (top + 2) // 2
+    return [cdf[k * (k + 1) // 2:(k + 1) * (k + 2) // 2] for k in range(top + 1)]
+
+
+class FixedUniforms:
+    """A stand-in generator whose random() gives one value throughout."""
+
+    def __init__(self, value: float):
+        self.value = value
+
+    def random(self, size):
+        return np.full(size, self.value)
+
+
+class TestPulseCdf:
+    @pytest.mark.parametrize("window", [2, 3, 16, 64])
+    def test_matches_exact_counts_at_every_count(self, window):
+        self.check_rows(window, range(window + 1))
+
+    def test_matches_exact_counts_at_sampled_counts(self):
+        self.check_rows(255, [0, 1, 2, 3, 7, 60, 127, 128, 129, 200, 250,
+                              253, 254, 255])
+
+    @staticmethod
+    def check_rows(window, ks):
+        rows = cdf_rows(window, window)
+        for k in ks:
+            counts = exact_pulse_counts(window, k)
+            assert counts[-1] == math.comb(window, k)
+            exact = np.array([c / counts[-1] for c in counts[:k + 1]])
+            assert np.abs(rows[k] - exact).max() <= 1e-14, k
+            # Impossible pulses are exact zeros, a certain one exactly 1.
+            assert (rows[k][exact == 0.0] == 0.0).all(), k
+            assert rows[k][k] == 1.0, k
+
+    @pytest.mark.parametrize("window", [1, 2, 17, 255, 300])
+    def test_rows_rise_to_exactly_one(self, window):
+        for row in cdf_rows(window, window):
+            assert (np.diff(row) >= 0).all()
+            assert row[-1] == 1.0 and row[0] >= 0
+        assert not pulse_cdf(window, window).flags.writeable
+
+    @pytest.mark.parametrize("window, top", [(0, 0), (1024, 3), (16, -1),
+                                             (16, 17)])
+    def test_window_outside_the_table_range(self, window, top):
+        with pytest.raises(ValueError):
+            pulse_cdf(window, top)
+
+    @pytest.mark.parametrize("window", [1, 2, 5, 64, 255])
+    def test_a_smaller_table_is_a_prefix(self, window):
+        full = pulse_cdf(window, window)
+        for top in sorted({0, 1, 2, 3, 7, window // 2, window - 1}):
+            if 0 <= top <= window:
+                small = pulse_cdf(window, top)
+                assert np.array_equal(small, full[:small.size]), top
+
+    def test_pulses_do_not_depend_on_the_table_size(self):
+        # Small counts alone build a small table; among large ones they
+        # draw the same pulses.
+        counts = np.tile([2, 3, 2, 3, 0, 1], 500)
+        small = window_pulses(counts, 255, np.random.default_rng(6))
+        with_large = np.concatenate([counts, [200]])
+        large = window_pulses(with_large, 255, np.random.default_rng(6))
+        assert np.array_equal(small, large[:-1])
+
+    @pytest.mark.parametrize("k", [2, 7, 60, 128, 250])
+    def test_drawn_pulses_follow_the_exact_pmf(self, k):
+        # Chi-square of 100,000 draws at one count against the pmf from
+        # exact counts; cells expecting fewer than 5 are pooled.
+        n = 100_000
+        pulses = window_pulses(np.full(n, k), 255, np.random.default_rng(k))
+        counts = exact_pulse_counts(255, k)
+        pmf = np.diff([0.0] + [c / counts[-1] for c in counts])
+        observed = np.bincount(pulses, minlength=256).astype(float)
+        expected = n * pmf
+        dense = expected >= 5
+        assert dense.sum() >= 2
+        assert observed[expected == 0].sum() == 0
+        f_obs = np.append(observed[dense], observed[~dense].sum())
+        f_exp = np.append(expected[dense], expected[~dense].sum())
+        if f_exp[-1] < 5:  # pool the sparse cells with the last dense one
+            f_obs = np.append(f_obs[:-2], f_obs[-2:].sum())
+            f_exp = np.append(f_exp[:-2], f_exp[-2:].sum())
+        _, p_value = chisquare(f_obs, f_exp * (n / f_exp.sum()))
+        assert p_value > 1e-3
+
+    def test_uniform_at_both_ends_of_its_interval(self):
+        # random() lies in [0, 1), so u = 1 - random() lies in (0, 1]: its
+        # largest value gives the longest pulse with a nonzero table step
+        # and its smallest the shortest, never below ceil(k / m).
+        window = 255
+        rows = cdf_rows(window, window)
+        ks = np.arange(2, window)
+        m = window - ks + 1
+        for value in (0.0, 1.0 - 2.0 ** -53):
+            u = 1.0 - value
+            pulses = window_pulses(ks, window, FixedUniforms(value))
+            assert (pulses >= -(-ks // m)).all()
+            assert (pulses <= ks).all()
+            for k, pulse in zip(ks, pulses):
+                assert rows[k][pulse] >= u > rows[k][pulse - 1], k
+        # Every pulse has a probability far above 2**-53 in a short window,
+        # so the ends reach the least and the greatest possible pulse.
+        ks = np.arange(2, 16)
+        m = 16 - ks + 1
+        assert window_pulses(ks, 16, FixedUniforms(0.0)).tolist() == ks.tolist()
+        assert (window_pulses(ks, 16, FixedUniforms(1.0 - 2.0 ** -53))
+                == -(-ks // m)).all()
+
+    def test_one_uniform_per_mixed_window(self):
+        counts = np.array([0, 1, 2, 255, 40, 254, 1, 0, 3])
+        rng = np.random.default_rng(4)
+        window_pulses(counts, 255, rng)
+        reference = np.random.default_rng(4)
+        reference.random(4)
+        assert rng.bit_generator.state == reference.bit_generator.state
 
 
 class TestLatch:
