@@ -295,12 +295,12 @@ def _decode_scenario(parser, path: Path, seed_override) -> Scenario:
             if len(vec) != len(sizes) or any(v >> n for v, n in zip(vec, sizes)):
                 raise _bad_value(path, "function", "vectors",
                                  f"{vec} for operand groups of {sizes} nets")
-    uses_target_freq = scn.kind.startswith("eofm") or (
-        scn.kind == "eop" and scn.stimulus.program == "reset_toggle")
-    clock_mhz = build_sensor(scn).clock_mhz
-    if uses_target_freq and scn.scan.target_freq_mhz > clock_mhz / 2.0:
-        raise _bad_value(path, "scan", "target_freq_mhz",
-                         f"{scn.scan.target_freq_mhz:g} with clock_mhz = {clock_mhz:g}")
+    if scn.kind.startswith("eofm") or (
+            scn.kind == "eop" and scn.stimulus.program == "reset_toggle"):
+        target, clock = scn.scan.target_freq_mhz, build_sensor(scn).clock_mhz
+        if target > clock / 2.0:
+            raise _bad_value(path, "scan", "target_freq_mhz",
+                             f"{target:g} with clock_mhz = {clock:g}")
     threshold = scn.defense.get("threshold")
     if threshold is not None and threshold > scn.t_detect:
         raise _bad_value(path, "defense", "threshold",

@@ -211,8 +211,8 @@ def longest_run(zeros: np.ndarray) -> int:
     return int((edges[1::2] - edges[0::2]).max(initial=0))
 
 
-# Largest detection window: C(n, k), the pulse table's largest entry,
-# overflows float64 beyond n = 1029.
+# Largest detection window: C(n, k), the largest count the pulse table
+# divides by, overflows float64 beyond n = 1029.
 MAX_WINDOW = 1023
 
 
@@ -236,9 +236,10 @@ def pulse_cdf(window: int, top: int) -> np.ndarray:
     k = window + 1 - m, and later steps need only smaller j and r, so rows
     up to ``top`` need only j, r <= top, and an entry does not depend on
     ``top``: a smaller table is a prefix of a larger one.  Each column r
-    evolves alone, so the columns are computed a block at a time.  The counts are integer-valued floats, exact zeros
-    below the least possible pulse ceil(k / m), and are divided by the
-    unconstrained count C(window, k) from the same recurrence.
+    evolves alone, so the columns are computed a block at a time.  The
+    counts are integer-valued floats, exact zeros below the least possible
+    pulse ceil(k / m), and are divided by the unconstrained count
+    C(window, k) from the same recurrence.
     """
     if not 1 <= window <= MAX_WINDOW or not 0 <= top <= window:
         raise ValueError(f"window {window} outside 1..{MAX_WINDOW} "

@@ -336,13 +336,19 @@ class TestBatch:
         assert rc == 2
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("name", ["../escaped", "inner/deeper", "..",
-                                      ".", "back\\slash"])
-    def test_name_with_a_path_exit_code(self, capsys, tmp_path, name):
+    @pytest.mark.parametrize("file_name, name", [
+        ("e.scn", "../escaped"), ("e.scn", "inner/deeper"), ("e.scn", ".."),
+        ("e.scn", "."), ("e.scn", "back\\slash"),
+        # With no name line, the file name "...scn" would name it "..".
+        ("...scn", None),
+    ])
+    def test_name_with_a_path_exit_code(self, capsys, tmp_path, file_name,
+                                        name):
         text = (SCENARIOS / "eop_shift.scn").read_text()
-        assert text.count("name = eop_shift") == 1
-        path = tmp_path / "e.scn"
-        path.write_text(text.replace("name = eop_shift", f"name = {name}"))
+        assert text.count("name = eop_shift\n") == 1
+        path = tmp_path / file_name
+        path.write_text(text.replace("name = eop_shift\n",
+                                     "" if name is None else f"name = {name}\n"))
         (tmp_path / "shift8.net").write_text(
             (SCENARIOS / "shift8.net").read_text())
         rc = cli.main(["batch", "--scenario", str(path),
@@ -350,19 +356,6 @@ class TestBatch:
         assert rc == 2
         err = capsys.readouterr().err
         assert "config error:" in err and "[scenario] name" in err
-        assert not (tmp_path / "runs").exists()
-
-    def test_file_name_with_a_path_exit_code(self, capsys, tmp_path):
-        # With no name line, a file named "...scn" would be named "..".
-        text = (SCENARIOS / "eop_shift.scn").read_text()
-        path = tmp_path / "...scn"
-        path.write_text(text.replace("name = eop_shift\n", ""))
-        (tmp_path / "shift8.net").write_text(
-            (SCENARIOS / "shift8.net").read_text())
-        rc = cli.main(["batch", "--scenario", str(path),
-                       "--out", str(tmp_path / "runs" / "inner")])
-        assert rc == 2
-        assert "[scenario] name" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
     def test_parallel_matches_serial(self, tmp_path):
