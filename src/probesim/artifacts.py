@@ -1,10 +1,13 @@
 """Bulk text writers for the run artifacts.
 
-Every CSV and PGM artifact is formatted a block of rows at a time: one
-``%`` operation over the rows' Python scalars (``ndarray.tolist()``), not
-one f-string per line.  ``%.6f`` and ``f"{v:.6f}"`` use the same correctly
-rounded conversion, and ``%d`` truncates a float as ``int()`` does, so the
-bytes are those of a per-line writer.
+The CSV and PGM artifacts with fractional values are formatted a block of
+rows at a time: one ``%`` operation over the rows' Python scalars
+(``ndarray.tolist()``), not one f-string per line.  ``%.6f`` and
+``f"{v:.6f}"`` use the same correctly rounded conversion, and ``%d``
+truncates a float as ``int()`` does, so the bytes are those of a per-line
+writer.  The counter log, all integers and the longest artifact, is
+written column by column into a matrix of ASCII digits instead (see
+format_int_columns).
 """
 
 from __future__ import annotations
@@ -50,47 +53,69 @@ def write_pgm(path, values: np.ndarray, peak: float) -> None:
                scaled.T)
 
 
-def write_counters_csv(path, rows: np.ndarray) -> None:
-    """Write a (windows, 4) non-negative integer counter log, one CSV line
-    per window."""
+def write_counters_csv(path, columns) -> None:
+    """Write the counter log, one CSV line per window, from its four
+    columns: window index, zero count, max pulse and latched flag (see
+    format_int_columns for what a column may be)."""
     with open(path, "wb") as fh:
         fh.write(b"window_index,zero_count,max_pulse,latched\n")
-        for start in range(0, len(rows), CSV_CHUNK_ROWS):
-            fh.write(format_int_rows(rows[start:start + CSV_CHUNK_ROWS]))
+        for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+            fh.write(format_int_columns(
+                [col[start:start + CSV_CHUNK_ROWS] for col in columns]))
 
 
-def format_int_rows(rows: np.ndarray) -> bytes:
-    """Comma-separated decimal lines of a 2-D non-negative integer array.
+def format_int_columns(columns) -> bytes:
+    """Comma-separated decimal lines of equal-length non-negative integer
+    columns.
 
-    Each column is written into a fixed-width block of ASCII digits, one
-    integer division by 10 per digit, into a (line bytes, rows) matrix;
-    the leading zeros are then masked out and the kept bytes read off row
-    by row.  Widths come from the data.  On a long counter log this is
-    several times faster than ``%`` formatting.
+    A column is a 1-D integer array, a bool array (a 0/1 flag) or a range
+    of step 1.  Each is written into a fixed-width block of ASCII digits,
+    one integer division by 10 per digit, into a (rows, line bytes)
+    matrix.  A column's width and the leading zeros it can have follow
+    from its smallest and largest value: a range gives them from its ends,
+    a bool array is one digit, and an integer array is reduced once.
+    Leading zeros are masked out only at the digit positions where some
+    value is short, so a block with none is the matrix's bytes as they
+    are.
     """
-    n, cols = rows.shape
+    n = len(columns[0])
     if n == 0:
         return b""
-    if int(rows.min()) < 0:
-        raise ValueError("format_int_rows needs non-negative integers")
-    top = rows.max(axis=0)
-    dtype = np.uint32 if int(top.max()) < 2 ** 32 else np.uint64
-    ten = dtype(10)
-    widths = [len(str(int(v))) for v in top]
-    mat = np.full((sum(widths) + cols, n), ord(","), dtype=np.uint8)
-    mat[-1] = ord("\n")
-    keep = np.ones(mat.shape, dtype=bool)
+    bounds = [_bounds(col) for col in columns]
+    if min(lo for lo, _ in bounds) < 0:
+        raise ValueError("format_int_columns needs non-negative integers")
+    widths = [len(str(hi)) for _, hi in bounds]
+    mat = np.full((n, sum(widths) + len(widths)), ord(","), dtype=np.uint8)
+    mat[:, -1] = ord("\n")
+    keep = None
     offset = 0
-    for col, width in enumerate(widths):
-        value = rows[:, col].astype(dtype)
+    for col, (lo, hi), width in zip(columns, bounds, widths):
+        dtype = np.uint32 if hi < 2 ** 32 else np.uint64
+        ten = dtype(10)
+        if isinstance(col, range):
+            value = np.arange(col.start, col.stop, dtype=dtype)
+        else:
+            value = col.astype(dtype)
         v = value
         for pos in range(offset + width - 1, offset, -1):
             q = v // ten
-            mat[pos] = v - q * ten + ord("0")
+            mat[:, pos] = v - q * ten + ord("0")
             v = q
-        mat[offset] = v + ord("0")
-        # Digit k of a width-w block is a leading zero iff value < 10**(w-1-k).
-        for k in range(width - 1):
-            keep[offset + k] = value >= dtype(10 ** (width - 1 - k))
+        mat[:, offset] = v + ord("0")
+        # Digit k of a width-w block is a leading zero iff value < 10**(w-1-k);
+        # no value is short at the digits that lo has.
+        for k in range(width - len(str(lo))):
+            if keep is None:
+                keep = np.ones(mat.shape, dtype=bool)
+            keep[:, offset + k] = value >= dtype(10 ** (width - 1 - k))
         offset += width + 1
-    return mat.T[keep.T].tobytes()
+    return mat.tobytes() if keep is None else mat[keep].tobytes()
+
+
+def _bounds(col) -> tuple[int, int]:
+    """Smallest and largest value of a non-empty column."""
+    if isinstance(col, range):
+        return col[0], col[-1]
+    if col.dtype == bool:
+        return 0, 1
+    return int(col.min()), int(col.max())

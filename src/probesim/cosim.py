@@ -82,12 +82,19 @@ class ShiftStimulus(Stimulus):
 
 def stimulus_for_target_freq(clock_mhz: float, target_freq_mhz: float,
                              static=None) -> ResetToggleStimulus:
+    """Reset toggle at the target frequency, whose half period must be a
+    whole number of sensor clock cycles (to 1e-9 relative)."""
     if target_freq_mhz > clock_mhz / 2.0:
         raise ScenarioError(
             f"target frequency {target_freq_mhz} MHz above clock/2"
         )
-    half = round(clock_mhz / (2.0 * target_freq_mhz))
-    return ResetToggleStimulus(half, static)
+    half = clock_mhz / (2.0 * target_freq_mhz)
+    if abs(half - round(half)) > 1e-9 * half:
+        raise ScenarioError(
+            f"target frequency {target_freq_mhz} MHz toggles every "
+            f"{half:g} clock cycles, not a whole number"
+        )
+    return ResetToggleStimulus(round(half), static)
 
 
 @dataclass
@@ -98,10 +105,6 @@ class EpochActivity:
     ys: np.ndarray
     coefs: np.ndarray  # complex, normalized so a full 0/1 toggle is 1.0
     names: list[str]
-
-    def signal_at(self, x_um: float, y_um: float, psf_sigma_um: float) -> float:
-        return float(self.signals(np.array([x_um]), np.array([y_um]),
-                                  psf_sigma_um)[0])
 
     def signals(self, x_um: np.ndarray, y_um: np.ndarray,
                 psf_sigma_um: float) -> np.ndarray:
@@ -146,9 +149,10 @@ class CoSimulation:
             [seed & 0xFFFFFFFF, policy.rng_seed & 0xFFFFFFFF, 0xDEF]
         )
         self.pending_event: defense_mod.ReconfigEvent | None = None
-        self.trigger_time_us: float | None = None
+        # Time of the trigger, a window end, once it has fired.
+        self.trigger_ps: int | None = None
         # Zero count of every window so far, in window order, 8 bytes each;
-        # counter_rows() builds the full counter log from them.
+        # counter_columns() builds the full counter log from them.
         self.window_counts = array("q")
         self._pulses = np.zeros(0, dtype=np.int64)
         self.defense_log: list[dict] = []
@@ -163,6 +167,10 @@ class CoSimulation:
     @property
     def t_us(self) -> float:
         return self.t_ps / 1e6
+
+    @property
+    def trigger_time_us(self) -> float | None:
+        return None if self.trigger_ps is None else self.trigger_ps / 1e6
 
     def set_spot(self, spot: LaserSpot | None) -> None:
         self.thermal.set_spot(spot)
@@ -206,21 +214,19 @@ class CoSimulation:
             self._complete_event()
         return self.t_ps
 
-    def advance_for(self, duration_ps: int) -> None:
-        self.advance_to(self.t_ps + duration_ps)
-
     def raster(self, centers_um, dwell_ps: int, power: float,
                sigma_um: float) -> int:
         """Park the spot at each center for one dwell in turn; returns the
         raster's start time in ps.
 
         Gives the same windows, events and field as set_spot() plus
-        advance_for(dwell_ps) per center.  Event-free stretches of dwells
-        run as one vectorised window pass (_raster_stretch); the dwell that
-        fires the trigger or holds a pending completion steps through
-        advance_to_epoch_change().  Each epoch's activity is recorded as it
-        is entered, so a short-lived epoch such as the hold state of a
-        relocation is imaged as it was, not as the fabric is after it.
+        advance_to() the dwell's end per center.  Event-free stretches of
+        dwells run as one vectorised window pass (_raster_stretch); the
+        dwell that fires the trigger or holds a pending completion steps
+        through advance_to_epoch_change().  Each epoch's activity is
+        recorded as it is entered, so a short-lived epoch such as the hold
+        state of a relocation is imaged as it was, not as the fabric is
+        after it.
         """
         centers = np.asarray(centers_um, dtype=float).reshape(-1, 2)
         LaserSpot((0.0, 0.0), power, sigma_um)  # validates power and sigma
@@ -320,36 +326,36 @@ class CoSimulation:
         self.window_counts.frombytes(counts.astype(np.int64, copy=False).tobytes())
         self.windows_done += n
 
-    def counter_rows(self) -> np.ndarray:
-        """The counter log as one (windows, 4) integer array with columns
-        window index, zero count, max pulse and latched flag.
+    def counter_columns(self) -> tuple:
+        """The counter log as four columns: window index (a range), zero
+        count, max pulse and latched flag (a bool array).
 
         Only the zero counts feed back into the run; the rest follows from
-        them.  A window is latched when it ends at or after the trigger.
-        Max pulses are drawn here, in one batch for the windows logged since
-        the last call; the pulse stream is consumed in window order, so the
-        pulses do not depend on when or how often this is called.
+        them.  The count column is a view of window_counts, which cannot
+        grow while the view is held, so drop it before advancing again.  A
+        window is latched when it ends at or after the trigger.  Max pulses
+        are drawn here, in one batch for the windows logged since the last
+        call; the pulse stream is consumed in window order, so the pulses
+        do not depend on when or how often this is called.
         """
-        if not self.window_counts:
-            return np.zeros((0, 4), dtype=np.int64)
-        counts = np.array(self.window_counts, dtype=np.int64)
-        index = np.arange(len(counts))
+        counts = np.frombuffer(self.window_counts, dtype=np.int64)
+        n = len(counts)
         drawn = len(self._pulses)
-        if drawn < len(counts):
+        if drawn < n:
             new = window_pulses(counts[drawn:], self.t_detect, self.pulse_rng)
-            self._pulses = np.concatenate([self._pulses, new])
-        latched = np.zeros(len(counts), dtype=np.int64)
-        if self.trigger_time_us is not None:
-            ends_ps = (index + 1) * self.window_ps
-            latched[ends_ps >= round(self.trigger_time_us * 1e6)] = 1
-        return np.column_stack([index, counts, self._pulses, latched])
+            self._pulses = np.concatenate([self._pulses, new]) if drawn else new
+        latched = np.zeros(n, dtype=bool)
+        if self.trigger_ps is not None:
+            # Window i ends at (i + 1) * window_ps.
+            latched[max(-(-self.trigger_ps // self.window_ps) - 1, 0):] = True
+        return range(n), counts, self._pulses, latched
 
     # -- defense ---------------------------------------------------------------
 
     def _fire_defense(self, fire_ps: int) -> None:
-        if self.trigger_time_us is not None:
+        if self.trigger_ps is not None:
             return
-        self.trigger_time_us = fire_ps / 1e6
+        self.trigger_ps = fire_ps
         event = defense_mod.on_trigger(
             self.policy, self.model, self.trigger_time_us, self.defense_rng,
             exclude_sites=[self.sensor.site],

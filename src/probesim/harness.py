@@ -27,6 +27,9 @@ from .sensor import SensorInstance, TuneValue, window_zero_counts
 from .thermal import ThermalField
 
 KINDS = ("eofm_key", "eofm_function", "eop", "stability")
+# Largest stability log and EOP trace: each is one array of that length.
+MAX_LOGS = 1_000_000
+MAX_EOP_SAMPLES = 1_000_000
 
 
 class ConfigError(Exception):
@@ -175,7 +178,8 @@ SCENARIO_KEYS = {(section, key): (*value, dest) for section, key, value, dest in
     ("scan", "pixel_pitch_um", _above(0), "scan.pixel_pitch_um"),
     ("scan", "dwell_ms", _above(0), "scan.dwell_ms"),
     ("scan", "target_freq_mhz", (float, lambda v: math.isfinite(v) and v > 0,
-                                 "finite, > 0 and <= [sensor] clock_mhz / 2"),
+                                 "finite, > 0 and [sensor] clock_mhz / (2 n) "
+                                 "for a whole n >= 1"),
      "scan.target_freq_mhz"),
     ("scan", "power", _at_least(0), "scan.power"),
     ("scan", "spot_sigma_um", _above(0), "scan.spot_sigma_um"),
@@ -205,9 +209,10 @@ SCENARIO_KEYS = {(section, key): (*value, dest) for section, key, value, dest in
     ("stimulus", "serial_net", (str, bool, "an external input net of the netlist"),
      "stimulus.serial_net"),
     ("eop", "probe_cells", _NAMES, "eop.probe_cells"),
-    ("eop", "duration_cycles", _integer(1), "eop.duration_cycles"),
+    ("eop", "duration_cycles", _integer(1, 1_000_000), "eop.duration_cycles"),
     ("eop", "resolution_ps", (int, lambda v: v >= 1,
-                              "an integer >= 1 and <= the probe duration"),
+                              "an integer >= 1 and <= the probe duration, "
+                              f"with at most {MAX_EOP_SAMPLES} samples in it"),
      "eop.resolution_ps"),
     ("eop", "iterations", _integer(1), "eop.iterations"),
     ("eop", "noise_sigma", _at_least(0), "eop.noise_sigma"),
@@ -223,9 +228,13 @@ SCENARIO_KEYS = {(section, key): (*value, dest) for section, key, value, dest in
         "groups of integers >= 0 split by ;, one integer per operand group, "
         "each below 2 ** the group's net count"), "function.vectors"),
     ("function", "region_um", _RECT, "function.region_um"),
-    ("stability", "duration_min", _above(0), "stability.duration_min"),
+    ("stability", "duration_min", (float, lambda v: math.isfinite(v) and v > 0,
+                                   f"finite, > 0 and 1 to {MAX_LOGS} logs long"),
+     "stability.duration_min"),
     ("stability", "log_every_ms", _above(0), "stability.log_every_ms"),
-    ("stability", "rolling_window", _integer(1), "stability.rolling_window"),
+    ("stability", "rolling_window", (int, lambda v: v >= 1,
+                                     "an integer >= 1 and <= the log count"),
+     "stability.rolling_window"),
     ("stability", "drift_sigma_ps", _at_least(0), "stability.drift_sigma_ps"),
     ("stability", "drift_tau_s", _above(0), "stability.drift_tau_s"),
 ]}
@@ -286,9 +295,21 @@ def _decode_scenario(parser, path: Path, seed_override) -> Scenario:
     # The rules that tie one key to another.
     if scn.kind == "eop":
         duration_ps = scn.eop.duration_cycles * build_sensor(scn).cycle_ps
-        if scn.eop.resolution_ps > duration_ps:
+        resolution = scn.eop.resolution_ps
+        if resolution > duration_ps or duration_ps // resolution > MAX_EOP_SAMPLES:
             raise _bad_value(path, "eop", "resolution_ps",
-                             f"{scn.eop.resolution_ps} for a {duration_ps} ps probe")
+                             f"{resolution} for a {duration_ps} ps probe")
+    if scn.kind == "stability":
+        spec = scn.stability
+        # The run logs round(logs) counts.
+        logs = spec.duration_min * 60_000.0 / spec.log_every_ms
+        if not 0.5 < logs <= MAX_LOGS:
+            raise _bad_value(path, "stability", "duration_min",
+                             f"{spec.duration_min:g} for {logs:g} logs of "
+                             f"{spec.log_every_ms:g} ms")
+        if spec.rolling_window > round(logs):
+            raise _bad_value(path, "stability", "rolling_window",
+                             f"{spec.rolling_window} for {round(logs)} logs")
     if scn.kind == "eofm_function":
         sizes = [len(group) for group in scn.function.operand_nets]
         for vec in scn.function.vectors:
@@ -298,9 +319,11 @@ def _decode_scenario(parser, path: Path, seed_override) -> Scenario:
     if scn.kind.startswith("eofm") or (
             scn.kind == "eop" and scn.stimulus.program == "reset_toggle"):
         target, clock = scn.scan.target_freq_mhz, build_sensor(scn).clock_mhz
-        if target > clock / 2.0:
+        try:
+            stimulus_for_target_freq(clock, target)
+        except ScenarioError:
             raise _bad_value(path, "scan", "target_freq_mhz",
-                             f"{target:g} with clock_mhz = {clock:g}")
+                             f"{target:g} with clock_mhz = {clock:g}") from None
     threshold = scn.defense.get("threshold")
     if threshold is not None and threshold > scn.t_detect:
         raise _bad_value(path, "defense", "threshold",
@@ -542,9 +565,9 @@ class RunResult:
     traces: dict[str, EopTrace] | None = None
     stability: StabilityReport | None = None
     sim: CoSimulation | None = None
-    # The co-simulation's counter log (CoSimulation.counter_rows), built
-    # once per run for the summary and counters.csv.
-    counters: np.ndarray | None = None
+    # The co-simulation's counter log columns (CoSimulation.counter_columns),
+    # built once per run for the summary and counters.csv.
+    counters: tuple | None = None
 
 
 def run(scn: Scenario, out_dir=None) -> RunResult:
@@ -595,7 +618,7 @@ def run(scn: Scenario, out_dir=None) -> RunResult:
         result = _run_stability(scn, model, thermal, sensor, policy)
     result.summary.tune = str(tuned)
     if result.sim is not None:
-        result.counters = result.sim.counter_rows()
+        result.counters = result.sim.counter_columns()
         _count_stats(result.summary, result.counters)
     result.summary.resources = report_resources(model, sensor, policy)
     if out_dir is not None:
@@ -621,13 +644,14 @@ def _summary_base(scn: Scenario, sim: CoSimulation | None,
     )
 
 
-def _count_stats(summary: RunSummary, rows: np.ndarray) -> None:
-    """Window statistics of a counter log into the summary."""
-    if len(rows):
-        summary.windows = len(rows)
-        summary.mean_zero_count = float(rows[:, 1].mean())
-        summary.max_zero_count = int(rows[:, 1].max())
-        summary.max_pulse_len = int(rows[:, 2].max())
+def _count_stats(summary: RunSummary, columns: tuple) -> None:
+    """Window statistics of a counter log's columns into the summary."""
+    _, counts, pulses, _ = columns
+    if len(counts):
+        summary.windows = len(counts)
+        summary.mean_zero_count = float(counts.mean())
+        summary.max_zero_count = int(counts.max())
+        summary.max_pulse_len = int(pulses.max())
 
 
 def _protected_sites_um(model: FabricModel) -> list[tuple[float, float]]:

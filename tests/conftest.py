@@ -66,3 +66,22 @@ def shift_sim():
     model = build_shift_model()
     stim = ShiftStimulus("10110001")
     return build_sim(model, stimulus=stim, sensor_site=SliceCoord(13, 5)), model
+
+
+def advance_for(sim, duration_ps):
+    """Advance a co-simulation by a duration from its current time."""
+    sim.advance_to(sim.t_ps + duration_ps)
+
+
+def counter_rows(sim):
+    """A co-simulation's counter log as one (windows, 4) int64 array with
+    columns window index, zero count, max pulse and latched flag."""
+    index, counts, pulses, latched = sim.counter_columns()
+    return np.column_stack([np.arange(len(index)), counts, pulses,
+                            latched]).astype(np.int64)
+
+
+def signal_at(activity, x_um, y_um, psf_sigma_um):
+    """Lock-in amplitude of an epoch's activity at one probe point."""
+    return float(activity.signals(np.array([x_um]), np.array([y_um]),
+                                  psf_sigma_um)[0])

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import build_key_model, build_shift_model, build_sim
+from conftest import (advance_for, build_key_model, build_shift_model,
+                      build_sim, signal_at)
 from probesim import cosim
 from probesim.attacker import (EofmImage, ScanConfig, eofm_scan, eop_probe,
                                localize, recover_bits)
@@ -33,8 +34,8 @@ class TestEpochActivity:
                              np.array([0.4 + 0j]), ["f"])
         act2 = EpochActivity(np.array([50.0]), np.array([50.0]),
                              np.array([0.8 + 0j]), ["f"])
-        s1 = act1.signal_at(52.0, 51.0, 4.0)
-        s2 = act2.signal_at(52.0, 51.0, 4.0)
+        s1 = signal_at(act1, 52.0, 51.0, 4.0)
+        s2 = signal_at(act2, 52.0, 51.0, 4.0)
         assert s2 == pytest.approx(2.0 * s1)
 
     def test_signals_match_one_dot_product_per_point(self):
@@ -64,8 +65,8 @@ class TestEpochActivity:
         sigma = 4.0
         act = EpochActivity(np.array([50.0]), np.array([50.0]),
                             np.array([1.0 + 0j]), ["f"])
-        peak = act.signal_at(50.0, 50.0, sigma)
-        far = act.signal_at(50.0 + 5 * sigma, 50.0, sigma)
+        peak = signal_at(act, 50.0, 50.0, sigma)
+        far = signal_at(act, 50.0 + 5 * sigma, 50.0, sigma)
         assert far < 1e-6 * peak
 
 
@@ -298,7 +299,7 @@ def per_iteration_eop(sim, point_um, duration_cycles, resolution_ps,
             clean_cache[eid] = clean
         accum += clean
         accum += sim.eop_rng.normal(0.0, noise_sigma, n_samples)
-        sim.advance_for(duration_ps)
+        advance_for(sim, duration_ps)
     sim.set_spot(None)
     return accum / iterations
 
@@ -517,10 +518,13 @@ class TestRasterSchedule:
             sim.activity(0)
 
     def test_no_per_pixel_steps(self, monkeypatch):
-        # The raster neither parks the spot nor advances time once per pixel.
-        calls = {"set_spot": 0, "advance_for": 0}
+        # The raster neither parks the spot nor advances time once per pixel:
+        # of its 80 dwells, only the firing one and the one that holds the
+        # completion step through advance_to_epoch_change.
+        calls = {"set_spot": 0, "advance_to": 0, "advance_to_epoch_change": 0}
         for name, owner in (("set_spot", cosim.ThermalField),
-                            ("advance_for", cosim.CoSimulation)):
+                            ("advance_to", cosim.CoSimulation),
+                            ("advance_to_epoch_change", cosim.CoSimulation)):
             original = getattr(owner, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
@@ -530,7 +534,8 @@ class TestRasterSchedule:
             monkeypatch.setattr(owner, name, counted)
         sim = key_race_sim(mode="mtd_inter", pr_latency_us=223.0)
         eofm_scan(sim, small_scan())
-        assert calls["advance_for"] == 0
+        assert calls["advance_to"] == 0
+        assert calls["advance_to_epoch_change"] <= 4
         assert calls["set_spot"] <= 4  # stretch ends, the firing dwell, the end
 
 

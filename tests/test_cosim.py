@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import DEFAULT_TUNE, build_key_model, build_sim
+from conftest import (DEFAULT_TUNE, advance_for, build_key_model, build_sim,
+                      counter_rows)
 from probesim.cosim import (ResetToggleStimulus, ScenarioError, ShiftStimulus,
                             stimulus_for_target_freq)
 from probesim.defense import DefensePolicy, region_slices
@@ -83,7 +84,7 @@ class TestDefenseTiming:
     def test_trigger_fires_and_event_completes_on_time(self):
         sim, model = mtd_sim()
         park_on_sensor(sim)
-        sim.advance_for(2_000_000_000)  # 2 ms
+        advance_for(sim, 2_000_000_000)  # 2 ms
         assert sim.trigger_time_us is not None
         log = sim.defense_log[0]
         assert log["event_complete_us"] - log["trigger_time_us"] == pytest.approx(223.0)
@@ -94,7 +95,7 @@ class TestDefenseTiming:
     def test_epoch_segments_cover_interval(self):
         sim, _ = mtd_sim()
         park_on_sensor(sim)
-        sim.advance_for(1_000_000_000)
+        advance_for(sim, 1_000_000_000)
         segs = sim.epoch_segments(0, sim.t_ps)
         assert segs[0][0] == 0
         assert segs[-1][1] == sim.t_ps
@@ -107,7 +108,7 @@ class TestDefenseTiming:
         # Load the key, then fire.
         sim.activity()
         park_on_sensor(sim)
-        sim.advance_for(100_000_000)  # 0.1 ms: fired, not yet complete
+        advance_for(sim, 100_000_000)  # 0.1 ms: fired, not yet complete
         assert sim.trigger_time_us is not None
         if model.hold_protected:
             assert all(model.state[n] == 0 for n in model.protected)
@@ -116,7 +117,7 @@ class TestDefenseTiming:
         sim, model = mtd_sim(move_sensor=True)
         old_site = sim.sensor.site
         park_on_sensor(sim)
-        sim.advance_for(2_000_000_000)
+        advance_for(sim, 2_000_000_000)
         assert sim.trigger_time_us is not None
         assert sim.sensor.site != old_site
         assert sim.sensor.site in region_slices(26, 4, 30, 12)
@@ -125,12 +126,12 @@ class TestDefenseTiming:
         sim, model = mtd_sim()
         assert model.net_values.get("sensor_latch", 0) == 0
         park_on_sensor(sim)
-        sim.advance_for(2_000_000_000)
+        advance_for(sim, 2_000_000_000)
         assert model.net_values["sensor_latch"] == 1
 
     def test_time_cannot_run_backwards(self):
         sim, _ = mtd_sim()
-        sim.advance_for(1_000_000)
+        advance_for(sim, 1_000_000)
         with pytest.raises(ScenarioError):
             sim.advance_to(0)
 
@@ -139,7 +140,7 @@ class TestDefenseTiming:
         for power in (0.4, 0.7, 1.0, 1.5):
             sim, _ = mtd_sim()
             park_on_sensor(sim, power=power)
-            sim.advance_for(3_000_000_000)
+            advance_for(sim, 3_000_000_000)
             assert sim.trigger_time_us is not None, f"power {power} never fired"
             times.append(sim.trigger_time_us)
         assert all(b <= a for a, b in zip(times, times[1:]))
@@ -153,7 +154,7 @@ class TestDefenseTiming:
                                    threshold=3.0, rng_seed=rng_seed)
             sim = build_sim(model, key=KEY, policy=policy)
             park_on_sensor(sim)
-            sim.advance_for(2_000_000_000)
+            advance_for(sim, 2_000_000_000)
             placements.append(tuple((model.ffs[n].site, model.ffs[n].slot)
                                     for n in model.protected))
         assert placements[0] != placements[1]
@@ -165,8 +166,8 @@ class TestCounterLog:
         policy = DefensePolicy(mode="none", threshold=3.0)
         sim = build_sim(model, key=KEY, policy=policy)
         park_on_sensor(sim)
-        sim.advance_for(1_000_000_000)
-        rows = sim.counter_rows()
+        advance_for(sim, 1_000_000_000)
+        rows = counter_rows(sim)
         assert len(rows), "no windows logged"
         latched = rows[:, 3].tolist()
         # Latched flag is monotone: once set it stays set.
@@ -185,8 +186,8 @@ class TestCounterLog:
         ends_us = (np.arange(39) + 1) * sim.window_ps / 1e6
         p0 = sim.sensor.zero_probability(
             1.0 + sim.thermal.alpha_per_k * sim.thermal.project(sim.sensor.site, ends_us))
-        sim.advance_for(100_000_000)
-        rows = sim.counter_rows()
+        advance_for(sim, 100_000_000)
+        rows = counter_rows(sim)
         ref = np.random.default_rng(np.random.SeedSequence(1).spawn(1)[0])
         assert np.array_equal(rows[:, 1], ref.binomial(255, p0))
         assert (rows[:, 2] <= rows[:, 1]).all()
@@ -197,11 +198,11 @@ class TestCounterLog:
             model = build_key_model(KEY)
             sim = build_sim(model, key=KEY)
             park_on_sensor(sim, power=0.6)
-            sim.advance_for(300_000_000)
+            advance_for(sim, 300_000_000)
             if read_midway:
-                sim.counter_rows()
-            sim.advance_for(300_000_000)
-            logs.append(sim.counter_rows())
+                counter_rows(sim)
+            advance_for(sim, 300_000_000)
+            logs.append(counter_rows(sim))
         assert ((logs[0][:, 1] > 1) & (logs[0][:, 1] < 255)).any()
         assert np.array_equal(logs[0], logs[1])
 
@@ -244,13 +245,13 @@ class TestAdvanceToEpochChange:
 
     def test_earlier_epoch_does_not_stop_it(self):
         sim, _ = mtd_sim()
-        sim.advance_for(10_000_000)
+        advance_for(sim, 10_000_000)
         sim.invalidate_activity()
         assert sim.advance_to_epoch_change(50_000_000) == 50_000_000
         assert sim.trigger_time_us is None
 
     def test_time_cannot_run_backwards(self):
         sim, _ = mtd_sim()
-        sim.advance_for(1_000_000)
+        advance_for(sim, 1_000_000)
         with pytest.raises(ScenarioError):
             sim.advance_to_epoch_change(0)

@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import advance_for, build_key_model, build_sim, counter_rows
 from probesim import cli
+from probesim.artifacts import CSV_CHUNK_ROWS
 from probesim.defense import DefensePolicy
 from probesim.harness import (SCENARIO_KEYS, ConfigError, StabilitySpec,
                               derive_threshold, load_scenario,
@@ -75,6 +77,16 @@ class TestScenarioFiles:
         assert set(listed) == set(SCENARIO_KEYS)
         for key, (_, _, rule, _) in SCENARIO_KEYS.items():
             assert f"`{rule}`" in listed[key], key
+
+    @pytest.mark.parametrize("target", ["50", "25", "12.5", "0.01"])
+    def test_target_freq_of_whole_clock_cycles_accepted(self, tmp_path,
+                                                        target):
+        text = (SCENARIOS / "unprotected_key.scn").read_text()
+        path = tmp_path / "unprotected_key.scn"
+        path.write_text(text.replace("target_freq_mhz = 1.25",
+                                     f"target_freq_mhz = {target}"))
+        (tmp_path / "key8.net").write_text((SCENARIOS / "key8.net").read_text())
+        assert load_scenario(path).scan.target_freq_mhz == float(target)
 
     def test_bad_kind_rejected(self, tmp_path):
         text = (SCENARIOS / "unprotected_key.scn").read_text()
@@ -154,7 +166,7 @@ class TestRunPipeline:
         result = run(small_key_scenario(), out_dir=tmp_path)
         rows = np.loadtxt(tmp_path / "counters.csv", delimiter=",",
                           skiprows=1, dtype=np.int64, ndmin=2)
-        assert np.array_equal(rows, result.sim.counter_rows())
+        assert np.array_equal(rows, counter_rows(result.sim))
         assert result.summary.windows == len(rows)
         assert result.summary.max_pulse_len == rows[:, 2].max()
 
@@ -170,7 +182,7 @@ class TestRunPipeline:
             p0 = sim.sensor.zero_probability(factors)
         assert np.isfinite(p0).all()
         # With no jitter a window is all ones or all zeros.
-        counts = sim.counter_rows()[:, 1]
+        counts = counter_rows(sim)[:, 1]
         assert set(np.unique(counts).tolist()) <= {0, 255}
         assert math.isfinite(result.summary.mean_zero_count)
 
@@ -181,6 +193,15 @@ def percent_counters_csv(path, rows):
         fh.write("window_index,zero_count,max_pulse,latched\n")
         for row in rows.tolist():
             fh.write("%d,%d,%d,%d\n" % tuple(row))
+
+
+def matches_percent_format(tmp_path, columns):
+    """Whether write_counters_csv writes the per-line reference's bytes."""
+    write_counters_csv(tmp_path / "new.csv", columns)
+    rows = np.column_stack([np.asarray(col, dtype=np.int64) for col in columns])
+    percent_counters_csv(tmp_path / "ref.csv", rows.reshape(-1, 4))
+    return ((tmp_path / "new.csv").read_bytes()
+            == (tmp_path / "ref.csv").read_bytes())
 
 
 class TestCountersCsv:
@@ -198,21 +219,66 @@ class TestCountersCsv:
         pulses = np.minimum(counts, rng.integers(0, 12, size=n))
         rows = np.column_stack([first + np.arange(n), counts, pulses,
                                 rng.integers(0, 2, size=n)]).astype(np.int64)
-        write_counters_csv(tmp_path / "new.csv", rows)
-        percent_counters_csv(tmp_path / "ref.csv", rows)
-        assert ((tmp_path / "new.csv").read_bytes()
-                == (tmp_path / "ref.csv").read_bytes())
+        assert matches_percent_format(tmp_path, rows.T)
 
     def test_large_values(self, tmp_path):
         rows = np.array([[2 ** 32 + 5, 0, 0, 1], [7, 2 ** 40, 3, 0]], dtype=np.int64)
-        write_counters_csv(tmp_path / "new.csv", rows)
-        percent_counters_csv(tmp_path / "ref.csv", rows)
-        assert ((tmp_path / "new.csv").read_bytes()
-                == (tmp_path / "ref.csv").read_bytes())
+        assert matches_percent_format(tmp_path, rows.T)
 
     def test_negative_values_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            write_counters_csv(tmp_path / "new.csv", np.array([[0, -1, 0, 0]]))
+            write_counters_csv(tmp_path / "new.csv", np.array([[0, -1, 0, 0]]).T)
+
+    @pytest.mark.parametrize("first", [
+        3 * CSV_CHUNK_ROWS,  # 12288..16383: one index width, no digit dropped
+        9000,                # 9000..13095: the index crosses 10,000
+    ])
+    def test_zero_count_chunk(self, tmp_path, first):
+        zeros = np.zeros(CSV_CHUNK_ROWS, dtype=np.int64)
+        latched = np.zeros(CSV_CHUNK_ROWS, dtype=bool)
+        assert matches_percent_format(
+            tmp_path, (range(first, first + CSV_CHUNK_ROWS), zeros, zeros, latched))
+
+    def test_empty_log(self, tmp_path):
+        empty = np.zeros(0, dtype=np.int64)
+        assert matches_percent_format(tmp_path, (range(0), empty, empty,
+                                                 np.zeros(0, dtype=bool)))
+        assert ((tmp_path / "new.csv").read_text()
+                == "window_index,zero_count,max_pulse,latched\n")
+
+    @pytest.mark.parametrize("trigger_windows, extra_ps, first", [
+        (0, 0, 0),  # latched from window 0
+        (1, 0, 0),  # at the end of window 0
+        (5, 0, 4),  # at the end of window 4
+        (5, 1, 5),  # just after it
+    ])
+    def test_latched_from_the_trigger(self, tmp_path, trigger_windows,
+                                      extra_ps, first):
+        # A window is latched when it ends at or after the trigger.
+        sim = build_sim(build_key_model(), key=(1, 0, 1, 1, 0, 0, 0, 1),
+                        policy=DefensePolicy(mode="none", threshold=300.0))
+        advance_for(sim, 10 * sim.window_ps)
+        sim.trigger_ps = trigger_windows * sim.window_ps + extra_ps
+        columns = sim.counter_columns()
+        assert columns[3].tolist() == [i >= first for i in range(10)]
+        assert matches_percent_format(tmp_path, columns)
+
+    @pytest.mark.parametrize("name, seed", [
+        ("mtd_inter_key", 395),  # latches mid-log
+        ("xor_unprotected", 1),
+    ])
+    def test_run_matches_percent_format(self, tmp_path, name, seed):
+        result = run(load_scenario(SCENARIOS / f"{name}.scn", seed), tmp_path)
+        sim = result.sim
+        counts = np.array(sim.window_counts, dtype=np.int64)
+        index = np.arange(len(counts))
+        # The latched flag as the float trigger time gives it.
+        latched = (index + 1) * sim.window_ps >= round(sim.trigger_time_us * 1e6)
+        assert 0 < latched.sum() < len(latched)
+        rows = np.column_stack([index, counts, result.counters[2], latched])
+        percent_counters_csv(tmp_path / "ref.csv", rows)
+        assert ((tmp_path / "counters.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes())
 
 
 # trigger_time_us of every bundled co-simulated scenario at seed 1.  The
@@ -443,6 +509,11 @@ class TestCli:
         ("eop", "eop_shift", "resolution_ps = 100", "resolution_ps = -100"),
         ("eop", "eop_shift", "resolution_ps = 100", "resolution_ps = 500000"),
         ("eop", "eop_shift", "duration_cycles = 24", "duration_cycles = 0"),
+        ("eop", "eop_shift", "duration_cycles = 24",
+         "duration_cycles = 1000001"),
+        # 1,000 cycles at 1 ps would be 10 million samples.
+        ("eop", "eop_shift", "duration_cycles = 24\nresolution_ps = 100",
+         "resolution_ps = 1\nduration_cycles = 1000"),
         ("eop", "eop_shift", "iterations = 10000", "iterations = 0"),
         ("eop", "eop_shift", "noise_sigma = 1.0", "noise_sigma = -1.0"),
         ("eop", "eop_shift", "\npower = 1.0", "\npower = -1.0"),
@@ -475,6 +546,9 @@ class TestCli:
         # Above half the 100 MHz sensor clock.
         ("attack", "unprotected_key", "target_freq_mhz = 1.25",
          "target_freq_mhz = 60"),
+        # A toggle every 1.67 cycles of the 100 MHz sensor clock.
+        ("attack", "unprotected_key", "target_freq_mhz = 1.25",
+         "target_freq_mhz = 30"),
     ])
     def test_bad_probe_input_exit_code(self, capsys, tmp_path, command,
                                        scenario, line, bad):
@@ -515,6 +589,10 @@ class TestCli:
         ("duration_min = 30.0", "duration_min = nan"),
         ("rolling_window = 100", "rolling_window = 0"),
         ("rolling_window = 100", "rolling_window = -3"),
+        # The bundled run logs 1,800 counts.
+        ("rolling_window = 100", "rolling_window = 1801"),
+        ("duration_min = 30.0", "duration_min = 1e9"),
+        ("duration_min = 30.0", "duration_min = 0.001"),
         ("log_every_ms = 1000.0", "log_every_ms = 0"),
         ("drift_tau_s = 20.0", "drift_tau_s = 0"),
         ("drift_sigma_ps = 1.5", "drift_sigma_ps = -1"),
