@@ -77,8 +77,7 @@ def counter_rows(sim):
     """A co-simulation's counter log as one (windows, 4) int64 array with
     columns window index, zero count, max pulse and latched flag."""
     index, counts, pulses, latched = sim.counter_columns()
-    return np.column_stack([np.arange(len(index)), counts, pulses,
-                            latched]).astype(np.int64)
+    return np.column_stack([np.arange(len(index)), counts, pulses, latched])
 
 
 def signal_at(activity, x_um, y_um, psf_sigma_um):

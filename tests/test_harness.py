@@ -199,7 +199,7 @@ def matches_percent_format(tmp_path, columns):
     """Whether write_counters_csv writes the per-line reference's bytes."""
     write_counters_csv(tmp_path / "new.csv", columns)
     rows = np.column_stack([np.asarray(col, dtype=np.int64) for col in columns])
-    percent_counters_csv(tmp_path / "ref.csv", rows.reshape(-1, 4))
+    percent_counters_csv(tmp_path / "ref.csv", rows)
     return ((tmp_path / "new.csv").read_bytes()
             == (tmp_path / "ref.csv").read_bytes())
 
