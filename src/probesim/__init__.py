@@ -6,8 +6,7 @@ from .defense import (CapacityError, DefenseError, DefensePolicy, Permutation,
                       ReconfigEvent, configure_polymorphic_lut, on_trigger,
                       permute_intra, relocate_inter)
 from .fabric import (CombinationalCycleError, DelayElement, FabricError,
-                     FabricModel, FlipFlop, Lut, SliceCoord, evaluate_lut,
-                     propagation_delay)
+                     FabricModel, FlipFlop, Lut, SliceCoord, evaluate_lut)
 from .harness import ConfigError, RunSummary, Scenario, load_scenario, run
 from .netlist import NetlistError, load_netlist
 from .sensor import (SensorInstance, TuneValue, TuningError, chain_delay,

@@ -28,6 +28,13 @@ from .thermal import LaserSpot, ThermalField, relax
 # run of the five EOFM scenarios by about 0.7 MB over 4,096.
 RASTER_CHUNK_WINDOWS = 4096
 
+# A raster dwell is ambient when |alpha| * max(|start|, |steady|) of the
+# sensor cell is below this; every window in it then has a delay factor
+# 1.0 + alpha * dT of exactly 1.0.  That holds for |alpha * dT| <= 2**-54
+# of either sign, and the factor 2 left over covers the rounding of relax(),
+# whose result lies between start and steady up to a few ulps.
+AMBIENT_LIMIT = 2.0 ** -55
+
 
 class ScenarioError(Exception):
     """Scenario-level contract violation (bad region, bad stimulus, ...)."""
@@ -258,12 +265,11 @@ class CoSimulation:
         """Dwells first..last-1 of a raster, none of which holds a pending
         completion, in one pass; returns the first dwell not run.
 
-        Window ends are projected from each dwell's start with the cell
-        temperatures of ThermalField.raster_cell, and the counts are drawn
-        RASTER_CHUNK_WINDOWS at a time; batched binomial draws equal the
-        per-dwell ones.  If a chunk fires the trigger, the stream is rewound
-        to the chunk's start, the windows before the firing dwell are
-        redrawn, and the stretch ends there: that dwell is left to
+        The window zero probabilities come from _stretch_p0 and the counts
+        are drawn RASTER_CHUNK_WINDOWS at a time; batched binomial draws
+        equal the per-dwell ones.  If a chunk fires the trigger, the stream
+        is rewound to the chunk's start, the windows before the firing dwell
+        are redrawn, and the stretch ends there: that dwell is left to
         advance_to_epoch_change().
         """
         if last <= first:
@@ -275,31 +281,83 @@ class CoSimulation:
         n = (t0 + last * dwell_ps) // self.window_ps - self.windows_done
         armed = self.threshold is not None and not self.sensor.latched
         stop = last
-        for done in range(0, n, RASTER_CHUNK_WINDOWS):
-            index = self.windows_done + np.arange(min(RASTER_CHUNK_WINDOWS, n - done))
-            ends_ps = (index + 1) * self.window_ps
-            dwell = (ends_ps - begin_ps - 1) // dwell_ps
-            dts_us = (ends_ps - (begin_ps + dwell * dwell_ps)) / 1e6
-            delta_ts = relax(starts[dwell], steady[dwell],
-                             np.exp(-dts_us / self.thermal.tau_us))
-            p0 = self.sensor.zero_probability(1.0 + self.thermal.alpha_per_k * delta_ts)
+        for runs in self._stretch_p0(starts, steady, begin_ps, dwell_ps, n):
+            w0 = self.windows_done
             if armed:
                 state = self.sensor_rng.bit_generator.state
-            counts = self.sensor_rng.binomial(self.t_detect, p0)
+            counts = self._draw(runs)
             hits = np.flatnonzero(counts >= self.threshold) if armed else ()
             if len(hits):
-                fired = int(dwell[hits[0]])
-                keep = int(np.searchsorted(dwell, fired))
+                fired = ((w0 + int(hits[0]) + 1) * self.window_ps - begin_ps
+                         - 1) // dwell_ps
+                # Windows of this chunk that end before the firing dwell.
+                keep = max((begin_ps + fired * dwell_ps) // self.window_ps - w0, 0)
                 self.sensor_rng.bit_generator.state = state
-                counts = self.sensor_rng.binomial(self.t_detect, p0[:keep])
+                counts = self._draw(runs, keep)
                 stop = first + fired
-            self.window_counts.frombytes(counts.astype(np.int64, copy=False).tobytes())
+            self.window_counts.frombytes(counts.tobytes())
             self.windows_done += len(counts)
             if stop < last:
                 break
         self.thermal.advance_raster(centers[first:stop], power, sigma_um, dwell_us)
         self.t_ps = t0 + stop * dwell_ps
         return stop
+
+    def _stretch_p0(self, starts, steady, begin_ps: int, dwell_ps: int, n: int):
+        """Zero probabilities of the next n windows of a raster stretch that
+        begins at begin_ps, in window order and without draws.
+
+        Window w ends at (w + 1) * window_ps, in the dwell d of the stretch
+        that holds that end, and its temperature is projected from the
+        dwell's start: relax(starts[d], steady[d], exp(-dt / tau)).  Yields
+        one list per chunk of RASTER_CHUNK_WINDOWS windows, of (p0, m) per
+        run of m windows.  In a run of ambient dwells p0 is one float, the
+        sensor's zero probability at a delay factor of 1.0; elsewhere it is
+        an array of m values.
+        """
+        alpha, window_ps = self.thermal.alpha_per_k, self.window_ps
+        ambient = (abs(alpha) * np.maximum(np.abs(starts), np.abs(steady))
+                   < AMBIENT_LIMIT)
+        p_ambient = float(self.sensor.zero_probability(np.ones(1))[0])
+        # A dwell of the other class than the dwell before starts a run, at
+        # the first window that ends in it.
+        switches = np.flatnonzero(ambient[1:] != ambient[:-1]) + 1
+        run_starts = ((begin_ps + switches * dwell_ps) // window_ps).tolist()
+        w0 = self.windows_done
+        for chunk in range(w0, w0 + n, RASTER_CHUNK_WINDOWS):
+            end = min(chunk + RASTER_CHUNK_WINDOWS, w0 + n)
+            bounds = [chunk, *(w for w in run_starts if chunk < w < end), end]
+            runs = []
+            for a, b in zip(bounds, bounds[1:]):
+                if a == b:  # a switch in a dwell that no window ends in
+                    continue
+                dwell = ((a + 1) * window_ps - begin_ps - 1) // dwell_ps
+                if ambient[dwell]:
+                    runs.append((p_ambient, b - a))
+                    continue
+                ends_ps = (np.arange(a, b) + 1) * window_ps
+                dwell = (ends_ps - begin_ps - 1) // dwell_ps
+                dts_us = (ends_ps - (begin_ps + dwell * dwell_ps)) / 1e6
+                delta_ts = relax(starts[dwell], steady[dwell],
+                                 np.exp(-dts_us / self.thermal.tau_us))
+                runs.append((self.sensor.zero_probability(
+                    1.0 + alpha * delta_ts), b - a))
+            yield runs
+
+    def _draw(self, runs, limit: int | None = None) -> np.ndarray:
+        """Zero counts of (p0, m) runs, or of their first ``limit`` windows,
+        drawn from the sensor stream in window order."""
+        counts = [np.zeros(0, dtype=np.int64)]
+        for p0, m in runs:
+            if limit is not None:
+                if limit == 0:
+                    break
+                m = min(m, limit)
+                limit -= m
+            if not isinstance(p0, float):
+                p0 = p0[:m]
+            counts.append(self.sensor_rng.binomial(self.t_detect, p0, size=m))
+        return np.concatenate(counts)
 
     def _advance_field(self, t_target_ps: int) -> None:
         dt_us = (t_target_ps - self.t_ps) / 1e6

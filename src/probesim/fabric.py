@@ -329,15 +329,3 @@ class FabricModel:
     def set_latch_net(self, value: int) -> None:
         self.net_values[LATCH_NET] = 1 if value else 0
 
-
-def propagation_delay(model: FabricModel, net_name: str, thermal,
-                      at_time_us: float | None = None) -> float:
-    """Net propagation delay in ps, scaled by local heating.
-
-    The base delay is multiplied by the thermal delay factor at the net's
-    routing centroid; an unheated fabric returns the base delay exactly.
-    """
-    net = model.nets[net_name]
-    x, y = model.net_centroid_um(net_name)
-    dt = thermal.delta_t_at_um(x, y, at_time_us)
-    return net.base_delay_ps * thermal.delay_factor(dt)

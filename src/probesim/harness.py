@@ -30,6 +30,9 @@ KINDS = ("eofm_key", "eofm_function", "eop", "stability")
 # Largest stability log and EOP trace: each is one array of that length.
 MAX_LOGS = 1_000_000
 MAX_EOP_SAMPLES = 1_000_000
+# Most pixels of an EOFM raster; its image and the point-spread weights of
+# every pixel and primitive are arrays that grow with it.
+MAX_PIXELS = 65_536
 
 
 class ConfigError(Exception):
@@ -142,6 +145,8 @@ _NAMES = _names, all, "comma-separated names"
 _RECT = (lambda t: _numbers(t, 4),
          lambda r: all(map(math.isfinite, r)) and r[0] < r[2] and r[1] < r[3],
          "x0,y0,x1,y1, finite, with x0 < x1 and y0 < y1")
+_REGION = (*_RECT[:2], _RECT[2] + f", and at most {MAX_PIXELS} pixels of "
+           "[scan] pixel_pitch_um")
 
 SCENARIO_KEYS = {(section, key): (*value, dest) for section, key, value, dest in [
     ("scenario", "name", (str, lambda v: v not in ("", ".", "..")
@@ -174,16 +179,19 @@ SCENARIO_KEYS = {(section, key): (*value, dest) for section, key, value, dest in
                         "data,clock,select, integers >= 0"), "pinned_tune"),
     ("sensor", "t_sense_ms", _above(0), "t_sense_ms"),
     ("sensor", "t_detect_cycles", _integer(1, sensor_mod.MAX_WINDOW), "t_detect"),
-    ("scan", "region_um", _RECT, "scan.region_um"),
+    ("scan", "region_um", _REGION, "scan.region_um"),
     ("scan", "pixel_pitch_um", _above(0), "scan.pixel_pitch_um"),
-    ("scan", "dwell_ms", _above(0), "scan.dwell_ms"),
+    # 1 ns: a dwell rounds to whole ps, and one of 0 ps would take no time.
+    ("scan", "dwell_ms", _at_least(1e-6), "scan.dwell_ms"),
     ("scan", "target_freq_mhz", (float, lambda v: math.isfinite(v) and v > 0,
                                  "finite, > 0 and [sensor] clock_mhz / (2 n) "
                                  "for a whole n >= 1"),
      "scan.target_freq_mhz"),
     ("scan", "power", _at_least(0), "scan.power"),
-    ("scan", "spot_sigma_um", _above(0), "scan.spot_sigma_um"),
-    ("scan", "psf_sigma_um", _above(0), "scan.psf_sigma_um"),
+    # 1 nm: the Gaussians divide by sigma squared, which underflows to 0
+    # below about 1e-154 um.
+    ("scan", "spot_sigma_um", _at_least(1e-3), "scan.spot_sigma_um"),
+    ("scan", "psf_sigma_um", _at_least(1e-3), "scan.psf_sigma_um"),
     ("scan", "noise_sigma", _at_least(0), "scan.noise_sigma"),
     ("scan", "bit_threshold", _above(0), "bit_threshold"),
     ("defense", "mode", _one_of(*MODES), "defense.mode"),
@@ -227,7 +235,7 @@ SCENARIO_KEYS = {(section, key): (*value, dest) for section, key, value, dest in
         lambda vectors: min(map(min, vectors)) >= 0,
         "groups of integers >= 0 split by ;, one integer per operand group, "
         "each below 2 ** the group's net count"), "function.vectors"),
-    ("function", "region_um", _RECT, "function.region_um"),
+    ("function", "region_um", _REGION, "function.region_um"),
     ("stability", "duration_min", (float, lambda v: math.isfinite(v) and v > 0,
                                    f"finite, > 0 and 1 to {MAX_LOGS} logs long"),
      "stability.duration_min"),
@@ -316,6 +324,19 @@ def _decode_scenario(parser, path: Path, seed_override) -> Scenario:
             if len(vec) != len(sizes) or any(v >> n for v, n in zip(vec, sizes)):
                 raise _bad_value(path, "function", "vectors",
                                  f"{vec} for operand groups of {sizes} nets")
+    if scn.kind.startswith("eofm"):
+        # The region the raster covers: an eofm_function run scans its own.
+        section = ("function" if scn.kind == "eofm_function"
+                   and scn.function.region_um is not None else "scan")
+        region = getattr(scn, section).region_um
+        pitch = scn.scan.pixel_pitch_um
+        try:
+            nx, ny = ScanConfig(region_um=region, pixel_pitch_um=pitch).n_pixels
+        except OverflowError:  # a width over the pitch of inf
+            nx = ny = math.inf
+        if nx * ny > MAX_PIXELS:
+            raise _bad_value(path, section, "region_um",
+                             f"{region} at [scan] pixel_pitch_um = {pitch:g}")
     if scn.kind.startswith("eofm") or (
             scn.kind == "eop" and scn.stimulus.program == "reset_toggle"):
         target, clock = scn.scan.target_freq_mhz, build_sensor(scn).clock_mhz

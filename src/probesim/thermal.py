@@ -14,9 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import write_pgm
-from .fabric import SliceCoord
-
 
 @dataclass
 class LaserSpot:
@@ -33,13 +30,28 @@ class LaserSpot:
             raise ValueError("spot sigma must be > 0")
 
 
-# Dwells a raster replays per block of spot sources in advance_raster().
+# Dwells a raster replays per block of spot sources when the grid is
+# brought up to date.
 RASTER_BLOCK_DWELLS = 256
+
+# Pending updates a field holds before it applies them to the grid unread,
+# so a long run of updates that nothing reads keeps a bounded queue.
+MAX_PENDING_UPDATES = 1024
 
 
 def relax(start, steady, decay):
     """Exact exponential relaxation towards steady: the one thermal update."""
     return steady + (start - steady) * decay
+
+
+def _relax_through(x, steady: np.ndarray, decay: float) -> tuple[list, float]:
+    """Relax x towards each steady state in turn for one decay each: the
+    value before each step, and the value after the last."""
+    starts = []
+    for s in steady.tolist():
+        starts.append(x)
+        x = relax(x, s, decay)
+    return starts, x
 
 
 class ThermalField:
@@ -51,6 +63,13 @@ class ThermalField:
     are independent of step size.  ``power_to_rate_k_per_us`` converts spot
     power (model units) into the peak deposition rate; the default makes a
     power-1.0 spot settle at ``peak ~= 0.4 * tau = 20 K``.
+
+    Updates are deferred.  advance() and advance_raster() queue a hold or a
+    raster; reading or writing ``delta_t`` first applies the queue to the
+    whole grid, and the one-cell reads (project, raster_cell,
+    delta_t_at_site) bring only their own cell up to date, remembered per
+    cell.  Both apply the same float operations to a cell, so a cell reads
+    the same bits either way.
     """
 
     def __init__(self, grid_width=32, grid_height=16, site_pitch_um=10.0,
@@ -63,11 +82,17 @@ class ThermalField:
         self.tau_us = tau_us
         self.alpha_per_k = alpha_per_k
         self.power_to_rate_k_per_us = power_to_rate_k_per_us
-        self.delta_t = np.zeros((grid_height, grid_width))
+        self._grid = np.zeros((grid_height, grid_width))
+        # Updates not yet applied to _grid, oldest first: ("hold", source,
+        # tau, decay) or ("raster", centers, power, sigma, tau, decay).
+        self._pending: list[tuple] = []
+        # Cells read since the grid was last brought up to date:
+        # (iy, ix) -> (temperature, count of pending updates applied to it).
+        self._cells: dict[tuple[int, int], tuple[float, int]] = {}
         xs = (np.arange(grid_width) + 0.5) * site_pitch_um
         ys = (np.arange(grid_height) + 0.5) * site_pitch_um
         self._cell_x, self._cell_y = np.meshgrid(xs, ys)
-        self._source = np.zeros_like(self.delta_t)
+        self._source = np.zeros_like(self._grid)
         self.spot: LaserSpot | None = None
 
     @classmethod
@@ -75,11 +100,24 @@ class ThermalField:
         return cls(model.grid_width, model.grid_height, model.site_pitch_um,
                    **kwargs)
 
+    @property
+    def delta_t(self) -> np.ndarray:
+        """The temperature elevation grid, up to date; writes into it
+        change the field."""
+        self._apply_pending()
+        return self._grid
+
+    @delta_t.setter
+    def delta_t(self, grid: np.ndarray) -> None:
+        self._grid = grid
+        self._pending.clear()
+        self._cells.clear()
+
     def set_spot(self, spot: LaserSpot | None) -> None:
         """Park (or disable) the heating spot; takes effect on next advance."""
         self.spot = spot
         if spot is None or spot.power == 0.0:
-            self._source = np.zeros_like(self.delta_t)
+            self._source = np.zeros_like(self._grid)
             return
         self._source = self._rates(spot.center_um[0], spot.center_um[1],
                                    spot.power, spot.sigma_um,
@@ -93,12 +131,60 @@ class ThermalField:
         g = np.exp(-(dx * dx + dy * dy) / (2.0 * sigma_um ** 2))
         return power * self.power_to_rate_k_per_us * g
 
+    def _cell_steady(self, iy: int, ix: int, centers_um: np.ndarray,
+                     power: float, sigma_um: float, tau_us: float) -> np.ndarray:
+        """One cell's steady state under a spot at each center."""
+        return self._rates(centers_um[:, 0], centers_um[:, 1], power, sigma_um,
+                           self._cell_x[iy, ix], self._cell_y[iy, ix]) * tau_us
+
     def advance(self, dt_us: float) -> None:
         """Integrate all cells exactly over dt_us with the current spot."""
         if dt_us <= 0:
             raise ValueError("dt must be > 0")
-        steady = self._source * self.tau_us
-        self.delta_t = relax(self.delta_t, steady, math.exp(-dt_us / self.tau_us))
+        self._queue(("hold", self._source, self.tau_us,
+                     math.exp(-dt_us / self.tau_us)))
+
+    def _queue(self, update: tuple) -> None:
+        self._pending.append(update)
+        if len(self._pending) > MAX_PENDING_UPDATES:
+            self._apply_pending()
+
+    def _apply_pending(self) -> None:
+        """Apply the pending updates to the whole grid, in order."""
+        grid = self._grid
+        for kind, *args in self._pending:
+            if kind == "hold":
+                source, tau_us, decay = args
+                grid = relax(grid, source * tau_us, decay)
+                continue
+            centers, power, sigma_um, tau_us, decay = args
+            for start in range(0, len(centers), RASTER_BLOCK_DWELLS):
+                block = centers[start:start + RASTER_BLOCK_DWELLS]
+                steady = self._rates(block[:, 0, None, None],
+                                     block[:, 1, None, None], power, sigma_um,
+                                     self._cell_x, self._cell_y) * tau_us
+                for s in steady:
+                    grid = relax(grid, s, decay)
+        self._grid = grid
+        self._pending.clear()
+        self._cells.clear()
+
+    def _cell(self, iy: int, ix: int) -> float:
+        """One cell's temperature elevation, with the pending updates
+        applied to that cell alone."""
+        x, done = self._cells.get((iy, ix), (None, 0))
+        if x is None:
+            x = float(self._grid[iy, ix])
+        for kind, *args in self._pending[done:]:
+            if kind == "hold":
+                source, tau_us, decay = args
+                x = relax(x, float(source[iy, ix]) * tau_us, decay)
+            else:
+                centers, power, sigma_um, tau_us, decay = args
+                _, x = _relax_through(x, self._cell_steady(
+                    iy, ix, centers, power, sigma_um, tau_us), decay)
+        self._cells[iy, ix] = (x, len(self._pending))
+        return x
 
     def _cell_index(self, x_um: float, y_um: float) -> tuple[int, int]:
         ix = min(max(int(x_um / self.site_pitch_um), 0), self.grid_width - 1)
@@ -118,7 +204,7 @@ class ThermalField:
         """
         iy, ix = self._site_cell(site)
         steady = self._source[iy, ix] * self.tau_us
-        return relax(self.delta_t[iy, ix], steady,
+        return relax(self._cell(iy, ix), steady,
                      np.exp(-np.asarray(dts_us) / self.tau_us))
 
     # -- rasters -------------------------------------------------------------
@@ -135,14 +221,10 @@ class ThermalField:
         relax(start, steady, exp(-dt / tau)).
         """
         iy, ix = self._site_cell(site)
-        steady = self._rates(centers_um[:, 0], centers_um[:, 1], power, sigma_um,
-                             self._cell_x[iy, ix], self._cell_y[iy, ix]) * self.tau_us
-        decay = math.exp(-dwell_us / self.tau_us)
-        starts = []
-        x = float(self.delta_t[iy, ix])
-        for s in steady.tolist():
-            starts.append(x)
-            x = relax(x, s, decay)
+        steady = self._cell_steady(iy, ix, centers_um, power, sigma_um,
+                                   self.tau_us)
+        starts, _ = _relax_through(self._cell(iy, ix), steady,
+                                  math.exp(-dwell_us / self.tau_us))
         return np.array(starts), steady
 
     def advance_raster(self, centers_um: np.ndarray, power: float,
@@ -151,49 +233,21 @@ class ThermalField:
 
         Leaves the field exactly as set_spot() and advance() once per dwell
         would, with the last spot parked: the same updates, with the spot
-        sources computed RASTER_BLOCK_DWELLS at a time.
+        sources computed RASTER_BLOCK_DWELLS at a time when the grid is
+        brought up to date.
         """
         if len(centers_um) == 0:
             return
-        decay = math.exp(-dwell_us / self.tau_us)
-        grid = self.delta_t
-        for start in range(0, len(centers_um), RASTER_BLOCK_DWELLS):
-            block = centers_um[start:start + RASTER_BLOCK_DWELLS]
-            steady = self._rates(block[:, 0, None, None], block[:, 1, None, None],
-                                 power, sigma_um, self._cell_x,
-                                 self._cell_y) * self.tau_us
-            for s in steady:
-                grid = relax(grid, s, decay)
-        self.delta_t = grid
+        self._queue(("raster", np.array(centers_um), power, sigma_um,
+                     self.tau_us, math.exp(-dwell_us / self.tau_us)))
         self.set_spot(LaserSpot(tuple(centers_um[-1]), power, sigma_um))
 
-    def delta_t_at_um(self, x_um: float, y_um: float,
-                      at_time_us: float | None = None) -> float:
-        """Temperature elevation of the cell containing (x, y).
-
-        With ``at_time_us`` set, projects that cell forward by the given
-        interval (see project()).
-        """
-        iy, ix = self._cell_index(x_um, y_um)
-        if at_time_us is None or at_time_us == 0.0:
-            return float(self.delta_t[iy, ix])
-        return float(self.project(SliceCoord(ix, iy), at_time_us))
-
-    def delta_t_at_site(self, site, at_time_us: float | None = None) -> float:
-        x = (site.x + 0.5) * self.site_pitch_um
-        y = (site.y + 0.5) * self.site_pitch_um
-        return self.delta_t_at_um(x, y, at_time_us)
+    def delta_t_at_site(self, site) -> float:
+        """Temperature elevation of a site's cell."""
+        return self._cell(*self._site_cell(site))
 
     def delay_factor(self, delta_t_k: float) -> float:
         """Delay multiplier 1 + alpha * dT for a temperature elevation."""
         if delta_t_k < 0:
             raise ValueError("delta T must be >= 0")
         return 1.0 + self.alpha_per_k * delta_t_k
-
-    def total_delta_t(self) -> float:
-        return float(self.delta_t.sum())
-
-    def to_pgm(self, path, max_k: float | None = None) -> None:
-        """Dump the field as an ASCII portable graymap for debugging."""
-        peak = max_k if max_k is not None else max(float(self.delta_t.max()), 1e-12)
-        write_pgm(path, self.delta_t, peak)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from probesim.cosim import CoSimulation, ShiftStimulus, stimulus_for_target_freq
 from probesim.defense import DefensePolicy
 from probesim.fabric import FabricModel, FlipFlop, SliceCoord
 from probesim.sensor import SensorInstance, TuneValue
-from probesim.thermal import ThermalField
+from probesim.thermal import LaserSpot, ThermalField, relax
 
 # Tune value recorded from the default-parameter search at seed 1 under the
 # earlier generator-stream tuner; slack is 66 ps (4.4 sigma), zero rate ~5e-6
@@ -84,3 +86,75 @@ def signal_at(activity, x_um, y_um, psf_sigma_um):
     """Lock-in amplitude of an epoch's activity at one probe point."""
     return float(activity.signals(np.array([x_um]), np.array([y_um]),
                                   psf_sigma_um)[0])
+
+
+def propagation_delay(model, net_name, thermal):
+    """Net propagation delay in ps: the net's base delay times the thermal
+    delay factor of the cell under its routing centroid."""
+    x, y = model.net_centroid_um(net_name)
+    iy, ix = thermal._cell_index(x, y)
+    return (model.nets[net_name].base_delay_ps
+            * thermal.delay_factor(thermal.delta_t[iy, ix]))
+
+
+class EagerField:
+    """Reference thermal field: every update is applied to the whole grid
+    when it is made, with a raster as one set_spot and one advance per
+    dwell.  It has the interface a CoSimulation uses, so a run can be made
+    with it in place of a ThermalField."""
+
+    def __init__(self, grid_width=32, grid_height=16, site_pitch_um=10.0,
+                 tau_us=50.0, alpha_per_k=0.002, power_to_rate_k_per_us=0.4):
+        self.site_pitch_um = site_pitch_um
+        self.tau_us = tau_us
+        self.alpha_per_k = alpha_per_k
+        self.power_to_rate_k_per_us = power_to_rate_k_per_us
+        self.delta_t = np.zeros((grid_height, grid_width))
+        xs = (np.arange(grid_width) + 0.5) * site_pitch_um
+        ys = (np.arange(grid_height) + 0.5) * site_pitch_um
+        self.cell_x, self.cell_y = np.meshgrid(xs, ys)
+        self.source = np.zeros_like(self.delta_t)
+        self.spot = None
+
+    def set_spot(self, spot):
+        self.spot = spot
+        if spot is None or spot.power == 0.0:
+            self.source = np.zeros_like(self.delta_t)
+            return
+        dx = self.cell_x - spot.center_um[0]
+        dy = self.cell_y - spot.center_um[1]
+        g = np.exp(-(dx * dx + dy * dy) / (2.0 * spot.sigma_um ** 2))
+        self.source = spot.power * self.power_to_rate_k_per_us * g
+
+    def advance(self, dt_us):
+        self.delta_t = relax(self.delta_t, self.source * self.tau_us,
+                             math.exp(-dt_us / self.tau_us))
+
+    def advance_raster(self, centers_um, power, sigma_um, dwell_us):
+        for center in centers_um:
+            self.set_spot(LaserSpot(tuple(center), power, sigma_um))
+            self.advance(dwell_us)
+
+    def cell(self, site):
+        height, width = self.delta_t.shape
+        return min(max(site.y, 0), height - 1), min(max(site.x, 0), width - 1)
+
+    def delta_t_at_site(self, site):
+        return float(self.delta_t[self.cell(site)])
+
+    def project(self, site, dts_us):
+        cell = self.cell(site)
+        return relax(self.delta_t[cell], self.source[cell] * self.tau_us,
+                     np.exp(-np.asarray(dts_us) / self.tau_us))
+
+    def raster_cell(self, site, centers_um, power, sigma_um, dwell_us):
+        """Runs the raster on a copy of the field."""
+        saved = self.delta_t, self.source, self.spot
+        starts, steady = [], []
+        for center in centers_um:
+            starts.append(self.delta_t_at_site(site))
+            self.set_spot(LaserSpot(tuple(center), power, sigma_um))
+            steady.append(self.source[self.cell(site)] * self.tau_us)
+            self.advance(dwell_us)
+        self.delta_t, self.source, self.spot = saved
+        return np.array(starts), np.array(steady)

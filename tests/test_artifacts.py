@@ -9,12 +9,11 @@ import numpy as np
 import pytest
 
 from conftest import build_key_model, build_sim
-from probesim.artifacts import CSV_CHUNK_ROWS
+from probesim.artifacts import CSV_CHUNK_ROWS, write_pgm
 from probesim.attacker import EofmImage, EopTrace
 from probesim.cosim import CoSimulation
 from probesim.fabric import FabricModel
 from probesim.harness import load_scenario, run
-from probesim.thermal import ThermalField
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "probesim" / "scenarios"
 
@@ -90,11 +89,11 @@ class TestWritersOnRuns:
         per_line_pgm(tmp_path / "ref.pgm", image.amplitudes,
                      max(float(image.amplitudes.max()), 1e-12))
         assert same_bytes(tmp_path / "image.pgm", tmp_path / "ref.pgm")
-        # The field the raster left behind, through ThermalField's writer.
-        field = result.sim.thermal
-        assert field.delta_t.max() > 0
-        field.to_pgm(tmp_path / "field.pgm")
-        per_line_pgm(tmp_path / "ref.pgm", field.delta_t, float(field.delta_t.max()))
+        # The field the raster left behind, through the same writer.
+        grid = result.sim.thermal.delta_t
+        assert grid.max() > 0
+        write_pgm(tmp_path / "field.pgm", grid, float(grid.max()))
+        per_line_pgm(tmp_path / "ref.pgm", grid, float(grid.max()))
         assert same_bytes(tmp_path / "field.pgm", tmp_path / "ref.pgm")
 
 
@@ -143,9 +142,7 @@ class TestWritersOnEdgeValues:
         image.to_pgm(tmp_path / "new.pgm")
         per_line_pgm(tmp_path / "ref.pgm", amps, max(float(amps.max()), 1e-12))
         assert same_bytes(tmp_path / "new.pgm", tmp_path / "ref.pgm")
-        field = ThermalField(shape[1], shape[0])
-        field.delta_t = amps.copy()
-        field.to_pgm(tmp_path / "new.pgm", max_k=1e6)
+        write_pgm(tmp_path / "new.pgm", amps, 1e6)
         per_line_pgm(tmp_path / "ref.pgm", amps, 1e6)
         assert same_bytes(tmp_path / "new.pgm", tmp_path / "ref.pgm")
 

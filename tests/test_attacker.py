@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (advance_for, build_key_model, build_shift_model,
-                      build_sim, signal_at)
+from conftest import (EagerField, advance_for, build_key_model,
+                      build_shift_model, build_sim, signal_at)
 from probesim import cosim
 from probesim.attacker import (EofmImage, ScanConfig, eofm_scan, eop_probe,
                                localize, recover_bits)
@@ -15,7 +15,7 @@ from probesim.cosim import (EpochActivity, ScenarioError, ShiftStimulus,
 from probesim.defense import DefensePolicy, region_slices
 from probesim.fabric import SliceCoord
 from probesim.netlist import load_netlist
-from probesim.thermal import LaserSpot
+from probesim.thermal import LaserSpot, relax
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "probesim" / "scenarios"
 
@@ -501,6 +501,66 @@ class TestRasterSchedule:
         sim = self.assert_matches_reference(poly_race_sim, small_scan(**POLY_SCAN))
         assert sim.trigger_time_us is not None
 
+    # Three full-width rows through the sensor's: each runs from ambient
+    # dwells into heated ones and back, and the trigger fires in window
+    # 5,572, in dwell 14 of the first.  Dwell 9 is the first heated one; its
+    # first window, 3,529, starts a chunk of that size.  Chunks of 5,500
+    # start one inside the firing dwell, which begins at window 5,490.
+    WIDE_SCAN = dict(region_um=(0.0, 70.0, 320.0, 100.0))
+
+    @pytest.mark.parametrize("size", [cosim.RASTER_CHUNK_WINDOWS, 700, 3529,
+                                      5500])
+    def test_ambient_and_heated_runs(self, monkeypatch, size):
+        monkeypatch.setattr(cosim, "RASTER_CHUNK_WINDOWS", size)
+        chunks = []  # (first window, ambient flag per run)
+        schedule = cosim.CoSimulation._stretch_p0
+
+        def recorded(sim, *args):
+            for runs in schedule(sim, *args):
+                chunks.append((sim.windows_done,
+                               [isinstance(p0, float) for p0, _ in runs]))
+                yield runs
+
+        monkeypatch.setattr(cosim.CoSimulation, "_stretch_p0", recorded)
+        sim = self.assert_matches_reference(lambda: key_race_sim(mode="none"),
+                                            small_scan(**self.WIDE_SCAN))
+        fired = sim.trigger_ps // sim.window_ps
+        mixed = [w for w, kinds in chunks if len(set(kinds)) == 2]
+        assert max(mixed) > fired
+        if size == 3529:
+            # The one switch before the trigger falls on the chunk edge.
+            (_, before), (_, after) = [c for c in chunks if c[0] in (0, 3529)]
+            assert before == [True] and after[0] is False
+        else:
+            assert min(mixed) < fired
+
+    def test_moved_sensor_reads_a_second_cell(self):
+        # The sensor is carried into the new region mid-run, so the raster
+        # reads a second cell of the deferred field; both cells, the grid
+        # and the run equal those of a run on the eager reference field.
+        scan = small_scan()
+
+        def make_sim(field=None):
+            sim = key_race_sim(mode="mtd_inter", pr_latency_us=223.0,
+                               move_sensor=True)
+            if field is not None:
+                sim.thermal = field
+            return sim
+
+        ref = make_sim(EagerField())
+        eofm_scan(ref, scan)
+        sim = make_sim()
+        eofm_scan(sim, scan)
+        assert sim.sensor.site != SliceCoord(15, 8)
+        assert sim.trigger_ps == ref.trigger_ps
+        assert np.array_equal(sim.window_counts, ref.window_counts)
+        cells = sorted(sim.thermal._cells)
+        assert cells == sorted([(8, 15), (sim.sensor.site.y, sim.sensor.site.x)])
+        for iy, ix in cells:
+            site = SliceCoord(ix, iy)
+            assert sim.thermal.delta_t_at_site(site) == ref.thermal.delta_t_at_site(site)
+        assert np.array_equal(sim.thermal.delta_t, ref.thermal.delta_t)
+
     def test_hold_epoch_is_imaged_dark(self):
         # The hold epoch of a relocation (trigger to completion) is recorded
         # while it is in effect: the protected bits hold, so nothing toggles.
@@ -574,3 +634,43 @@ def test_raster_matches_per_pixel_reference(seed, mode, move_sensor, latency_us,
         TestRasterSchedule().assert_matches_reference(make_sim, scan)
     finally:
         cosim.RASTER_CHUNK_WINDOWS = original
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=st.sampled_from([0.0, 0.002]) | st.floats(1e-4, 1.0),
+    power=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1e-9),
+    # Start temperatures that put dwells on either side of the ambient limit.
+    warm=st.builds(lambda m, e: m * 2.0 ** -e, st.floats(-2.0, 2.0),
+                   st.integers(30, 80)),
+    sigma_um=st.floats(1.0, 20.0),
+    dwell_ms=st.sampled_from([0.001, 0.04, 1.0, 2.55]),
+    tau_us=st.sampled_from([5.0, 50.0]),
+    centers=st.lists(st.tuples(st.floats(0.0, 320.0), st.floats(0.0, 160.0)),
+                     min_size=1, max_size=12).map(np.array),
+)
+def test_ambient_runs_have_unit_delay_factor(alpha, power, warm, sigma_um,
+                                             dwell_ms, tau_us, centers):
+    # Every window of a run the schedule draws at the ambient p0 has a delay
+    # factor of exactly 1.0, computed per window from its dwell's start.
+    sim = key_race_sim(tau_us=tau_us)
+    field = sim.thermal
+    field.alpha_per_k = alpha
+    field.delta_t[:] = warm
+    dwell_ps = round(dwell_ms * 1e9)
+    starts, steady = field.raster_cell(sim.sensor.site, centers, power,
+                                       sigma_um, dwell_ps / 1e6)
+    n = len(centers) * dwell_ps // sim.window_ps
+    w = 0
+    for runs in sim._stretch_p0(starts, steady, 0, dwell_ps, n):
+        for p0, m in runs:
+            if isinstance(p0, float):
+                assert p0 == sim.sensor.zero_probability(np.ones(1))[0]
+                ends_ps = (np.arange(w, w + m) + 1) * sim.window_ps
+                dwell = (ends_ps - 1) // dwell_ps
+                dts_us = (ends_ps - dwell * dwell_ps) / 1e6
+                delta_ts = relax(starts[dwell], steady[dwell],
+                                 np.exp(-dts_us / tau_us))
+                assert np.all(1.0 + alpha * delta_ts == 1.0)
+            w += m
+    assert w == n

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import propagation_delay
 from probesim.fabric import (CombinationalCycleError, DelayElement,
                              FabricError, FabricModel, FlipFlop, Lut,
-                             SliceCoord, evaluate_lut, propagation_delay)
+                             SliceCoord, evaluate_lut)
 from probesim.thermal import LaserSpot, ThermalField
 
 

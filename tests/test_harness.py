@@ -78,6 +78,20 @@ class TestScenarioFiles:
         for key, (_, _, rule, _) in SCENARIO_KEYS.items():
             assert f"`{rule}`" in listed[key], key
 
+    @pytest.mark.parametrize("line, edge", [
+        ("spot_sigma_um = 8.0", "spot_sigma_um = 0.001"),
+        ("psf_sigma_um = 4.0", "psf_sigma_um = 0.001"),
+        ("dwell_ms = 1.0", "dwell_ms = 1e-6"),
+        # 256 x 256 pixels.
+        ("region_um = 0,0,320,160", "region_um = 0,0,2560,2560"),
+        ("pixel_pitch_um = 10.0", "pixel_pitch_um = 1.0"),
+    ])
+    def test_scan_values_on_their_bounds_accepted(self, tmp_path, line, edge):
+        text = (SCENARIOS / "mtd_inter_key.scn").read_text()
+        path = tmp_path / "edge.scn"
+        path.write_text(text.replace(line, edge))
+        assert load_scenario(path).scan.n_pixels[0] >= 32
+
     @pytest.mark.parametrize("target", ["50", "25", "12.5", "0.01"])
     def test_target_freq_of_whole_clock_cycles_accepted(self, tmp_path,
                                                         target):
@@ -543,6 +557,20 @@ class TestCli:
          "vectors = 99,0"),
         ("attack", "xor_unprotected", "vectors = 0,0;15,0;0,15;15,15;5,10",
          "vectors = 0,0,3;15"),
+        # 2 sigma**2 underflows to 0: a NaN temperature, or a NaN image.
+        ("attack", "mtd_inter_key", "spot_sigma_um = 8.0",
+         "spot_sigma_um = 1e-200"),
+        ("attack", "mtd_inter_key", "psf_sigma_um = 4.0",
+         "psf_sigma_um = 1e-200"),
+        # Far more than 65,536 pixels over the scanned region.
+        ("attack", "mtd_inter_key", "pixel_pitch_um = 10.0",
+         "pixel_pitch_um = 1e-300"),
+        ("attack", "xor_unprotected", "pixel_pitch_um = 10.0",
+         "pixel_pitch_um = 0.1"),
+        ("attack", "xor_unprotected", "region_um = 160,40,200,120",
+         "region_um = 0,0,320,30000"),
+        # A dwell that rounds to 0 ps.
+        ("attack", "mtd_inter_key", "dwell_ms = 1.0", "dwell_ms = 1e-12"),
         # Above half the 100 MHz sensor clock.
         ("attack", "unprotected_key", "target_freq_mhz = 1.25",
          "target_freq_mhz = 60"),

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import EagerField
+from probesim import thermal
 from probesim.fabric import SliceCoord
 from probesim.thermal import LaserSpot, ThermalField
 
@@ -76,10 +79,10 @@ def test_total_elevation_never_increases_while_disabled():
     field = ThermalField(8, 8)
     field.delta_t[:] = rng.uniform(0, 10, size=(8, 8))
     field.set_spot(None)
-    prev = field.total_delta_t()
+    prev = field.delta_t.sum()
     for _ in range(20):
         field.advance(7.0)
-        cur = field.total_delta_t()
+        cur = field.delta_t.sum()
         assert cur <= prev
         prev = cur
 
@@ -103,12 +106,12 @@ def test_update_is_step_size_exact():
 
 def test_projection_matches_advance():
     field = ThermalField(8, 8)
-    spot = LaserSpot((35.0, 35.0))
-    field.set_spot(spot)
+    field.set_spot(LaserSpot((35.0, 35.0)))
     field.advance(13.0)
-    projected = field.delta_t_at_um(35.0, 35.0, at_time_us=9.0)
+    site = SliceCoord(3, 3)
+    projected = field.project(site, 9.0)
     field.advance(9.0)
-    assert projected == pytest.approx(field.delta_t_at_um(35.0, 35.0), rel=1e-12)
+    assert projected == pytest.approx(field.delta_t_at_site(site), rel=1e-12)
 
 
 def test_vector_projection_matches_advance():
@@ -134,17 +137,6 @@ def test_spot_validation():
         LaserSpot((0, 0), power=-1.0)
     with pytest.raises(ValueError):
         LaserSpot((0, 0), sigma_um=0.0)
-
-
-def test_pgm_dump(tmp_path):
-    field = ThermalField(4, 2)
-    field.delta_t[0, 0] = 10.0
-    path = tmp_path / "field.pgm"
-    field.to_pgm(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "P2"
-    assert lines[1] == "4 2"
-    assert lines[3].split()[0] == "255"
 
 
 def per_dwell_raster(field, centers, power, sigma_um, dwell_us, site):
@@ -189,3 +181,75 @@ def test_raster_matches_per_dwell_updates(n, dwell_us, tau_us):
     ref.set_spot(LaserSpot(tuple(centers[-1]), 0.8, 6.0))
     assert steady[-1] == ref._source[iy, ix] * tau_us
 
+
+
+# -- the deferred grid against the eager reference ------------------------------
+
+WIDTH, HEIGHT = 6, 4
+coords = st.floats(-20.0, 80.0)
+sites = st.builds(SliceCoord, st.integers(0, WIDTH - 1), st.integers(0, HEIGHT - 1))
+powers = st.sampled_from([0.0, 0.3, 1.0])
+sigmas = st.floats(2.0, 30.0)
+dwells = st.floats(0.5, 300.0)
+centers = st.lists(st.tuples(coords, coords), min_size=1, max_size=40).map(np.array)
+operations = st.one_of(
+    st.tuples(st.just("set_spot"), st.none() | st.builds(
+        LaserSpot, st.tuples(coords, coords), powers, sigmas)),
+    st.tuples(st.just("advance"), dwells),
+    st.tuples(st.just("advance_raster"), centers, powers, sigmas, dwells),
+    st.tuples(st.just("project"), sites,
+              st.lists(dwells, min_size=1, max_size=5).map(np.array)),
+    st.tuples(st.just("raster_cell"), sites, centers, powers, sigmas, dwells),
+    st.tuples(st.just("delta_t_at_site"), sites),
+    st.tuples(st.just("write"), st.integers(0, HEIGHT - 1),
+              st.integers(0, WIDTH - 1), st.floats(0.0, 50.0)),
+    st.tuples(st.just("grid")),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=st.lists(operations, max_size=30), tau_us=st.sampled_from([2.0, 50.0]),
+       limit=st.sampled_from([1, 3, thermal.MAX_PENDING_UPDATES]))
+def test_deferred_grid_matches_eager_reference(ops, tau_us, limit):
+    # Random updates, per-cell reads and slice writes; every read and the
+    # final grid equal the eager reference's bit for bit, also when the
+    # queue fills and is applied to the grid unread.
+    field = ThermalField(WIDTH, HEIGHT, tau_us=tau_us)
+    ref = EagerField(WIDTH, HEIGHT, tau_us=tau_us)
+    original = thermal.MAX_PENDING_UPDATES
+    thermal.MAX_PENDING_UPDATES = limit
+    try:
+        for name, *args in ops:
+            if name == "write":
+                iy, ix, value = args
+                field.delta_t[iy:, :ix + 1] = value
+                ref.delta_t[iy:, :ix + 1] = value
+                continue
+            if name == "grid":
+                assert np.array_equal(field.delta_t, ref.delta_t)
+                continue
+            got = getattr(field, name)(*args)
+            want = getattr(ref, name)(*args)
+            if name == "raster_cell":
+                assert np.array_equal(got[0], want[0])
+                assert np.array_equal(got[1], want[1])
+            elif got is not None:
+                assert np.array_equal(got, want), name
+        assert np.array_equal(field.delta_t, ref.delta_t)
+    finally:
+        thermal.MAX_PENDING_UPDATES = original
+
+
+def test_cell_reads_leave_the_grid_pending():
+    # A raster and a hold queue their updates; reading one cell applies them
+    # to that cell only, and reading the grid applies them to every cell.
+    field = ThermalField(WIDTH, HEIGHT)
+    ref = EagerField(WIDTH, HEIGHT)
+    site = SliceCoord(2, 1)
+    for f in (field, ref):
+        f.advance_raster(raster_centers(30), 1.0, 20.0, 40.0)
+        f.advance(10.0)
+    assert field.delta_t_at_site(site) == ref.delta_t_at_site(site)
+    assert len(field._pending) == 2
+    assert np.array_equal(field.delta_t, ref.delta_t)
+    assert not field._pending
