@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -326,7 +327,8 @@ class CoSimulation:
         w0 = self.windows_done
         for chunk in range(w0, w0 + n, RASTER_CHUNK_WINDOWS):
             end = min(chunk + RASTER_CHUNK_WINDOWS, w0 + n)
-            bounds = [chunk, *(w for w in run_starts if chunk < w < end), end]
+            bounds = [chunk, *run_starts[bisect_right(run_starts, chunk):
+                                         bisect_left(run_starts, end)], end]
             runs = []
             for a, b in zip(bounds, bounds[1:]):
                 if a == b:  # a switch in a dwell that no window ends in
