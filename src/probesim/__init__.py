@@ -5,8 +5,8 @@ from .cosim import CoSimulation, ScenarioError
 from .defense import (CapacityError, DefenseError, DefensePolicy, Permutation,
                       ReconfigEvent, configure_polymorphic_lut, on_trigger,
                       permute_intra, relocate_inter)
-from .fabric import (CombinationalCycleError, DelayElement, FabricError,
-                     FabricModel, FlipFlop, Lut, SliceCoord, evaluate_lut)
+from .fabric import (CombinationalCycleError, FabricError, FabricModel,
+                     FlipFlop, Lut, SliceCoord, evaluate_lut)
 from .harness import ConfigError, RunSummary, Scenario, load_scenario, run
 from .netlist import NetlistError, load_netlist
 from .sensor import (SensorInstance, TuneValue, TuningError, chain_delay,

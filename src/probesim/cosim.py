@@ -197,24 +197,24 @@ class CoSimulation:
         """Advance towards the target, stopping at the first new epoch.
 
         One window batch runs up to the target or the pending completion,
-        whichever comes first.  If the batch fires the trigger, time stops
-        at the trigger instead; windows already drawn past it stay drawn,
-        which is exact while the spot stays put.  A completion due by the
-        time reached is applied before returning, so the epoch in effect
-        afterwards has every event at or before the returned time applied.
-        Epochs started before the call (``invalidate_activity``) do not
-        stop it.  Returns the time reached in ps.
+        whichever comes first.  Time stops at the trigger whenever it lies
+        ahead, fired by this batch or by a raster stretch; windows already
+        drawn past it stay drawn, which is exact while the spot stays put.
+        A completion due by the time reached is applied before returning, so
+        the epoch in effect afterwards has every event at or before the
+        returned time applied.  Epochs started before the call
+        (``invalidate_activity``) do not stop it.  Returns the time reached
+        in ps.
         """
         if t_target_ps < self.t_ps:
             raise ScenarioError("time cannot run backwards")
-        epoch_before = self._epoch_id
         stop = t_target_ps
         ev_ps = self._pending_completion_ps()
         if ev_ps is not None and ev_ps <= t_target_ps:
             stop = max(ev_ps, self.t_ps)
         self._run_windows_until(stop)
-        if self._epoch_id != epoch_before:
-            stop = self._epochs[-1][0]  # the trigger's time
+        if self.trigger_ps is not None and self.trigger_ps > self.t_ps:
+            stop = min(stop, self.trigger_ps)
         self._advance_field(stop)
         self.t_ps = stop
         ev_ps = self._pending_completion_ps()
@@ -229,12 +229,12 @@ class CoSimulation:
 
         Gives the same windows, events and field as set_spot() plus
         advance_to() the dwell's end per center.  Event-free stretches of
-        dwells run as one vectorised window pass (_raster_stretch); the
-        dwell that fires the trigger or holds a pending completion steps
-        through advance_to_epoch_change().  Each epoch's activity is
-        recorded as it is entered, so a short-lived epoch such as the hold
-        state of a relocation is imaged as it was, not as the fabric is
-        after it.
+        dwells run as one vectorised window pass (_raster_stretch).  The
+        dwell that fires the trigger or holds a pending completion then
+        steps through advance_to_epoch_change(), which splits the field's
+        update at each epoch change.  Each epoch's activity is recorded as
+        it is entered, so a short-lived epoch such as the hold state of a
+        relocation is imaged as it was, not as the fabric is after it.
         """
         centers = np.asarray(centers_um, dtype=float).reshape(-1, 2)
         LaserSpot((0.0, 0.0), power, sigma_um)  # validates power and sigma
@@ -247,6 +247,7 @@ class CoSimulation:
             if ev_ps is not None:
                 # Dwells before the one whose end reaches the completion.
                 last = min(last, (ev_ps - t0 - 1) // dwell_ps)
+            epoch = self._epoch_id  # a stretch that fires starts an epoch
             i = self._raster_stretch(centers, i, last, t0, dwell_ps, power,
                                      sigma_um)
             if i == len(centers):
@@ -254,9 +255,9 @@ class CoSimulation:
             self.thermal.set_spot(LaserSpot(tuple(centers[i]), power, sigma_um))
             end_ps = t0 + (i + 1) * dwell_ps
             while self.t_ps < end_ps:
-                epoch = self._epoch_id
                 self.advance_to_epoch_change(end_ps)
                 if self._epoch_id != epoch:
+                    epoch = self._epoch_id
                     self.activity()
             i += 1
         return t0
@@ -266,49 +267,80 @@ class CoSimulation:
         """Dwells first..last-1 of a raster, none of which holds a pending
         completion, in one pass; returns the first dwell not run.
 
-        The window zero probabilities come from _stretch_p0 and the counts
-        are drawn RASTER_CHUNK_WINDOWS at a time; batched binomial draws
-        equal the per-dwell ones.  If a chunk fires the trigger, the stream
-        is rewound to the chunk's start, the windows before the firing dwell
-        are redrawn, and the stretch ends there: that dwell is left to
-        advance_to_epoch_change().
+        If a window fires the trigger, the stretch draws the windows up to
+        the end of the firing dwell and ends before that dwell, which is
+        left to advance_to_epoch_change() for the field.
         """
         if last <= first:
             return first
         dwell_us = dwell_ps / 1e6
         starts, steady = self.thermal.raster_cell(
             self.sensor.site, centers[first:last], power, sigma_um, dwell_us)
-        begin_ps = t0 + first * dwell_ps
-        n = (t0 + last * dwell_ps) // self.window_ps - self.windows_done
-        armed = self.threshold is not None and not self.sensor.latched
-        stop = last
-        for runs in self._stretch_p0(starts, steady, begin_ps, dwell_ps, n):
-            w0 = self.windows_done
-            if armed:
-                state = self.sensor_rng.bit_generator.state
-            counts = self._draw(runs)
-            hits = np.flatnonzero(counts >= self.threshold) if armed else ()
-            if len(hits):
-                fired = ((w0 + int(hits[0]) + 1) * self.window_ps - begin_ps
-                         - 1) // dwell_ps
-                # Windows of this chunk that end before the firing dwell.
-                keep = max((begin_ps + fired * dwell_ps) // self.window_ps - w0, 0)
-                self.sensor_rng.bit_generator.state = state
-                counts = self._draw(runs, keep)
-                stop = first + fired
-            self.window_counts.frombytes(counts.tobytes())
-            self.windows_done += len(counts)
-            if stop < last:
-                break
+        fired = self._run_schedule(starts, steady, t0 + first * dwell_ps,
+                                   dwell_ps, t0 + last * dwell_ps)
+        stop = last if fired is None else first + fired
         self.thermal.advance_raster(centers[first:stop], power, sigma_um, dwell_us)
         self.t_ps = t0 + stop * dwell_ps
         return stop
 
+    def _advance_field(self, t_target_ps: int) -> None:
+        dt_us = (t_target_ps - self.t_ps) / 1e6
+        if dt_us > 0:
+            self.thermal.advance(dt_us)
+
+    # -- sensor window stream ------------------------------------------------
+
+    def _run_windows_until(self, t_ps: int) -> None:
+        """Hold the spot up to t_ps: a one-dwell schedule from now."""
+        if t_ps // self.window_ps > self.windows_done:
+            self._run_schedule(*self.thermal.hold_cell(self.sensor.site),
+                               self.t_ps, t_ps - self.t_ps, t_ps)
+
+    def _run_schedule(self, starts, steady, begin_ps: int, dwell_ps: int,
+                      end_ps: int) -> int | None:
+        """Draw the windows of a spot schedule that end by end_ps; returns
+        the dwell that fired the trigger, or None.
+
+        The schedule is dwells of dwell_ps from begin_ps, in which the
+        sensor cell relaxes from starts[d] towards steady[d].  Every sensor
+        window is drawn here, and the trigger is checked only here: the
+        first window at or over the threshold latches the sensor and fires
+        the defense at its end.  The windows up to the end of the firing
+        dwell are kept; the chunk that holds that end is rewound to its
+        start and redrawn up to it, and no later window is drawn.  A held
+        spot is one dwell, so all its windows are kept.
+        """
+        end = end_ps // self.window_ps
+        fired = None
+        for runs in self._stretch_p0(starts, steady, begin_ps, dwell_ps,
+                                     end - self.windows_done):
+            w0 = self.windows_done
+            armed = self.threshold is not None and not self.sensor.latched
+            if armed and len(starts) > 1:  # one dwell is never rewound
+                state = self.sensor_rng.bit_generator.state
+            counts = self._draw(runs, end - w0)
+            hits = np.flatnonzero(counts >= self.threshold) if armed else ()
+            if len(hits):
+                fire_ps = (w0 + int(hits[0]) + 1) * self.window_ps
+                fired = (fire_ps - begin_ps - 1) // dwell_ps
+                end = (begin_ps + (fired + 1) * dwell_ps) // self.window_ps
+                if end < w0 + len(counts):
+                    self.sensor_rng.bit_generator.state = state
+                    counts = self._draw(runs, end - w0)
+                self.sensor.latched = True
+                self.model.set_latch_net(1)
+                self._fire_defense(fire_ps)
+            self.window_counts.frombytes(counts.tobytes())
+            self.windows_done += len(counts)
+            if self.windows_done == end:
+                break
+        return fired
+
     def _stretch_p0(self, starts, steady, begin_ps: int, dwell_ps: int, n: int):
-        """Zero probabilities of the next n windows of a raster stretch that
+        """Zero probabilities of the next n windows of a spot schedule that
         begins at begin_ps, in window order and without draws.
 
-        Window w ends at (w + 1) * window_ps, in the dwell d of the stretch
+        Window w ends at (w + 1) * window_ps, in the dwell d of the schedule
         that holds that end, and its temperature is projected from the
         dwell's start: relax(starts[d], steady[d], exp(-dt / tau)).  Yields
         one list per chunk of RASTER_CHUNK_WINDOWS windows, of (p0, m) per
@@ -319,7 +351,8 @@ class CoSimulation:
         alpha, window_ps = self.thermal.alpha_per_k, self.window_ps
         ambient = (abs(alpha) * np.maximum(np.abs(starts), np.abs(steady))
                    < AMBIENT_LIMIT)
-        p_ambient = float(self.sensor.zero_probability(np.ones(1))[0])
+        p_ambient = (float(self.sensor.zero_probability(np.ones(1))[0])
+                     if ambient.any() else None)
         # A dwell of the other class than the dwell before starts a run, at
         # the first window that ends in it.
         switches = np.flatnonzero(ambient[1:] != ambient[:-1]) + 1
@@ -346,45 +379,19 @@ class CoSimulation:
                     1.0 + alpha * delta_ts), b - a))
             yield runs
 
-    def _draw(self, runs, limit: int | None = None) -> np.ndarray:
-        """Zero counts of (p0, m) runs, or of their first ``limit`` windows,
-        drawn from the sensor stream in window order."""
+    def _draw(self, runs, limit: int) -> np.ndarray:
+        """Zero counts of the first ``limit`` windows of (p0, m) runs, drawn
+        from the sensor stream in window order."""
         counts = [np.zeros(0, dtype=np.int64)]
         for p0, m in runs:
-            if limit is not None:
-                if limit == 0:
-                    break
-                m = min(m, limit)
-                limit -= m
+            if limit == 0:
+                break
+            m = min(m, limit)
+            limit -= m
             if not isinstance(p0, float):
                 p0 = p0[:m]
             counts.append(self.sensor_rng.binomial(self.t_detect, p0, size=m))
         return np.concatenate(counts)
-
-    def _advance_field(self, t_target_ps: int) -> None:
-        dt_us = (t_target_ps - self.t_ps) / 1e6
-        if dt_us > 0:
-            self.thermal.advance(dt_us)
-
-    # -- sensor window stream ------------------------------------------------
-
-    def _run_windows_until(self, t_ps: int) -> None:
-        n = t_ps // self.window_ps - self.windows_done
-        if n <= 0:
-            return
-        ends_ps = (self.windows_done + 1 + np.arange(n)) * self.window_ps
-        # Sensor-site temperature at each window end, projected from now.
-        delta_ts = self.thermal.project(self.sensor.site, (ends_ps - self.t_ps) / 1e6)
-        p0 = self.sensor.zero_probability(1.0 + self.thermal.alpha_per_k * delta_ts)
-        counts = self.sensor_rng.binomial(self.t_detect, p0)
-        if self.threshold is not None and not self.sensor.latched:
-            hits = np.flatnonzero(counts >= self.threshold)
-            if hits.size:
-                self.sensor.latched = True
-                self.model.set_latch_net(1)
-                self._fire_defense(int(ends_ps[hits[0]]))
-        self.window_counts.frombytes(counts.astype(np.int64, copy=False).tobytes())
-        self.windows_done += n
 
     def counter_columns(self) -> tuple:
         """The counter log as four columns: window index (a range), zero

@@ -66,12 +66,6 @@ class Permutation:
     def __call__(self, i: int) -> int:
         return self.mapping[i]
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.mapping)
-        for i, j in enumerate(self.mapping):
-            inv[j] = i
-        return Permutation(tuple(inv))
-
     def cycle_notation(self) -> str:
         seen: set[int] = set()
         parts = []

@@ -84,27 +84,9 @@ class FlipFlop:
 
 
 @dataclass
-class DelayElement:
-    """31-tap calibrated delay line; delay grows linearly with the tap."""
-
-    per_tap_ps: float = 78.0
-    base_ps: float = 600.0
-    tap: int = 0
-
-    def set_tap(self, tap: int) -> None:
-        # Raw register write: values past the top tap wrap around.
-        self.tap = tap % (TAP_MAX + 1)
-
-    def delay_ps(self) -> float:
-        return self.base_ps + self.tap * self.per_tap_ps
-
-
-@dataclass
 class Net:
     name: str
     driver: tuple[str, str] | None = None  # (kind, primitive/name)
-    base_delay_ps: float = 600.0
-    centroid_um: tuple[float, float] | None = None
 
 
 def evaluate_lut(lut: Lut, inputs) -> int:
@@ -233,19 +215,6 @@ class FabricModel:
         n = self.ffs_per_slice if kind == "ff" else self.luts_per_slice
         dy = (slot - (n - 1) / 2.0) * 2.0
         return (cx + dx, cy + dy)
-
-    def net_centroid_um(self, name: str) -> tuple[float, float]:
-        net = self.nets[name]
-        if net.centroid_um is not None:
-            return net.centroid_um
-        kind, ref = net.driver
-        if kind == "lut":
-            lut = self.luts[ref]
-            return self.slot_position_um(lut.site, lut.slot, "lut")
-        if kind == "ff":
-            ff = self.ffs[ref]
-            return self.slot_position_um(ff.site, ff.slot, "ff")
-        return self.site_center_um(SliceCoord(0, 0))
 
     # -- evaluation ---------------------------------------------------------
 

@@ -33,6 +33,12 @@ MAX_EOP_SAMPLES = 1_000_000
 # Most pixels of an EOFM raster; its image and the point-spread weights of
 # every pixel and primitive are arrays that grow with it.
 MAX_PIXELS = 65_536
+# Most sensor windows of one co-simulated run.  The window log holds 16
+# bytes per window (count and pulse), about 0.5 GB at this bound, and
+# counters.csv writes one row each.  It admits a raster of MAX_PIXELS at the
+# bundled 1 ms dwell (25.7 million 2.55 us windows); the largest bundled run
+# has 200,784.
+MAX_WINDOWS = 32_000_000
 
 
 class ConfigError(Exception):
@@ -147,6 +153,7 @@ _RECT = (lambda t: _numbers(t, 4),
          "x0,y0,x1,y1, finite, with x0 < x1 and y0 < y1")
 _REGION = (*_RECT[:2], _RECT[2] + f", and at most {MAX_PIXELS} pixels of "
            "[scan] pixel_pitch_um")
+_WINDOWS = f", with at most {MAX_WINDOWS} sensor windows in the run"
 
 SCENARIO_KEYS = {(section, key): (*value, dest) for section, key, value, dest in [
     ("scenario", "name", (str, lambda v: v not in ("", ".", "..")
@@ -182,7 +189,8 @@ SCENARIO_KEYS = {(section, key): (*value, dest) for section, key, value, dest in
     ("scan", "region_um", _REGION, "scan.region_um"),
     ("scan", "pixel_pitch_um", _above(0), "scan.pixel_pitch_um"),
     # 1 ns: a dwell rounds to whole ps, and one of 0 ps would take no time.
-    ("scan", "dwell_ms", _at_least(1e-6), "scan.dwell_ms"),
+    ("scan", "dwell_ms", (*_at_least(1e-6)[:2], _at_least(1e-6)[2] + _WINDOWS),
+     "scan.dwell_ms"),
     ("scan", "target_freq_mhz", (float, lambda v: math.isfinite(v) and v > 0,
                                  "finite, > 0 and [sensor] clock_mhz / (2 n) "
                                  "for a whole n >= 1"),
@@ -222,7 +230,8 @@ SCENARIO_KEYS = {(section, key): (*value, dest) for section, key, value, dest in
                               "an integer >= 1 and <= the probe duration, "
                               f"with at most {MAX_EOP_SAMPLES} samples in it"),
      "eop.resolution_ps"),
-    ("eop", "iterations", _integer(1), "eop.iterations"),
+    ("eop", "iterations", (*_integer(1)[:2], _integer(1)[2] + _WINDOWS),
+     "eop.iterations"),
     ("eop", "noise_sigma", _at_least(0), "eop.noise_sigma"),
     ("eop", "power", _at_least(0), "eop.power"),
     ("function", "operand_nets", (lambda t: [_names(g) for g in t.split(";")],
@@ -301,12 +310,20 @@ def _decode_scenario(parser, path: Path, seed_override) -> Scenario:
         raise _bad_value(path, "scenario", "name", f"{scn.name!r} from the file name")
     scn.netlist_path = (path.parent / scn.netlist_path).resolve()
     # The rules that tie one key to another.
+    sensor = build_sensor(scn)
+    window_ps = scn.t_detect * sensor.cycle_ps
     if scn.kind == "eop":
-        duration_ps = scn.eop.duration_cycles * build_sensor(scn).cycle_ps
-        resolution = scn.eop.resolution_ps
+        spec = scn.eop
+        duration_ps = spec.duration_cycles * sensor.cycle_ps
+        resolution = spec.resolution_ps
         if resolution > duration_ps or duration_ps // resolution > MAX_EOP_SAMPLES:
             raise _bad_value(path, "eop", "resolution_ps",
                              f"{resolution} for a {duration_ps} ps probe")
+        windows = (spec.iterations * duration_ps * len(spec.probe_cells)
+                   // window_ps)
+        if windows > MAX_WINDOWS:
+            raise _bad_value(path, "eop", "iterations",
+                             f"{spec.iterations} for {windows} windows")
     if scn.kind == "stability":
         spec = scn.stability
         # The run logs round(logs) counts.
@@ -337,9 +354,14 @@ def _decode_scenario(parser, path: Path, seed_override) -> Scenario:
         if nx * ny > MAX_PIXELS:
             raise _bad_value(path, section, "region_um",
                              f"{region} at [scan] pixel_pitch_um = {pitch:g}")
+        rasters = len(scn.function.vectors) if scn.kind == "eofm_function" else 1
+        windows = nx * ny * rasters * scn.scan.dwell_ps // window_ps
+        if windows > MAX_WINDOWS:
+            raise _bad_value(path, "scan", "dwell_ms",
+                             f"{scn.scan.dwell_ms:g} for {windows} windows")
     if scn.kind.startswith("eofm") or (
             scn.kind == "eop" and scn.stimulus.program == "reset_toggle"):
-        target, clock = scn.scan.target_freq_mhz, build_sensor(scn).clock_mhz
+        target, clock = scn.scan.target_freq_mhz, sensor.clock_mhz
         try:
             stimulus_for_target_freq(clock, target)
         except ScenarioError:

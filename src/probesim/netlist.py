@@ -4,7 +4,7 @@ Grammar (one statement per line, ``#`` starts a comment):
 
     grid <width> <height> [ffs=<n>] [luts=<n>] [pitch=<um>]
     input <net> [<net> ...]
-    net <name> [delay_ps=<f>] [centroid=<x_um>,<y_um>]
+    net <name>
     lut <name> init=<bits> in=<net>,<net>,... out=<net> site=<x>,<y> [slot=<i>]
     ff <name> d=<net> q=<net> [ce=<net>] [rst=<net>] site=<x>,<y> slot=<i> [init=<0|1>]
     protect <ffname> [<ffname> ...]
@@ -89,12 +89,7 @@ def load_netlist(path) -> FabricModel:
                     model.add_input(name)
             elif stmt == "net":
                 opts = _split_kv(args[1:], path, lineno)
-                net = model._net(args[0])
-                if "delay_ps" in opts:
-                    net.base_delay_ps = float(opts.pop("delay_ps"))
-                if "centroid" in opts:
-                    cx, cy = opts.pop("centroid").split(",")
-                    net.centroid_um = (float(cx), float(cy))
+                model._net(args[0])
                 if opts:
                     raise NetlistError(path, lineno, f"unknown net options {sorted(opts)}")
             elif stmt == "lut":

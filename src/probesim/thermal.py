@@ -66,7 +66,7 @@ class ThermalField:
 
     Updates are deferred.  advance() and advance_raster() queue a hold or a
     raster; reading or writing ``delta_t`` first applies the queue to the
-    whole grid, and the one-cell reads (project, raster_cell,
+    whole grid, and the one-cell reads (hold_cell, raster_cell,
     delta_t_at_site) bring only their own cell up to date, remembered per
     cell.  Both apply the same float operations to a cell, so a cell reads
     the same bits either way.
@@ -186,26 +186,16 @@ class ThermalField:
         self._cells[iy, ix] = (x, len(self._pending))
         return x
 
-    def _cell_index(self, x_um: float, y_um: float) -> tuple[int, int]:
-        ix = min(max(int(x_um / self.site_pitch_um), 0), self.grid_width - 1)
-        iy = min(max(int(y_um / self.site_pitch_um), 0), self.grid_height - 1)
-        return iy, ix
-
     def _site_cell(self, site) -> tuple[int, int]:
-        return self._cell_index((site.x + 0.5) * self.site_pitch_um,
-                                (site.y + 0.5) * self.site_pitch_um)
+        return (min(max(site.y, 0), self.grid_height - 1),
+                min(max(site.x, 0), self.grid_width - 1))
 
-    def project(self, site, dts_us: float | np.ndarray) -> float | np.ndarray:
-        """Temperature elevation of a site's cell after each interval in dts_us.
-
-        Applies the exact exponential solution under the current spot
-        without mutating the field; valid as long as the spot does not move
-        in between.  Vectorised over ``dts_us``.
-        """
+    def hold_cell(self, site) -> tuple[np.ndarray, np.ndarray]:
+        """raster_cell for one dwell of any length under the parked spot:
+        a site's cell now and its steady state, as arrays of one value."""
         iy, ix = self._site_cell(site)
-        steady = self._source[iy, ix] * self.tau_us
-        return relax(self._cell(iy, ix), steady,
-                     np.exp(-np.asarray(dts_us) / self.tau_us))
+        return (np.array([self._cell(iy, ix)]),
+                np.array([self._source[iy, ix] * self.tau_us]))
 
     # -- rasters -------------------------------------------------------------
 
@@ -217,7 +207,7 @@ class ThermalField:
         Returns the cell's temperature elevation at the start of each dwell
         and its steady state under each spot.  These are the values that
         set_spot() and advance() once per dwell would give that cell, float
-        op for float op, so project() from a dwell start can be replaced by
+        op for float op, so the cell a time dt into a dwell is
         relax(start, steady, exp(-dt / tau)).
         """
         iy, ix = self._site_cell(site)

@@ -88,15 +88,6 @@ def signal_at(activity, x_um, y_um, psf_sigma_um):
                                   psf_sigma_um)[0])
 
 
-def propagation_delay(model, net_name, thermal):
-    """Net propagation delay in ps: the net's base delay times the thermal
-    delay factor of the cell under its routing centroid."""
-    x, y = model.net_centroid_um(net_name)
-    iy, ix = thermal._cell_index(x, y)
-    return (model.nets[net_name].base_delay_ps
-            * thermal.delay_factor(thermal.delta_t[iy, ix]))
-
-
 class EagerField:
     """Reference thermal field: every update is applied to the whole grid
     when it is made, with a raster as one set_spot and one advance per
@@ -142,10 +133,9 @@ class EagerField:
     def delta_t_at_site(self, site):
         return float(self.delta_t[self.cell(site)])
 
-    def project(self, site, dts_us):
-        cell = self.cell(site)
-        return relax(self.delta_t[cell], self.source[cell] * self.tau_us,
-                     np.exp(-np.asarray(dts_us) / self.tau_us))
+    def hold_cell(self, site):
+        return (np.array([self.delta_t_at_site(site)]),
+                np.array([self.source[self.cell(site)] * self.tau_us]))
 
     def raster_cell(self, site, centers_um, power, sigma_um, dwell_us):
         """Runs the raster on a copy of the field."""

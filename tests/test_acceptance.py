@@ -17,7 +17,7 @@ from scipy import stats
 
 from conftest import build_key_model
 from probesim.defense import permute_intra, apply_intra_permutation
-from probesim.fabric import DelayElement, FabricModel, FlipFlop, SliceCoord
+from probesim.fabric import FabricModel, FlipFlop, SliceCoord
 from probesim.harness import load_scenario, report_resources, run
 from probesim.sensor import (SensorInstance, TuneValue, chain_code_bits,
                              chain_delay, decode_chain_taps, is_metastable,
@@ -51,11 +51,10 @@ def test_criterion_1_chain_encoding_oracle():
                 n_max = code >> 5
                 taps = [min(code & 0x1F, 30)] + [30] * n_max
                 taps += [0] * (chain_len - 1 - n_max)
+                # One 600 ps element plus 78 ps per tap, per element.
                 oracle = 0.0
                 for tap in taps:
-                    el = DelayElement()
-                    el.tap = tap
-                    oracle += el.delay_ps()
+                    oracle += 600.0 + tap * 78.0
                 assert chain_delay(code, chain_len) == oracle
         taps = decode_chain_taps(0b1010111, 4)
         assert taps[0] == 0b10111

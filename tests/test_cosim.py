@@ -3,11 +3,12 @@ import pytest
 
 from conftest import (DEFAULT_TUNE, advance_for, build_key_model, build_sim,
                       counter_rows)
+from probesim import cosim
 from probesim.cosim import (ResetToggleStimulus, ScenarioError, ShiftStimulus,
                             stimulus_for_target_freq)
 from probesim.defense import DefensePolicy, region_slices
 from probesim.fabric import SliceCoord
-from probesim.thermal import LaserSpot
+from probesim.thermal import LaserSpot, relax
 
 
 KEY = (1, 0, 1, 1, 0, 0, 0, 1)
@@ -20,6 +21,15 @@ def mtd_sim(move_sensor=False, mid_pr_state="hold"):
                            threshold=3.0, move_sensor=move_sensor,
                            mid_pr_state=mid_pr_state)
     return build_sim(model, key=KEY, policy=policy), model
+
+
+@pytest.fixture(params=[cosim.RASTER_CHUNK_WINDOWS, 64, 4])
+def chunk(request, monkeypatch):
+    """A hold draws its windows in chunks too.  Parked on the sensor, the
+    trigger fires in window 6: in the first chunk at 64 windows, with later
+    chunks after it, and in the second chunk at 4."""
+    monkeypatch.setattr(cosim, "RASTER_CHUNK_WINDOWS", request.param)
+    return request.param
 
 
 def park_on_sensor(sim, power=1.0):
@@ -176,21 +186,23 @@ class TestCounterLog:
         idx = latched.index(1)
         assert rows[idx][1] >= 3  # the crossing window carries the count
 
-    def test_counts_follow_the_binomial_stream(self):
-        # The zero counts are the sensor stream's binomial draws; the max
-        # pulses come from a stream of their own.
+    def test_counts_follow_the_binomial_stream(self, chunk):
+        # The zero counts are the sensor stream's binomial draws, also past
+        # the trigger; the max pulses come from a stream of their own.
         model = build_key_model(KEY)
         sim = build_sim(model, key=KEY)
         park_on_sensor(sim)
-        # One batch of 39 windows, projected from the unheated start.
+        # One hold of 39 windows, projected from the unheated start.
         ends_us = (np.arange(39) + 1) * sim.window_ps / 1e6
-        p0 = sim.sensor.zero_probability(
-            1.0 + sim.thermal.alpha_per_k * sim.thermal.project(sim.sensor.site, ends_us))
+        start, steady = sim.thermal.hold_cell(sim.sensor.site)
+        delta_ts = relax(start, steady, np.exp(-ends_us / sim.thermal.tau_us))
+        p0 = sim.sensor.zero_probability(1.0 + sim.thermal.alpha_per_k * delta_ts)
         advance_for(sim, 100_000_000)
         rows = counter_rows(sim)
         ref = np.random.default_rng(np.random.SeedSequence(1).spawn(1)[0])
         assert np.array_equal(rows[:, 1], ref.binomial(255, p0))
         assert (rows[:, 2] <= rows[:, 1]).all()
+        assert sim.trigger_ps // sim.window_ps == 6
 
     def test_pulses_do_not_depend_on_when_the_log_is_read(self):
         logs = []
@@ -208,13 +220,16 @@ class TestCounterLog:
 
 
 class TestAdvanceToEpochChange:
-    def test_stops_at_the_trigger_then_at_the_completion(self):
+    def test_stops_at_the_trigger_then_at_the_completion(self, chunk):
         sim, _ = mtd_sim()
         park_on_sensor(sim)
         target = 2_000_000_000
         t_fire = sim.advance_to_epoch_change(target)
         assert sim.trigger_time_us is not None
         assert t_fire == round(sim.trigger_time_us * 1e6) == sim.t_ps
+        # The hold's windows are all drawn, up to the target.
+        assert t_fire // sim.window_ps == 6
+        assert sim.windows_done == target // sim.window_ps
         assert sim.epoch_segments(0, t_fire + 1)[-1][0] == t_fire
         assert sim.pending_event is not None
         t_done = sim.advance_to_epoch_change(target)

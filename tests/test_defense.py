@@ -40,13 +40,12 @@ class TestPermutation:
         rng = np.random.default_rng(0)
         assert permute_intra(1, rng).mapping == (0,)
 
-    def test_bijectivity_and_inverse(self):
+    def test_bijectivity(self):
         rng = np.random.default_rng(1)
         for n in (2, 3, 5, 8):
             p = permute_intra(n, rng)
-            inv = p.inverse()
             assert sorted(p.mapping) == list(range(n))
-            assert all(inv(p(i)) == i for i in range(n))
+            assert sorted(p(i) for i in range(n)) == list(range(n))
 
     @given(st.integers(2, 8), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)

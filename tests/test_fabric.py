@@ -3,11 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import propagation_delay
-from probesim.fabric import (CombinationalCycleError, DelayElement,
-                             FabricError, FabricModel, FlipFlop, Lut,
-                             SliceCoord, evaluate_lut)
-from probesim.thermal import LaserSpot, ThermalField
+from probesim.fabric import (CombinationalCycleError, FabricError,
+                             FabricModel, FlipFlop, Lut, SliceCoord,
+                             evaluate_lut)
 
 
 def make_lut(init_bits, k=None, name="l0", site=SliceCoord(0, 0)):
@@ -66,30 +64,6 @@ class TestEvaluateLut:
     def test_bad_init_length_rejected(self):
         with pytest.raises(FabricError):
             make_lut([0, 1, 1], k=2)
-
-
-class TestDelayElement:
-    def test_delay_linear_in_tap(self):
-        el = DelayElement(per_tap_ps=78.0, base_ps=600.0)
-        el.set_tap(0)
-        assert el.delay_ps() == 600.0
-        el.set_tap(10)
-        assert el.delay_ps() == 600.0 + 780.0
-
-    def test_strictly_monotone_for_positive_per_tap(self):
-        el = DelayElement(per_tap_ps=78.0, base_ps=600.0)
-        delays = []
-        for tap in range(31):
-            el.set_tap(tap)
-            delays.append(el.delay_ps())
-        assert all(b > a for a, b in zip(delays, delays[1:]))
-
-    def test_writing_past_top_tap_wraps_to_zero(self):
-        el = DelayElement()
-        el.set_tap(31)
-        assert el.tap == 0
-        el.set_tap(32)
-        assert el.tap == 1
 
 
 def build_shift_register(n=8):
@@ -195,35 +169,3 @@ class TestPlacement:
         model.add_ff(FlipFlop("f0", d="d", q="q", site=SliceCoord(0, 0)))
         with pytest.raises(FabricError):
             model.add_ff(FlipFlop("f1", d="d", q="q", site=SliceCoord(0, 1)))
-
-
-class TestPropagationDelay:
-    def setup_method(self):
-        self.model = FabricModel()
-        self.model.add_input("d")
-        self.model.add_ff(FlipFlop("f", d="d", q="q", site=SliceCoord(5, 5)))
-        self.model.nets["q"].base_delay_ps = 700.0
-        self.model.validate()
-
-    def test_unheated_fabric_returns_base_exactly(self):
-        field = ThermalField.for_model(self.model)
-        assert propagation_delay(self.model, "q", field) == 700.0
-
-    def test_linear_delay_scaling(self):
-        field = ThermalField.for_model(self.model, alpha_per_k=0.001)
-        x, y = self.model.net_centroid_um("q")
-        iy, ix = field._cell_index(x, y)
-        field.delta_t[iy, ix] = 10.0
-        assert propagation_delay(self.model, "q", field) == pytest.approx(
-            700.0 * 1.01, abs=1e-9)
-
-    def test_far_spot_leaves_base_delay(self):
-        # Spot 8 sigma away: the Gaussian tail contributes ~1e-14 of the
-        # peak, so the relative delay shift stays under 1e-9.
-        field = ThermalField.for_model(self.model, power_to_rate_k_per_us=0.4)
-        x, y = self.model.net_centroid_um("q")
-        field.set_spot(LaserSpot((x + 8 * 8.0, y), power=1.0, sigma_um=8.0))
-        for _ in range(100):
-            field.advance(50.0)
-        delay = propagation_delay(self.model, "q", field)
-        assert abs(delay - 700.0) / 700.0 < 1e-9

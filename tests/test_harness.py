@@ -50,6 +50,19 @@ class TestNetlistFiles:
         with pytest.raises(NetlistError):
             load_netlist(bad)
 
+    @pytest.mark.parametrize("option", ["delay_ps=700", "centroid=10,20"])
+    def test_net_options_rejected(self, capsys, tmp_path, option):
+        # A net statement only names a net; the options it once took set
+        # values that no run reads.
+        text = (SCENARIOS / "shift8.net").read_text()
+        (tmp_path / "shift8.net").write_text(text + f"net s2_q {option}\n")
+        with pytest.raises(NetlistError, match="unknown net options"):
+            load_netlist(tmp_path / "shift8.net")
+        path = tmp_path / "eop_shift.scn"
+        path.write_text((SCENARIOS / "eop_shift.scn").read_text())
+        assert cli.main(["eop", "--scenario", str(path)]) == 2
+        assert "unknown net options" in capsys.readouterr().err
+
 
 class TestScenarioFiles:
     @pytest.mark.parametrize("name", [
@@ -571,6 +584,15 @@ class TestCli:
          "region_um = 0,0,320,30000"),
         # A dwell that rounds to 0 ps.
         ("attack", "mtd_inter_key", "dwell_ms = 1.0", "dwell_ms = 1e-12"),
+        # Sensor windows past MAX_WINDOWS: 2e14 over 512 pixels, and 6.3e7
+        # over five rasters of 32 pixels, one per function vector.
+        ("attack", "mtd_inter_key", "dwell_ms = 1.0", "dwell_ms = 1e9"),
+        ("attack", "xor_unprotected", "dwell_ms = 1.0", "dwell_ms = 1000"),
+        # 1.9e12 windows; and 3.8e7, over the bound only through the two
+        # probe cells.
+        ("eop", "eop_shift", "iterations = 10000",
+         "iterations = 10000000000000"),
+        ("eop", "eop_shift", "iterations = 10000", "iterations = 200000000"),
         # Above half the 100 MHz sensor clock.
         ("attack", "unprotected_key", "target_freq_mhz = 1.25",
          "target_freq_mhz = 60"),

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import EagerField
 from probesim import thermal
 from probesim.fabric import SliceCoord
-from probesim.thermal import LaserSpot, ThermalField
+from probesim.thermal import LaserSpot, ThermalField, relax
 
 
 def test_pure_exponential_decay_everywhere():
@@ -109,21 +109,12 @@ def test_projection_matches_advance():
     field.set_spot(LaserSpot((35.0, 35.0)))
     field.advance(13.0)
     site = SliceCoord(3, 3)
-    projected = field.project(site, 9.0)
-    field.advance(9.0)
-    assert projected == pytest.approx(field.delta_t_at_site(site), rel=1e-12)
-
-
-def test_vector_projection_matches_advance():
-    field = ThermalField(8, 8)
-    field.set_spot(LaserSpot((35.0, 35.0)))
-    field.advance(13.0)
-    site = SliceCoord(3, 3)
-    projected = field.project(site, np.array([4.0, 9.0]))
+    start, steady = field.hold_cell(site)
+    held = relax(start, steady, np.exp(-np.array([4.0, 9.0]) / field.tau_us))
     field.advance(4.0)
-    assert projected[0] == pytest.approx(field.delta_t_at_site(site), rel=1e-12)
+    assert held[0] == pytest.approx(field.delta_t_at_site(site), rel=1e-12)
     field.advance(5.0)
-    assert projected[1] == pytest.approx(field.delta_t_at_site(site), rel=1e-12)
+    assert held[1] == pytest.approx(field.delta_t_at_site(site), rel=1e-12)
 
 
 def test_nonpositive_dt_rejected():
@@ -197,8 +188,7 @@ operations = st.one_of(
         LaserSpot, st.tuples(coords, coords), powers, sigmas)),
     st.tuples(st.just("advance"), dwells),
     st.tuples(st.just("advance_raster"), centers, powers, sigmas, dwells),
-    st.tuples(st.just("project"), sites,
-              st.lists(dwells, min_size=1, max_size=5).map(np.array)),
+    st.tuples(st.just("hold_cell"), sites),
     st.tuples(st.just("raster_cell"), sites, centers, powers, sigmas, dwells),
     st.tuples(st.just("delta_t_at_site"), sites),
     st.tuples(st.just("write"), st.integers(0, HEIGHT - 1),
