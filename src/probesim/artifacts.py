@@ -69,16 +69,21 @@ def format_int_columns(columns) -> bytes:
     columns.
 
     A column is a 1-D integer array, a bool array (a 0/1 flag) or a range
-    of step 1.  Each is written into a fixed-width block of ASCII digits,
-    one integer division by 10 per digit, into a (rows, line bytes)
-    matrix.  A column's width and the leading zeros it can have follow
-    from its smallest and largest value: a range gives them from its ends,
-    a bool array is one digit, and an integer array is reduced once.
-    Leading zeros are masked out only at the digit positions where some
-    value is short, so a block with none is the matrix's bytes as they
-    are.
+    of step 1, of at most CSV_CHUNK_ROWS rows.  Each is written into a
+    fixed-width block of ASCII digits of a (rows, line bytes) matrix.  A
+    column's width and the leading zeros it can have follow from its
+    smallest and largest value: a range gives them from its ends, a bool
+    array is one digit, and an integer array is reduced once.  A range
+    copies its digits from periodic tables (_range_digits); an array takes
+    one integer division by 10 per digit, in the narrowest unsigned dtype
+    that holds its largest value.  A leading zero is written as a NUL, at
+    the digit positions where some value is short, and the NULs are
+    deleted from the bytes at the end; a block with none is the matrix's
+    bytes as they are.
     """
     n = len(columns[0])
+    if n > CSV_CHUNK_ROWS:
+        raise ValueError(f"format_int_columns takes at most {CSV_CHUNK_ROWS} rows")
     if n == 0:
         return b""
     bounds = [_bounds(col) for col in columns]
@@ -87,29 +92,78 @@ def format_int_columns(columns) -> bytes:
     widths = [len(str(hi)) for _, hi in bounds]
     mat = np.full((n, sum(widths) + len(widths)), ord(","), dtype=np.uint8)
     mat[:, -1] = ord("\n")
-    keep = None
+    masked = False
     offset = 0
     for col, (lo, hi), width in zip(columns, bounds, widths):
-        dtype = np.uint32 if hi < 2 ** 32 else np.uint64
-        ten = dtype(10)
-        if isinstance(col, range):
-            value = np.arange(col.start, col.stop, dtype=dtype)
-        else:
-            value = col.astype(dtype)
-        v = value
-        for pos in range(offset + width - 1, offset, -1):
-            q = v // ten
-            mat[:, pos] = v - q * ten + ord("0")
-            v = q
-        mat[:, offset] = v + ord("0")
         # Digit k of a width-w block is a leading zero iff value < 10**(w-1-k);
         # no value is short at the digits that lo has.
-        for k in range(width - len(str(lo))):
-            if keep is None:
-                keep = np.ones(mat.shape, dtype=bool)
-            keep[:, offset + k] = value >= dtype(10 ** (width - 1 - k))
+        short = width - len(str(lo))
+        masked = masked or short > 0
+        block = mat[:, offset:offset + width]
+        if isinstance(col, range):
+            _range_digits(block, col.start, short)
+        else:
+            _array_digits(block, col, hi, short)
         offset += width + 1
-    return mat.tobytes() if keep is None else mat[keep].tobytes()
+    data = mat.tobytes()
+    return data.translate(None, b"\0") if masked else data
+
+
+# _RANGE_DIGITS[j][t] is the ASCII digit of place 10**j of t, for one period
+# of 10**(j + 1) plus a chunk, so that any chunk of a range is one slice.
+_RANGE_DIGITS = [
+    (np.arange(10 ** (j + 1) + CSV_CHUNK_ROWS) // 10 ** j % 10
+     + ord("0")).astype(np.uint8)
+    for j in range(4)
+]
+
+
+def _range_digits(block, start: int, short: int) -> None:
+    """Digits of start, start + 1, ... into a block of at most
+    CSV_CHUNK_ROWS rows, with NULs for the first ``short`` digits where
+    they lead.
+
+    Digit j of a range (place 10**j) has period 10**(j + 1): below 10**4
+    it is a slice of _RANGE_DIGITS, and from 10**4 up it changes at most
+    once in a block shorter than 10**4 rows, so it is two fills.  A range rises, so the rows
+    whose value is short of digit j are a prefix, up to 10**j - start.
+    """
+    width = block.shape[1]
+    for k in range(width):
+        j = width - 1 - k
+        unit = 10 ** j
+        if j < len(_RANGE_DIGITS):
+            phase = start % (10 * unit)
+            block[:, k] = _RANGE_DIGITS[j][phase:phase + len(block)]
+        else:
+            digit, into = divmod(start, unit)
+            block[:unit - into, k] = ord("0") + digit % 10
+            block[unit - into:, k] = ord("0") + (digit + 1) % 10
+        if k < short:
+            block[:unit - start, k] = 0
+
+
+_UINTS = ((8, np.uint8), (16, np.uint16), (32, np.uint32), (64, np.uint64))
+
+
+def _array_digits(block, col, hi: int, short: int) -> None:
+    """Digits of an integer or bool array into a block, with NULs for the
+    first ``short`` digits where they lead."""
+    dtype = next(t for bits, t in _UINTS if hi >> bits == 0)
+    value = col.astype(dtype)
+    ten = dtype(10)
+    width = block.shape[1]
+    v = value
+    for k in range(width - 1, -1, -1):
+        if k:
+            q = v // ten
+            digit = v - q * ten + dtype(ord("0"))
+            v = q
+        else:
+            digit = v + dtype(ord("0"))
+        if k < short:
+            digit *= value >= dtype(10 ** (width - 1 - k))
+        block[:, k] = digit
 
 
 def _bounds(col) -> tuple[int, int]:

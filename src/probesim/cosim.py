@@ -49,6 +49,20 @@ class Stimulus:
     def inputs_at(self, cycle: int) -> dict[str, int]:
         raise NotImplementedError
 
+    def input_program(self, n_cycles: int) -> tuple[list[int], list[dict]]:
+        """Input id of each of cycles 0..n_cycles-1, and the distinct input
+        dicts by id: two cycles share an id iff inputs_at gives them equal
+        items.  This generic program calls inputs_at per cycle; a subclass
+        gives the same from its own structure."""
+        ids, inputs, index = [], [], {}
+        for cycle in range(n_cycles):
+            got = self.inputs_at(cycle)
+            i = index.setdefault(tuple(got.items()), len(inputs))
+            if i == len(inputs):
+                inputs.append(got)
+            ids.append(i)
+        return ids, inputs
+
 
 class ResetToggleStimulus(Stimulus):
     """Global reset alternating every half period, plus static inputs.
@@ -69,6 +83,11 @@ class ResetToggleStimulus(Stimulus):
         inputs["rst"] = (cycle // self.half_period_cycles) % 2
         return inputs
 
+    def input_program(self, n_cycles: int) -> tuple[list[int], list[dict]]:
+        """The reset level is the input id."""
+        ids = (np.arange(n_cycles) // self.half_period_cycles % 2).tolist()
+        return ids, [{**self.static, "rst": level} for level in (0, 1)]
+
 
 class ShiftStimulus(Stimulus):
     """Serial pattern fed into a shift register input, repeating."""
@@ -86,6 +105,11 @@ class ShiftStimulus(Stimulus):
         inputs = dict(self.static)
         inputs[self.input_net] = self.pattern[cycle % self.period_cycles]
         return inputs
+
+    def input_program(self, n_cycles: int) -> tuple[list[int], list[dict]]:
+        """The pattern bit is the input id."""
+        ids = (self.pattern * -(-n_cycles // self.period_cycles))[:n_cycles]
+        return ids, [{**self.static, self.input_net: bit} for bit in (0, 1)]
 
 
 def stimulus_for_target_freq(clock_mhz: float, target_freq_mhz: float,
@@ -519,25 +543,22 @@ class CoSimulation:
             x, y = model.slot_position_um(ff.site, ff.slot, "ff")
             xs.append(x)
             ys.append(y)
-        lut_names = list(model.luts)
-        for name in lut_names:
-            lut = model.luts[name]
+        outputs = []
+        for name, lut in model.luts.items():
             x, y = model.slot_position_um(lut.site, lut.slot, "lut")
             names.append(name)
+            outputs.append(lut.output_net)
             xs.append(x)
             ys.append(y)
-        waves = np.zeros((len(names), period))
-        for cycle in self._replay(2 * period):
-            if cycle >= period:
-                t = cycle - period
-                for i, ff_name in enumerate(model.ffs):
-                    waves[i, t] = model.state[ff_name]
-                for j, lut_name in enumerate(lut_names):
-                    out = model.luts[lut_name].output_net
-                    waves[len(model.ffs) + j, t] = model.net_values[out]
+        edges, after = self._replay(2 * period)
         if period == 1:
             coefs = np.zeros(len(names), dtype=complex)
         else:
+            # One row of primitive values per distinct edge.
+            rows = np.array([[state[name] for name in model.ffs]
+                             + [values[net] for net in outputs]
+                             for state, values in after], dtype=float)
+            waves = rows[edges[period:]].T
             phases = np.exp(-2j * np.pi * np.arange(period) / period)
             coefs = waves @ phases * math.sin(math.pi / period)
         return EpochActivity(np.array(xs), np.array(ys), coefs, names)
@@ -563,34 +584,48 @@ class CoSimulation:
 
     def cycle_trace(self, net: str, n_cycles: int) -> np.ndarray:
         """Net value per cycle for one stimulus replay from phase zero."""
-        values = np.zeros(n_cycles)
-        for cycle in self._replay(n_cycles):
-            values[cycle] = self.model.net_values[net]
-        return values
+        edges, after = self._replay(n_cycles)
+        return np.array([values[net] for _, values in after], dtype=float)[edges]
 
-    def _replay(self, n_cycles: int):
-        """Clock the fabric through stimulus cycles 0..n_cycles-1, yielding
-        each cycle after its edge.
+    def _replay(self, n_cycles: int) -> tuple[list[int], list[tuple[dict, dict]]]:
+        """Clock the fabric through stimulus cycles 0..n_cycles-1; returns
+        the edge id of each cycle and the (register state, net values)
+        after each distinct edge, by edge id.
 
         Within one replay the logic, the latch net and the hold state are
         fixed, so an edge's outcome depends only on the register state and
-        the inputs before it; an edge that repeats an earlier (state,
-        inputs) pair takes that edge's register state and net values
-        instead of a new step_clock call.  The fabric ends as a plain
-        replay leaves it.
+        the inputs before it.  Edge 0 is the fabric before the replay.  A
+        table maps (edge, input id) to the next edge, so a cycle that
+        follows a known pair is one lookup; a new pair whose (state,
+        inputs) an earlier edge has met takes that edge's outcome, and
+        only a new (state, inputs) pair calls step_clock.  The fabric ends
+        as a plain replay leaves it.
         """
         model, stim = self.model, self.stimulus
         model.set_latch_net(int(self.sensor.latched))
+        # Any object with period_cycles and inputs_at can drive a replay.
+        program = getattr(stim, "input_program", None)
+        ids, inputs = (program(n_cycles) if program is not None
+                       else Stimulus.input_program(stim, n_cycles))
         ffs = list(model.ffs)
-        seen: dict[tuple, tuple[dict, dict]] = {}
-        for cycle in range(n_cycles):
-            inputs = stim.inputs_at(cycle)
-            key = (tuple([model.state[name] for name in ffs]),
-                   tuple(inputs.items()))
-            after = seen.get(key)
-            if after is None:
-                model.step_clock(inputs)
-                seen[key] = (model.state, model.net_values)
-            else:
-                model.state, model.net_values = after
-            yield cycle
+        after = [(model.state, model.net_values)]
+        nxt: dict[tuple[int, int], int] = {}
+        seen: dict[tuple, int] = {}
+        edges = []
+        edge = 0
+        for i in ids:
+            new = nxt.get((edge, i))
+            if new is None:
+                state = after[edge][0]
+                key = (tuple([state[name] for name in ffs]), i)
+                new = seen.get(key)
+                if new is None:
+                    model.state, model.net_values = after[edge]
+                    model.step_clock(inputs[i])
+                    new = seen[key] = len(after)
+                    after.append((model.state, model.net_values))
+                nxt[edge, i] = new
+            edge = new
+            edges.append(edge)
+        model.state, model.net_values = after[edge]
+        return edges, after

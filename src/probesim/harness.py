@@ -39,6 +39,13 @@ MAX_PIXELS = 65_536
 # bundled 1 ms dwell (25.7 million 2.55 us windows); the largest bundled run
 # has 200,784.
 MAX_WINDOWS = 32_000_000
+# Longest stimulus period, in clock cycles: a reset toggle's full period or
+# a shift pattern's length.  Every epoch's activity replays two periods
+# cycle by cycle and holds each primitive's float64 waveform over one.  At
+# this bound an epoch of a bundled netlist takes 7 to 15 ms of CPU and
+# 80 kB per primitive, against 0.5 ms at the bundled period of 80; it
+# admits a 10 kHz lock-in at the bundled 100 MHz clock.
+MAX_STIMULUS_PERIOD = 10_000
 
 
 class ConfigError(Exception):
@@ -193,7 +200,8 @@ SCENARIO_KEYS = {(section, key): (*value, dest) for section, key, value, dest in
      "scan.dwell_ms"),
     ("scan", "target_freq_mhz", (float, lambda v: math.isfinite(v) and v > 0,
                                  "finite, > 0 and [sensor] clock_mhz / (2 n) "
-                                 "for a whole n >= 1"),
+                                 "for a whole n from 1 to "
+                                 f"{MAX_STIMULUS_PERIOD // 2}"),
      "scan.target_freq_mhz"),
     ("scan", "power", _at_least(0), "scan.power"),
     # 1 nm: the Gaussians divide by sigma squared, which underflows to 0
@@ -221,7 +229,10 @@ SCENARIO_KEYS = {(section, key): (*value, dest) for section, key, value, dest in
     ("stimulus", "program", _one_of("reset_toggle", "shift"), "stimulus.program"),
     ("stimulus", "key", (str, lambda k: k == "random" or _is_bits(k),
                          "a bit string, MSB first, or random"), "stimulus.key"),
-    ("stimulus", "pattern", (str, _is_bits, "a bit string"), "stimulus.pattern"),
+    ("stimulus", "pattern", (str, lambda t: _is_bits(t)
+                             and len(t) <= MAX_STIMULUS_PERIOD,
+                             f"a bit string of at most {MAX_STIMULUS_PERIOD} "
+                             "bits"), "stimulus.pattern"),
     ("stimulus", "serial_net", (str, bool, "an external input net of the netlist"),
      "stimulus.serial_net"),
     ("eop", "probe_cells", _NAMES, "eop.probe_cells"),
@@ -363,10 +374,12 @@ def _decode_scenario(parser, path: Path, seed_override) -> Scenario:
             scn.kind == "eop" and scn.stimulus.program == "reset_toggle"):
         target, clock = scn.scan.target_freq_mhz, sensor.clock_mhz
         try:
-            stimulus_for_target_freq(clock, target)
+            period = stimulus_for_target_freq(clock, target).period_cycles
         except ScenarioError:
+            period = math.inf
+        if period > MAX_STIMULUS_PERIOD:
             raise _bad_value(path, "scan", "target_freq_mhz",
-                             f"{target:g} with clock_mhz = {clock:g}") from None
+                             f"{target:g} with clock_mhz = {clock:g}")
     threshold = scn.defense.get("threshold")
     if threshold is not None and threshold > scn.t_detect:
         raise _bad_value(path, "defense", "threshold",

@@ -7,13 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import build_key_model, build_sim
-from probesim.artifacts import CSV_CHUNK_ROWS, write_pgm
+from conftest import build_key_model, build_shift_model, build_sim
+from probesim.artifacts import CSV_CHUNK_ROWS, format_int_columns, write_pgm
 from probesim.attacker import EofmImage, EopTrace
-from probesim.cosim import CoSimulation
-from probesim.fabric import FabricModel
-from probesim.harness import load_scenario, run
+from probesim.cosim import (CoSimulation, ResetToggleStimulus, ShiftStimulus,
+                            Stimulus)
+from probesim.fabric import FabricModel, SliceCoord
+from probesim.harness import MAX_WINDOWS, load_scenario, run
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "probesim" / "scenarios"
 
@@ -95,6 +97,35 @@ class TestWritersOnRuns:
         write_pgm(tmp_path / "field.pgm", grid, float(grid.max()))
         per_line_pgm(tmp_path / "ref.pgm", grid, float(grid.max()))
         assert same_bytes(tmp_path / "field.pgm", tmp_path / "ref.pgm")
+
+
+class TestFormatIntColumns:
+    """The counter log's formatter against a %-format of the same rows."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(start=st.one_of(
+               st.integers(0, MAX_WINDOWS),
+               # A chunk that crosses one of 10**4 .. 10**7.
+               st.builds(lambda k, back: 10 ** k - back, st.integers(4, 7),
+                         st.integers(0, CSV_CHUNK_ROWS))),
+           n=st.integers(0, CSV_CHUNK_ROWS),
+           max_count=st.integers(0, 1023),
+           latched_share=st.sampled_from([0.0, 0.5, 1.0]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(start=9_999_000, n=CSV_CHUNK_ROWS, max_count=1023,
+             latched_share=0.5, seed=0)
+    def test_matches_percent_format(self, start, n, max_count, latched_share,
+                                    seed):
+        rng = np.random.default_rng(seed)
+        # Counts of one to four digits side by side, capped at max_count.
+        counts = np.minimum(rng.integers(0, 10 ** rng.integers(1, 5, n)),
+                            max_count)
+        pulses = (counts * rng.random(n)).astype(np.int64)
+        latched = rng.random(n) < latched_share
+        columns = [range(start, start + n), counts, pulses, latched]
+        expect = ("%d,%d,%d,%d\n" * n) % tuple(
+            v for row in zip(*columns) for v in row)
+        assert format_int_columns(columns) == expect.encode()
 
 
 class TestWritersOnEdgeValues:
@@ -236,3 +267,49 @@ class TestStepCache:
         sim.activity()
         assert sim.stimulus.period_cycles == 80
         assert len(steps) <= 4
+
+    @pytest.mark.parametrize("pattern", ["1", "10", "1011001"])
+    def test_shift_activity_matches_a_plain_replay(self, pattern):
+        # Periods 1, 2 and 7: from reset, from the orbit the replay left,
+        # and with the protected register held as during a relocation.
+        sim = build_sim(build_shift_model(), stimulus=ShiftStimulus(pattern),
+                        sensor_site=SliceCoord(13, 5))
+        checks = []
+        activity = against_plain(CoSimulation._simulate_activity,
+                                 plain_activity_coefs, checks)
+        trace = against_plain(CoSimulation.cycle_trace, plain_cycle_trace,
+                              checks)
+        activity(sim)
+        activity(sim)
+        trace(sim, "s3_q", 17)
+        sim.model.hold_protected = True
+        activity(sim)
+        trace(sim, "s3_q", 9)
+        assert len(checks) == 5
+
+    def test_hold_epoch_of_a_reset_toggle_matches_a_plain_replay(self):
+        key = (1, 0, 1, 1, 0, 0, 0, 1)
+        sim = build_sim(build_key_model(key), key=key)
+        checks = []
+        activity = against_plain(CoSimulation._simulate_activity,
+                                 plain_activity_coefs, checks)
+        activity(sim)
+        sim.model.hold_protected = True
+        activity(sim)
+        assert len(checks) == 2
+
+    @pytest.mark.parametrize("stim", [
+        ResetToggleStimulus(3, {"kd0": 1}),
+        ResetToggleStimulus(1),
+        ShiftStimulus("1011001", "sin", {"rst": 0}),
+        ShiftStimulus("1"),
+    ])
+    @pytest.mark.parametrize("n", [0, 1, 6, 23])
+    def test_input_program_is_the_generic_one(self, stim, n):
+        ids, inputs = stim.input_program(n)
+        assert [inputs[i] for i in ids] == [stim.inputs_at(c) for c in range(n)]
+        # Distinct ids are distinct inputs, so the replay steps the edges
+        # that the generic program would.
+        assert len({tuple(d.items()) for d in inputs}) == len(inputs)
+        generic_ids, _ = Stimulus.input_program(stim, n)
+        assert len(set(zip(ids, generic_ids))) == len(set(generic_ids))

@@ -610,6 +610,37 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, scenario, line, bad", [
+        # Reset toggle periods of 10,002, 100,000 and 1e8 cycles at the
+        # 100 MHz sensor clock.
+        ("attack", "unprotected_key", "target_freq_mhz = 1.25",
+         "target_freq_mhz = 0.0099980004"),
+        ("attack", "unprotected_key", "target_freq_mhz = 1.25",
+         "target_freq_mhz = 0.001"),
+        ("attack", "unprotected_key", "target_freq_mhz = 1.25",
+         "target_freq_mhz = 1e-6"),
+        # A shift period of 10,001 cycles.
+        ("eop", "eop_shift", "pattern = 10110001",
+         "pattern = " + "10" * 5000 + "1"),
+    ])
+    def test_stimulus_period_over_the_bound_exit_code(self, capsys, tmp_path,
+                                                      command, scenario,
+                                                      line, bad):
+        rc, err, named = run_edited(capsys, tmp_path, command, scenario,
+                                    line, bad)
+        assert rc == 2
+        assert "config error:" in err and named in err
+        assert not (tmp_path / "out").exists()
+
+    def test_shift_pattern_on_the_period_bound_accepted(self, tmp_path):
+        text = (SCENARIOS / "eop_shift.scn").read_text()
+        path = tmp_path / "eop_shift.scn"
+        path.write_text(text.replace("pattern = 10110001",
+                                     "pattern = " + "10" * 5000))
+        (tmp_path / "shift8.net").write_text(
+            (SCENARIOS / "shift8.net").read_text())
+        assert len(load_scenario(path).stimulus.pattern) == 10_000
+
+    @pytest.mark.parametrize("command, scenario, line, bad", [
         ("attack", "unprotected_key", "clock_mhz = 100.0", "clock_mhz = 0"),
         ("eop", "eop_shift", "clock_mhz = 100.0", "clock_mhz = 0"),
         ("attack", "unprotected_key", "t_detect_cycles = 255",
