@@ -125,8 +125,9 @@ def _range_digits(block, start: int, short: int) -> None:
 
     Digit j of a range (place 10**j) has period 10**(j + 1): below 10**4
     it is a slice of _RANGE_DIGITS, and from 10**4 up it changes at most
-    once in a block shorter than 10**4 rows, so it is two fills.  A range rises, so the rows
-    whose value is short of digit j are a prefix, up to 10**j - start.
+    once in a block shorter than 10**4 rows, so it is two fills.  A range
+    rises, so the rows whose value is short of digit j are a prefix, up
+    to 10**j - start.
     """
     width = block.shape[1]
     for k in range(width):

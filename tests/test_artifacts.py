@@ -305,7 +305,7 @@ class TestStepCache:
         ShiftStimulus("1"),
     ])
     @pytest.mark.parametrize("n", [0, 1, 6, 23])
-    def test_input_program_is_the_generic_one(self, stim, n):
+    def test_input_program_matches_inputs_at(self, stim, n):
         ids, inputs = stim.input_program(n)
         assert [inputs[i] for i in ids] == [stim.inputs_at(c) for c in range(n)]
         # Distinct ids are distinct inputs, so the replay steps the edges

@@ -599,32 +599,22 @@ class TestCli:
         # A toggle every 1.67 cycles of the 100 MHz sensor clock.
         ("attack", "unprotected_key", "target_freq_mhz = 1.25",
          "target_freq_mhz = 30"),
-    ])
-    def test_bad_probe_input_exit_code(self, capsys, tmp_path, command,
-                                       scenario, line, bad):
-        # Each is rejected while the scenario is decoded, before any run.
-        rc, err, named = run_edited(capsys, tmp_path, command, scenario,
-                                    line, bad)
-        assert rc == 2
-        assert "config error:" in err and named in err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("command, scenario, line, bad", [
-        # Reset toggle periods of 10,002, 100,000 and 1e8 cycles at the
-        # 100 MHz sensor clock.
+        # Stimulus periods past MAX_STIMULUS_PERIOD: reset toggles of
+        # 10,002, 100,000 and 1e8 cycles at the 100 MHz sensor clock, and a
+        # shift pattern of 10,001 bits.
         ("attack", "unprotected_key", "target_freq_mhz = 1.25",
          "target_freq_mhz = 0.0099980004"),
         ("attack", "unprotected_key", "target_freq_mhz = 1.25",
          "target_freq_mhz = 0.001"),
         ("attack", "unprotected_key", "target_freq_mhz = 1.25",
          "target_freq_mhz = 1e-6"),
-        # A shift period of 10,001 cycles.
-        ("eop", "eop_shift", "pattern = 10110001",
-         "pattern = " + "10" * 5000 + "1"),
+        pytest.param("eop", "eop_shift", "pattern = 10110001",
+                     "pattern = " + "10" * 5000 + "1",
+                     id="eop-eop_shift-pattern of 10001 bits"),
     ])
-    def test_stimulus_period_over_the_bound_exit_code(self, capsys, tmp_path,
-                                                      command, scenario,
-                                                      line, bad):
+    def test_bad_probe_input_exit_code(self, capsys, tmp_path, command,
+                                       scenario, line, bad):
+        # Each is rejected while the scenario is decoded, before any run.
         rc, err, named = run_edited(capsys, tmp_path, command, scenario,
                                     line, bad)
         assert rc == 2
