@@ -50,8 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sub.add_parser("stability", help="idle stability endurance run"))
     batch = sub.add_parser("batch", help="run several scenarios")
     add_common(batch, multi_scenario=True)
-    batch.add_argument("--jobs", type=int, default=1,
-                       help="scenarios to run in parallel")
     return parser
 
 
@@ -109,7 +107,7 @@ def _cmd_stability(args) -> int:
 
 def _cmd_batch(args) -> int:
     out = Path(args.out) if args.out else Path("runs")
-    summaries = harness.run_batch(args.scenario, out, args.jobs, args.seed)
+    summaries = harness.run_batch(args.scenario, out, args.seed)
     for s in summaries:
         trig = f"{s.trigger_time_us:.1f}us" if s.trigger_time_us is not None else "-"
         extra = ""

@@ -603,10 +603,7 @@ class CoSimulation:
         """
         model, stim = self.model, self.stimulus
         model.set_latch_net(int(self.sensor.latched))
-        # Any object with period_cycles and inputs_at can drive a replay.
-        program = getattr(stim, "input_program", None)
-        ids, inputs = (program(n_cycles) if program is not None
-                       else Stimulus.input_program(stim, n_cycles))
+        ids, inputs = stim.input_program(n_cycles)
         ffs = list(model.ffs)
         after = [(model.state, model.net_values)]
         nxt: dict[tuple[int, int], int] = {}

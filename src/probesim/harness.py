@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import configparser
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,6 +32,12 @@ MAX_EOP_SAMPLES = 1_000_000
 # Most pixels of an EOFM raster; its image and the point-spread weights of
 # every pixel and primitive are arrays that grow with it.
 MAX_PIXELS = 65_536
+# Most spot dwells of one run: an eofm_function run rasters its region once
+# per vector.  The thermal log keeps every dwell's spot center, 16 bytes
+# each, or 16 MB at this bound.  On a 2-vCPU x86 host a raster takes about
+# 8 us of CPU per dwell, 8 s at this bound, plus 1.3 to 1.8 ms per vector.
+# It admits 16 rasters of MAX_PIXELS.
+MAX_DWELLS = 16 * MAX_PIXELS
 # Most sensor windows of one co-simulated run.  The window log holds 16
 # bytes per window (count and pulse), about 0.5 GB at this bound, and
 # counters.csv writes one row each.  It admits a raster of MAX_PIXELS at the
@@ -155,6 +160,8 @@ def _is_bits(text: str) -> bool:
 
 _TEXT = str, bool, "non-empty"
 _NAMES = _names, all, "comma-separated names"
+_UNIQUE_NAMES = (_names, lambda names: all(names) and len(set(names)) == len(names),
+                 "comma-separated names, each once")
 _RECT = (lambda t: _numbers(t, 4),
          lambda r: all(map(math.isfinite, r)) and r[0] < r[2] and r[1] < r[3],
          "x0,y0,x1,y1, finite, with x0 < x1 and y0 < y1")
@@ -235,7 +242,7 @@ SCENARIO_KEYS = {(section, key): (*value, dest) for section, key, value, dest in
                              "bits"), "stimulus.pattern"),
     ("stimulus", "serial_net", (str, bool, "an external input net of the netlist"),
      "stimulus.serial_net"),
-    ("eop", "probe_cells", _NAMES, "eop.probe_cells"),
+    ("eop", "probe_cells", _UNIQUE_NAMES, "eop.probe_cells"),
     ("eop", "duration_cycles", _integer(1, 1_000_000), "eop.duration_cycles"),
     ("eop", "resolution_ps", (int, lambda v: v >= 1,
                               "an integer >= 1 and <= the probe duration, "
@@ -254,7 +261,8 @@ SCENARIO_KEYS = {(section, key): (*value, dest) for section, key, value, dest in
         lambda t: [tuple(int(v) for v in g.split(",")) for g in t.split(";")],
         lambda vectors: min(map(min, vectors)) >= 0,
         "groups of integers >= 0 split by ;, one integer per operand group, "
-        "each below 2 ** the group's net count"), "function.vectors"),
+        "each below 2 ** the group's net count, with at most "
+        f"{MAX_DWELLS} dwells in the run"), "function.vectors"),
     ("function", "region_um", _REGION, "function.region_um"),
     ("stability", "duration_min", (float, lambda v: math.isfinite(v) and v > 0,
                                    f"finite, > 0 and 1 to {MAX_LOGS} logs long"),
@@ -366,7 +374,14 @@ def _decode_scenario(parser, path: Path, seed_override) -> Scenario:
             raise _bad_value(path, section, "region_um",
                              f"{region} at [scan] pixel_pitch_um = {pitch:g}")
         rasters = len(scn.function.vectors) if scn.kind == "eofm_function" else 1
-        windows = nx * ny * rasters * scn.scan.dwell_ps // window_ps
+        dwells = nx * ny * rasters
+        # Only a function run can pass the bound: a key run's dwells are its
+        # pixels, at most MAX_PIXELS.
+        if dwells > MAX_DWELLS:
+            raise _bad_value(path, "function", "vectors",
+                             f"{rasters} vectors of {nx * ny} pixels for "
+                             f"{dwells} dwells")
+        windows = dwells * scn.scan.dwell_ps // window_ps
         if windows > MAX_WINDOWS:
             raise _bad_value(path, "scan", "dwell_ms",
                              f"{scn.scan.dwell_ms:g} for {windows} windows")
@@ -854,9 +869,8 @@ def write_artifacts(result: RunResult, out_dir: Path) -> None:
         write_defense_log(out_dir / "defense_log.csv", result.sim.defense_log)
 
 
-def run_batch(paths, out_root, jobs: int = 1,
-              seed_override: int | None = None) -> list[RunSummary]:
-    """Run independent scenarios, optionally in parallel threads.
+def run_batch(paths, out_root, seed_override: int | None = None) -> list[RunSummary]:
+    """Run independent scenarios one after another.
 
     Each run writes into ``out_root/<scenario name>``, so the names must be
     unique; a repeated name raises ConfigError before any run starts.
@@ -867,11 +881,4 @@ def run_batch(paths, out_root, jobs: int = 1,
     duplicates = sorted({n for n in names if names.count(n) > 1})
     if duplicates:
         raise ConfigError(f"batch lists scenario names more than once: {duplicates}")
-
-    def _one(scn: Scenario) -> RunSummary:
-        return run(scn, out_root / scn.name).summary
-
-    if jobs <= 1:
-        return [_one(s) for s in scenarios]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_one, scenarios))
+    return [run(scn, out_root / scn.name).summary for scn in scenarios]

@@ -30,13 +30,9 @@ class LaserSpot:
             raise ValueError("spot sigma must be > 0")
 
 
-# Dwells a raster replays per block of spot sources when the grid is
-# brought up to date.
-RASTER_BLOCK_DWELLS = 256
-
-# Pending updates a field holds before it applies them to the grid unread,
-# so a long run of updates that nothing reads keeps a bounded queue.
-MAX_PENDING_UPDATES = 1024
+# What a field holds when no spot is parked: a spot of power 0, under which
+# every cell's steady state is exactly 0.0.
+_NO_SPOT = LaserSpot(power=0.0)
 
 
 def relax(start, steady, decay):
@@ -64,12 +60,12 @@ class ThermalField:
     power (model units) into the peak deposition rate; the default makes a
     power-1.0 spot settle at ``peak ~= 0.4 * tau = 20 K``.
 
-    Updates are deferred.  advance() and advance_raster() queue a hold or a
-    raster; reading or writing ``delta_t`` first applies the queue to the
-    whole grid, and the one-cell reads (hold_cell, raster_cell,
-    delta_t_at_site) bring only their own cell up to date, remembered per
-    cell.  Both apply the same float operations to a cell, so a cell reads
-    the same bits either way.
+    The field is a log of spot schedules.  advance() and advance_raster()
+    each append one entry: the spot's centers, power and sigma, and the
+    decay of one dwell at each center.  A hold is a schedule of one center.
+    A cell is read (hold_cell, raster_cell, delta_t_at_site) by replaying
+    the entries it has not seen yet, and the result is remembered per cell,
+    so a run, which reads only the sensor's cell, computes no other cell.
     """
 
     def __init__(self, grid_width=32, grid_height=16, site_pitch_um=10.0,
@@ -82,17 +78,11 @@ class ThermalField:
         self.tau_us = tau_us
         self.alpha_per_k = alpha_per_k
         self.power_to_rate_k_per_us = power_to_rate_k_per_us
-        self._grid = np.zeros((grid_height, grid_width))
-        # Updates not yet applied to _grid, oldest first: ("hold", source,
-        # tau, decay) or ("raster", centers, power, sigma, tau, decay).
-        self._pending: list[tuple] = []
-        # Cells read since the grid was last brought up to date:
-        # (iy, ix) -> (temperature, count of pending updates applied to it).
+        # Spot schedules, oldest first: (centers, power, sigma_um, decay).
+        # Each entry keeps its centers, 16 bytes per dwell.
+        self._log: list[tuple[np.ndarray, float, float, float]] = []
+        # Cells read so far: (iy, ix) -> (temperature, log entries applied).
         self._cells: dict[tuple[int, int], tuple[float, int]] = {}
-        xs = (np.arange(grid_width) + 0.5) * site_pitch_um
-        ys = (np.arange(grid_height) + 0.5) * site_pitch_um
-        self._cell_x, self._cell_y = np.meshgrid(xs, ys)
-        self._source = np.zeros_like(self._grid)
         self.spot: LaserSpot | None = None
 
     @classmethod
@@ -100,90 +90,39 @@ class ThermalField:
         return cls(model.grid_width, model.grid_height, model.site_pitch_um,
                    **kwargs)
 
-    @property
-    def delta_t(self) -> np.ndarray:
-        """The temperature elevation grid, up to date; writes into it
-        change the field."""
-        self._apply_pending()
-        return self._grid
-
-    @delta_t.setter
-    def delta_t(self, grid: np.ndarray) -> None:
-        self._grid = grid
-        self._pending.clear()
-        self._cells.clear()
-
     def set_spot(self, spot: LaserSpot | None) -> None:
         """Park (or disable) the heating spot; takes effect on next advance."""
         self.spot = spot
-        if spot is None or spot.power == 0.0:
-            self._source = np.zeros_like(self._grid)
-            return
-        self._source = self._rates(spot.center_um[0], spot.center_um[1],
-                                   spot.power, spot.sigma_um,
-                                   self._cell_x, self._cell_y)
 
-    def _rates(self, cx, cy, power: float, sigma_um: float, xs, ys):
-        """Deposition rate at cell centers (xs, ys) of a spot at (cx, cy);
-        broadcasts over spot centers and cells alike."""
-        dx = xs - cx
-        dy = ys - cy
+    def _held(self) -> tuple[np.ndarray, float, float]:
+        """The parked spot as a schedule of one center: centers, power and
+        sigma."""
+        spot = _NO_SPOT if self.spot is None else self.spot
+        return np.array([spot.center_um], dtype=float), spot.power, spot.sigma_um
+
+    def _steady(self, iy: int, ix: int, centers_um: np.ndarray, power: float,
+                sigma_um: float) -> np.ndarray:
+        """One cell's steady state under a spot at each center: the
+        deposition rate at the cell's center times tau."""
+        dx = (ix + 0.5) * self.site_pitch_um - centers_um[:, 0]
+        dy = (iy + 0.5) * self.site_pitch_um - centers_um[:, 1]
         g = np.exp(-(dx * dx + dy * dy) / (2.0 * sigma_um ** 2))
-        return power * self.power_to_rate_k_per_us * g
-
-    def _cell_steady(self, iy: int, ix: int, centers_um: np.ndarray,
-                     power: float, sigma_um: float, tau_us: float) -> np.ndarray:
-        """One cell's steady state under a spot at each center."""
-        return self._rates(centers_um[:, 0], centers_um[:, 1], power, sigma_um,
-                           self._cell_x[iy, ix], self._cell_y[iy, ix]) * tau_us
+        return power * self.power_to_rate_k_per_us * g * self.tau_us
 
     def advance(self, dt_us: float) -> None:
         """Integrate all cells exactly over dt_us with the current spot."""
         if dt_us <= 0:
             raise ValueError("dt must be > 0")
-        self._queue(("hold", self._source, self.tau_us,
-                     math.exp(-dt_us / self.tau_us)))
-
-    def _queue(self, update: tuple) -> None:
-        self._pending.append(update)
-        if len(self._pending) > MAX_PENDING_UPDATES:
-            self._apply_pending()
-
-    def _apply_pending(self) -> None:
-        """Apply the pending updates to the whole grid, in order."""
-        grid = self._grid
-        for kind, *args in self._pending:
-            if kind == "hold":
-                source, tau_us, decay = args
-                grid = relax(grid, source * tau_us, decay)
-                continue
-            centers, power, sigma_um, tau_us, decay = args
-            for start in range(0, len(centers), RASTER_BLOCK_DWELLS):
-                block = centers[start:start + RASTER_BLOCK_DWELLS]
-                steady = self._rates(block[:, 0, None, None],
-                                     block[:, 1, None, None], power, sigma_um,
-                                     self._cell_x, self._cell_y) * tau_us
-                for s in steady:
-                    grid = relax(grid, s, decay)
-        self._grid = grid
-        self._pending.clear()
-        self._cells.clear()
+        self._log.append((*self._held(), math.exp(-dt_us / self.tau_us)))
 
     def _cell(self, iy: int, ix: int) -> float:
-        """One cell's temperature elevation, with the pending updates
-        applied to that cell alone."""
-        x, done = self._cells.get((iy, ix), (None, 0))
-        if x is None:
-            x = float(self._grid[iy, ix])
-        for kind, *args in self._pending[done:]:
-            if kind == "hold":
-                source, tau_us, decay = args
-                x = relax(x, float(source[iy, ix]) * tau_us, decay)
-            else:
-                centers, power, sigma_um, tau_us, decay = args
-                _, x = _relax_through(x, self._cell_steady(
-                    iy, ix, centers, power, sigma_um, tau_us), decay)
-        self._cells[iy, ix] = (x, len(self._pending))
+        """One cell's temperature elevation, with the log entries it has
+        not seen applied."""
+        x, done = self._cells.get((iy, ix), (0.0, 0))
+        for centers, power, sigma_um, decay in self._log[done:]:
+            _, x = _relax_through(
+                x, self._steady(iy, ix, centers, power, sigma_um), decay)
+        self._cells[iy, ix] = (x, len(self._log))
         return x
 
     def _site_cell(self, site) -> tuple[int, int]:
@@ -194,8 +133,7 @@ class ThermalField:
         """raster_cell for one dwell of any length under the parked spot:
         a site's cell now and its steady state, as arrays of one value."""
         iy, ix = self._site_cell(site)
-        return (np.array([self._cell(iy, ix)]),
-                np.array([self._source[iy, ix] * self.tau_us]))
+        return np.array([self._cell(iy, ix)]), self._steady(iy, ix, *self._held())
 
     # -- rasters -------------------------------------------------------------
 
@@ -211,10 +149,9 @@ class ThermalField:
         relax(start, steady, exp(-dt / tau)).
         """
         iy, ix = self._site_cell(site)
-        steady = self._cell_steady(iy, ix, centers_um, power, sigma_um,
-                                   self.tau_us)
+        steady = self._steady(iy, ix, centers_um, power, sigma_um)
         starts, _ = _relax_through(self._cell(iy, ix), steady,
-                                  math.exp(-dwell_us / self.tau_us))
+                                   math.exp(-dwell_us / self.tau_us))
         return np.array(starts), steady
 
     def advance_raster(self, centers_um: np.ndarray, power: float,
@@ -222,14 +159,12 @@ class ThermalField:
         """Park the spot at each center for ``dwell_us`` in turn.
 
         Leaves the field exactly as set_spot() and advance() once per dwell
-        would, with the last spot parked: the same updates, with the spot
-        sources computed RASTER_BLOCK_DWELLS at a time when the grid is
-        brought up to date.
+        would, with the last spot parked, as one log entry.
         """
         if len(centers_um) == 0:
             return
-        self._queue(("raster", np.array(centers_um), power, sigma_um,
-                     self.tau_us, math.exp(-dwell_us / self.tau_us)))
+        self._log.append((np.array(centers_um, dtype=float), power, sigma_um,
+                          math.exp(-dwell_us / self.tau_us)))
         self.set_spot(LaserSpot(tuple(centers_um[-1]), power, sigma_um))
 
     def delta_t_at_site(self, site) -> float:

@@ -88,6 +88,22 @@ def signal_at(activity, x_um, y_um, psf_sigma_um):
                                   psf_sigma_um)[0])
 
 
+def field_cells(field, sites=(), spot_um=None) -> np.ndarray:
+    """A field's temperature at each given site, at the grid's four corners
+    and at the cell under the point spot_um, in that order.
+
+    A ThermalField replays its log one cell at a time, so tests that compare
+    two fields read these cells rather than every cell of the grid.
+    """
+    w, h, pitch = field.grid_width, field.grid_height, field.site_pitch_um
+    sites = [*sites, SliceCoord(0, 0), SliceCoord(w - 1, 0),
+             SliceCoord(0, h - 1), SliceCoord(w - 1, h - 1)]
+    if spot_um is not None:
+        sites.append(SliceCoord(int(spot_um[0] // pitch),
+                                int(spot_um[1] // pitch)))
+    return np.array([field.delta_t_at_site(site) for site in sites])
+
+
 class EagerField:
     """Reference thermal field: every update is applied to the whole grid
     when it is made, with a raster as one set_spot and one advance per
@@ -96,6 +112,8 @@ class EagerField:
 
     def __init__(self, grid_width=32, grid_height=16, site_pitch_um=10.0,
                  tau_us=50.0, alpha_per_k=0.002, power_to_rate_k_per_us=0.4):
+        self.grid_width = grid_width
+        self.grid_height = grid_height
         self.site_pitch_um = site_pitch_um
         self.tau_us = tau_us
         self.alpha_per_k = alpha_per_k

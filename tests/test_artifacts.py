@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import build_key_model, build_shift_model, build_sim
+from conftest import build_key_model, build_shift_model, build_sim, field_cells
 from probesim.artifacts import CSV_CHUNK_ROWS, format_int_columns, write_pgm
 from probesim.attacker import EofmImage, EopTrace
 from probesim.cosim import (CoSimulation, ResetToggleStimulus, ShiftStimulus,
@@ -91,11 +91,14 @@ class TestWritersOnRuns:
         per_line_pgm(tmp_path / "ref.pgm", image.amplitudes,
                      max(float(image.amplitudes.max()), 1e-12))
         assert same_bytes(tmp_path / "image.pgm", tmp_path / "ref.pgm")
-        # The field the raster left behind, through the same writer.
-        grid = result.sim.thermal.delta_t
-        assert grid.max() > 0
-        write_pgm(tmp_path / "field.pgm", grid, float(grid.max()))
-        per_line_pgm(tmp_path / "ref.pgm", grid, float(grid.max()))
+        # Cells of the field the raster left behind, as one row, through
+        # the same writer.
+        ny, nx = image.shape
+        cells = field_cells(result.sim.thermal, [result.sim.sensor.site],
+                            image.pixel_center_um(nx - 1, ny - 1))[None, :]
+        assert cells.max() > 0
+        write_pgm(tmp_path / "field.pgm", cells, float(cells.max()))
+        per_line_pgm(tmp_path / "ref.pgm", cells, float(cells.max()))
         assert same_bytes(tmp_path / "field.pgm", tmp_path / "ref.pgm")
 
 

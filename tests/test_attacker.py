@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (EagerField, advance_for, build_key_model,
-                      build_shift_model, build_sim, signal_at)
+                      build_shift_model, build_sim, field_cells, signal_at)
 from probesim import cosim
 from probesim.attacker import (EofmImage, ScanConfig, eofm_scan, eop_probe,
                                localize, recover_bits)
 from probesim.cosim import (EpochActivity, ScenarioError, ShiftStimulus,
-                            stimulus_for_target_freq)
+                            Stimulus, stimulus_for_target_freq)
 from probesim.defense import DefensePolicy, region_slices
 from probesim.fabric import SliceCoord
 from probesim.netlist import load_netlist
@@ -91,7 +91,7 @@ class TestEofmScan:
         sim.stimulus.static["rst"] = 0
         sim.stimulus.half_period_cycles = 40
 
-        class Static:
+        class Static(Stimulus):
             period_cycles = 80
             static = {}
 
@@ -443,7 +443,9 @@ class TestRasterSchedule:
         ref = make_sim()
         ref_image = per_pixel_eofm(ref, scan)
         sim = make_sim()
-        image = eofm_scan(sim, scan).amplitudes
+        sites = [sim.sensor.site]
+        eofm = eofm_scan(sim, scan)
+        image = eofm.amplitudes
         assert np.array_equal(sim.window_counts, ref.window_counts)
         assert sim.trigger_time_us == ref.trigger_time_us
         assert sim.defense_log == ref.defense_log
@@ -454,7 +456,11 @@ class TestRasterSchedule:
         np.testing.assert_allclose(image, ref_image, rtol=0, atol=1e-14)
         assert sim.t_ps == ref.t_ps
         assert sim.sensor.site == ref.sensor.site
-        assert np.array_equal(sim.thermal.delta_t, ref.thermal.delta_t)
+        sites.append(sim.sensor.site)
+        ny, nx = image.shape
+        last_spot = eofm.pixel_center_um(nx - 1, ny - 1)
+        assert np.array_equal(field_cells(sim.thermal, sites, last_spot),
+                              field_cells(ref.thermal, sites, last_spot))
         return sim
 
     def fire_ps(self, scan, **policy_kwargs):
@@ -539,8 +545,8 @@ class TestRasterSchedule:
 
     def test_moved_sensor_reads_a_second_cell(self):
         # The sensor is carried into the new region mid-run, so the raster
-        # reads a second cell of the deferred field; both cells, the grid
-        # and the run equal those of a run on the eager reference field.
+        # reads a second cell of the field; both cells, the corners and the
+        # run equal those of a run on the eager reference field.
         scan = small_scan()
 
         def make_sim(field=None):
@@ -559,10 +565,9 @@ class TestRasterSchedule:
         assert np.array_equal(sim.window_counts, ref.window_counts)
         cells = sorted(sim.thermal._cells)
         assert cells == sorted([(8, 15), (sim.sensor.site.y, sim.sensor.site.x)])
-        for iy, ix in cells:
-            site = SliceCoord(ix, iy)
-            assert sim.thermal.delta_t_at_site(site) == ref.thermal.delta_t_at_site(site)
-        assert np.array_equal(sim.thermal.delta_t, ref.thermal.delta_t)
+        sites = [SliceCoord(ix, iy) for iy, ix in cells]
+        assert np.array_equal(field_cells(sim.thermal, sites),
+                              field_cells(ref.thermal, sites))
 
     def test_hold_epoch_is_imaged_dark(self):
         # The hold epoch of a relocation (trigger to completion) is recorded
@@ -659,10 +664,15 @@ def test_ambient_runs_have_unit_delay_factor(alpha, power, warm, sigma_um,
     sim = key_race_sim(tau_us=tau_us)
     field = sim.thermal
     field.alpha_per_k = alpha
-    field.delta_t[:] = warm
     dwell_ps = round(dwell_ms * 1e9)
-    starts, steady = field.raster_cell(sim.sensor.site, centers, power,
-                                       sigma_um, dwell_ps / 1e6)
+    _, steady = field.raster_cell(sim.sensor.site, centers, power, sigma_um,
+                                  dwell_ps / 1e6)
+    # The sensor cell relaxes from the warm start through each dwell.
+    decay = math.exp(-dwell_ps / 1e6 / tau_us)
+    starts = [warm]
+    for s in steady[:-1]:
+        starts.append(relax(starts[-1], s, decay))
+    starts = np.array(starts)
     n = len(centers) * dwell_ps // sim.window_ps
     w = 0
     for runs in sim._stretch_p0(starts, steady, 0, dwell_ps, n):

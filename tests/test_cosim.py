@@ -5,7 +5,7 @@ from conftest import (DEFAULT_TUNE, advance_for, build_key_model, build_sim,
                       counter_rows)
 from probesim import cosim
 from probesim.cosim import (ResetToggleStimulus, ScenarioError, ShiftStimulus,
-                            stimulus_for_target_freq)
+                            Stimulus, stimulus_for_target_freq)
 from probesim.defense import DefensePolicy, region_slices
 from probesim.fabric import SliceCoord
 from probesim.thermal import LaserSpot, relax
@@ -79,7 +79,7 @@ class TestActivity:
     def test_idle_stimulus_has_no_activity(self):
         model = build_key_model(KEY)
 
-        class Idle:
+        class Idle(Stimulus):
             period_cycles = 1
             static = {}
 

@@ -19,7 +19,7 @@ from probesim.sensor import (PROBE, SCORE, SensorInstance, SensorReadout,
                              pulse_cdf, read_counters, ro_calibration,
                              ro_calibration_series, tap_from_code, tune,
                              tune_uniform, window_pulses, window_zero_counts)
-from probesim.thermal import ThermalField
+from probesim.thermal import LaserSpot, ThermalField
 
 
 # Sample-level reference models.  No scenario path uses them; the tests
@@ -111,11 +111,8 @@ class TestChainDelay:
         assert all(b >= a for a, b in zip(delays, delays[1:]))
 
 
-def make_field(delta_t=0.0, alpha=0.002):
-    field = ThermalField(32, 16, alpha_per_k=alpha)
-    if delta_t:
-        field.delta_t[:] = delta_t
-    return field
+def make_field():
+    return ThermalField(32, 16)
 
 
 def sensor_with_slack(slack_ps, jitter=15.0):
@@ -148,8 +145,14 @@ class TestSample:
         # heated site, within three standard errors.
         s = SensorInstance(site=SliceCoord(4, 4))
         s.tune = TuneValue(16, 2, 2)
-        field = make_field(delta_t=8.0)
-        factor = field.delay_factor(8.0)
+        field = make_field()
+        # A long hold over the site settles its cell at power * 0.4 * 50,
+        # which is 8 K.
+        field.set_spot(LaserSpot(((4 + 0.5) * 10.0, (4 + 0.5) * 10.0), 0.4))
+        field.advance(5000.0)
+        delta_t = field.delta_t_at_site(s.site)
+        assert delta_t == pytest.approx(8.0, rel=1e-12)
+        factor = field.delay_factor(delta_t)
         p0 = s.zero_probability(factor)
         assert 0.01 < p0 < 0.99  # meaningful test point
         rng = np.random.default_rng(42)

@@ -4,48 +4,68 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import EagerField
-from probesim import thermal
+from conftest import EagerField, field_cells
 from probesim.fabric import SliceCoord
 from probesim.thermal import LaserSpot, ThermalField, relax
 
 
+def cell_center(field, ix, iy):
+    """The center of cell (ix, iy) in um."""
+    return ((ix + 0.5) * field.site_pitch_um, (iy + 0.5) * field.site_pitch_um)
+
+
+def all_cells(field):
+    """Every cell's temperature elevation, as a (height, width) array."""
+    return np.array([[field.delta_t_at_site(SliceCoord(ix, iy))
+                      for ix in range(field.grid_width)]
+                     for iy in range(field.grid_height)])
+
+
+def warm(field, site, power):
+    """Hold a spot over a site's cell until that cell settles at
+    power * rate * tau; exp(-100) is far below one ulp of it."""
+    field.set_spot(LaserSpot(cell_center(field, site.x, site.y), power))
+    field.advance(100.0 * field.tau_us)
+
+
 def test_pure_exponential_decay_everywhere():
     field = ThermalField(8, 8, tau_us=50.0)
-    field.delta_t[:] = 1.0
+    warm(field, SliceCoord(3, 5), 1.0)
+    before = all_cells(field)
+    assert before.min() > 0
     field.set_spot(None)
     field.advance(50.0)
-    assert np.allclose(field.delta_t, math.exp(-1.0))
+    assert np.allclose(all_cells(field), before * math.exp(-1.0),
+                       rtol=1e-12, atol=0)
 
 
 def test_steady_state_is_power_times_tau():
     # With a unit power-to-rate scale the closed-form fixed point at the
     # spot center is power * tau.
     field = ThermalField(8, 8, tau_us=40.0, power_to_rate_k_per_us=1.0)
-    spot = LaserSpot((field._cell_x[4, 4], field._cell_y[4, 4]), power=0.5)
-    field.set_spot(spot)
+    field.set_spot(LaserSpot(cell_center(field, 4, 4), power=0.5))
     for _ in range(200):
         field.advance(40.0)
-    center = field.delta_t[4, 4]
+    center = field.delta_t_at_site(SliceCoord(4, 4))
     assert center == pytest.approx(0.5 * 40.0, rel=1e-9)
 
 
 def test_default_scale_peaks_near_twenty_kelvin():
     field = ThermalField(8, 8)
-    field.set_spot(LaserSpot((field._cell_x[4, 4], field._cell_y[4, 4])))
+    field.set_spot(LaserSpot(cell_center(field, 4, 4)))
     for _ in range(200):
         field.advance(50.0)
-    assert field.delta_t[4, 4] == pytest.approx(20.0, rel=1e-9)
+    assert field.delta_t_at_site(SliceCoord(4, 4)) == pytest.approx(20.0, rel=1e-9)
 
 
 def test_radial_symmetry():
     field = ThermalField(9, 9, site_pitch_um=10.0)
-    cx, cy = field._cell_x[4, 4], field._cell_y[4, 4]
-    field.set_spot(LaserSpot((cx, cy)))
+    field.set_spot(LaserSpot(cell_center(field, 4, 4)))
     field.advance(25.0)
-    assert field.delta_t[4, 2] == pytest.approx(field.delta_t[4, 6])
-    assert field.delta_t[2, 4] == pytest.approx(field.delta_t[6, 4])
-    assert field.delta_t[2, 2] == pytest.approx(field.delta_t[6, 6])
+    grid = all_cells(field)
+    assert grid[4, 2] == pytest.approx(grid[4, 6])
+    assert grid[2, 4] == pytest.approx(grid[6, 4])
+    assert grid[2, 2] == pytest.approx(grid[6, 6])
 
 
 def test_delay_factor_values():
@@ -66,23 +86,24 @@ def test_heating_stays_local_with_narrow_spot():
     # Spot sigma of one slice pitch: the opposite corner of the grid sees
     # less than 1e-6 of the peak elevation.
     field = ThermalField(32, 16, site_pitch_um=10.0)
-    corner = (field._cell_x[0, 0], field._cell_y[0, 0])
-    field.set_spot(LaserSpot(corner, sigma_um=10.0))
+    field.set_spot(LaserSpot(cell_center(field, 0, 0), sigma_um=10.0))
     for _ in range(100):
         field.advance(50.0)
-    peak = field.delta_t[0, 0]
-    assert field.delta_t[-1, -1] < 1e-6 * peak
+    peak = field.delta_t_at_site(SliceCoord(0, 0))
+    assert field.delta_t_at_site(SliceCoord(31, 15)) < 1e-6 * peak
 
 
 def test_total_elevation_never_increases_while_disabled():
     rng = np.random.default_rng(3)
     field = ThermalField(8, 8)
-    field.delta_t[:] = rng.uniform(0, 10, size=(8, 8))
+    # An uneven warm start: a raster of random spots.
+    field.advance_raster(rng.uniform(0, 80, size=(20, 2)), 1.0, 8.0, 30.0)
     field.set_spot(None)
-    prev = field.delta_t.sum()
+    prev = all_cells(field).sum()
+    assert prev > 0
     for _ in range(20):
         field.advance(7.0)
-        cur = field.delta_t.sum()
+        cur = all_cells(field).sum()
         assert cur <= prev
         prev = cur
 
@@ -99,8 +120,9 @@ def test_update_is_step_size_exact():
         f1.advance(20.0)
     for _ in range(20):
         f2.advance(10.0)
-    assert np.allclose(f1.delta_t, f2.delta_t, rtol=1e-12)
-    ratio = f1.delta_t.max() / max(f2.delta_t.max(), 1e-300)
+    g1, g2 = all_cells(f1), all_cells(f2)
+    assert np.allclose(g1, g2, rtol=1e-12)
+    ratio = g1.max() / max(g2.max(), 1e-300)
     assert abs(ratio - 1.0) < 0.01
 
 
@@ -149,7 +171,7 @@ def raster_centers(n, seed=0):
 @pytest.mark.parametrize("n, dwell_us, tau_us", [
     (100, 1000.0, 50.0),   # the start state is forgotten
     (100, 20.0, 50.0),     # dwell short against tau: it is remembered
-    (600, 1000.0, 50.0),   # more than one block of spot sources
+    (600, 1000.0, 50.0),
     (3, 1000.0, 50.0),
     (300, 5000.0, 2.0),
 ])
@@ -157,24 +179,25 @@ def test_raster_matches_per_dwell_updates(n, dwell_us, tau_us):
     site = SliceCoord(15, 8)
     centers = raster_centers(n)
     ref = ThermalField(32, 16, tau_us=tau_us)
-    ref.delta_t[:] = 7.0  # a warm start state
     field = ThermalField(32, 16, tau_us=tau_us)
-    field.delta_t[:] = 7.0
+    for f in (ref, field):
+        warm(f, site, 0.35)  # a warm start state
     ref_starts = per_dwell_raster(ref, centers, 0.8, 6.0, dwell_us, site)
     starts, steady = field.raster_cell(site, centers, 0.8, 6.0, dwell_us)
     field.advance_raster(centers, 0.8, 6.0, dwell_us)
     assert np.array_equal(starts, ref_starts)
-    assert np.array_equal(field.delta_t, ref.delta_t)
-    assert np.array_equal(field._source, ref._source)
     assert field.spot == ref.spot
-    # The steady states are those of the per-dwell sources at that cell.
-    iy, ix = field._site_cell(site)
-    ref.set_spot(LaserSpot(tuple(centers[-1]), 0.8, 6.0))
-    assert steady[-1] == ref._source[iy, ix] * tau_us
+    assert np.array_equal(field_cells(field, [site], centers[-1]),
+                          field_cells(ref, [site], centers[-1]))
+    # The steady states are those of the per-dwell spots at that cell, and
+    # the last one is that of the spot left parked.
+    for i in (0, n // 2, n - 1):
+        ref.set_spot(LaserSpot(tuple(centers[i]), 0.8, 6.0))
+        assert steady[i] == ref.hold_cell(site)[1][0]
+    assert np.array_equal(field.hold_cell(site)[1], ref.hold_cell(site)[1])
 
 
-
-# -- the deferred grid against the eager reference ------------------------------
+# -- the log against the eager reference ----------------------------------------
 
 WIDTH, HEIGHT = 6, 4
 coords = st.floats(-20.0, 80.0)
@@ -191,55 +214,27 @@ operations = st.one_of(
     st.tuples(st.just("hold_cell"), sites),
     st.tuples(st.just("raster_cell"), sites, centers, powers, sigmas, dwells),
     st.tuples(st.just("delta_t_at_site"), sites),
-    st.tuples(st.just("write"), st.integers(0, HEIGHT - 1),
-              st.integers(0, WIDTH - 1), st.floats(0.0, 50.0)),
     st.tuples(st.just("grid")),
 )
 
 
 @settings(max_examples=60, deadline=None)
-@given(ops=st.lists(operations, max_size=30), tau_us=st.sampled_from([2.0, 50.0]),
-       limit=st.sampled_from([1, 3, thermal.MAX_PENDING_UPDATES]))
-def test_deferred_grid_matches_eager_reference(ops, tau_us, limit):
-    # Random updates, per-cell reads and slice writes; every read and the
-    # final grid equal the eager reference's bit for bit, also when the
-    # queue fills and is applied to the grid unread.
+@given(ops=st.lists(operations, max_size=30), tau_us=st.sampled_from([2.0, 50.0]))
+def test_log_matches_eager_reference(ops, tau_us):
+    # Random updates and per-cell reads; every read, and every cell of the
+    # grid whenever it is compared and at the end, equal the eager
+    # reference's bit for bit.
     field = ThermalField(WIDTH, HEIGHT, tau_us=tau_us)
     ref = EagerField(WIDTH, HEIGHT, tau_us=tau_us)
-    original = thermal.MAX_PENDING_UPDATES
-    thermal.MAX_PENDING_UPDATES = limit
-    try:
-        for name, *args in ops:
-            if name == "write":
-                iy, ix, value = args
-                field.delta_t[iy:, :ix + 1] = value
-                ref.delta_t[iy:, :ix + 1] = value
-                continue
-            if name == "grid":
-                assert np.array_equal(field.delta_t, ref.delta_t)
-                continue
-            got = getattr(field, name)(*args)
-            want = getattr(ref, name)(*args)
-            if name == "raster_cell":
-                assert np.array_equal(got[0], want[0])
-                assert np.array_equal(got[1], want[1])
-            elif got is not None:
-                assert np.array_equal(got, want), name
-        assert np.array_equal(field.delta_t, ref.delta_t)
-    finally:
-        thermal.MAX_PENDING_UPDATES = original
-
-
-def test_cell_reads_leave_the_grid_pending():
-    # A raster and a hold queue their updates; reading one cell applies them
-    # to that cell only, and reading the grid applies them to every cell.
-    field = ThermalField(WIDTH, HEIGHT)
-    ref = EagerField(WIDTH, HEIGHT)
-    site = SliceCoord(2, 1)
-    for f in (field, ref):
-        f.advance_raster(raster_centers(30), 1.0, 20.0, 40.0)
-        f.advance(10.0)
-    assert field.delta_t_at_site(site) == ref.delta_t_at_site(site)
-    assert len(field._pending) == 2
-    assert np.array_equal(field.delta_t, ref.delta_t)
-    assert not field._pending
+    for name, *args in ops:
+        if name == "grid":
+            assert np.array_equal(all_cells(field), ref.delta_t)
+            continue
+        got = getattr(field, name)(*args)
+        want = getattr(ref, name)(*args)
+        if name == "raster_cell":
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+        elif got is not None:
+            assert np.array_equal(got, want), name
+    assert np.array_equal(all_cells(field), ref.delta_t)
