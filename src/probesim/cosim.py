@@ -15,13 +15,13 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import defense as defense_mod
 from .fabric import FabricModel
-from .sensor import SensorInstance, window_pulses
+from .sensor import SensorInstance, window_pulses, window_zero_counts
 from .thermal import LaserSpot, ThermalField, relax
 
 # Sensor windows per vectorised pass of a raster stretch.  At 16,384 the
@@ -41,92 +41,60 @@ class ScenarioError(Exception):
     """Scenario-level contract violation (bad region, bad stimulus, ...)."""
 
 
+@dataclass
 class Stimulus:
-    """Periodic external input program; cycle 0 is the phase reference."""
+    """Periodic external input program: ``net`` is driven with ``bits``,
+    repeating from cycle 0, and each ``static`` input holds its value.
 
-    period_cycles: int = 1
-
-    def inputs_at(self, cycle: int) -> dict[str, int]:
-        raise NotImplementedError
-
-    def input_program(self, n_cycles: int) -> tuple[list[int], list[dict]]:
-        """Input id of each of cycles 0..n_cycles-1, and the distinct input
-        dicts by id: two cycles share an id iff inputs_at gives them equal
-        items.  This generic program calls inputs_at per cycle; a subclass
-        gives the same from its own structure."""
-        ids, inputs, index = [], [], {}
-        for cycle in range(n_cycles):
-            got = self.inputs_at(cycle)
-            i = index.setdefault(tuple(got.items()), len(inputs))
-            if i == len(inputs):
-                inputs.append(got)
-            ids.append(i)
-        return ids, inputs
-
-
-class ResetToggleStimulus(Stimulus):
-    """Global reset alternating every half period, plus static inputs.
-
-    This is the profiling stimulus: registers that hold a 1 toggle at the
-    lock-in frequency, registers that hold a 0 stay dark.
+    A reset toggle drives ``rst`` low for half a period, then high; this is
+    the profiling stimulus, under which registers that hold a 1 toggle at
+    the lock-in frequency and registers that hold a 0 stay dark.  A shift
+    stimulus feeds a serial pattern into a shift register's input.
     """
 
-    def __init__(self, half_period_cycles: int, static: dict[str, int] | None = None):
-        if half_period_cycles < 1:
-            raise ScenarioError("reset half period must be >= 1 cycle")
-        self.half_period_cycles = half_period_cycles
-        self.period_cycles = 2 * half_period_cycles
-        self.static = dict(static or {})
+    net: str
+    bits: tuple[int, ...]
+    static: dict[str, int] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not self.bits or set(self.bits) - {0, 1}:
+            raise ScenarioError(f"bad stimulus bits {self.bits!r}")
+
+    @property
+    def period_cycles(self) -> int:
+        return len(self.bits)
 
     def inputs_at(self, cycle: int) -> dict[str, int]:
-        inputs = dict(self.static)
-        inputs["rst"] = (cycle // self.half_period_cycles) % 2
-        return inputs
+        return {**self.static, self.net: self.bits[cycle % len(self.bits)]}
 
-    def input_program(self, n_cycles: int) -> tuple[list[int], list[dict]]:
-        """The reset level is the input id."""
-        ids = (np.arange(n_cycles) // self.half_period_cycles % 2).tolist()
-        return ids, [{**self.static, "rst": level} for level in (0, 1)]
-
-
-class ShiftStimulus(Stimulus):
-    """Serial pattern fed into a shift register input, repeating."""
-
-    def __init__(self, pattern: str, input_net: str = "sin",
-                 static: dict[str, int] | None = None):
-        if not pattern or set(pattern) - {"0", "1"}:
-            raise ScenarioError(f"bad shift pattern {pattern!r}")
-        self.pattern = [int(b) for b in pattern]
-        self.period_cycles = len(self.pattern)
-        self.input_net = input_net
-        self.static = dict(static or {})
-
-    def inputs_at(self, cycle: int) -> dict[str, int]:
-        inputs = dict(self.static)
-        inputs[self.input_net] = self.pattern[cycle % self.period_cycles]
-        return inputs
-
-    def input_program(self, n_cycles: int) -> tuple[list[int], list[dict]]:
-        """The pattern bit is the input id."""
-        ids = (self.pattern * -(-n_cycles // self.period_cycles))[:n_cycles]
-        return ids, [{**self.static, self.input_net: bit} for bit in (0, 1)]
+    def input_program(self, n_cycles: int) -> tuple[tuple[int, ...], list[dict]]:
+        """Input id of each of cycles 0..n_cycles-1, and the distinct input
+        dicts by id: the driven bit is the id."""
+        ids = (self.bits * -(-n_cycles // len(self.bits)))[:n_cycles]
+        return ids, [{**self.static, self.net: bit} for bit in (0, 1)]
 
 
-def stimulus_for_target_freq(clock_mhz: float, target_freq_mhz: float,
-                             static=None) -> ResetToggleStimulus:
-    """Reset toggle at the target frequency, whose half period must be a
-    whole number of sensor clock cycles (to 1e-9 relative)."""
+def half_period_cycles(clock_mhz: float, target_freq_mhz: float) -> int:
+    """Clock cycles per half period of a reset toggle at the target
+    frequency, which must be a whole number (to 1e-9 relative)."""
     if target_freq_mhz > clock_mhz / 2.0:
         raise ScenarioError(
             f"target frequency {target_freq_mhz} MHz above clock/2"
         )
     half = clock_mhz / (2.0 * target_freq_mhz)
-    if abs(half - round(half)) > 1e-9 * half:
+    if not math.isfinite(half) or abs(half - round(half)) > 1e-9 * half:
         raise ScenarioError(
             f"target frequency {target_freq_mhz} MHz toggles every "
             f"{half:g} clock cycles, not a whole number"
         )
-    return ResetToggleStimulus(round(half), static)
+    return round(half)
+
+
+def stimulus_for_target_freq(clock_mhz: float, target_freq_mhz: float,
+                             static=None) -> Stimulus:
+    """Reset toggle at the target frequency, plus static inputs."""
+    half = half_period_cycles(clock_mhz, target_freq_mhz)
+    return Stimulus("rst", (0,) * half + (1,) * half, dict(static or {}))
 
 
 @dataclass
@@ -162,13 +130,11 @@ class CoSimulation:
         self.sensor = sensor
         self.policy = policy
         self.stimulus = stimulus
-        self.seed = seed
         self.t_detect = t_detect
         self.cycle_ps = sensor.cycle_ps
         self.window_ps = t_detect * self.cycle_ps
         self.t_ps = 0
         self.windows_done = 0
-        self.threshold: float | None = policy.threshold
         ss = np.random.SeedSequence(seed)
         streams = ss.spawn(4)
         self.sensor_rng = np.random.default_rng(streams[0])
@@ -180,16 +146,18 @@ class CoSimulation:
         self.defense_rng = np.random.default_rng(
             [seed & 0xFFFFFFFF, policy.rng_seed & 0xFFFFFFFF, 0xDEF]
         )
+        # The reconfiguration under way, until it completes.
         self.pending_event: defense_mod.ReconfigEvent | None = None
-        # Time of the trigger, a window end, once it has fired.
+        # Time of the trigger, a window end, once it has fired: the sensor's
+        # sticky latch.
         self.trigger_ps: int | None = None
         # Zero count of every window so far, in window order, 8 bytes each;
         # counter_columns() builds the full counter log from them.
         self.window_counts = array("q")
         self._pulses = np.zeros(0, dtype=np.int64)
         self.defense_log: list[dict] = []
-        self._epochs: list[tuple[int, int]] = [(0, 0)]
-        self._epoch_id = 0
+        # Start time of each epoch, by epoch id; starts never decrease.
+        self._epochs: list[int] = [0]
         self._activity_cache: dict[int, EpochActivity] = {}
         model.set_latch_net(0)
         model.settle(stimulus.inputs_at(0))
@@ -204,11 +172,15 @@ class CoSimulation:
     def trigger_time_us(self) -> float | None:
         return None if self.trigger_ps is None else self.trigger_ps / 1e6
 
+    @property
+    def latched(self) -> bool:
+        return self.trigger_ps is not None
+
     def set_spot(self, spot: LaserSpot | None) -> None:
         self.thermal.set_spot(spot)
 
     def _pending_completion_ps(self) -> int | None:
-        if self.pending_event is None or self.pending_event.applied:
+        if self.pending_event is None:
             return None
         return round(self.pending_event.completes_at_us * 1e6)
 
@@ -271,7 +243,7 @@ class CoSimulation:
             if ev_ps is not None:
                 # Dwells before the one whose end reaches the completion.
                 last = min(last, (ev_ps - t0 - 1) // dwell_ps)
-            epoch = self._epoch_id  # a stretch that fires starts an epoch
+            epoch = self.epoch_id  # a stretch that fires starts an epoch
             i = self._raster_stretch(centers, i, last, t0, dwell_ps, power,
                                      sigma_um)
             if i == len(centers):
@@ -280,8 +252,8 @@ class CoSimulation:
             end_ps = t0 + (i + 1) * dwell_ps
             while self.t_ps < end_ps:
                 self.advance_to_epoch_change(end_ps)
-                if self._epoch_id != epoch:
-                    epoch = self._epoch_id
+                if self.epoch_id != epoch:
+                    epoch = self.epoch_id
                     self.activity()
             i += 1
         return t0
@@ -336,14 +308,15 @@ class CoSimulation:
         """
         end = end_ps // self.window_ps
         fired = None
+        threshold = self.policy.threshold
         for runs in self._stretch_p0(starts, steady, begin_ps, dwell_ps,
                                      end - self.windows_done):
             w0 = self.windows_done
-            armed = self.threshold is not None and not self.sensor.latched
+            armed = threshold is not None and not self.latched
             if armed and len(starts) > 1:  # one dwell is never rewound
                 state = self.sensor_rng.bit_generator.state
             counts = self._draw(runs, end - w0)
-            hits = np.flatnonzero(counts >= self.threshold) if armed else ()
+            hits = np.flatnonzero(counts >= threshold) if armed else ()
             if len(hits):
                 fire_ps = (w0 + int(hits[0]) + 1) * self.window_ps
                 fired = (fire_ps - begin_ps - 1) // dwell_ps
@@ -351,7 +324,6 @@ class CoSimulation:
                 if end < w0 + len(counts):
                     self.sensor_rng.bit_generator.state = state
                     counts = self._draw(runs, end - w0)
-                self.sensor.latched = True
                 self.model.set_latch_net(1)
                 self._fire_defense(fire_ps)
             self.window_counts.frombytes(counts.tobytes())
@@ -414,7 +386,8 @@ class CoSimulation:
             limit -= m
             if not isinstance(p0, float):
                 p0 = p0[:m]
-            counts.append(self.sensor_rng.binomial(self.t_detect, p0, size=m))
+            counts.append(window_zero_counts(p0, m, self.t_detect,
+                                             self.sensor_rng))
         return np.concatenate(counts)
 
     def counter_columns(self) -> tuple:
@@ -458,14 +431,13 @@ class CoSimulation:
             "placement_diff": "",
             "permutation": "",
         }
-        if event is None:
-            # Immediate response (none/polymorphic/zeroize or capacity
-            # fallback): activity changes right away.
-            self._new_epoch(fire_ps)
-        else:
+        if event is not None:
+            # Hold state until it completes: protected bits stop toggling.
             self.pending_event = event
             entry["event_complete_us"] = event.completes_at_us
-            self._new_epoch(fire_ps)  # hold state: protected stop toggling
+        # An immediate response (none, polymorphic, zeroize or a capacity
+        # fallback) changes activity right away, as does a hold.
+        self._new_epoch(fire_ps)
         self.defense_log.append(entry)
 
     def _complete_event(self) -> None:
@@ -489,23 +461,28 @@ class CoSimulation:
 
     @property
     def epoch_id(self) -> int:
-        return self._epoch_id
+        return len(self._epochs) - 1
 
     def _new_epoch(self, t_ps: int) -> None:
-        self._epoch_id += 1
-        self._epochs.append((t_ps, self._epoch_id))
+        self._epochs.append(t_ps)
 
     def invalidate_activity(self) -> None:
         """Force a new epoch after an external change (e.g. input vector)."""
         self._new_epoch(self.t_ps)
 
     def epoch_segments(self, t0_ps: int, t1_ps: int) -> list[tuple[int, int, int]]:
-        """(start, end, epoch_id) cover of the half-open interval [t0, t1)."""
+        """(start, end, epoch_id) cover of the half-open interval [t0, t1).
+
+        The search starts at the last epoch that starts by t0, so a call
+        does not grow with the epochs before it.
+        """
+        starts = self._epochs
         segs = []
-        for i, (start, eid) in enumerate(self._epochs):
-            end = (self._epochs[i + 1][0]
-                   if i + 1 < len(self._epochs) else t1_ps)
-            s, e = max(start, t0_ps), min(end, t1_ps)
+        for eid in range(max(bisect_right(starts, t0_ps) - 1, 0), len(starts)):
+            if starts[eid] >= t1_ps:
+                break
+            end = starts[eid + 1] if eid + 1 < len(starts) else t1_ps
+            s, e = max(starts[eid], t0_ps), min(end, t1_ps)
             if s < e:
                 segs.append((s, e, eid))
         return segs
@@ -516,11 +493,11 @@ class CoSimulation:
         An epoch's activity is simulated from the fabric as it is, so a past
         epoch can only be read if it was recorded while it was in effect.
         """
-        eid = self._epoch_id if epoch_id is None else epoch_id
+        eid = self.epoch_id if epoch_id is None else epoch_id
         cached = self._activity_cache.get(eid)
         if cached is not None:
             return cached
-        if eid != self._epoch_id:
+        if eid != self.epoch_id:
             raise ScenarioError(
                 f"activity of epoch {eid} was not recorded while it was in effect")
         act = self._simulate_activity()
@@ -602,7 +579,7 @@ class CoSimulation:
         as a plain replay leaves it.
         """
         model, stim = self.model, self.stimulus
-        model.set_latch_net(int(self.sensor.latched))
+        model.set_latch_net(int(self.latched))
         ids, inputs = stim.input_program(n_cycles)
         ffs = list(model.ffs)
         after = [(model.state, model.net_values)]

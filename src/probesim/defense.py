@@ -37,7 +37,6 @@ class DefensePolicy:
     rng_seed: int = 0
     mid_pr_state: str = "hold"  # protected outputs during PR: hold | zero
     move_sensor: bool = False  # relocate the sensor along with the targets
-    fired: bool = False
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -93,7 +92,6 @@ class ReconfigEvent:
     old_placement: dict[str, tuple[SliceCoord, int]]
     new_placement: dict[str, tuple[SliceCoord, int]] | None = None
     permutation: Permutation | None = None
-    applied: bool = False
 
     def __post_init__(self):
         if self.completes_at_us <= self.fire_time_us:
@@ -209,7 +207,7 @@ def configure_polymorphic_lut(f_bits, g_bits) -> tuple[int, ...]:
 
 def on_trigger(policy: DefensePolicy, model: FabricModel, sim_time_us: float,
                rng, exclude_sites=()) -> ReconfigEvent | None:
-    """React to the latch being set; idempotent on repeated triggers.
+    """React to the latch being set.
 
     MTD modes return a ReconfigEvent to be applied at its completion time;
     the protected region holds (or zeroes) its outputs until then.
@@ -217,10 +215,7 @@ def on_trigger(policy: DefensePolicy, model: FabricModel, sim_time_us: float,
     every control input.  Zeroize clears the protected bits at the next
     clock edge and keeps them cleared.
     """
-    if policy.fired or policy.mode == "none":
-        return None
-    policy.fired = True
-    if policy.mode == "polymorphic":
+    if policy.mode in ("none", "polymorphic"):
         return None
     if policy.mode == "zeroize":
         _zeroize(model)
@@ -255,15 +250,12 @@ def on_trigger(policy: DefensePolicy, model: FabricModel, sim_time_us: float,
 
 def apply_event(model: FabricModel, event: ReconfigEvent) -> None:
     """Complete a pending reconfiguration: swap in the new placement."""
-    if event.applied:
-        return
     if event.new_placement is not None:
         apply_placement(model, event.new_placement)
     if event.permutation is not None:
         apply_intra_permutation(model, event.permutation)
         event.new_placement = current_placement(model)
     model.hold_protected = False
-    event.applied = True
 
 
 def _zeroize(model: FabricModel) -> None:
@@ -273,4 +265,3 @@ def _zeroize(model: FabricModel) -> None:
         model.ffs[name].d = "gnd"
         model.ffs[name].ce = "vcc"
         model.ffs[name].rst = "vcc"
-    model.zeroized = True

@@ -120,7 +120,6 @@ class FabricModel:
         self.protected: list[str] = []
         self.protected_sources: list[str] = []
         self.hold_protected = False
-        self.zeroized = False
         self.state: dict[str, int] = {}
         self.net_values: dict[str, int] = {}
         self._order: list[str] | None = None

@@ -17,7 +17,7 @@ import numpy as np
 from . import attacker, sensor as sensor_mod
 from .artifacts import write_counters_csv, write_rows
 from .attacker import EofmImage, EopTrace, ScanConfig
-from .cosim import (CoSimulation, ScenarioError, ShiftStimulus,
+from .cosim import (CoSimulation, ScenarioError, Stimulus, half_period_cycles,
                     stimulus_for_target_freq)
 from .defense import MODES, CapacityError, DefensePolicy, region_slices
 from .fabric import FabricModel, SliceCoord
@@ -38,6 +38,11 @@ MAX_PIXELS = 65_536
 # 8 us of CPU per dwell, 8 s at this bound, plus 1.3 to 1.8 ms per vector.
 # It admits 16 rasters of MAX_PIXELS.
 MAX_DWELLS = 16 * MAX_PIXELS
+# Most vectors of an eofm_function run.  Each vector is one raster plus a
+# new epoch's activity replay, which MAX_DWELLS does not bound: at this
+# bound, a one-pixel region at 1 ns dwells takes 1.5 s of CPU on a 2-vCPU
+# x86 host, about 0.4 ms per vector.
+MAX_VECTORS = 4096
 # Most sensor windows of one co-simulated run.  The window log holds 16
 # bytes per window (count and pulse), about 0.5 GB at this bound, and
 # counters.csv writes one row each.  It admits a raster of MAX_PIXELS at the
@@ -259,10 +264,10 @@ SCENARIO_KEYS = {(section, key): (*value, dest) for section, key, value, dest in
     ("function", "output_cells", _NAMES, "function.output_cells"),
     ("function", "vectors", (
         lambda t: [tuple(int(v) for v in g.split(",")) for g in t.split(";")],
-        lambda vectors: min(map(min, vectors)) >= 0,
-        "groups of integers >= 0 split by ;, one integer per operand group, "
-        "each below 2 ** the group's net count, with at most "
-        f"{MAX_DWELLS} dwells in the run"), "function.vectors"),
+        lambda vectors: min(map(min, vectors)) >= 0 and len(vectors) <= MAX_VECTORS,
+        f"at most {MAX_VECTORS} groups of integers >= 0 split by ;, one "
+        "integer per operand group, each below 2 ** the group's net count, "
+        f"with at most {MAX_DWELLS} dwells in the run"), "function.vectors"),
     ("function", "region_um", _REGION, "function.region_um"),
     ("stability", "duration_min", (float, lambda v: math.isfinite(v) and v > 0,
                                    f"finite, > 0 and 1 to {MAX_LOGS} logs long"),
@@ -389,7 +394,7 @@ def _decode_scenario(parser, path: Path, seed_override) -> Scenario:
             scn.kind == "eop" and scn.stimulus.program == "reset_toggle"):
         target, clock = scn.scan.target_freq_mhz, sensor.clock_mhz
         try:
-            period = stimulus_for_target_freq(clock, target).period_cycles
+            period = 2 * half_period_cycles(clock, target)
         except ScenarioError:
             period = math.inf
         if period > MAX_STIMULUS_PERIOD:
@@ -596,7 +601,7 @@ def stability_test(sensor: SensorInstance, threshold: float, seed: int,
     else:
         drift = np.zeros(n_logs)
     p0 = sensor.zero_probability(1.0, offset_ps=drift)
-    counts = rng.binomial(window, p0)
+    counts = window_zero_counts(p0, n_logs, window, rng)
     t_us = (np.arange(n_logs) + 1) * spec.log_every_ms * 1e3
     running_max = np.maximum.accumulate(counts)
     kernel = np.ones(spec.rolling_window) / spec.rolling_window
@@ -807,7 +812,8 @@ def _run_eop(scn, model, thermal, sensor, policy):
     if not spec.probe_cells:
         raise ConfigError(f"scenario {scn.name}: [eop] needs probe_cells")
     if scn.stimulus.program == "shift":
-        stim = ShiftStimulus(scn.stimulus.pattern, scn.stimulus.serial_net)
+        stim = Stimulus(scn.stimulus.serial_net,
+                        tuple(int(b) for b in scn.stimulus.pattern))
     else:
         stim = stimulus_for_target_freq(sensor.clock_mhz,
                                         scn.scan.target_freq_mhz)

@@ -118,7 +118,6 @@ class SensorInstance:
     chain_len: int = 8
     jitter_sigma_ps: float = 15.0
     tune: TuneValue | None = None
-    latched: bool = False
     element_base_ps: float = 600.0
     per_tap_ps: float = 78.0
     lut_pin_base_ps: float = 124.0
@@ -304,14 +303,16 @@ def window_pulses(counts: np.ndarray, window: int, rng) -> np.ndarray:
     return pulses
 
 
-def window_zero_counts(p0: float, n_windows: int, window: int, rng) -> np.ndarray:
-    """Per-window zero counts for a constant zero probability.
+def window_zero_counts(p0, n_windows: int, window: int, rng) -> np.ndarray:
+    """Zero counts of ``n_windows`` windows, drawn in window order.
 
-    Used by threshold derivation: with a static thermal state, samples are
-    i.i.d. Bernoulli, so per-window counts are exactly binomial.
-    read_counters() remains the sample-level reference.
+    ``p0`` is one zero probability for every window or an array of one per
+    window.  Within a window the samples are i.i.d. Bernoulli, so its count
+    is exactly binomial; read_counters() remains the sample-level
+    reference.  Every window count of a run, idle or co-simulated, is drawn
+    here.
     """
-    return rng.binomial(window, min(max(p0, 0.0), 1.0), size=n_windows)
+    return rng.binomial(window, p0, size=n_windows)
 
 
 # -- tuning -----------------------------------------------------------------

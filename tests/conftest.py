@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from probesim.cosim import CoSimulation, ShiftStimulus, stimulus_for_target_freq
+from probesim.cosim import CoSimulation, Stimulus, stimulus_for_target_freq
 from probesim.defense import DefensePolicy
 from probesim.fabric import FabricModel, FlipFlop, SliceCoord
 from probesim.sensor import SensorInstance, TuneValue
@@ -41,6 +41,11 @@ def build_shift_model(n=8, x0=14, y=5):
     return model
 
 
+def shift_stimulus(pattern, static=None):
+    """A bit string fed into the shift register input ``sin``."""
+    return Stimulus("sin", tuple(int(b) for b in pattern), static or {})
+
+
 def build_sim(model, key=None, policy=None, seed=1, stimulus=None,
               sensor_site=SliceCoord(15, 8)):
     sensor = SensorInstance(site=sensor_site, tune=DEFAULT_TUNE)
@@ -66,7 +71,7 @@ def key_sim():
 @pytest.fixture
 def shift_sim():
     model = build_shift_model()
-    stim = ShiftStimulus("10110001")
+    stim = shift_stimulus("10110001")
     return build_sim(model, stimulus=stim, sensor_site=SliceCoord(13, 5)), model
 
 

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import build_key_model, build_shift_model, build_sim, field_cells
+from conftest import (build_key_model, build_shift_model, build_sim,
+                      field_cells, shift_stimulus)
 from probesim.artifacts import CSV_CHUNK_ROWS, format_int_columns, write_pgm
 from probesim.attacker import EofmImage, EopTrace
-from probesim.cosim import (CoSimulation, ResetToggleStimulus, ShiftStimulus,
-                            Stimulus)
+from probesim.cosim import CoSimulation, Stimulus
 from probesim.fabric import FabricModel, SliceCoord
 from probesim.harness import MAX_WINDOWS, load_scenario, run
 
@@ -189,7 +189,7 @@ def plain_activity_coefs(sim):
     per cycle (the replay of CoSimulation._simulate_activity, uncached)."""
     model, stim = sim.model, sim.stimulus
     period = stim.period_cycles
-    model.set_latch_net(int(sim.sensor.latched))
+    model.set_latch_net(int(sim.latched))
     lut_names = list(model.luts)
     waves = np.zeros((len(model.ffs) + len(lut_names), period))
     for cycle in range(2 * period):
@@ -209,7 +209,7 @@ def plain_activity_coefs(sim):
 
 def plain_cycle_trace(sim, net, n_cycles):
     model = sim.model
-    model.set_latch_net(int(sim.sensor.latched))
+    model.set_latch_net(int(sim.latched))
     values = np.zeros(n_cycles)
     for cycle in range(n_cycles):
         model.step_clock(sim.stimulus.inputs_at(cycle))
@@ -275,7 +275,7 @@ class TestStepCache:
     def test_shift_activity_matches_a_plain_replay(self, pattern):
         # Periods 1, 2 and 7: from reset, from the orbit the replay left,
         # and with the protected register held as during a relocation.
-        sim = build_sim(build_shift_model(), stimulus=ShiftStimulus(pattern),
+        sim = build_sim(build_shift_model(), stimulus=shift_stimulus(pattern),
                         sensor_site=SliceCoord(13, 5))
         checks = []
         activity = against_plain(CoSimulation._simulate_activity,
@@ -302,17 +302,16 @@ class TestStepCache:
         assert len(checks) == 2
 
     @pytest.mark.parametrize("stim", [
-        ResetToggleStimulus(3, {"kd0": 1}),
-        ResetToggleStimulus(1),
-        ShiftStimulus("1011001", "sin", {"rst": 0}),
-        ShiftStimulus("1"),
+        Stimulus("rst", (0, 0, 0, 1, 1, 1), {"kd0": 1}),
+        Stimulus("rst", (0, 1)),
+        shift_stimulus("1011001", {"rst": 0}),
+        shift_stimulus("1"),
     ])
     @pytest.mark.parametrize("n", [0, 1, 6, 23])
     def test_input_program_matches_inputs_at(self, stim, n):
         ids, inputs = stim.input_program(n)
         assert [inputs[i] for i in ids] == [stim.inputs_at(c) for c in range(n)]
-        # Distinct ids are distinct inputs, so the replay steps the edges
-        # that the generic program would.
+        # Distinct ids are distinct inputs, so two cycles share an id iff
+        # inputs_at gives them equal inputs, and the replay steps the
+        # edges that one step_clock call per cycle would.
         assert len({tuple(d.items()) for d in inputs}) == len(inputs)
-        generic_ids, _ = Stimulus.input_program(stim, n)
-        assert len(set(zip(ids, generic_ids))) == len(set(generic_ids))

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (EagerField, advance_for, build_key_model,
-                      build_shift_model, build_sim, field_cells, signal_at)
+                      build_shift_model, build_sim, field_cells,
+                      shift_stimulus, signal_at)
 from probesim import cosim
 from probesim.attacker import (EofmImage, ScanConfig, eofm_scan, eop_probe,
                                localize, recover_bits)
-from probesim.cosim import (EpochActivity, ScenarioError, ShiftStimulus,
-                            Stimulus, stimulus_for_target_freq)
+from probesim.cosim import (EpochActivity, ScenarioError, Stimulus,
+                            stimulus_for_target_freq)
 from probesim.defense import DefensePolicy, region_slices
 from probesim.fabric import SliceCoord
 from probesim.netlist import load_netlist
@@ -88,17 +89,8 @@ class TestEofmScan:
         model = build_key_model(key=(1,) * 8)
         sim = build_sim(model, key=(1,) * 8)
         # Reset never toggles: drive a static stimulus instead.
-        sim.stimulus.static["rst"] = 0
-        sim.stimulus.half_period_cycles = 40
-
-        class Static(Stimulus):
-            period_cycles = 80
-            static = {}
-
-            def inputs_at(self, cycle):
-                return {f"kd{i}": 1 for i in range(8)}
-
-        sim.stimulus = Static()
+        sim.stimulus = Stimulus("rst", (0,) * 80,
+                                {f"kd{i}": 1 for i in range(8)})
         image = eofm_scan(sim, small_scan(noise_sigma=0.04))
         assert image.amplitudes.max() < 5 * 0.04
 
@@ -208,7 +200,7 @@ class TestEopProbe:
 
     def test_constant_zero_net_is_flat(self):
         model = build_shift_model()
-        stim = ShiftStimulus("0" * 8)
+        stim = shift_stimulus("0" * 8)
         sim = build_sim(model, stimulus=stim, sensor_site=SliceCoord(13, 5))
         ff = model.ffs["s3"]
         point = model.slot_position_um(ff.site, ff.slot, "ff")
@@ -318,7 +310,7 @@ class TestEopRace:
     def race(self, probe, **policy_kwargs):
         model = build_shift_model()
         policy = DefensePolicy(threshold=3.0, **policy_kwargs)
-        sim = build_sim(model, policy=policy, stimulus=ShiftStimulus("10110001"),
+        sim = build_sim(model, policy=policy, stimulus=shift_stimulus("10110001"),
                         sensor_site=SliceCoord(13, 5))
         ff = model.ffs["s0"]
         point = model.slot_position_um(ff.site, ff.slot, "ff")
@@ -365,7 +357,7 @@ class TestEopRace:
         sim, _ = self.assert_matches_reference(
             mode="mtd_inter", pr_latency_us=(landing_ps - fire_ps) / 1e6,
             allowed_region=region_slices(26, 4, 30, 12))
-        assert sim._epochs[-1][0] == landing_ps
+        assert sim.epoch_segments(0, sim.t_ps)[-1][0] == landing_ps
 
 
 def point_signal(act, x_um, y_um, psf_sigma_um):
@@ -449,7 +441,9 @@ class TestRasterSchedule:
         assert np.array_equal(sim.window_counts, ref.window_counts)
         assert sim.trigger_time_us == ref.trigger_time_us
         assert sim.defense_log == ref.defense_log
-        assert sim._epochs == ref._epochs
+        assert sim.epoch_id == ref.epoch_id
+        assert (sim.epoch_segments(0, sim.t_ps)
+                == ref.epoch_segments(0, ref.t_ps))
         # The row sums of EpochActivity.signals and the reference's dot
         # products round differently in the last bit; anything the raster
         # gets wrong (a dwell, an overlap, a noise draw) is far larger.
@@ -574,7 +568,8 @@ class TestRasterSchedule:
         # while it is in effect: the protected bits hold, so nothing toggles.
         sim = key_race_sim(mode="mtd_inter", pr_latency_us=223.0)
         eofm_scan(sim, small_scan())
-        (_, before), (_, hold), (_, after) = sim._epochs
+        (_, _, before), (_, _, hold), (_, _, after) = sim.epoch_segments(
+            0, sim.t_ps)
         assert np.abs(sim.activity(before).coefs).max() == pytest.approx(1.0)
         assert np.abs(sim.activity(hold).coefs).max() == 0.0
         assert np.abs(sim.activity(after).coefs).max() == pytest.approx(1.0)

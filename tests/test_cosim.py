@@ -3,9 +3,9 @@ import pytest
 
 from conftest import (DEFAULT_TUNE, advance_for, build_key_model, build_sim,
                       counter_rows)
-from probesim import cosim
-from probesim.cosim import (ResetToggleStimulus, ScenarioError, ShiftStimulus,
-                            Stimulus, stimulus_for_target_freq)
+from probesim import cosim, defense
+from probesim.cosim import (ScenarioError, Stimulus, half_period_cycles,
+                            stimulus_for_target_freq)
 from probesim.defense import DefensePolicy, region_slices
 from probesim.fabric import SliceCoord
 from probesim.thermal import LaserSpot, relax
@@ -41,21 +41,27 @@ def park_on_sensor(sim, power=1.0):
 
 class TestStimulus:
     def test_reset_toggle_period(self):
-        stim = stimulus_for_target_freq(100.0, 1.25)
+        stim = stimulus_for_target_freq(100.0, 1.25, {"kd0": 1})
         assert stim.period_cycles == 80
-        assert stim.inputs_at(0)["rst"] == 0
+        assert stim.bits == (0,) * 40 + (1,) * 40
+        assert stim.inputs_at(0) == {"kd0": 1, "rst": 0}
         assert stim.inputs_at(40)["rst"] == 1
         assert stim.inputs_at(80)["rst"] == 0
 
-    def test_target_freq_above_nyquist_rejected(self):
+    @pytest.mark.parametrize("target", [80.0, 30.0, 1e-310])
+    def test_target_freq_rejected(self, target):
+        # Above clock/2, a toggle every 1.67 cycles, and a half period that
+        # overflows to inf.
         with pytest.raises(ScenarioError):
-            stimulus_for_target_freq(100.0, 80.0)
+            half_period_cycles(100.0, target)
+        with pytest.raises(ScenarioError):
+            stimulus_for_target_freq(100.0, target)
 
-    def test_shift_pattern_validation(self):
+    def test_bits_validation(self):
         with pytest.raises(ScenarioError):
-            ShiftStimulus("10a1")
+            Stimulus("sin", (1, 0, 2, 1))
         with pytest.raises(ScenarioError):
-            ResetToggleStimulus(0)
+            Stimulus("rst", ())
 
 
 class TestActivity:
@@ -78,15 +84,7 @@ class TestActivity:
 
     def test_idle_stimulus_has_no_activity(self):
         model = build_key_model(KEY)
-
-        class Idle(Stimulus):
-            period_cycles = 1
-            static = {}
-
-            def inputs_at(self, cycle):
-                return {}
-
-        sim = build_sim(model, stimulus=Idle())
+        sim = build_sim(model, stimulus=Stimulus("rst", (0,)))
         assert np.abs(sim.activity().coefs).max() == 0.0
 
 
@@ -131,6 +129,31 @@ class TestDefenseTiming:
         assert sim.trigger_time_us is not None
         assert sim.sensor.site != old_site
         assert sim.sensor.site in region_slices(26, 4, 30, 12)
+
+    def test_spot_held_past_the_trigger_fires_once(self, monkeypatch):
+        # The spot stays on the sensor for 2 ms, long past the trigger and
+        # the 223 us reconfiguration, held 10 us at a time so that each
+        # hold draws a few windows; later windows reach the threshold
+        # again, and the defense still fires and completes once.
+        calls = []
+        for name in ("on_trigger", "apply_event"):
+            def counted(*args, _name=name, _original=getattr(defense, name),
+                        **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(defense, name, counted)
+        sim, _ = mtd_sim()
+        park_on_sensor(sim)
+        for _ in range(200):
+            advance_for(sim, 10_000_000)
+        counts = counter_rows(sim)[:, 1]
+        fired_window = sim.trigger_ps // sim.window_ps - 1
+        assert (counts[fired_window + 1:] >= sim.policy.threshold).sum() > 1
+        assert calls == ["on_trigger", "apply_event"]
+        assert len(sim.defense_log) == 1
+        assert sim.pending_event is None
+        assert sim.latched
 
     def test_latch_net_follows_trigger(self):
         sim, model = mtd_sim()
@@ -254,7 +277,8 @@ class TestAdvanceToEpochChange:
             sims.append(sim)
         a, b = sims
         assert a.window_counts == b.window_counts
-        assert a._epochs == b._epochs
+        assert a.epoch_id == b.epoch_id
+        assert a.epoch_segments(0, target) == b.epoch_segments(0, target)
         assert a.defense_log == b.defense_log
         assert a.t_ps == b.t_ps == target
 

@@ -184,14 +184,6 @@ class TestOnTrigger:
         assert on_trigger(policy, model, 0.0, np.random.default_rng(0)) is None
         assert model.hold_protected is False
 
-    def test_idempotent_on_repeated_triggers(self):
-        model = key_model()
-        policy = DefensePolicy(mode="mtd_inter",
-                               allowed_region=region_slices(26, 4, 30, 12))
-        first = on_trigger(policy, model, 0.0, np.random.default_rng(0))
-        second = on_trigger(policy, model, 5.0, np.random.default_rng(0))
-        assert first is not None and second is None
-
     def test_capacity_fallback_zeroizes(self):
         model = key_model()
         key = (1, 0, 1, 1, 0, 0, 0, 1)

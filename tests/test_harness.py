@@ -11,9 +11,9 @@ from conftest import advance_for, build_key_model, build_sim, counter_rows
 from probesim import cli
 from probesim.artifacts import CSV_CHUNK_ROWS
 from probesim.defense import DefensePolicy
-from probesim.harness import (MAX_DWELLS, SCENARIO_KEYS, ConfigError,
-                              StabilitySpec, derive_threshold, load_scenario,
-                              report_resources, run, run_batch,
+from probesim.harness import (MAX_DWELLS, MAX_VECTORS, SCENARIO_KEYS,
+                              ConfigError, StabilitySpec, derive_threshold,
+                              load_scenario, report_resources, run, run_batch,
                               scenario_key_bits, stability_test,
                               write_counters_csv)
 from probesim.netlist import NetlistError, load_netlist
@@ -452,6 +452,20 @@ class TestBatch:
         assert not (tmp_path / "runs").exists()
 
 
+def function_copy(tmp_path, vectors, region_um):
+    """A copy of xor_unprotected.scn at 1 ns dwells that rasters the
+    region once per vector, each vector 5,10."""
+    text = (SCENARIOS / "xor_unprotected.scn").read_text()
+    text = text.replace("dwell_ms = 1.0", "dwell_ms = 0.000001").replace(
+        "vectors = 0,0;15,0;0,15;15,15;5,10",
+        "vectors = " + ";".join(["5,10"] * vectors)).replace(
+        "region_um = 160,40,200,120", "region_um = " + region_um)
+    path = tmp_path / "xor_unprotected.scn"
+    path.write_text(text)
+    (tmp_path / "xor4.net").write_text((SCENARIOS / "xor4.net").read_text())
+    return path
+
+
 def run_edited(capsys, tmp_path, command, scenario, line, bad):
     """Run the CLI on a copy of a bundled scenario with one line changed.
 
@@ -598,6 +612,9 @@ class TestCli:
          "target_freq_mhz = 0.001"),
         ("attack", "unprotected_key", "target_freq_mhz = 1.25",
          "target_freq_mhz = 1e-6"),
+        # A half period that overflows to inf.
+        ("attack", "unprotected_key", "target_freq_mhz = 1.25",
+         "target_freq_mhz = 1e-310"),
         pytest.param("eop", "eop_shift", "pattern = 10110001",
                      "pattern = " + "10" * 5000 + "1",
                      id="eop-eop_shift-pattern of 10001 bits"),
@@ -606,6 +623,11 @@ class TestCli:
         ("attack", "xor_unprotected",
          "vectors = 0,0;15,0;0,15;15,15;5,10\nregion_um = 160,40,200,120",
          "vectors = " + ";".join(["5,10"] * 17) + "\nregion_um = 0,0,2560,2560"),
+        # Vectors past MAX_VECTORS.
+        pytest.param("attack", "xor_unprotected",
+                     "vectors = 0,0;15,0;0,15;15,15;5,10",
+                     "vectors = " + ";".join(["5,10"] * (MAX_VECTORS + 1)),
+                     id=f"attack-xor_unprotected-{MAX_VECTORS + 1} vectors"),
         # One probe cell listed twice.
         ("eop", "eop_shift", "probe_cells = s2,s5", "probe_cells = s2,s2"),
     ])
@@ -618,6 +640,17 @@ class TestCli:
         assert "config error:" in err and named in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("vectors", [MAX_VECTORS, MAX_VECTORS + 1])
+    def test_vectors_bounded_where_dwells_are_not(self, tmp_path, vectors):
+        # One pixel per raster, at 1 ns dwells: only MAX_VECTORS bounds the
+        # per-vector cost of a raster and an activity replay.
+        path = function_copy(tmp_path, vectors, "160,40,170,50")
+        if vectors <= MAX_VECTORS:
+            assert len(load_scenario(path).function.vectors) == vectors
+        else:
+            with pytest.raises(ConfigError, match=r"\[function\] vectors"):
+                load_scenario(path)
+
     def test_shift_pattern_on_the_period_bound_accepted(self, tmp_path):
         text = (SCENARIOS / "eop_shift.scn").read_text()
         path = tmp_path / "eop_shift.scn"
@@ -627,19 +660,13 @@ class TestCli:
             (SCENARIOS / "shift8.net").read_text())
         assert len(load_scenario(path).stimulus.pattern) == 10_000
 
-    @pytest.mark.parametrize("vectors", [MAX_DWELLS // 256, MAX_DWELLS // 256 + 1])
+    @pytest.mark.parametrize("vectors", [MAX_DWELLS // 512, MAX_DWELLS // 512 + 1])
     def test_dwells_bounded_where_windows_are_not(self, tmp_path, vectors):
         # 1 ns dwells add no sensor windows, so only MAX_DWELLS bounds the
-        # rasters of 16 by 16 pixels, one per vector, of a function run.
-        text = (SCENARIOS / "xor_unprotected.scn").read_text()
-        text = text.replace("dwell_ms = 1.0", "dwell_ms = 0.000001").replace(
-            "vectors = 0,0;15,0;0,15;15,15;5,10",
-            "vectors = " + ";".join(["5,10"] * vectors)).replace(
-            "region_um = 160,40,200,120", "region_um = 0,0,160,160")
-        path = tmp_path / "xor_unprotected.scn"
-        path.write_text(text)
-        (tmp_path / "xor4.net").write_text((SCENARIOS / "xor4.net").read_text())
-        if vectors * 256 <= MAX_DWELLS:
+        # rasters of 32 by 16 pixels, one per vector, of a function run;
+        # both vector counts are within MAX_VECTORS.
+        path = function_copy(tmp_path, vectors, "0,0,320,160")
+        if vectors * 512 <= MAX_DWELLS:
             assert len(load_scenario(path).function.vectors) == vectors
         else:
             with pytest.raises(ConfigError, match=r"\[function\] vectors"):

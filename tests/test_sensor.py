@@ -46,14 +46,13 @@ def counters_from_stream(bits: np.ndarray, window: int) -> SensorReadout:
     return SensorReadout(int(zeros.sum()), longest_run(zeros), window)
 
 
-def update_latch(sensor: SensorInstance, readout: SensorReadout,
+def update_latch(latched: bool, readout: SensorReadout,
                  threshold: float) -> bool:
-    """Sticky trigger: latch once the window zero count reaches threshold."""
+    """Sticky trigger: the latch after one window, given the latch before
+    it; it sets once the window zero count reaches threshold."""
     if not 0 < threshold <= readout.window:
         raise ValueError(f"threshold {threshold} outside (0, {readout.window}]")
-    if readout.zero_count >= threshold:
-        sensor.latched = True
-    return sensor.latched
+    return latched or readout.zero_count >= threshold
 
 
 def brute_force_chain_delay(code, chain_len, per_tap=78.0, base=600.0):
@@ -462,20 +461,18 @@ class TestPulseCdf:
 
 class TestLatch:
     def test_below_threshold_stays_clear(self):
-        s = SensorInstance()
-        assert update_latch(s, SensorReadout(2, 1, 255), threshold=5) is False
+        assert update_latch(False, SensorReadout(2, 1, 255), threshold=5) is False
 
     def test_sticky_after_one_crossing(self):
-        s = SensorInstance()
-        assert update_latch(s, SensorReadout(40, 10, 255), threshold=5) is True
-        assert update_latch(s, SensorReadout(0, 0, 255), threshold=5) is True
+        latched = update_latch(False, SensorReadout(40, 10, 255), threshold=5)
+        assert latched is True
+        assert update_latch(latched, SensorReadout(0, 0, 255), threshold=5) is True
 
     def test_threshold_range_enforced(self):
-        s = SensorInstance()
         with pytest.raises(ValueError):
-            update_latch(s, SensorReadout(0, 0, 255), threshold=0)
+            update_latch(False, SensorReadout(0, 0, 255), threshold=0)
         with pytest.raises(ValueError):
-            update_latch(s, SensorReadout(0, 0, 255), threshold=256)
+            update_latch(False, SensorReadout(0, 0, 255), threshold=256)
 
 
 class TestTune:
