@@ -3,8 +3,7 @@
 from .attacker import EofmImage, EopTrace, ScanConfig, eofm_scan, eop_probe
 from .cosim import CoSimulation, ScenarioError
 from .defense import (CapacityError, DefenseError, DefensePolicy, Permutation,
-                      ReconfigEvent, configure_polymorphic_lut, on_trigger,
-                      permute_intra, relocate_inter)
+                      ReconfigEvent, on_trigger, permute_intra, relocate_inter)
 from .fabric import (CombinationalCycleError, FabricError, FabricModel,
                      FlipFlop, Lut, SliceCoord, evaluate_lut)
 from .harness import ConfigError, RunSummary, Scenario, load_scenario, run

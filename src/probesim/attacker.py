@@ -53,7 +53,6 @@ class EofmImage:
     x0_um: float
     y0_um: float
     pixel_pitch_um: float
-    target_freq_mhz: float = 1.25
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -137,7 +136,7 @@ def eofm_scan(sim: CoSimulation, scan: ScanConfig) -> EofmImage:
     noisy = signal + sim.image_rng.normal(0.0, scan.noise_sigma, nx * ny)
     sim.set_spot(None)
     image = np.maximum(noisy, 0.0).reshape(ny, nx)
-    return EofmImage(image, x0, y0, scan.pixel_pitch_um, scan.target_freq_mhz)
+    return EofmImage(image, x0, y0, scan.pixel_pitch_um)
 
 
 def localize(image: EofmImage, threshold: float,

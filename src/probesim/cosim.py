@@ -141,11 +141,9 @@ class CoSimulation:
         self.image_rng = np.random.default_rng(streams[1])
         self.eop_rng = np.random.default_rng(streams[2])
         self.pulse_rng = np.random.default_rng(streams[3])
-        # The defense stream also keys on the policy's own seed so one-time
-        # randomness can be re-rolled independently of the scenario seed.
-        self.defense_rng = np.random.default_rng(
-            [seed & 0xFFFFFFFF, policy.rng_seed & 0xFFFFFFFF, 0xDEF]
-        )
+        # The defense stream keys on the scenario seed; the middle word of
+        # the key is fixed, and changing it would re-draw every placement.
+        self.defense_rng = np.random.default_rng([seed & 0xFFFFFFFF, 0, 0xDEF])
         # The reconfiguration under way, until it completes.
         self.pending_event: defense_mod.ReconfigEvent | None = None
         # Time of the trigger, a window end, once it has fired: the sensor's
@@ -443,13 +441,6 @@ class CoSimulation:
     def _complete_event(self) -> None:
         event = self.pending_event
         defense_mod.apply_event(self.model, event)
-        if self.policy.move_sensor and event.new_placement:
-            # Optionally carry the sensor into the reconfigured region.
-            slots = defense_mod.free_ff_slots(self.model,
-                                              self.policy.allowed_region)
-            if slots:
-                pick = slots[int(self.defense_rng.integers(len(slots)))]
-                self.sensor.site = pick[0]
         self._new_epoch(round(event.completes_at_us * 1e6))
         if self.defense_log:
             self.defense_log[-1]["placement_diff"] = event.placement_diff()
@@ -542,10 +533,10 @@ class CoSimulation:
 
     # -- probing helpers -------------------------------------------------------
 
-    def resolve_probe_net(self, x_um: float, y_um: float,
-                          radius_um: float | None = None) -> str | None:
-        """Output net of the primitive closest to a probe point, if any."""
-        radius = radius_um if radius_um is not None else self.model.site_pitch_um / 2
+    def resolve_probe_net(self, x_um: float, y_um: float) -> str | None:
+        """Output net of the primitive closest to a probe point, within
+        half a site pitch, if any."""
+        radius = self.model.site_pitch_um / 2
         best, best_d2 = None, radius * radius
         for ff in self.model.ffs.values():
             px, py = self.model.slot_position_um(ff.site, ff.slot, "ff")

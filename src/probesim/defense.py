@@ -34,9 +34,6 @@ class DefensePolicy:
     pr_latency_us: float = 223.0
     allowed_region: list[SliceCoord] = field(default_factory=list)
     threshold: float | None = None  # None: derived from the idle distribution
-    rng_seed: int = 0
-    mid_pr_state: str = "hold"  # protected outputs during PR: hold | zero
-    move_sensor: bool = False  # relocate the sensor along with the targets
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -45,8 +42,6 @@ class DefensePolicy:
             raise DefenseError("MTD modes need pr_latency > 0")
         if self.mode == "mtd_inter" and not self.allowed_region:
             raise DefenseError("mtd_inter needs a non-empty allowed_region")
-        if self.mid_pr_state not in ("hold", "zero"):
-            raise DefenseError(f"bad mid_pr_state {self.mid_pr_state!r}")
 
 
 @dataclass(frozen=True)
@@ -188,29 +183,12 @@ def apply_intra_permutation(model: FabricModel, perm: Permutation) -> None:
     model.check_placement()
 
 
-def configure_polymorphic_lut(f_bits, g_bits) -> tuple[int, ...]:
-    """Merge two (k-1)-input truth tables into one k-input LUT init.
-
-    The extra (most significant) input is the control: 0 selects f, 1
-    selects g.  Wire the control to the sensor latch net to switch the
-    gate's function on detection.
-    """
-    f_bits = tuple(int(b) for b in f_bits)
-    g_bits = tuple(int(b) for b in g_bits)
-    if len(f_bits) != len(g_bits):
-        raise DefenseError("truth tables must be the same size")
-    size = len(f_bits)
-    if size < 1 or size & (size - 1):
-        raise DefenseError(f"truth table size {size} is not a power of two")
-    return f_bits + g_bits
-
-
 def on_trigger(policy: DefensePolicy, model: FabricModel, sim_time_us: float,
                rng, exclude_sites=()) -> ReconfigEvent | None:
     """React to the latch being set.
 
     MTD modes return a ReconfigEvent to be applied at its completion time;
-    the protected region holds (or zeroes) its outputs until then.
+    the protected bits hold their values until then.
     Polymorphic mode needs no structural change: the latch net itself flips
     every control input.  Zeroize clears the protected bits at the next
     clock edge and keeps them cleared.
@@ -239,12 +217,7 @@ def on_trigger(policy: DefensePolicy, model: FabricModel, sim_time_us: float,
             return None
     else:
         event.permutation = permute_intra(len(model.protected), rng)
-    if policy.mid_pr_state == "hold":
-        model.hold_protected = True
-    else:
-        for name in model.protected:
-            model.state[name] = 0
-        model.hold_protected = True
+    model.hold_protected = True
     return event
 
 

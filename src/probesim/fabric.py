@@ -141,6 +141,10 @@ class FabricModel:
             net.driver = driver
         return net
 
+    def add_net(self, name: str) -> None:
+        """Declare a net; an input, a LUT or an FF must still drive it."""
+        self._net(name)
+
     def add_input(self, name: str) -> None:
         self._net(name, driver=("input", name))
         self.inputs.add(name)
@@ -168,8 +172,11 @@ class FabricModel:
         self._order = None
         return ff
 
+    def on_grid(self, site: SliceCoord) -> bool:
+        return 0 <= site.x < self.grid_width and 0 <= site.y < self.grid_height
+
     def _check_site(self, site: SliceCoord, slot: int, slots: int, name: str):
-        if not (0 <= site.x < self.grid_width and 0 <= site.y < self.grid_height):
+        if not self.on_grid(site):
             raise FabricError(f"{name}: site {site} off the {self.grid_width}x"
                               f"{self.grid_height} grid")
         if not 0 <= slot < slots:

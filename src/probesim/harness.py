@@ -85,7 +85,6 @@ class FunctionSpec:
     operand_nets: list[list[str]] = field(default_factory=list)
     output_cells: list[str] = field(default_factory=list)
     vectors: list[tuple[int, ...]] = field(default_factory=list)
-    region_um: tuple | None = None
 
 
 @dataclass
@@ -167,11 +166,6 @@ _TEXT = str, bool, "non-empty"
 _NAMES = _names, all, "comma-separated names"
 _UNIQUE_NAMES = (_names, lambda names: all(names) and len(set(names)) == len(names),
                  "comma-separated names, each once")
-_RECT = (lambda t: _numbers(t, 4),
-         lambda r: all(map(math.isfinite, r)) and r[0] < r[2] and r[1] < r[3],
-         "x0,y0,x1,y1, finite, with x0 < x1 and y0 < y1")
-_REGION = (*_RECT[:2], _RECT[2] + f", and at most {MAX_PIXELS} pixels of "
-           "[scan] pixel_pitch_um")
 _WINDOWS = f", with at most {MAX_WINDOWS} sensor windows in the run"
 
 SCENARIO_KEYS = {(section, key): (*value, dest) for section, key, value, dest in [
@@ -205,8 +199,14 @@ SCENARIO_KEYS = {(section, key): (*value, dest) for section, key, value, dest in
                         "data,clock,select, integers >= 0"), "pinned_tune"),
     ("sensor", "t_sense_ms", _above(0), "t_sense_ms"),
     ("sensor", "t_detect_cycles", _integer(1, sensor_mod.MAX_WINDOW), "t_detect"),
-    ("scan", "region_um", _REGION, "scan.region_um"),
-    ("scan", "pixel_pitch_um", _above(0), "scan.pixel_pitch_um"),
+    ("scan", "region_um", (
+        lambda t: _numbers(t, 4),
+        lambda r: all(map(math.isfinite, r)) and r[0] < r[2] and r[1] < r[3],
+        "x0,y0,x1,y1, finite, with x0 < x1 and y0 < y1, and at most "
+        f"{MAX_PIXELS} pixels of [scan] pixel_pitch_um"), "scan.region_um"),
+    ("scan", "pixel_pitch_um", (*_above(0)[:2], _above(0)[2] + ", and at most "
+                                "the shorter side of [scan] region_um"),
+     "scan.pixel_pitch_um"),
     # 1 ns: a dwell rounds to whole ps, and one of 0 ps would take no time.
     ("scan", "dwell_ms", (*_at_least(1e-6)[:2], _at_least(1e-6)[2] + _WINDOWS),
      "scan.dwell_ms"),
@@ -227,17 +227,13 @@ SCENARIO_KEYS = {(section, key): (*value, dest) for section, key, value, dest in
     ("defense", "allowed_region", (
         lambda t: region_slices(*_numbers(t, 4, int)),
         lambda r: bool(r) and r[0].x >= 0 and r[0].y >= 0,
-        "x0,y0,x1,y1 slices, inclusive, with 0 <= x0 <= x1 and 0 <= y0 <= y1"),
+        "x0,y0,x1,y1 slices, inclusive, with 0 <= x0 <= x1 and 0 <= y0 <= y1, "
+        "on the netlist grid"),
      "defense.allowed_region"),
     ("defense", "threshold", (
         lambda t: None if t == "auto" else float(t),
         lambda v: v is None or math.isfinite(v) and v > 0,
         "auto, or finite, > 0 and <= t_detect_cycles"), "defense.threshold"),
-    ("defense", "mid_pr_state", _one_of("hold", "zero"), "defense.mid_pr_state"),
-    ("defense", "move_sensor", (
-        lambda t: configparser.ConfigParser.BOOLEAN_STATES[t.lower()],
-        lambda v: True, "a boolean: true | false | yes | no | on | off | 1 | 0"),
-     "defense.move_sensor"),
     ("stimulus", "program", _one_of("reset_toggle", "shift"), "stimulus.program"),
     ("stimulus", "key", (str, lambda k: k == "random" or _is_bits(k),
                          "a bit string, MSB first, or random"), "stimulus.key"),
@@ -268,7 +264,6 @@ SCENARIO_KEYS = {(section, key): (*value, dest) for section, key, value, dest in
         f"at most {MAX_VECTORS} groups of integers >= 0 split by ;, one "
         "integer per operand group, each below 2 ** the group's net count, "
         f"with at most {MAX_DWELLS} dwells in the run"), "function.vectors"),
-    ("function", "region_um", _REGION, "function.region_um"),
     ("stability", "duration_min", (float, lambda v: math.isfinite(v) and v > 0,
                                    f"finite, > 0 and 1 to {MAX_LOGS} logs long"),
      "stability.duration_min"),
@@ -366,17 +361,21 @@ def _decode_scenario(parser, path: Path, seed_override) -> Scenario:
                 raise _bad_value(path, "function", "vectors",
                                  f"{vec} for operand groups of {sizes} nets")
     if scn.kind.startswith("eofm"):
-        # The region the raster covers: an eofm_function run scans its own.
-        section = ("function" if scn.kind == "eofm_function"
-                   and scn.function.region_um is not None else "scan")
-        region = getattr(scn, section).region_um
-        pitch = scn.scan.pixel_pitch_um
+        region, pitch = scn.scan.region_um, scn.scan.pixel_pitch_um
+        x0, y0, x1, y1 = region
+        # With the pitch at most the shorter side, every pixel center lies
+        # in the region.  At a pitch far past it, such as 1e300, a center
+        # lies so far off the fabric that the spot Gaussian's squared
+        # distances overflow.
+        if pitch > min(x1 - x0, y1 - y0):
+            raise _bad_value(path, "scan", "pixel_pitch_um",
+                             f"{pitch:g} with [scan] region_um = {region}")
         try:
-            nx, ny = ScanConfig(region_um=region, pixel_pitch_um=pitch).n_pixels
+            nx, ny = scn.scan.n_pixels
         except OverflowError:  # a width over the pitch of inf
             nx = ny = math.inf
         if nx * ny > MAX_PIXELS:
-            raise _bad_value(path, section, "region_um",
+            raise _bad_value(path, "scan", "region_um",
                              f"{region} at [scan] pixel_pitch_um = {pitch:g}")
         rasters = len(scn.function.vectors) if scn.kind == "eofm_function" else 1
         dwells = nx * ny * rasters
@@ -658,11 +657,14 @@ def run(scn: Scenario, out_dir=None) -> RunResult:
         ) from None
     thermal = ThermalField.for_model(model, **scn.thermal)
     sensor = build_sensor(scn)
-    site = sensor.site
-    if not (site.x < model.grid_width and site.y < model.grid_height):
+    grid = f"on a {model.grid_width}x{model.grid_height} grid"
+    if not model.on_grid(sensor.site):
         raise _bad_value(f"scenario {scn.name}", "sensor", "site",
-                         f"{site.x},{site.y} on a {model.grid_width}x"
-                         f"{model.grid_height} grid")
+                         f"{sensor.site} {grid}")
+    region = scn.defense.get("allowed_region")
+    if region and not model.on_grid(region[-1]):  # its corner x1,y1
+        raise _bad_value(f"scenario {scn.name}", "defense", "allowed_region",
+                         f"{region[0]},{region[-1]} {grid}")
     serial_net = scn.stimulus.serial_net
     if (scn.kind == "eop" and scn.stimulus.program == "shift"
             and serial_net not in model.inputs):
@@ -793,16 +795,13 @@ def _run_eofm_function(scn, model, thermal, sensor, policy):
             raise ConfigError(f"output cell {cell} is not a flip-flop")
         ff = model.ffs[cell]
         out_sites.append(model.slot_position_um(ff.site, ff.slot, "ff"))
-    scan = scn.scan
-    if spec.region_um is not None:
-        scan = ScanConfig(**{**scan.__dict__, "region_um": spec.region_um})
-    stim = stimulus_for_target_freq(sensor.clock_mhz, scan.target_freq_mhz)
+    stim = stimulus_for_target_freq(sensor.clock_mhz, scn.scan.target_freq_mhz)
     sim = CoSimulation(model, thermal, sensor, policy, stim, scn.seed,
                        scn.t_detect)
-    table = attacker.recover_function(sim, scan, spec.operand_nets, out_sites,
-                                      spec.vectors, scn.bit_threshold)
+    table = attacker.recover_function(sim, scn.scan, spec.operand_nets,
+                                      out_sites, spec.vectors, scn.bit_threshold)
     summary = _summary_base(scn, sim, policy.threshold)
-    summary.attack_params = _scan_echo(scan)
+    summary.attack_params = _scan_echo(scn.scan)
     summary.function_table = table
     return RunResult(summary, sim=sim)
 

@@ -89,7 +89,7 @@ def load_netlist(path) -> FabricModel:
                     model.add_input(name)
             elif stmt == "net":
                 opts = _split_kv(args[1:], path, lineno)
-                model._net(args[0])
+                model.add_net(args[0])
                 if opts:
                     raise NetlistError(path, lineno, f"unknown net options {sorted(opts)}")
             elif stmt == "lut":

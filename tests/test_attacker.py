@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (EagerField, advance_for, build_key_model,
-                      build_shift_model, build_sim, field_cells,
-                      shift_stimulus, signal_at)
+from conftest import (advance_for, build_key_model, build_shift_model,
+                      build_sim, field_cells, shift_stimulus, signal_at)
 from probesim import cosim
 from probesim.attacker import (EofmImage, ScanConfig, eofm_scan, eop_probe,
                                localize, recover_bits)
@@ -435,7 +434,6 @@ class TestRasterSchedule:
         ref = make_sim()
         ref_image = per_pixel_eofm(ref, scan)
         sim = make_sim()
-        sites = [sim.sensor.site]
         eofm = eofm_scan(sim, scan)
         image = eofm.amplitudes
         assert np.array_equal(sim.window_counts, ref.window_counts)
@@ -449,10 +447,9 @@ class TestRasterSchedule:
         # gets wrong (a dwell, an overlap, a noise draw) is far larger.
         np.testing.assert_allclose(image, ref_image, rtol=0, atol=1e-14)
         assert sim.t_ps == ref.t_ps
-        assert sim.sensor.site == ref.sensor.site
-        sites.append(sim.sensor.site)
         ny, nx = image.shape
         last_spot = eofm.pixel_center_um(nx - 1, ny - 1)
+        sites = [sim.sensor.site]
         assert np.array_equal(field_cells(sim.thermal, sites, last_spot),
                               field_cells(ref.thermal, sites, last_spot))
         return sim
@@ -474,8 +471,7 @@ class TestRasterSchedule:
 
     @pytest.mark.parametrize("where", ["firing dwell", "next dwell",
                                        "three dwells on", "1 ps on"])
-    @pytest.mark.parametrize("move_sensor", [False, True])
-    def test_mtd_inter(self, chunk, where, move_sensor):
+    def test_mtd_inter(self, chunk, where):
         scan = small_scan()
         fire = self.fire_ps(scan, mode="mtd_inter", pr_latency_us=223.0)
         dwell_end = -(-fire // scan.dwell_ps) * scan.dwell_ps
@@ -486,11 +482,9 @@ class TestRasterSchedule:
             "1 ps on": 1,  # MTD modes need a latency > 0
         }[where]
         sim = self.assert_matches_reference(
-            lambda: key_race_sim(mode="mtd_inter", pr_latency_us=latency_ps / 1e6,
-                                 move_sensor=move_sensor),
+            lambda: key_race_sim(mode="mtd_inter", pr_latency_us=latency_ps / 1e6),
             scan)
         assert sim.defense_log[0]["placement_diff"]
-        assert (sim.sensor.site != SliceCoord(15, 8)) == move_sensor
 
     def test_mtd_intra(self, chunk):
         self.assert_matches_reference(
@@ -537,32 +531,6 @@ class TestRasterSchedule:
         else:
             assert min(mixed) < fired
 
-    def test_moved_sensor_reads_a_second_cell(self):
-        # The sensor is carried into the new region mid-run, so the raster
-        # reads a second cell of the field; both cells, the corners and the
-        # run equal those of a run on the eager reference field.
-        scan = small_scan()
-
-        def make_sim(field=None):
-            sim = key_race_sim(mode="mtd_inter", pr_latency_us=223.0,
-                               move_sensor=True)
-            if field is not None:
-                sim.thermal = field
-            return sim
-
-        ref = make_sim(EagerField())
-        eofm_scan(ref, scan)
-        sim = make_sim()
-        eofm_scan(sim, scan)
-        assert sim.sensor.site != SliceCoord(15, 8)
-        assert sim.trigger_ps == ref.trigger_ps
-        assert np.array_equal(sim.window_counts, ref.window_counts)
-        cells = sorted(sim.thermal._cells)
-        assert cells == sorted([(8, 15), (sim.sensor.site.y, sim.sensor.site.x)])
-        sites = [SliceCoord(ix, iy) for iy, ix in cells]
-        assert np.array_equal(field_cells(sim.thermal, sites),
-                              field_cells(ref.thermal, sites))
-
     def test_hold_epoch_is_imaged_dark(self):
         # The hold epoch of a relocation (trigger to completion) is recorded
         # while it is in effect: the protected bits hold, so nothing toggles.
@@ -606,7 +574,6 @@ class TestRasterSchedule:
 @given(
     seed=st.integers(1, 10_000),
     mode=st.sampled_from(["none", "mtd_inter", "mtd_intra", "zeroize"]),
-    move_sensor=st.booleans(),
     latency_us=st.floats(1e-6, 3000.0),
     # 2.55 ms is 1,000 windows: every dwell ends on a window end.
     dwell_ms=st.sampled_from([0.04, 0.3, 1.0, 2.5, 2.55]),
@@ -616,9 +583,9 @@ class TestRasterSchedule:
     cols=st.tuples(st.integers(10, 17), st.integers(1, 6)),
     chunk=st.sampled_from([64, 1000, 16384]),
 )
-def test_raster_matches_per_pixel_reference(seed, mode, move_sensor, latency_us,
-                                            dwell_ms, tau_us, threshold, rows,
-                                            cols, chunk):
+def test_raster_matches_per_pixel_reference(seed, mode, latency_us, dwell_ms,
+                                            tau_us, threshold, rows, cols,
+                                            chunk):
     # Small rasters near the sensor at (15, 8), under every defense that
     # changes the epoch, and with triggers that fire early, late or never.
     scan = small_scan(region_um=(cols[0] * 10.0, rows[0] * 10.0,
@@ -628,8 +595,7 @@ def test_raster_matches_per_pixel_reference(seed, mode, move_sensor, latency_us,
 
     def make_sim():
         return key_race_sim(seed=seed, tau_us=tau_us, mode=mode,
-                            pr_latency_us=latency_us, threshold=threshold,
-                            move_sensor=move_sensor)
+                            pr_latency_us=latency_us, threshold=threshold)
 
     original = cosim.RASTER_CHUNK_WINDOWS
     cosim.RASTER_CHUNK_WINDOWS = chunk

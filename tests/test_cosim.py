@@ -14,13 +14,12 @@ from probesim.thermal import LaserSpot, relax
 KEY = (1, 0, 1, 1, 0, 0, 0, 1)
 
 
-def mtd_sim(move_sensor=False, mid_pr_state="hold"):
+def mtd_sim(seed=1, region=(26, 4, 30, 12)):
     model = build_key_model(KEY)
     policy = DefensePolicy(mode="mtd_inter", pr_latency_us=223.0,
-                           allowed_region=region_slices(26, 4, 30, 12),
-                           threshold=3.0, move_sensor=move_sensor,
-                           mid_pr_state=mid_pr_state)
-    return build_sim(model, key=KEY, policy=policy), model
+                           allowed_region=region_slices(*region),
+                           threshold=3.0)
+    return build_sim(model, key=KEY, policy=policy, seed=seed), model
 
 
 @pytest.fixture(params=[cosim.RASTER_CHUNK_WINDOWS, 64, 4])
@@ -111,24 +110,17 @@ class TestDefenseTiming:
             assert e0 == s1
         assert len(segs) == 3  # before trigger, holding, after completion
 
-    def test_mid_pr_zero_clears_state_immediately(self):
-        sim, model = mtd_sim(mid_pr_state="zero")
-        # Load the key, then fire.
-        sim.activity()
-        park_on_sensor(sim)
-        advance_for(sim, 100_000_000)  # 0.1 ms: fired, not yet complete
-        assert sim.trigger_time_us is not None
-        if model.hold_protected:
-            assert all(model.state[n] == 0 for n in model.protected)
-
-    def test_move_sensor_follows_relocation(self):
-        sim, model = mtd_sim(move_sensor=True)
-        old_site = sim.sensor.site
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_relocation_skips_the_sensor_slice(self, seed):
+        # The region holds the sensor's slice (15, 8): 4 of its 23 free FF
+        # slots.  No bit moves there, and the sensor stays where it is.
+        sim, model = mtd_sim(seed, region=(14, 7, 16, 8))
         park_on_sensor(sim)
         advance_for(sim, 2_000_000_000)
-        assert sim.trigger_time_us is not None
-        assert sim.sensor.site != old_site
-        assert sim.sensor.site in region_slices(26, 4, 30, 12)
+        assert sim.defense_log[0]["placement_diff"]
+        assert sim.sensor.site == SliceCoord(15, 8)
+        assert SliceCoord(15, 8) not in {model.ffs[n].site
+                                         for n in model.protected}
 
     def test_spot_held_past_the_trigger_fires_once(self, monkeypatch):
         # The spot stays on the sensor for 2 ms, long past the trigger and
@@ -178,14 +170,10 @@ class TestDefenseTiming:
             times.append(sim.trigger_time_us)
         assert all(b <= a for a, b in zip(times, times[1:]))
 
-    def test_policy_rng_seed_rerolls_placement(self):
+    def test_seed_rerolls_placement(self):
         placements = []
-        for rng_seed in (0, 1):
-            model = build_key_model(KEY)
-            policy = DefensePolicy(mode="mtd_inter", pr_latency_us=223.0,
-                                   allowed_region=region_slices(26, 4, 30, 12),
-                                   threshold=3.0, rng_seed=rng_seed)
-            sim = build_sim(model, key=KEY, policy=policy)
+        for seed in (1, 2):
+            sim, model = mtd_sim(seed)
             park_on_sensor(sim)
             advance_for(sim, 2_000_000_000)
             placements.append(tuple((model.ffs[n].site, model.ffs[n].slot)

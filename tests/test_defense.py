@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ from scipy import stats
 from probesim.defense import (CapacityError, DefenseError, DefensePolicy,
                               Permutation, apply_event,
                               apply_intra_permutation, apply_placement,
-                              configure_polymorphic_lut, current_placement,
-                              free_ff_slots, on_trigger, permute_intra,
-                              region_slices, relocate_inter)
-from probesim.fabric import (FabricModel, FlipFlop, Lut, SliceCoord,
+                              current_placement, free_ff_slots, on_trigger,
+                              permute_intra, region_slices, relocate_inter)
+from probesim.fabric import (LATCH_NET, FabricModel, FlipFlop, SliceCoord,
                              evaluate_lut)
+from probesim.netlist import load_netlist
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "src/probesim/scenarios"
 
 
 def key_model(key=(1, 0, 1, 1, 0, 0, 0, 1), x0=16, y=8):
@@ -79,37 +82,17 @@ class TestPermutation:
 
 
 class TestPolymorphicLut:
-    def test_and3_with_constant_zero(self):
-        and3 = [0] * 7 + [1]
-        init = configure_polymorphic_lut(and3, [0] * 8)
-        lut = Lut("p", init, ("i0", "i1", "i2", "ctl"), "o", SliceCoord(0, 0))
-        for bits in itertools.product((0, 1), repeat=3):
-            assert evaluate_lut(lut, list(bits) + [0]) == (1 if all(bits) else 0)
-            assert evaluate_lut(lut, list(bits) + [1]) == 0
-
-    def test_equal_tables_ignore_control(self):
-        f = [0, 1, 1, 0]
-        init = configure_polymorphic_lut(f, f)
-        lut = Lut("p", init, ("i0", "i1", "ctl"), "o", SliceCoord(0, 0))
-        for bits in itertools.product((0, 1), repeat=2):
-            assert (evaluate_lut(lut, list(bits) + [0])
-                    == evaluate_lut(lut, list(bits) + [1]))
-
-    def test_xor_and_zero_against_oracles(self):
-        xor2 = [a ^ b for b in (0, 1) for a in (0, 1)]
-        xor2 = [(i & 1) ^ ((i >> 1) & 1) for i in range(4)]
-        init = configure_polymorphic_lut(xor2, [0, 0, 0, 0])
-        lut = Lut("p", init, ("a", "b", "ctl"), "o", SliceCoord(0, 0))
-        for a in (0, 1):
-            for b in (0, 1):
-                assert evaluate_lut(lut, [a, b, 0]) == a ^ b
-                assert evaluate_lut(lut, [a, b, 1]) == 0
-
-    def test_size_mismatch_rejected(self):
-        with pytest.raises(DefenseError):
-            configure_polymorphic_lut([0, 1], [0, 1, 1, 0])
-        with pytest.raises(DefenseError):
-            configure_polymorphic_lut([0, 1, 1], [0, 1, 1])
+    def test_bundled_luts_switch_to_zero_on_the_latch(self):
+        # Each XOR LUT of xor4_poly.net computes a ^ b while the sensor
+        # latch net is 0 and a constant 0 once it is 1.
+        model = load_netlist(SCENARIOS / "xor4_poly.net")
+        luts = [lut for lut in model.luts.values()
+                if lut.input_nets[-1] == LATCH_NET]
+        assert len(luts) == 4
+        for lut, (a, b) in itertools.product(
+                luts, itertools.product((0, 1), repeat=2)):
+            assert evaluate_lut(lut, [a, b, 0]) == a ^ b
+            assert evaluate_lut(lut, [a, b, 1]) == 0
 
 
 class TestRelocateInter:

@@ -1,3 +1,4 @@
+import configparser
 import filecmp
 import math
 import re
@@ -81,6 +82,21 @@ class TestScenarioFiles:
         with pytest.raises(ConfigError, match="dwell_sec"):
             load_scenario(bad)
 
+    # The [sensor] path-delay calibration: every bundled scenario keeps the
+    # default delay model, and tests that vary it set these keys.
+    CALIBRATION_KEYS = tuple(("sensor", key) for key in (
+        "element_base_ps", "per_tap_ps", "lut_pin_base_ps", "lut_pin_step_ps",
+        "lut_arity", "data_route_ps", "clock_route_ps"))
+
+    def test_every_key_is_set_by_a_bundled_scenario(self):
+        used = set()
+        for path in SCENARIOS.glob("*.scn"):
+            parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+            parser.read(path)
+            used |= {(section, key) for section in parser.sections()
+                     for key in parser[section]}
+        assert set(SCENARIO_KEYS) - used == set(self.CALIBRATION_KEYS)
+
     def test_readme_lists_every_key_with_its_rule(self):
         readme = (SCENARIOS.parents[2] / "README.md").read_text()
         section = readme.split("## Scenario file format")[1].split("\n## ")[0]
@@ -104,6 +120,14 @@ class TestScenarioFiles:
         path = tmp_path / "edge.scn"
         path.write_text(text.replace(line, edge))
         assert load_scenario(path).scan.n_pixels[0] >= 32
+
+    def test_pitch_of_the_shorter_side_accepted(self, tmp_path):
+        # xor_unprotected rasters a 40 by 80 um region.
+        text = (SCENARIOS / "xor_unprotected.scn").read_text()
+        path = tmp_path / "edge.scn"
+        path.write_text(text.replace("pixel_pitch_um = 10.0",
+                                     "pixel_pitch_um = 40"))
+        assert load_scenario(path).scan.n_pixels == (1, 2)
 
     @pytest.mark.parametrize("target", ["50", "25", "12.5", "0.01"])
     def test_target_freq_of_whole_clock_cycles_accepted(self, tmp_path,
@@ -618,11 +642,13 @@ class TestCli:
         pytest.param("eop", "eop_shift", "pattern = 10110001",
                      "pattern = " + "10" * 5000 + "1",
                      id="eop-eop_shift-pattern of 10001 bits"),
-        # Dwells past MAX_DWELLS: 17 rasters of 65,536 pixels, one per
-        # function vector.
-        ("attack", "xor_unprotected",
-         "vectors = 0,0;15,0;0,15;15,15;5,10\nregion_um = 160,40,200,120",
-         "vectors = " + ";".join(["5,10"] * 17) + "\nregion_um = 0,0,2560,2560"),
+        # A pitch over the region's shorter side, 160 um and 40 um: at
+        # 1e300 the pixel centers lie so far off the fabric that their
+        # squared distances overflow.
+        ("attack", "mtd_inter_key", "pixel_pitch_um = 10.0",
+         "pixel_pitch_um = 1e300"),
+        ("attack", "xor_unprotected", "pixel_pitch_um = 10.0",
+         "pixel_pitch_um = 40.5"),
         # Vectors past MAX_VECTORS.
         pytest.param("attack", "xor_unprotected",
                      "vectors = 0,0;15,0;0,15;15,15;5,10",
@@ -661,7 +687,8 @@ class TestCli:
         assert len(load_scenario(path).stimulus.pattern) == 10_000
 
     @pytest.mark.parametrize("vectors", [MAX_DWELLS // 512, MAX_DWELLS // 512 + 1])
-    def test_dwells_bounded_where_windows_are_not(self, tmp_path, vectors):
+    def test_dwells_bounded_where_windows_are_not(self, capsys, tmp_path,
+                                                  vectors):
         # 1 ns dwells add no sensor windows, so only MAX_DWELLS bounds the
         # rasters of 32 by 16 pixels, one per vector, of a function run;
         # both vector counts are within MAX_VECTORS.
@@ -669,8 +696,11 @@ class TestCli:
         if vectors * 512 <= MAX_DWELLS:
             assert len(load_scenario(path).function.vectors) == vectors
         else:
-            with pytest.raises(ConfigError, match=r"\[function\] vectors"):
-                load_scenario(path)
+            assert cli.main(["attack", "--scenario", str(path),
+                             "--out", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert "config error:" in err and "[function] vectors" in err
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, scenario, line, bad", [
         ("attack", "unprotected_key", "clock_mhz = 100.0", "clock_mhz = 0"),
@@ -716,6 +746,38 @@ class TestCli:
                                     "stability", line, bad)
         assert rc == 2
         assert "config error:" in err and named in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("bad", ["allowed_region = 100,100,101,101",
+                                     "allowed_region = 26,4,32,12",
+                                     "allowed_region = 26,4,30,16"])
+    def test_off_grid_allowed_region_exit_code(self, capsys, tmp_path, bad):
+        # Rejected once the netlist gives the grid: key8.net is 32x16, so a
+        # relocation could never place a bit there.
+        rc, err, named = run_edited(capsys, tmp_path, "attack",
+                                    "mtd_inter_key",
+                                    "allowed_region = 26,4,30,12", bad)
+        assert rc == 2
+        assert "config error:" in err and named in err
+        assert "on a 32x16 grid" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("scenario, line, added, named", [
+        ("mtd_inter_key", "threshold = auto", "mid_pr_state = hold",
+         "[defense] mid_pr_state"),
+        ("mtd_inter_key", "threshold = auto", "move_sensor = false",
+         "[defense] move_sensor"),
+        ("xor_unprotected", "vectors = 0,0;15,0;0,15;15,15;5,10",
+         "region_um = 160,40,200,120", "[function] region_um"),
+    ])
+    def test_removed_key_exit_code(self, capsys, tmp_path, scenario, line,
+                                   added, named):
+        # No option moves the sensor, zeroes the protected bits during a
+        # reconfiguration or gives a function run a second scan region.
+        rc, err, _ = run_edited(capsys, tmp_path, "attack", scenario, line,
+                                f"{line}\n{added}")
+        assert rc == 2
+        assert "config error:" in err and f"unknown key {named}" in err
         assert not (tmp_path / "out").exists()
 
     def test_negative_seed_override_exit_code(self, capsys, tmp_path):
