@@ -1,13 +1,24 @@
 """Bulk text writers for the run artifacts.
 
-The CSV and PGM artifacts with fractional values are formatted a block of
-rows at a time: one ``%`` operation over the rows' Python scalars
-(``ndarray.tolist()``), not one f-string per line.  ``%.6f`` and
-``f"{v:.6f}"`` use the same correctly rounded conversion, and ``%d``
-truncates a float as ``int()`` does, so the bytes are those of a per-line
-writer.  The counter log, all integers and the longest artifact, is
-written column by column into a matrix of ASCII digits instead (see
-format_int_columns).
+Every CSV and PGM artifact is written by one formatter (iter_lines): up to
+CSV_CHUNK_ROWS rows at a time, column by column, into a matrix of ASCII
+bytes with one line per row.  Each column is written with its number of
+decimal places, or with None for ``%d``, which truncates a float as
+``int()`` does; the bytes are those of one ``%`` per value.
+
+A float at p places is its sign, its integer part, ``.`` and p zero-padded
+digits of the integer n = round-half-even(|v| * 10**p) that ``%.{p}f``
+prints; the sign is np.signbit, so -0.0 and tiny negatives print
+``-0.000000`` as ``%`` does.  With |v| below 2**52 / 10**p, x = fl(|v| *
+10**p) is at most 2**52, so floor(x) and frac = x - floor(x) are exact,
+and x lies within half an ulp of the true product.  x and the half
+floor(x) + 1/2 are both whole multiples of the ulp of x, so unless frac is
+exactly 1/2, x lies at least an ulp from that half and the true product
+lies on the same side of it: n is floor(x) + (frac > 1/2).  The few values
+with frac exactly 1/2, which a product may have reached by rounding, take
+their digits from ``%`` of the one value.  A chunk that holds a non-finite
+value, or a magnitude at or past the bound, is formatted by the reference
+``%`` expression instead (_percent_chunk).
 """
 
 from __future__ import annotations
@@ -18,96 +29,180 @@ import numpy as np
 # memory than the log itself.
 CSV_CHUNK_ROWS = 4096
 
-
-def iter_rows(row_format: str, columns):
-    """Text of one ``row_format`` line per row of equal-length 1-D columns,
-    CSV_CHUNK_ROWS rows per yielded block."""
-    columns = [np.asarray(c) for c in columns]
-    k = len(columns)
-    n = len(columns[0])
-    for start in range(0, n, CSV_CHUNK_ROWS):
-        stop = min(start + CSV_CHUNK_ROWS, n)
-        flat = [None] * ((stop - start) * k)
-        for j, col in enumerate(columns):
-            flat[j::k] = col[start:stop].tolist()
-        yield (row_format * (stop - start)) % tuple(flat)
+# Up to this, a double's integer and fractional parts are exact.
+_EXACT_BOUND = 2.0 ** 52
 
 
-def format_rows(header: str, row_format: str, columns) -> str:
-    """The whole text of a header line and its rows (see iter_rows)."""
-    return header + "\n" + "".join(iter_rows(row_format, columns))
+def iter_lines(columns, places, sep: str = ","):
+    """Bytes of one line per row of equal-length columns, CSV_CHUNK_ROWS
+    rows per yielded chunk.
+
+    A column is a range of step 1, or a 1-D bool, integer or float array;
+    ``columns`` may also be a 2-D array whose rows are the columns.
+    ``places[j]`` is column j's number of decimal places, or None for
+    ``%d``; ``sep`` (one character) separates the values of a line.
+    """
+    if isinstance(columns, np.ndarray) and len(set(places)) == 1:
+        # One number of places for a 2-D array, as for a PGM's rows: its
+        # chunks are formatted as one (rows, columns) block, so that the
+        # digits cost a few array operations over the whole chunk.
+        columns, places = [columns.T], places[:1]
+    else:
+        columns = [np.arange(col.start, col.stop)
+                   if isinstance(col, range) and (p is not None or col.start < 0)
+                   else col if isinstance(col, range) else np.asarray(col)
+                   for col, p in zip(columns, places)]
+    for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+        yield _format_chunk([col[start:start + CSV_CHUNK_ROWS]
+                             for col in columns], places, sep)
 
 
-def write_rows(path, header: str, row_format: str, columns) -> None:
-    """Write a header line and its rows, one block at a time."""
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        fh.writelines(iter_rows(row_format, columns))
+def format_columns(header: str, columns, places, sep: str = ",") -> bytes:
+    """A header line and its rows (see iter_lines)."""
+    return (header + "\n").encode() + b"".join(iter_lines(columns, places, sep))
+
+
+def write_columns(path, header: str, columns, places, sep: str = ",") -> None:
+    """Write a header line and its rows, one chunk at a time."""
+    with open(path, "wb") as fh:
+        fh.write((header + "\n").encode())
+        fh.writelines(iter_lines(columns, places, sep))
 
 
 def write_pgm(path, values: np.ndarray, peak: float) -> None:
     """ASCII portable graymap of a 2-D array, ``peak`` mapping to 255."""
     scaled = np.clip(values / peak * 255.0, 0, 255).astype(int)
     ny, nx = scaled.shape
-    write_rows(path, f"P2\n{nx} {ny}\n255", " ".join(["%d"] * nx) + "\n",
-               scaled.T)
+    write_columns(path, f"P2\n{nx} {ny}\n255", scaled.T, [None] * nx, " ")
 
 
 def write_counters_csv(path, columns) -> None:
     """Write the counter log, one CSV line per window, from its four
-    columns: window index, zero count, max pulse and latched flag (see
-    format_int_columns for what a column may be)."""
-    with open(path, "wb") as fh:
-        fh.write(b"window_index,zero_count,max_pulse,latched\n")
-        for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-            fh.write(format_int_columns(
-                [col[start:start + CSV_CHUNK_ROWS] for col in columns]))
+    columns: window index, zero count, max pulse and latched flag."""
+    write_columns(path, "window_index,zero_count,max_pulse,latched", columns,
+                  [None] * 4)
 
 
-def format_int_columns(columns) -> bytes:
-    """Comma-separated decimal lines of equal-length non-negative integer
-    columns.
+def _percent_chunk(columns, places, sep: str) -> bytes:
+    """The reference: one ``%`` operation over a chunk's Python scalars."""
+    values, formats = [], []
+    for col, p in zip(columns, places):
+        parts = [col] if isinstance(col, range) or col.ndim == 1 else col.T
+        values += [list(c) if isinstance(c, range) else c.tolist() for c in parts]
+        formats += ["%d" if p is None else f"%.{p}f"] * len(parts)
+    row = sep.join(formats) + "\n"
+    k, n = len(values), len(values[0])
+    flat = [None] * (n * k)
+    for j, col in enumerate(values):
+        flat[j::k] = col
+    return ((row * n) % tuple(flat)).encode()
 
-    A column is a 1-D integer array, a bool array (a 0/1 flag) or a range
-    of step 1, of at most CSV_CHUNK_ROWS rows.  Each is written into a
-    fixed-width block of ASCII digits of a (rows, line bytes) matrix.  A
-    column's width and the leading zeros it can have follow from its
-    smallest and largest value: a range gives them from its ends, a bool
-    array is one digit, and an integer array is reduced once.  A range
-    copies its digits from periodic tables (_range_digits); an array takes
-    one integer division by 10 per digit, in the narrowest unsigned dtype
-    that holds its largest value.  A leading zero is written as a NUL, at
-    the digit positions where some value is short, and the NULs are
-    deleted from the bytes at the end; a block with none is the matrix's
-    bytes as they are.
+
+def _format_chunk(columns, places, sep: str) -> bytes:
+    """Lines of at most CSV_CHUNK_ROWS rows (see iter_lines).
+
+    Each column has a block of the matrix: a sign slot if any of its values
+    is negative, the integer digits, ``.`` and the fraction digits if it
+    has places, and the separator; the columns of a 2-D block share one
+    width.  A leading zero or an unused sign slot is written as a NUL, and
+    the NULs are deleted from the bytes at the end; a chunk with none is
+    the matrix's bytes as they are.  A chunk with a value out of range is
+    formatted by the reference instead.
     """
     n = len(columns[0])
-    if n > CSV_CHUNK_ROWS:
-        raise ValueError(f"format_int_columns takes at most {CSV_CHUNK_ROWS} rows")
-    if n == 0:
-        return b""
-    bounds = [_bounds(col) for col in columns]
-    if min(lo for lo, _ in bounds) < 0:
-        raise ValueError("format_int_columns needs non-negative integers")
-    widths = [len(str(hi)) for _, hi in bounds]
-    mat = np.full((n, sum(widths) + len(widths)), ord(","), dtype=np.uint8)
-    mat[:, -1] = ord("\n")
+    blocks = []
+    for col, p in zip(columns, places):
+        field = _field(col, p)
+        if field is None:
+            return _percent_chunk(columns, places, sep)
+        _, neg, _, lo, hi = field
+        width = len(str(hi))
+        size = (neg is not None) + width + (p + 1 if p else 0) + 1
+        g = 1 if isinstance(col, range) or col.ndim == 1 else col.shape[1]
+        blocks.append((field, p, g, width, width - len(str(lo)), size))
+    mat = np.full((n, sum(g * size for _, _, g, _, _, size in blocks)),
+                  ord(sep), dtype=np.uint8)
     masked = False
     offset = 0
-    for col, (lo, hi), width in zip(columns, bounds, widths):
-        # Digit k of a width-w block is a leading zero iff value < 10**(w-1-k);
-        # no value is short at the digits that lo has.
-        short = width - len(str(lo))
-        masked = masked or short > 0
-        block = mat[:, offset:offset + width]
-        if isinstance(col, range):
-            _range_digits(block, col.start, short)
+    for (whole, neg, frac, _, hi), p, g, width, short, size in blocks:
+        view = mat[:, offset:offset + g * size]
+        if not isinstance(whole, range) and whole.ndim == 2:
+            view = view.reshape(n, g, size)
+        offset += g * size
+        signed = neg is not None
+        digits = view[..., signed:signed + width]
+        if isinstance(whole, range):
+            _range_digits(digits, whole.start, short)
         else:
-            _array_digits(block, col, hi, short)
-        offset += width + 1
+            _array_digits(digits, whole, hi, short)
+        if p:
+            view[..., signed + width] = ord(".")
+            _array_digits(view[..., signed + width + 1:-1], frac,
+                          10 ** p - 1, 0)
+        if signed:
+            # The '-' goes just before the first digit, where a value of d
+            # digits has its last leading NUL (the sign slot when d is the
+            # width).
+            view[..., 0] = 0
+            where = np.nonzero(neg)
+            d = 1 + np.searchsorted(_POWERS[1:width], whole[where],
+                                    side="right")
+            view[(*where, width - d)] = ord("-")
+        masked = masked or short > 0 or signed
+    mat[:, -1] = ord("\n")
     data = mat.tobytes()
     return data.translate(None, b"\0") if masked else data
 
+
+def _field(v, p):
+    """(whole, negative, fraction, lo, hi) of a range or a 1-D or 2-D array,
+    or None if the chunk needs the reference.
+
+    ``whole`` is the integer part of each magnitude (a range passes through
+    as it is), and lo and hi are its smallest and largest value.
+    ``negative`` (None if no value is) marks the values written with a '-',
+    and ``fraction`` (None without places) holds the p fraction digits as
+    an integer below 10**p.
+    """
+    if isinstance(v, range):
+        return v, None, None, v[0], v[-1]
+    if p is None and v.dtype == bool:
+        return v, None, None, 0, 1
+    if p is None and v.dtype.kind in "iu":
+        lo, hi = _bounds(v)
+        if lo >= 0:
+            return v, None, None, lo, hi
+        # As uint64, |v| of the smallest int64 is its magnitude.
+        whole = np.abs(v.astype(np.int64)).astype(np.uint64)
+        return whole, v < 0, None, *_bounds(whole)
+    v = v.astype(np.float64, copy=False)
+    a = np.abs(v)
+    if not (a < _EXACT_BOUND / 10.0 ** (p or 0)).all():
+        return None
+    if p is None:
+        # %d truncates: only a value at or below -1 keeps its sign.
+        whole = a.astype(np.uint64)
+        return whole, _some(v <= -1.0), None, *_bounds(whole)
+    x = a * 10.0 ** p
+    floor = np.floor(x)
+    frac = x - floor
+    fixed = floor.astype(np.uint64) + (frac > 0.5)
+    for i in np.flatnonzero(frac == 0.5):
+        fixed.flat[i] = int(("%.*f" % (p, a.flat[i])).replace(".", ""))
+    scale = np.uint64(10 ** p)
+    whole, frac = (fixed // scale, fixed % scale) if p else (fixed, None)
+    return whole, _some(np.signbit(v)), frac, *_bounds(whole)
+
+
+def _some(mask):
+    return mask if mask.any() else None
+
+
+def _bounds(values) -> tuple[int, int]:
+    return int(values.min()), int(values.max())
+
+
+_POWERS = 10 ** np.arange(20, dtype=np.uint64)
 
 # _RANGE_DIGITS[j][t] is the ASCII digit of place 10**j of t, for one period
 # of 10**(j + 1) plus a chunk, so that any chunk of a range is one slice.
@@ -147,13 +242,15 @@ def _range_digits(block, start: int, short: int) -> None:
 _UINTS = ((8, np.uint8), (16, np.uint16), (32, np.uint32), (64, np.uint64))
 
 
-def _array_digits(block, col, hi: int, short: int) -> None:
-    """Digits of an integer or bool array into a block, with NULs for the
-    first ``short`` digits where they lead."""
+def _array_digits(block, value, hi: int, short: int) -> None:
+    """Digits of a non-negative integer or bool array into a block with one
+    more axis, of the digit, with NULs for the first ``short`` digits where
+    they lead.  An array takes one integer division by 10 per digit, in the
+    narrowest unsigned dtype that holds its largest value ``hi``."""
     dtype = next(t for bits, t in _UINTS if hi >> bits == 0)
-    value = col.astype(dtype)
+    value = value.astype(dtype)
     ten = dtype(10)
-    width = block.shape[1]
+    width = block.shape[-1]
     v = value
     for k in range(width - 1, -1, -1):
         if k:
@@ -164,13 +261,4 @@ def _array_digits(block, col, hi: int, short: int) -> None:
             digit = v + dtype(ord("0"))
         if k < short:
             digit *= value >= dtype(10 ** (width - 1 - k))
-        block[:, k] = digit
-
-
-def _bounds(col) -> tuple[int, int]:
-    """Smallest and largest value of a non-empty column."""
-    if isinstance(col, range):
-        return col[0], col[-1]
-    if col.dtype == bool:
-        return 0, 1
-    return int(col.min()), int(col.max())
+        block[..., k] = digit

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import format_rows, write_pgm, write_rows
+from .artifacts import format_columns, write_columns, write_pgm
 from .cosim import CoSimulation, ScenarioError
 from .fabric import SliceCoord
 from .thermal import LaserSpot
@@ -81,8 +81,9 @@ class EofmImage:
         ny, nx = self.amplitudes.shape
         x, _ = self.pixel_center_um(np.arange(nx), 0)
         _, y = self.pixel_center_um(0, np.arange(ny))
-        write_rows(path, "x_um,y_um,amplitude", "%.1f,%.1f,%.6f\n",
-                   (np.tile(x, ny), np.repeat(y, nx), self.amplitudes.ravel()))
+        write_columns(path, "x_um,y_um,amplitude",
+                      (np.tile(x, ny), np.repeat(y, nx), self.amplitudes.ravel()),
+                      (1, 1, 6))
 
 
 @dataclass
@@ -94,13 +95,13 @@ class EopTrace:
     iterations: int
     resolution_ps: float
 
-    def csv_text(self) -> str:
-        return format_rows("time_ps,value", "%d,%.6f\n",
-                           (self.times_ps, self.values))
+    def csv_bytes(self) -> bytes:
+        return format_columns("time_ps,value", (self.times_ps, self.values),
+                              (None, 6))
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.csv_text())
+        with open(path, "wb") as fh:
+            fh.write(self.csv_bytes())
 
 
 def eofm_scan(sim: CoSimulation, scan: ScanConfig) -> EofmImage:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import attacker, sensor as sensor_mod
-from .artifacts import write_counters_csv, write_rows
+from .artifacts import write_columns, write_counters_csv
 from .attacker import EofmImage, EopTrace, ScanConfig
 from .cosim import (CoSimulation, ScenarioError, Stimulus, half_period_cycles,
                     stimulus_for_target_freq)
@@ -202,8 +202,9 @@ SCENARIO_KEYS = {(section, key): (*value, dest) for section, key, value, dest in
     ("scan", "region_um", (
         lambda t: _numbers(t, 4),
         lambda r: all(map(math.isfinite, r)) and r[0] < r[2] and r[1] < r[3],
-        "x0,y0,x1,y1, finite, with x0 < x1 and y0 < y1, and at most "
-        f"{MAX_PIXELS} pixels of [scan] pixel_pitch_um"), "scan.region_um"),
+        "x0,y0,x1,y1, finite, with x0 < x1 and y0 < y1, on the netlist "
+        f"fabric, and at most {MAX_PIXELS} pixels of [scan] pixel_pitch_um"),
+     "scan.region_um"),
     ("scan", "pixel_pitch_um", (*_above(0)[:2], _above(0)[2] + ", and at most "
                                 "the shorter side of [scan] region_um"),
      "scan.pixel_pitch_um"),
@@ -570,8 +571,8 @@ class StabilityReport:
         }
 
     def to_csv(self, path) -> None:
-        write_rows(path, "t_us,zero_count,running_max,rolling_avg",
-                   "%.1f,%d,%d,%.6f\n", self.series.T)
+        write_columns(path, "t_us,zero_count,running_max,rolling_avg",
+                      self.series.T, (1, None, None, 6))
 
 
 def stability_test(sensor: SensorInstance, threshold: float, seed: int,
@@ -592,11 +593,12 @@ def stability_test(sensor: SensorInstance, threshold: float, seed: int,
         rho = math.exp(-spec.log_every_ms / (spec.drift_tau_s * 1e3))
         steps = rng.normal(0.0, spec.drift_sigma_ps * math.sqrt(1 - rho * rho),
                            size=n_logs)
-        drift = np.empty(n_logs)
         prev = rng.normal(0.0, spec.drift_sigma_ps)
-        for i in range(n_logs):
-            prev = prev * rho + steps[i]
-            drift[i] = prev
+        walk = []
+        for step in steps.tolist():
+            prev = prev * rho + step
+            walk.append(prev)
+        drift = np.array(walk)
     else:
         drift = np.zeros(n_logs)
     p0 = sensor.zero_probability(1.0, offset_ps=drift)
@@ -661,6 +663,14 @@ def run(scn: Scenario, out_dir=None) -> RunResult:
     if not model.on_grid(sensor.site):
         raise _bad_value(f"scenario {scn.name}", "sensor", "site",
                          f"{sensor.site} {grid}")
+    if scn.kind.startswith("eofm"):
+        x0, y0, x1, y1 = scn.scan.region_um
+        width = model.grid_width * model.site_pitch_um
+        height = model.grid_height * model.site_pitch_um
+        if x0 < 0 or y0 < 0 or x1 > width or y1 > height:
+            raise _bad_value(f"scenario {scn.name}", "scan", "region_um",
+                             f"{scn.scan.region_um} on a {width:g}x{height:g} "
+                             "um fabric")
     region = scn.defense.get("allowed_region")
     if region and not model.on_grid(region[-1]):  # its corner x1,y1
         raise _bad_value(f"scenario {scn.name}", "defense", "allowed_region",
@@ -862,10 +872,10 @@ def write_artifacts(result: RunResult, out_dir: Path) -> None:
     if result.traces:
         # trace.csv is the first probe cell's trace, formatted once for both.
         for i, (cell, trace) in enumerate(result.traces.items()):
-            text = trace.csv_text()
-            (out_dir / f"trace_{cell}.csv").write_text(text)
+            data = trace.csv_bytes()
+            (out_dir / f"trace_{cell}.csv").write_bytes(data)
             if i == 0:
-                (out_dir / "trace.csv").write_text(text)
+                (out_dir / "trace.csv").write_bytes(data)
     if result.stability is not None:
         result.stability.to_csv(out_dir / "counters.csv")
     if result.counters is not None:

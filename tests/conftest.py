@@ -2,12 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from probesim.cosim import CoSimulation, Stimulus, stimulus_for_target_freq
 from probesim.defense import DefensePolicy
 from probesim.fabric import FabricModel, FlipFlop, SliceCoord
 from probesim.sensor import SensorInstance, TuneValue
 from probesim.thermal import LaserSpot, ThermalField, relax
+
+# A longer run of the property tests, for CI:
+#   python -m pytest tests/test_artifacts.py --hypothesis-profile=ci
+# Tier-1 runs the default profile.
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 # Tune value recorded from the default-parameter search at seed 1 under the
 # earlier generator-stream tuner; slack is 66 ps (4.4 sigma), zero rate ~5e-6

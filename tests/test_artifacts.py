@@ -1,5 +1,6 @@
-"""The bulk artifact writers against per-line reference writers, and the
-step cache of the fabric replays against plain replays."""
+"""The bulk artifact writers against per-line reference writers, the
+column formatter against one ``%`` per value, and the step cache of the
+fabric replays against plain replays."""
 
 import dataclasses
 import math
@@ -11,7 +12,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import (build_key_model, build_shift_model, build_sim,
                       field_cells, shift_stimulus)
-from probesim.artifacts import CSV_CHUNK_ROWS, format_int_columns, write_pgm
+from probesim import artifacts
+from probesim.artifacts import (CSV_CHUNK_ROWS, format_columns, iter_lines,
+                                write_pgm)
 from probesim.attacker import EofmImage, EopTrace
 from probesim.cosim import CoSimulation, Stimulus
 from probesim.fabric import FabricModel, SliceCoord
@@ -102,8 +105,8 @@ class TestWritersOnRuns:
         assert same_bytes(tmp_path / "field.pgm", tmp_path / "ref.pgm")
 
 
-class TestFormatIntColumns:
-    """The counter log's formatter against a %-format of the same rows."""
+class TestCounterColumns:
+    """The counter log's columns against a %-format of the same rows."""
 
     @settings(max_examples=150, deadline=None)
     @given(start=st.one_of(
@@ -128,7 +131,7 @@ class TestFormatIntColumns:
         columns = [range(start, start + n), counts, pulses, latched]
         expect = ("%d,%d,%d,%d\n" * n) % tuple(
             v for row in zip(*columns) for v in row)
-        assert format_int_columns(columns) == expect.encode()
+        assert b"".join(iter_lines(columns, [None] * 4)) == expect.encode()
 
 
 class TestWritersOnEdgeValues:
@@ -179,6 +182,131 @@ class TestWritersOnEdgeValues:
         write_pgm(tmp_path / "new.pgm", amps, 1e6)
         per_line_pgm(tmp_path / "ref.pgm", amps, 1e6)
         assert same_bytes(tmp_path / "new.pgm", tmp_path / "ref.pgm")
+
+
+# -- the column formatter against one % per value -------------------------------
+
+
+def percent_lines(columns, places, sep=","):
+    """Reference: one ``%`` per value, ``%d`` for None places."""
+    values = [list(col) if isinstance(col, range) else np.asarray(col).tolist()
+              for col in columns]
+    return "".join(
+        sep.join("%d" % v if p is None else "%.*f" % (p, v)
+                 for v, p in zip(row, places)) + "\n"
+        for row in zip(*values)).encode()
+
+
+def near_halves(rng, n, places):
+    """Values within a few ulps of (k + 1/2) / 10**p, of either sign."""
+    k = rng.integers(0, 10 ** rng.integers(1, 13), n)
+    values = (k + 0.5) / 10.0 ** places
+    for _ in range(rng.integers(0, 4)):
+        values = np.nextafter(values, rng.choice([-np.inf, np.inf], n))
+    return values * rng.choice([-1.0, 1.0], n)
+
+
+def tiny_and_zero(rng, n, places):
+    return rng.choice([0.0, -0.0, -5e-324, -1e-300, 1e-300, -1e-9, -4e-7,
+                       -5e-7, -0.04, -0.05, 0.05, -0.96], n)
+
+
+def near_bound(rng, n, places):
+    """Magnitudes on both sides of 2**52 / 10**p, the formatter's bound."""
+    bound = 2.0 ** 52 / 10.0 ** places
+    values = bound * rng.choice([0.5, 0.999999, 1 - 2 ** -50, 1.0, 1 + 2 ** -50,
+                                 1.000001, 3.0], n)
+    return values * rng.choice([-1.0, 1.0], n)
+
+
+def scaled_normals(rng, n, places):
+    return rng.normal(0.0, 10.0 ** rng.integers(-3, 9), n)
+
+
+def non_finite(rng, n, places):
+    values = rng.normal(0.0, 1.0, n)
+    if n:
+        values[rng.integers(0, n, 1 + n // 1000)] = rng.choice(
+            [math.nan, math.inf, -math.inf])
+    return values
+
+
+# %d of a NaN or an infinity raises, so those go only to columns with places.
+FLOAT_FAMILIES = [near_halves, tiny_and_zero, near_bound, scaled_normals]
+
+
+def column(rng, kind, places, n):
+    if kind == "range":
+        # Starts just below a decade, so that a chunk crosses it.
+        start = max(10 ** int(rng.integers(1, 8)) - int(rng.integers(0, n + 1)), 0)
+        return range(start, start + n)
+    if kind == "bool":
+        return rng.random(n) < 0.5
+    if kind == "int":
+        top = 10 ** int(rng.integers(1, 19))
+        return rng.integers(-top if rng.random() < 0.5 else 0, top, n)
+    families = FLOAT_FAMILIES + ([non_finite] if places is not None else [])
+    return families[rng.integers(len(families))](rng, n, places or 0)
+
+
+COLUMN = st.one_of(
+    st.tuples(st.sampled_from(["range", "bool", "int"]), st.just(None)),
+    st.tuples(st.sampled_from(["range", "bool", "int"]), st.sampled_from([1, 6])),
+    st.tuples(st.just("float"), st.sampled_from([None, 1, 6])),
+)
+
+
+class TestFormatColumns:
+    @settings(deadline=None)
+    @given(specs=st.lists(COLUMN, min_size=1, max_size=4),
+           same=st.booleans(),
+           n=st.one_of(st.integers(0, 40),
+                       st.sampled_from([CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS,
+                                        CSV_CHUNK_ROWS + 1,
+                                        2 * CSV_CHUNK_ROWS + 3])),
+           sep=st.sampled_from([",", " "]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_percent_per_value(self, specs, same, n, sep, seed):
+        # With ``same``, every column has the first one's kind and places,
+        # and array columns come as the rows of one 2-D array, as a PGM's.
+        if same:
+            specs = specs[:1] * len(specs)
+        rng = np.random.default_rng(seed)
+        columns = [column(rng, kind, places, n) for kind, places in specs]
+        places = [places for _, places in specs]
+        if same and specs[0][0] != "range":
+            columns = np.array(columns)
+        assert (format_columns("h", columns, places, sep)
+                == b"h\n" + percent_lines(columns, places, sep))
+
+    @pytest.mark.parametrize("places, values", [
+        (1, [0.45, -0.45, 0.35, 0.25, 0.15, 1.25]),
+        (6, [5e-7, -5e-7, 1.5e-6, 2.5e-6, 4.5e-6, 1.25e-5]),
+    ])
+    def test_values_in_the_half_band(self, places, values):
+        # For each, x = |v| * 10**p rounds to k + 1/2 exactly, while the
+        # decimal value lies above, below or on k + 1/2: floor(x) + (frac >
+        # 1/2) alone would print 0.4 for 0.45 and 0.000002 for 2.5e-6.
+        values = np.array(values)
+        assert (np.abs(values) * 10.0 ** places % 1 == 0.5).all()
+        for columns in [(range(6), values), (values, values[::-1])]:
+            fmt = (None if isinstance(columns[0], range) else places, places)
+            assert (format_columns("h", columns, fmt)
+                    == b"h\n" + percent_lines(columns, fmt))
+
+    @pytest.mark.parametrize("bad", [1e300, math.nan, -math.inf, 2.0 ** 52 / 1e6])
+    def test_reference_formats_the_chunk_out_of_range(self, monkeypatch, bad):
+        calls = []
+        percent = artifacts._percent_chunk
+        monkeypatch.setattr(artifacts, "_percent_chunk",
+                            lambda *args: calls.append(1) or percent(*args))
+        values = np.linspace(-3.0, 3.0, CSV_CHUNK_ROWS + 5)
+        values[-2] = bad
+        columns = (range(len(values)), values)
+        assert (format_columns("h", columns, (None, 6))
+                == b"h\n" + percent_lines(columns, (None, 6)))
+        # Only the second chunk holds the value.
+        assert len(calls) == 1
 
 
 # -- replays without the step cache ---------------------------------------------

@@ -276,9 +276,9 @@ class TestCountersCsv:
         rows = np.array([[2 ** 32 + 5, 0, 0, 1], [7, 2 ** 40, 3, 0]], dtype=np.int64)
         assert matches_percent_format(tmp_path, rows.T)
 
-    def test_negative_values_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_counters_csv(tmp_path / "new.csv", np.array([[0, -1, 0, 0]]).T)
+    def test_negative_values(self, tmp_path):
+        rows = np.array([[0, -1, 0, 0], [-12, 3, -2 ** 63, 1]], dtype=np.int64)
+        assert matches_percent_format(tmp_path, rows.T)
 
     @pytest.mark.parametrize("first", [
         3 * CSV_CHUNK_ROWS,  # 12288..16383: one index width, no digit dropped
@@ -610,6 +610,12 @@ class TestCli:
          "pixel_pitch_um = 0.1"),
         ("attack", "xor_unprotected", "region_um = 160,40,200,120",
          "region_um = 0,0,320,30000"),
+        # Off the 320 x 160 um fabric of key8.net; rejected once the
+        # netlist is loaded, before the sensor is tuned.
+        ("attack", "unprotected_key", "region_um = 0,0,320,160",
+         "region_um = 0,0,400,160"),
+        ("attack", "xor_unprotected", "region_um = 160,40,200,120",
+         "region_um = -10,40,200,120"),
         # A dwell that rounds to 0 ps.
         ("attack", "mtd_inter_key", "dwell_ms = 1.0", "dwell_ms = 1e-12"),
         # Sensor windows past MAX_WINDOWS: 2e14 over 512 pixels, and 6.3e7
@@ -659,7 +665,8 @@ class TestCli:
     ])
     def test_bad_probe_input_exit_code(self, capsys, tmp_path, command,
                                        scenario, line, bad):
-        # Each is rejected while the scenario is decoded, before any run.
+        # Each is rejected before any run: while the scenario is decoded,
+        # or once the netlist gives the fabric.
         rc, err, named = run_edited(capsys, tmp_path, command, scenario,
                                     line, bad)
         assert rc == 2
