@@ -610,8 +610,8 @@ class TestCli:
          "pixel_pitch_um = 0.1"),
         ("attack", "xor_unprotected", "region_um = 160,40,200,120",
          "region_um = 0,0,320,30000"),
-        # Off the 320 x 160 um fabric of key8.net; rejected once the
-        # netlist is loaded, before the sensor is tuned.
+        # Off the 320 x 160 um fabric of key8.net and xor4.net; rejected
+        # once the netlist is loaded, before the sensor is tuned.
         ("attack", "unprotected_key", "region_um = 0,0,320,160",
          "region_um = 0,0,400,160"),
         ("attack", "xor_unprotected", "region_um = 160,40,200,120",
