@@ -2,9 +2,11 @@
 
 Every CSV and PGM artifact is written by one formatter (iter_lines): up to
 CSV_CHUNK_ROWS rows at a time, column by column, into a matrix of ASCII
-bytes with one line per row.  Each column is written with its number of
-decimal places, or with None for ``%d``, which truncates a float as
-``int()`` does; the bytes are those of one ``%`` per value.
+bytes with one comma-separated line per row (a PGM's pixels are one
+column, whose lines write_pgm joins into image rows).  Each column is
+written with its number of decimal places, or with None for ``%d``, which
+truncates a float as ``int()`` does; the bytes are those of one ``%`` per
+value.
 
 A float at p places is its sign, its integer part, ``.`` and p zero-padded
 digits of the integer n = round-half-even(|v| * 10**p) that ``%.{p}f``
@@ -33,47 +35,47 @@ CSV_CHUNK_ROWS = 4096
 _EXACT_BOUND = 2.0 ** 52
 
 
-def iter_lines(columns, places, sep: str = ","):
+def iter_lines(columns, places):
     """Bytes of one line per row of equal-length columns, CSV_CHUNK_ROWS
     rows per yielded chunk.
 
-    A column is a range of step 1, or a 1-D bool, integer or float array;
-    ``columns`` may also be a 2-D array whose rows are the columns.
+    A column is a range of step 1, or a 1-D bool, integer or float array.
     ``places[j]`` is column j's number of decimal places, or None for
-    ``%d``; ``sep`` (one character) separates the values of a line.
+    ``%d``.
     """
-    if isinstance(columns, np.ndarray) and len(set(places)) == 1:
-        # One number of places for a 2-D array, as for a PGM's rows: its
-        # chunks are formatted as one (rows, columns) block, so that the
-        # digits cost a few array operations over the whole chunk.
-        columns, places = [columns.T], places[:1]
-    else:
-        columns = [np.arange(col.start, col.stop)
-                   if isinstance(col, range) and (p is not None or col.start < 0)
-                   else col if isinstance(col, range) else np.asarray(col)
-                   for col, p in zip(columns, places)]
+    columns = [np.arange(col.start, col.stop)
+               if isinstance(col, range) and (p is not None or col.start < 0)
+               else col if isinstance(col, range) else np.asarray(col)
+               for col, p in zip(columns, places)]
     for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
         yield _format_chunk([col[start:start + CSV_CHUNK_ROWS]
-                             for col in columns], places, sep)
+                             for col in columns], places)
 
 
-def format_columns(header: str, columns, places, sep: str = ",") -> bytes:
+def format_columns(header: str, columns, places) -> bytes:
     """A header line and its rows (see iter_lines)."""
-    return (header + "\n").encode() + b"".join(iter_lines(columns, places, sep))
+    return (header + "\n").encode() + b"".join(iter_lines(columns, places))
 
 
-def write_columns(path, header: str, columns, places, sep: str = ",") -> None:
+def write_columns(path, header: str, columns, places) -> None:
     """Write a header line and its rows, one chunk at a time."""
     with open(path, "wb") as fh:
         fh.write((header + "\n").encode())
-        fh.writelines(iter_lines(columns, places, sep))
+        fh.writelines(iter_lines(columns, places))
 
 
 def write_pgm(path, values: np.ndarray, peak: float) -> None:
     """ASCII portable graymap of a 2-D array, ``peak`` mapping to 255."""
     scaled = np.clip(values / peak * 255.0, 0, 255).astype(int)
     ny, nx = scaled.shape
-    write_columns(path, f"P2\n{nx} {ny}\n255", scaled.T, [None] * nx, " ")
+    # One pixel per line, in raster order; each image row's lines are then
+    # joined with spaces.  Its pixels as one column cost the formatter's
+    # array operations once, not once per image column.
+    pixels = b"".join(iter_lines([scaled.ravel()], [None])).split(b"\n")
+    with open(path, "wb") as fh:
+        fh.write(f"P2\n{nx} {ny}\n255\n".encode())
+        fh.writelines(b" ".join(pixels[i:i + nx]) + b"\n"
+                      for i in range(0, nx * ny, nx))
 
 
 def write_counters_csv(path, columns) -> None:
@@ -83,14 +85,10 @@ def write_counters_csv(path, columns) -> None:
                   [None] * 4)
 
 
-def _percent_chunk(columns, places, sep: str) -> bytes:
+def _percent_chunk(columns, places) -> bytes:
     """The reference: one ``%`` operation over a chunk's Python scalars."""
-    values, formats = [], []
-    for col, p in zip(columns, places):
-        parts = [col] if isinstance(col, range) or col.ndim == 1 else col.T
-        values += [list(c) if isinstance(c, range) else c.tolist() for c in parts]
-        formats += ["%d" if p is None else f"%.{p}f"] * len(parts)
-    row = sep.join(formats) + "\n"
+    values = [list(c) if isinstance(c, range) else c.tolist() for c in columns]
+    row = ",".join("%d" if p is None else f"%.{p}f" for p in places) + "\n"
     k, n = len(values), len(values[0])
     flat = [None] * (n * k)
     for j, col in enumerate(values):
@@ -98,56 +96,52 @@ def _percent_chunk(columns, places, sep: str) -> bytes:
     return ((row * n) % tuple(flat)).encode()
 
 
-def _format_chunk(columns, places, sep: str) -> bytes:
+def _format_chunk(columns, places) -> bytes:
     """Lines of at most CSV_CHUNK_ROWS rows (see iter_lines).
 
     Each column has a block of the matrix: a sign slot if any of its values
     is negative, the integer digits, ``.`` and the fraction digits if it
-    has places, and the separator; the columns of a 2-D block share one
-    width.  A leading zero or an unused sign slot is written as a NUL, and
-    the NULs are deleted from the bytes at the end; a chunk with none is
-    the matrix's bytes as they are.  A chunk with a value out of range is
-    formatted by the reference instead.
+    has places, and a comma.  A leading zero or an unused sign slot is
+    written as a NUL, and the NULs are deleted from the bytes at the end;
+    a chunk with none is the matrix's bytes as they are.  A chunk with a
+    value out of range is formatted by the reference instead.
     """
     n = len(columns[0])
     blocks = []
     for col, p in zip(columns, places):
         field = _field(col, p)
         if field is None:
-            return _percent_chunk(columns, places, sep)
+            return _percent_chunk(columns, places)
         _, neg, _, lo, hi = field
         width = len(str(hi))
         size = (neg is not None) + width + (p + 1 if p else 0) + 1
-        g = 1 if isinstance(col, range) or col.ndim == 1 else col.shape[1]
-        blocks.append((field, p, g, width, width - len(str(lo)), size))
-    mat = np.full((n, sum(g * size for _, _, g, _, _, size in blocks)),
-                  ord(sep), dtype=np.uint8)
+        blocks.append((field, p, width, width - len(str(lo)), size))
+    mat = np.full((n, sum(size for *_, size in blocks)), ord(","),
+                  dtype=np.uint8)
     masked = False
     offset = 0
-    for (whole, neg, frac, _, hi), p, g, width, short, size in blocks:
-        view = mat[:, offset:offset + g * size]
-        if not isinstance(whole, range) and whole.ndim == 2:
-            view = view.reshape(n, g, size)
-        offset += g * size
+    for (whole, neg, frac, _, hi), p, width, short, size in blocks:
+        view = mat[:, offset:offset + size]
+        offset += size
         signed = neg is not None
-        digits = view[..., signed:signed + width]
+        digits = view[:, signed:signed + width]
         if isinstance(whole, range):
             _range_digits(digits, whole.start, short)
         else:
             _array_digits(digits, whole, hi, short)
         if p:
-            view[..., signed + width] = ord(".")
-            _array_digits(view[..., signed + width + 1:-1], frac,
+            view[:, signed + width] = ord(".")
+            _array_digits(view[:, signed + width + 1:-1], frac,
                           10 ** p - 1, 0)
         if signed:
             # The '-' goes just before the first digit, where a value of d
             # digits has its last leading NUL (the sign slot when d is the
             # width).
-            view[..., 0] = 0
-            where = np.nonzero(neg)
+            view[:, 0] = 0
+            where = np.flatnonzero(neg)
             d = 1 + np.searchsorted(_POWERS[1:width], whole[where],
                                     side="right")
-            view[(*where, width - d)] = ord("-")
+            view[where, width - d] = ord("-")
         masked = masked or short > 0 or signed
     mat[:, -1] = ord("\n")
     data = mat.tobytes()
@@ -155,8 +149,8 @@ def _format_chunk(columns, places, sep: str) -> bytes:
 
 
 def _field(v, p):
-    """(whole, negative, fraction, lo, hi) of a range or a 1-D or 2-D array,
-    or None if the chunk needs the reference.
+    """(whole, negative, fraction, lo, hi) of a range or an array, or None
+    if the chunk needs the reference.
 
     ``whole`` is the integer part of each magnitude (a range passes through
     as it is), and lo and hi are its smallest and largest value.
@@ -188,7 +182,7 @@ def _field(v, p):
     frac = x - floor
     fixed = floor.astype(np.uint64) + (frac > 0.5)
     for i in np.flatnonzero(frac == 0.5):
-        fixed.flat[i] = int(("%.*f" % (p, a.flat[i])).replace(".", ""))
+        fixed[i] = int(("%.*f" % (p, a[i])).replace(".", ""))
     scale = np.uint64(10 ** p)
     whole, frac = (fixed // scale, fixed % scale) if p else (fixed, None)
     return whole, _some(np.signbit(v)), frac, *_bounds(whole)
@@ -261,4 +255,4 @@ def _array_digits(block, value, hi: int, short: int) -> None:
             digit = v + dtype(ord("0"))
         if k < short:
             digit *= value >= dtype(10 ** (width - 1 - k))
-        block[..., k] = digit
+        block[:, k] = digit

@@ -112,13 +112,12 @@ def eofm_scan(sim: CoSimulation, scan: ScanConfig) -> EofmImage:
     epoch's primitive activity weighted by the fraction of the dwell it
     covered, plus additive measurement noise (clipped at zero).
     """
-    x0, y0, x1, y1 = scan.region_um
-    fab_w = sim.model.grid_width * sim.model.site_pitch_um
-    fab_h = sim.model.grid_height * sim.model.site_pitch_um
-    if x0 < 0 or y0 < 0 or x1 > fab_w or y1 > fab_h or x1 <= x0 or y1 <= y0:
+    if not sim.model.on_fabric(scan.region_um):
+        fab_w, fab_h = sim.model.size_um
         raise ScenarioError(
             f"scan region {scan.region_um} outside fabric {fab_w}x{fab_h} um"
         )
+    x0, y0, _, _ = scan.region_um
     nx, ny = scan.n_pixels
     dwell_ps = scan.dwell_ps
     # Pixel centers in raster order: rows top to bottom, each left to right.
@@ -186,8 +185,7 @@ def eop_probe(sim: CoSimulation, point_um: tuple[float, float],
     N(0, noise_sigma) is one draw of N(0, noise_sigma * sqrt(N)), which is
     exact because a sum of i.i.d. Gaussians is Gaussian.
     """
-    fab_w = sim.model.grid_width * sim.model.site_pitch_um
-    fab_h = sim.model.grid_height * sim.model.site_pitch_um
+    fab_w, fab_h = sim.model.size_um
     if not (0 <= point_um[0] <= fab_w and 0 <= point_um[1] <= fab_h):
         raise ScenarioError(f"probe point {point_um} outside fabric")
     if iterations < 1 or duration_cycles < 1:

@@ -175,6 +175,18 @@ class FabricModel:
     def on_grid(self, site: SliceCoord) -> bool:
         return 0 <= site.x < self.grid_width and 0 <= site.y < self.grid_height
 
+    @property
+    def size_um(self) -> tuple[float, float]:
+        """Width and height of the fabric."""
+        return (self.grid_width * self.site_pitch_um,
+                self.grid_height * self.site_pitch_um)
+
+    def on_fabric(self, box_um) -> bool:
+        """Whether the box x0, y0, x1, y1 (um) is non-empty and on the fabric."""
+        x0, y0, x1, y1 = box_um
+        width, height = self.size_um
+        return 0 <= x0 < x1 <= width and 0 <= y0 < y1 <= height
+
     def _check_site(self, site: SliceCoord, slot: int, slots: int, name: str):
         if not self.on_grid(site):
             raise FabricError(f"{name}: site {site} off the {self.grid_width}x"

@@ -663,14 +663,11 @@ def run(scn: Scenario, out_dir=None) -> RunResult:
     if not model.on_grid(sensor.site):
         raise _bad_value(f"scenario {scn.name}", "sensor", "site",
                          f"{sensor.site} {grid}")
-    if scn.kind.startswith("eofm"):
-        x0, y0, x1, y1 = scn.scan.region_um
-        width = model.grid_width * model.site_pitch_um
-        height = model.grid_height * model.site_pitch_um
-        if x0 < 0 or y0 < 0 or x1 > width or y1 > height:
-            raise _bad_value(f"scenario {scn.name}", "scan", "region_um",
-                             f"{scn.scan.region_um} on a {width:g}x{height:g} "
-                             "um fabric")
+    if scn.kind.startswith("eofm") and not model.on_fabric(scn.scan.region_um):
+        width, height = model.size_um
+        raise _bad_value(f"scenario {scn.name}", "scan", "region_um",
+                         f"{scn.scan.region_um} on a {width:g}x{height:g} "
+                         "um fabric")
     region = scn.defense.get("allowed_region")
     if region and not model.on_grid(region[-1]):  # its corner x1,y1
         raise _bad_value(f"scenario {scn.name}", "defense", "allowed_region",

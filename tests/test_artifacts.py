@@ -183,16 +183,24 @@ class TestWritersOnEdgeValues:
         per_line_pgm(tmp_path / "ref.pgm", amps, 1e6)
         assert same_bytes(tmp_path / "new.pgm", tmp_path / "ref.pgm")
 
+    def test_pgm_rows_across_chunks(self, tmp_path):
+        # 61 rows of 70 pixels: the pixel chunk ends inside row 58.
+        amps = np.random.default_rng(3).random((61, 70))
+        assert 61 * 70 > CSV_CHUNK_ROWS and CSV_CHUNK_ROWS % 70
+        write_pgm(tmp_path / "new.pgm", amps, 0.5)
+        per_line_pgm(tmp_path / "ref.pgm", amps, 0.5)
+        assert same_bytes(tmp_path / "new.pgm", tmp_path / "ref.pgm")
+
 
 # -- the column formatter against one % per value -------------------------------
 
 
-def percent_lines(columns, places, sep=","):
+def percent_lines(columns, places):
     """Reference: one ``%`` per value, ``%d`` for None places."""
     values = [list(col) if isinstance(col, range) else np.asarray(col).tolist()
               for col in columns]
     return "".join(
-        sep.join("%d" % v if p is None else "%.*f" % (p, v)
+        ",".join("%d" % v if p is None else "%.*f" % (p, v)
                  for v, p in zip(row, places)) + "\n"
         for row in zip(*values)).encode()
 
@@ -259,25 +267,17 @@ COLUMN = st.one_of(
 class TestFormatColumns:
     @settings(deadline=None)
     @given(specs=st.lists(COLUMN, min_size=1, max_size=4),
-           same=st.booleans(),
            n=st.one_of(st.integers(0, 40),
                        st.sampled_from([CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS,
                                         CSV_CHUNK_ROWS + 1,
                                         2 * CSV_CHUNK_ROWS + 3])),
-           sep=st.sampled_from([",", " "]),
            seed=st.integers(0, 2 ** 32 - 1))
-    def test_matches_percent_per_value(self, specs, same, n, sep, seed):
-        # With ``same``, every column has the first one's kind and places,
-        # and array columns come as the rows of one 2-D array, as a PGM's.
-        if same:
-            specs = specs[:1] * len(specs)
+    def test_matches_percent_per_value(self, specs, n, seed):
         rng = np.random.default_rng(seed)
         columns = [column(rng, kind, places, n) for kind, places in specs]
         places = [places for _, places in specs]
-        if same and specs[0][0] != "range":
-            columns = np.array(columns)
-        assert (format_columns("h", columns, places, sep)
-                == b"h\n" + percent_lines(columns, places, sep))
+        assert (format_columns("h", columns, places)
+                == b"h\n" + percent_lines(columns, places))
 
     @pytest.mark.parametrize("places, values", [
         (1, [0.45, -0.45, 0.35, 0.25, 0.15, 1.25]),
