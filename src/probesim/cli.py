@@ -10,13 +10,16 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import harness
+from .artifacts import write_columns
 from .cosim import ScenarioError
 from .defense import CapacityError, DefenseError
 from .fabric import FabricError
 from .harness import ConfigError, load_scenario
 from .netlist import NetlistError
-from .sensor import TuningError
+from .sensor import TuningError, chain_code_bits, ro_calibration
 
 EXIT_CONFIG = 2
 EXIT_TUNING = 3
@@ -68,13 +71,13 @@ def _cmd_tune(args) -> int:
         with open(out / "summary.txt", "w") as fh:
             fh.write(f"scenario: {scn.name}\ntune: {tuned}\n"
                      f"trigger_threshold: {threshold:.0f}\n")
-        from .sensor import ro_calibration_series
-        with open(out / "ro_calibration.csv", "w") as fh:
-            fh.write("code,period_ns\n")
-            for code, period in ro_calibration_series(
-                    sensor.chain_len, per_tap_ps=sensor.per_tap_ps,
-                    base_ps=sensor.element_base_ps):
-                fh.write(f"{code},{period:.6f}\n")
+        # The oscillator period of every chain code.
+        n = 2 ** chain_code_bits(sensor.chain_len)
+        periods = ro_calibration(np.arange(n), sensor.chain_len,
+                                 per_tap_ps=sensor.per_tap_ps,
+                                 base_ps=sensor.element_base_ps)
+        write_columns(out / "ro_calibration.csv", "code,period_ns",
+                      (range(n), periods), (None, 6))
     return 0
 
 

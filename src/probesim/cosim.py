@@ -24,7 +24,7 @@ from .fabric import FabricModel
 from .sensor import SensorInstance, window_pulses, window_zero_counts
 from .thermal import LaserSpot, ThermalField, relax
 
-# Sensor windows per vectorised pass of a raster stretch.  At 16,384 the
+# Sensor windows per vectorised pass of a spot schedule.  At 16,384 the
 # pass is no faster, and its 128 kB temporaries raise the peak RSS of a
 # run of the five EOFM scenarios by about 0.7 MB over 4,096.
 RASTER_CHUNK_WINDOWS = 4096
@@ -156,6 +156,9 @@ class CoSimulation:
         self.defense_log: list[dict] = []
         # Start time of each epoch, by epoch id; starts never decrease.
         self._epochs: list[int] = [0]
+        # Time the current spot was parked: the field is up to date to then,
+        # and a hold projects the sensor cell from then.
+        self._parked_ps = 0
         self._activity_cache: dict[int, EpochActivity] = {}
         model.set_latch_net(0)
         model.settle(stimulus.inputs_at(0))
@@ -175,7 +178,16 @@ class CoSimulation:
         return self.trigger_ps is not None
 
     def set_spot(self, spot: LaserSpot | None) -> None:
+        """Park the spot, or lift it with None, from now on."""
+        self._settle_field()
         self.thermal.set_spot(spot)
+
+    def _settle_field(self) -> None:
+        """Bring the field up to now with one advance of the time the spot
+        has been parked, and count the parked time from now."""
+        if self.t_ps > self._parked_ps:
+            self.thermal.advance((self.t_ps - self._parked_ps) / 1e6)
+        self._parked_ps = self.t_ps
 
     def _pending_completion_ps(self) -> int | None:
         if self.pending_event is None:
@@ -190,28 +202,29 @@ class CoSimulation:
     def advance_to_epoch_change(self, t_target_ps: int) -> int:
         """Advance towards the target, stopping at the first new epoch.
 
-        One window batch runs up to the target or the pending completion,
-        whichever comes first.  Time stops at the trigger whenever it lies
-        ahead, fired by this batch or by a raster stretch; windows already
-        drawn past it stay drawn, which is exact while the spot stays put.
-        A completion due by the time reached is applied before returning, so
-        the epoch in effect afterwards has every event at or before the
-        returned time applied.  Epochs started before the call
-        (``invalidate_activity``) do not stop it.  Returns the time reached
-        in ps.
+        The parked spot's windows are drawn up to the target as one dwell
+        from the time the spot was parked, so they do not depend on where
+        time stops; they stay drawn if the spot moves before the target is
+        reached.  Time stops at the trigger if this draw fired it, or else
+        at a pending completion due by the target.  A completion due
+        by the time reached is applied before returning, so the epoch in
+        effect afterwards has every event at or before the returned time
+        applied.  Epochs started before the call (``invalidate_activity``)
+        do not stop it.  Returns the time reached in ps.
         """
         if t_target_ps < self.t_ps:
             raise ScenarioError("time cannot run backwards")
-        stop = t_target_ps
-        ev_ps = self._pending_completion_ps()
-        if ev_ps is not None and ev_ps <= t_target_ps:
-            stop = max(ev_ps, self.t_ps)
-        self._run_windows_until(stop)
+        if t_target_ps // self.window_ps > self.windows_done:
+            self._run_schedule(*self.thermal.hold_cell(self.sensor.site),
+                               self._parked_ps, t_target_ps - self._parked_ps,
+                               t_target_ps)
+        stops = [t_target_ps]
         if self.trigger_ps is not None and self.trigger_ps > self.t_ps:
-            stop = min(stop, self.trigger_ps)
-        self._advance_field(stop)
-        self.t_ps = stop
+            stops.append(self.trigger_ps)
         ev_ps = self._pending_completion_ps()
+        if ev_ps is not None:
+            stops.append(ev_ps)
+        self.t_ps = min(stops)
         if ev_ps is not None and ev_ps <= self.t_ps:
             self._complete_event()
         return self.t_ps
@@ -222,113 +235,64 @@ class CoSimulation:
         raster's start time in ps.
 
         Gives the same windows, events and field as set_spot() plus
-        advance_to() the dwell's end per center.  Event-free stretches of
-        dwells run as one vectorised window pass (_raster_stretch).  The
-        dwell that fires the trigger or holds a pending completion then
-        steps through advance_to_epoch_change(), which splits the field's
-        update at each epoch change.  Each epoch's activity is recorded as
+        advance_to() the dwell's end per center, from one pass: the sensor
+        cell's schedule (ThermalField.raster_cell), its windows
+        (_run_schedule) and one log entry for the field (advance_raster).
+        The defense events of the pass only mark times.  After it, the
+        raster enters the trigger's epoch, and then the completion's if it
+        is due by the raster's end.  Each epoch's activity is recorded as
         it is entered, so a short-lived epoch such as the hold state of a
         relocation is imaged as it was, not as the fabric is after it.
         """
         centers = np.asarray(centers_um, dtype=float).reshape(-1, 2)
         LaserSpot((0.0, 0.0), power, sigma_um)  # validates power and sigma
         t0 = self.t_ps
+        end_ps = t0 + len(centers) * dwell_ps
         self.activity()
-        i = 0
-        while i < len(centers):
-            last = len(centers)
-            ev_ps = self._pending_completion_ps()
-            if ev_ps is not None:
-                # Dwells before the one whose end reaches the completion.
-                last = min(last, (ev_ps - t0 - 1) // dwell_ps)
-            epoch = self.epoch_id  # a stretch that fires starts an epoch
-            i = self._raster_stretch(centers, i, last, t0, dwell_ps, power,
-                                     sigma_um)
-            if i == len(centers):
-                break
-            self.thermal.set_spot(LaserSpot(tuple(centers[i]), power, sigma_um))
-            end_ps = t0 + (i + 1) * dwell_ps
-            while self.t_ps < end_ps:
-                self.advance_to_epoch_change(end_ps)
-                if self.epoch_id != epoch:
-                    epoch = self.epoch_id
-                    self.activity()
-            i += 1
-        return t0
-
-    def _raster_stretch(self, centers, first: int, last: int, t0: int,
-                        dwell_ps: int, power: float, sigma_um: float) -> int:
-        """Dwells first..last-1 of a raster, none of which holds a pending
-        completion, in one pass; returns the first dwell not run.
-
-        If a window fires the trigger, the stretch draws the windows up to
-        the end of the firing dwell and ends before that dwell, which is
-        left to advance_to_epoch_change() for the field.
-        """
-        if last <= first:
-            return first
+        self._settle_field()
         dwell_us = dwell_ps / 1e6
-        starts, steady = self.thermal.raster_cell(
-            self.sensor.site, centers[first:last], power, sigma_um, dwell_us)
-        fired = self._run_schedule(starts, steady, t0 + first * dwell_ps,
-                                   dwell_ps, t0 + last * dwell_ps)
-        stop = last if fired is None else first + fired
-        self.thermal.advance_raster(centers[first:stop], power, sigma_um, dwell_us)
-        self.t_ps = t0 + stop * dwell_ps
-        return stop
-
-    def _advance_field(self, t_target_ps: int) -> None:
-        dt_us = (t_target_ps - self.t_ps) / 1e6
-        if dt_us > 0:
-            self.thermal.advance(dt_us)
+        epoch = self.epoch_id
+        self._run_schedule(*self.thermal.raster_cell(
+            self.sensor.site, centers, power, sigma_um, dwell_us),
+            t0, dwell_ps, end_ps)
+        self.thermal.advance_raster(centers, power, sigma_um, dwell_us)
+        self.t_ps = self._parked_ps = end_ps
+        if self.epoch_id != epoch:  # the pass fired the trigger
+            self.activity()
+        ev_ps = self._pending_completion_ps()
+        if ev_ps is not None and ev_ps <= end_ps:
+            self._complete_event()
+            self.activity()
+        return t0
 
     # -- sensor window stream ------------------------------------------------
 
-    def _run_windows_until(self, t_ps: int) -> None:
-        """Hold the spot up to t_ps: a one-dwell schedule from now."""
-        if t_ps // self.window_ps > self.windows_done:
-            self._run_schedule(*self.thermal.hold_cell(self.sensor.site),
-                               self.t_ps, t_ps - self.t_ps, t_ps)
-
     def _run_schedule(self, starts, steady, begin_ps: int, dwell_ps: int,
-                      end_ps: int) -> int | None:
-        """Draw the windows of a spot schedule that end by end_ps; returns
-        the dwell that fired the trigger, or None.
+                      end_ps: int) -> None:
+        """Draw the windows of a spot schedule that end by end_ps.
 
         The schedule is dwells of dwell_ps from begin_ps, in which the
         sensor cell relaxes from starts[d] towards steady[d].  Every sensor
         window is drawn here, and the trigger is checked only here: the
         first window at or over the threshold latches the sensor and fires
-        the defense at its end.  The windows up to the end of the firing
-        dwell are kept; the chunk that holds that end is rewound to its
-        start and redrawn up to it, and no later window is drawn.  A held
-        spot is one dwell, so all its windows are kept.
+        the defense at its end.  The sensor never moves, so the response
+        the trigger starts changes no window, and the windows after it are
+        drawn in the same pass.
         """
-        end = end_ps // self.window_ps
-        fired = None
         threshold = self.policy.threshold
         for runs in self._stretch_p0(starts, steady, begin_ps, dwell_ps,
-                                     end - self.windows_done):
-            w0 = self.windows_done
-            armed = threshold is not None and not self.latched
-            if armed and len(starts) > 1:  # one dwell is never rewound
-                state = self.sensor_rng.bit_generator.state
-            counts = self._draw(runs, end - w0)
-            hits = np.flatnonzero(counts >= threshold) if armed else ()
-            if len(hits):
-                fire_ps = (w0 + int(hits[0]) + 1) * self.window_ps
-                fired = (fire_ps - begin_ps - 1) // dwell_ps
-                end = (begin_ps + (fired + 1) * dwell_ps) // self.window_ps
-                if end < w0 + len(counts):
-                    self.sensor_rng.bit_generator.state = state
-                    counts = self._draw(runs, end - w0)
-                self.model.set_latch_net(1)
-                self._fire_defense(fire_ps)
+                                     end_ps // self.window_ps - self.windows_done):
+            counts = np.concatenate([
+                window_zero_counts(p0, m, self.t_detect, self.sensor_rng)
+                for p0, m in runs])
+            if threshold is not None and not self.latched:
+                hits = np.flatnonzero(counts >= threshold)
+                if len(hits):
+                    self.model.set_latch_net(1)
+                    self._fire_defense(
+                        (self.windows_done + int(hits[0]) + 1) * self.window_ps)
             self.window_counts.frombytes(counts.tobytes())
             self.windows_done += len(counts)
-            if self.windows_done == end:
-                break
-        return fired
 
     def _stretch_p0(self, starts, steady, begin_ps: int, dwell_ps: int, n: int):
         """Zero probabilities of the next n windows of a spot schedule that
@@ -372,21 +336,6 @@ class CoSimulation:
                 runs.append((self.sensor.zero_probability(
                     1.0 + alpha * delta_ts), b - a))
             yield runs
-
-    def _draw(self, runs, limit: int) -> np.ndarray:
-        """Zero counts of the first ``limit`` windows of (p0, m) runs, drawn
-        from the sensor stream in window order."""
-        counts = [np.zeros(0, dtype=np.int64)]
-        for p0, m in runs:
-            if limit == 0:
-                break
-            m = min(m, limit)
-            limit -= m
-            if not isinstance(p0, float):
-                p0 = p0[:m]
-            counts.append(window_zero_counts(p0, m, self.t_detect,
-                                             self.sensor_rng))
-        return np.concatenate(counts)
 
     def counter_columns(self) -> tuple:
         """The counter log as four columns: window index (a range), zero
@@ -505,19 +454,10 @@ class CoSimulation:
         """
         model = self.model
         period = self.stimulus.period_cycles
-        names, xs, ys = [], [], []
-        for name, ff in model.ffs.items():
-            names.append(name)
-            x, y = model.slot_position_um(ff.site, ff.slot, "ff")
-            xs.append(x)
-            ys.append(y)
-        outputs = []
-        for name, lut in model.luts.items():
-            x, y = model.slot_position_um(lut.site, lut.slot, "lut")
-            names.append(name)
-            outputs.append(lut.output_net)
-            xs.append(x)
-            ys.append(y)
+        names = [*model.ffs, *model.luts]
+        xs, ys = np.array([model.cell_position_um(name) for name in names],
+                          dtype=float).reshape(-1, 2).T
+        outputs = [lut.output_net for lut in model.luts.values()]
         edges, after = self._replay(2 * period)
         if period == 1:
             coefs = np.zeros(len(names), dtype=complex)
@@ -529,25 +469,25 @@ class CoSimulation:
             waves = rows[edges[period:]].T
             phases = np.exp(-2j * np.pi * np.arange(period) / period)
             coefs = waves @ phases * math.sin(math.pi / period)
-        return EpochActivity(np.array(xs), np.array(ys), coefs, names)
+        return EpochActivity(xs, ys, coefs, names)
 
     # -- probing helpers -------------------------------------------------------
 
     def resolve_probe_net(self, x_um: float, y_um: float) -> str | None:
         """Output net of the primitive closest to a probe point, within
         half a site pitch, if any."""
-        radius = self.model.site_pitch_um / 2
+        model = self.model
+        radius = model.site_pitch_um / 2
         best, best_d2 = None, radius * radius
-        for ff in self.model.ffs.values():
-            px, py = self.model.slot_position_um(ff.site, ff.slot, "ff")
+        # Flip-flops first, then LUTs: a later primitive at the same
+        # distance wins the tie.
+        nets = [ff.q for ff in model.ffs.values()]
+        nets += [lut.output_net for lut in model.luts.values()]
+        for name, net in zip([*model.ffs, *model.luts], nets):
+            px, py = model.cell_position_um(name)
             d2 = (px - x_um) ** 2 + (py - y_um) ** 2
             if d2 <= best_d2:
-                best, best_d2 = ff.q, d2
-        for lut in self.model.luts.values():
-            px, py = self.model.slot_position_um(lut.site, lut.slot, "lut")
-            d2 = (px - x_um) ** 2 + (py - y_um) ** 2
-            if d2 <= best_d2:
-                best, best_d2 = lut.output_net, d2
+                best, best_d2 = net, d2
         return best
 
     def cycle_trace(self, net: str, n_cycles: int) -> np.ndarray:

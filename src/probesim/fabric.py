@@ -234,6 +234,14 @@ class FabricModel:
         dy = (slot - (n - 1) / 2.0) * 2.0
         return (cx + dx, cy + dy)
 
+    def cell_position_um(self, name: str) -> tuple[float, float]:
+        """Physical position of a flip-flop or LUT, by name."""
+        if name in self.ffs:
+            ff = self.ffs[name]
+            return self.slot_position_um(ff.site, ff.slot, "ff")
+        lut = self.luts[name]
+        return self.slot_position_um(lut.site, lut.slot, "lut")
+
     # -- evaluation ---------------------------------------------------------
 
     def _settle_order(self) -> list[str]:

@@ -163,9 +163,6 @@ def _is_bits(text: str) -> bool:
 
 
 _TEXT = str, bool, "non-empty"
-_NAMES = _names, all, "comma-separated names"
-_UNIQUE_NAMES = (_names, lambda names: all(names) and len(set(names)) == len(names),
-                 "comma-separated names, each once")
 _WINDOWS = f", with at most {MAX_WINDOWS} sensor windows in the run"
 
 SCENARIO_KEYS = {(section, key): (*value, dest) for section, key, value, dest in [
@@ -237,14 +234,18 @@ SCENARIO_KEYS = {(section, key): (*value, dest) for section, key, value, dest in
         "auto, or finite, > 0 and <= t_detect_cycles"), "defense.threshold"),
     ("stimulus", "program", _one_of("reset_toggle", "shift"), "stimulus.program"),
     ("stimulus", "key", (str, lambda k: k == "random" or _is_bits(k),
-                         "a bit string, MSB first, or random"), "stimulus.key"),
+                         "a bit string, MSB first, with one bit per protected "
+                         "flip-flop of the netlist, or random"), "stimulus.key"),
     ("stimulus", "pattern", (str, lambda t: _is_bits(t)
                              and len(t) <= MAX_STIMULUS_PERIOD,
                              f"a bit string of at most {MAX_STIMULUS_PERIOD} "
                              "bits"), "stimulus.pattern"),
     ("stimulus", "serial_net", (str, bool, "an external input net of the netlist"),
      "stimulus.serial_net"),
-    ("eop", "probe_cells", _UNIQUE_NAMES, "eop.probe_cells"),
+    ("eop", "probe_cells", (_names, lambda names: all(names)
+                            and len(set(names)) == len(names),
+                            "comma-separated names, each once and each a "
+                            "flip-flop or LUT of the netlist"), "eop.probe_cells"),
     ("eop", "duration_cycles", _integer(1, 1_000_000), "eop.duration_cycles"),
     ("eop", "resolution_ps", (int, lambda v: v >= 1,
                               "an integer >= 1 and <= the probe duration, "
@@ -256,9 +257,12 @@ SCENARIO_KEYS = {(section, key): (*value, dest) for section, key, value, dest in
     ("eop", "power", _at_least(0), "eop.power"),
     ("function", "operand_nets", (lambda t: [_names(g) for g in t.split(";")],
                                   lambda groups: all(map(all, groups)),
-                                  "groups of names split by ;"),
+                                  "groups of names split by ;, each an external "
+                                  "input net of the netlist"),
      "function.operand_nets"),
-    ("function", "output_cells", _NAMES, "function.output_cells"),
+    ("function", "output_cells", (_names, all, "comma-separated names, each a "
+                                  "flip-flop of the netlist"),
+     "function.output_cells"),
     ("function", "vectors", (
         lambda t: [tuple(int(v) for v in g.split(",")) for g in t.split(";")],
         lambda vectors: min(map(min, vectors)) >= 0 and len(vectors) <= MAX_VECTORS,
@@ -276,6 +280,12 @@ SCENARIO_KEYS = {(section, key): (*value, dest) for section, key, value, dest in
     ("stability", "drift_tau_s", _above(0), "stability.drift_tau_s"),
 ]}
 _SECTIONS = {section for section, _ in SCENARIO_KEYS}
+# The keys a kind needs, beyond [scenario] kind and netlist.
+KIND_NEEDS = {
+    "eop": [("eop", "probe_cells")],
+    "eofm_function": [("function", "operand_nets"), ("function", "output_cells"),
+                      ("function", "vectors")],
+}
 
 
 def load_scenario(path, seed_override: int | None = None) -> Scenario:
@@ -323,9 +333,10 @@ def _decode_scenario(parser, path: Path, seed_override) -> Scenario:
                 target[attr] = value
             else:
                 setattr(target, attr, value)
-    for key in ("kind", "netlist"):
-        if key not in parser["scenario"]:
-            raise ConfigError(f"{path}: [scenario] needs {key}")
+    for section, key in (("scenario", "kind"), ("scenario", "netlist"),
+                         *KIND_NEEDS.get(scn.kind, ())):
+        if not parser.has_option(section, key):
+            raise ConfigError(f"{path}: [{section}] needs {key}")
     if not SCENARIO_KEYS["scenario", "name"][1](scn.name):  # the file name
         raise _bad_value(path, "scenario", "name", f"{scn.name!r} from the file name")
     scn.netlist_path = (path.parent / scn.netlist_path).resolve()
@@ -442,18 +453,12 @@ def derive_threshold(sensor: SensorInstance, seed: int,
 
 
 def scenario_key_bits(scn: Scenario, n_bits: int) -> list[int]:
-    """Programmed key, LSB first; 'random' draws per-seed bits."""
+    """Programmed key, LSB first; 'random' draws per-seed bits.  A bit
+    string key has n_bits bits (checked by run)."""
     if scn.stimulus.key == "random":
         rng = np.random.default_rng([scn.seed & 0xFFFFFFFF, 0x6E7])
         return [int(b) for b in rng.integers(0, 2, size=n_bits)]
-    key = scn.stimulus.key
-    if not key:
-        raise ConfigError(f"scenario {scn.name}: stimulus key missing")
-    if len(key) != n_bits or set(key) - {"0", "1"}:
-        raise ConfigError(
-            f"scenario {scn.name}: key {key!r} does not match {n_bits} protected bits"
-        )
-    return [int(b) for b in reversed(key)]
+    return [int(b) for b in reversed(scn.stimulus.key)]
 
 
 def report_resources(model: FabricModel, sensor: SensorInstance,
@@ -659,24 +664,7 @@ def run(scn: Scenario, out_dir=None) -> RunResult:
         ) from None
     thermal = ThermalField.for_model(model, **scn.thermal)
     sensor = build_sensor(scn)
-    grid = f"on a {model.grid_width}x{model.grid_height} grid"
-    if not model.on_grid(sensor.site):
-        raise _bad_value(f"scenario {scn.name}", "sensor", "site",
-                         f"{sensor.site} {grid}")
-    if scn.kind.startswith("eofm") and not model.on_fabric(scn.scan.region_um):
-        width, height = model.size_um
-        raise _bad_value(f"scenario {scn.name}", "scan", "region_um",
-                         f"{scn.scan.region_um} on a {width:g}x{height:g} "
-                         "um fabric")
-    region = scn.defense.get("allowed_region")
-    if region and not model.on_grid(region[-1]):  # its corner x1,y1
-        raise _bad_value(f"scenario {scn.name}", "defense", "allowed_region",
-                         f"{region[0]},{region[-1]} {grid}")
-    serial_net = scn.stimulus.serial_net
-    if (scn.kind == "eop" and scn.stimulus.program == "shift"
-            and serial_net not in model.inputs):
-        raise _bad_value(f"scenario {scn.name}", "stimulus", "serial_net",
-                         repr(serial_net))
+    _check_netlist_rules(scn, model, sensor)
     policy = build_policy(scn)
     if policy.mode == "mtd_inter":
         # A region that could never hold the register is a scenario defect;
@@ -711,6 +699,55 @@ def run(scn: Scenario, out_dir=None) -> RunResult:
     return result
 
 
+def _check_netlist_rules(scn: Scenario, model: FabricModel,
+                         sensor: SensorInstance) -> None:
+    """The rules that tie the scenario to its netlist, checked before the
+    sensor is tuned."""
+    where = f"scenario {scn.name}"
+    grid = f"on a {model.grid_width}x{model.grid_height} grid"
+    if not model.on_grid(sensor.site):
+        raise _bad_value(where, "sensor", "site", f"{sensor.site} {grid}")
+    if scn.kind.startswith("eofm") and not model.on_fabric(scn.scan.region_um):
+        width, height = model.size_um
+        raise _bad_value(where, "scan", "region_um",
+                         f"{scn.scan.region_um} on a {width:g}x{height:g} "
+                         "um fabric")
+    region = scn.defense.get("allowed_region")
+    if region and not model.on_grid(region[-1]):  # its corner x1,y1
+        raise _bad_value(where, "defense", "allowed_region",
+                         f"{region[0]},{region[-1]} {grid}")
+    if scn.kind == "eop":
+        serial_net = scn.stimulus.serial_net
+        if scn.stimulus.program == "shift" and serial_net not in model.inputs:
+            raise _bad_value(where, "stimulus", "serial_net", repr(serial_net))
+        for cell in scn.eop.probe_cells:
+            if cell not in model.ffs and cell not in model.luts:
+                raise _bad_value(where, "eop", "probe_cells",
+                                 f"{cell!r}, not a cell of the netlist")
+    if scn.kind == "eofm_function":
+        for group in scn.function.operand_nets:
+            for net in group:
+                if net not in model.inputs:
+                    raise _bad_value(where, "function", "operand_nets",
+                                     f"{net!r}, not an external input")
+        for cell in scn.function.output_cells:
+            if cell not in model.ffs:
+                raise _bad_value(where, "function", "output_cells",
+                                 f"{cell!r}, not a flip-flop")
+    if scn.kind == "eofm_key":
+        if not model.protected:
+            raise ConfigError(f"{scn.netlist_path}: eofm_key needs a protect line")
+        missing = [n for n in model.protected_sources if n not in model.inputs]
+        if missing:
+            raise ConfigError(
+                f"{scn.netlist_path}: protected data nets must be external "
+                f"inputs, got {missing}")
+        key = scn.stimulus.key
+        if key != "random" and len(key) != len(model.protected):
+            raise _bad_value(where, "stimulus", "key",
+                             f"{key!r} for {len(model.protected)} protected bits")
+
+
 def _summary_base(scn: Scenario, sim: CoSimulation | None,
                   threshold: float) -> RunSummary:
     return RunSummary(
@@ -740,8 +777,7 @@ def _count_stats(summary: RunSummary, columns: tuple) -> None:
 
 
 def _protected_sites_um(model: FabricModel) -> list[tuple[float, float]]:
-    return [model.slot_position_um(model.ffs[n].site, model.ffs[n].slot, "ff")
-            for n in model.protected]
+    return [model.cell_position_um(n) for n in model.protected]
 
 
 def _scan_echo(scan: ScanConfig) -> dict:
@@ -757,15 +793,8 @@ def _scan_echo(scan: ScanConfig) -> dict:
 
 
 def _run_eofm_key(scn, model, thermal, sensor, policy):
-    if not model.protected:
-        raise ConfigError(f"{scn.netlist_path}: eofm_key needs a protect line")
     key_bits = scenario_key_bits(scn, len(model.protected))
     static = {net: bit for net, bit in zip(model.protected_sources, key_bits)}
-    missing = [n for n in static if n not in model.inputs]
-    if missing:
-        raise ConfigError(
-            f"protected data nets must be external inputs, got {missing}"
-        )
     stim = stimulus_for_target_freq(sensor.clock_mhz, scn.scan.target_freq_mhz,
                                     static)
     sim = CoSimulation(model, thermal, sensor, policy, stim, scn.seed,
@@ -788,20 +817,7 @@ def _run_eofm_key(scn, model, thermal, sensor, policy):
 
 def _run_eofm_function(scn, model, thermal, sensor, policy):
     spec = scn.function
-    if not spec.operand_nets or not spec.output_cells or not spec.vectors:
-        raise ConfigError(
-            f"scenario {scn.name}: [function] needs operand_nets, output_cells, vectors"
-        )
-    for group in spec.operand_nets:
-        for net in group:
-            if net not in model.inputs:
-                raise ConfigError(f"operand net {net} is not an external input")
-    out_sites = []
-    for cell in spec.output_cells:
-        if cell not in model.ffs:
-            raise ConfigError(f"output cell {cell} is not a flip-flop")
-        ff = model.ffs[cell]
-        out_sites.append(model.slot_position_um(ff.site, ff.slot, "ff"))
+    out_sites = [model.cell_position_um(cell) for cell in spec.output_cells]
     stim = stimulus_for_target_freq(sensor.clock_mhz, scn.scan.target_freq_mhz)
     sim = CoSimulation(model, thermal, sensor, policy, stim, scn.seed,
                        scn.t_detect)
@@ -815,8 +831,6 @@ def _run_eofm_function(scn, model, thermal, sensor, policy):
 
 def _run_eop(scn, model, thermal, sensor, policy):
     spec = scn.eop
-    if not spec.probe_cells:
-        raise ConfigError(f"scenario {scn.name}: [eop] needs probe_cells")
     if scn.stimulus.program == "shift":
         stim = Stimulus(scn.stimulus.serial_net,
                         tuple(int(b) for b in scn.stimulus.pattern))
@@ -827,17 +841,9 @@ def _run_eop(scn, model, thermal, sensor, policy):
                        scn.t_detect)
     traces = {}
     for cell in spec.probe_cells:
-        if cell not in model.ffs and cell not in model.luts:
-            raise ConfigError(f"probe cell {cell} not in netlist")
-        if cell in model.ffs:
-            ff = model.ffs[cell]
-            point = model.slot_position_um(ff.site, ff.slot, "ff")
-        else:
-            lut = model.luts[cell]
-            point = model.slot_position_um(lut.site, lut.slot, "lut")
         traces[cell] = attacker.eop_probe(
-            sim, point, spec.duration_cycles, spec.resolution_ps,
-            spec.iterations, spec.noise_sigma, spec.power,
+            sim, model.cell_position_um(cell), spec.duration_cycles,
+            spec.resolution_ps, spec.iterations, spec.noise_sigma, spec.power,
             scn.scan.spot_sigma_um,
         )
     summary = _summary_base(scn, sim, policy.threshold)

@@ -553,7 +553,8 @@ def tune(sensor: SensorInstance, seed: int, t_sense_ms: float = 100.0,
 def ro_calibration(code: int, chain_len: int = 8, stages: int = 11,
                    stage_delay_ps: float = 350.0, per_tap_ps: float = 78.0,
                    base_ps: float = 600.0) -> float:
-    """Ring-oscillator period in ns for one chain code.
+    """Ring-oscillator period in ns for a chain code, or for each of an
+    integer array of codes.
 
     The oscillator loops `stages` inverting stages in series with the delay
     chain; the period is twice the loop delay.
@@ -561,13 +562,3 @@ def ro_calibration(code: int, chain_len: int = 8, stages: int = 11,
     loop_ps = stages * stage_delay_ps + chain_delay(code, chain_len,
                                                     per_tap_ps, base_ps)
     return 2.0 * loop_ps / 1000.0
-
-
-def ro_calibration_series(chain_len: int = 8, stages: int = 11,
-                          stage_delay_ps: float = 350.0,
-                          per_tap_ps: float = 78.0,
-                          base_ps: float = 600.0) -> list[tuple[int, float]]:
-    """(code, period_ns) sweep over the full chain code space, for plotting."""
-    codes = range(2 ** chain_code_bits(chain_len))
-    return [(c, ro_calibration(c, chain_len, stages, stage_delay_ps,
-                               per_tap_ps, base_ps)) for c in codes]

@@ -461,7 +461,7 @@ class TestRasterSchedule:
 
     @pytest.fixture(params=[cosim.RASTER_CHUNK_WINDOWS, 700])
     def chunk(self, request, monkeypatch):
-        # 700-window chunks put the trigger in a later chunk of a stretch.
+        # 700-window chunks put the trigger in a later chunk of the raster.
         monkeypatch.setattr(cosim, "RASTER_CHUNK_WINDOWS", request.param)
 
     def test_none(self, chunk):
@@ -550,10 +550,13 @@ class TestRasterSchedule:
 
     def test_no_per_pixel_steps(self, monkeypatch):
         # The raster neither parks the spot nor advances time once per pixel:
-        # of its 80 dwells, only the firing one and the one that holds the
-        # completion step through advance_to_epoch_change.
-        calls = {"set_spot": 0, "advance_to": 0, "advance_to_epoch_change": 0}
+        # its 80 dwells, the trigger and the completion inside them are one
+        # pass, and the field gets one log entry from advance_raster.  The
+        # spot is parked twice: at the raster's last center, then lifted.
+        calls = {"set_spot": 0, "advance": 0, "advance_to": 0,
+                 "advance_to_epoch_change": 0}
         for name, owner in (("set_spot", cosim.ThermalField),
+                            ("advance", cosim.ThermalField),
                             ("advance_to", cosim.CoSimulation),
                             ("advance_to_epoch_change", cosim.CoSimulation)):
             original = getattr(owner, name)
@@ -565,9 +568,9 @@ class TestRasterSchedule:
             monkeypatch.setattr(owner, name, counted)
         sim = key_race_sim(mode="mtd_inter", pr_latency_us=223.0)
         eofm_scan(sim, small_scan())
-        assert calls["advance_to"] == 0
-        assert calls["advance_to_epoch_change"] <= 4
-        assert calls["set_spot"] <= 4  # stretch ends, the firing dwell, the end
+        assert len(sim.defense_log) == 1 and sim.pending_event is None
+        assert calls == {"set_spot": 2, "advance": 0, "advance_to": 0,
+                         "advance_to_epoch_change": 0}
 
 
 @settings(max_examples=25, deadline=None)

@@ -249,6 +249,43 @@ class TestAdvanceToEpochChange:
         assert sim.epoch_segments(0, t_done + 1)[-1][0] == t_done
         assert sim.advance_to_epoch_change(target) == target
 
+    def test_hold_is_one_dwell_from_the_park_time(self, chunk, monkeypatch):
+        # Parked 10 us in, the hold is stopped at the trigger and at the
+        # completion, then runs past them.  Its windows are one binomial
+        # stream projected from the park time, and the field is advanced
+        # once, over the whole hold, when the spot is lifted.
+        sim, _ = mtd_sim()
+        park_ps, target = 10_000_000, 2_000_000_000
+        sim.advance_to(park_ps)
+        park_on_sensor(sim)
+        advances = []
+        advance = cosim.ThermalField.advance
+
+        def counted(field, dt_us):
+            advances.append(dt_us)
+            advance(field, dt_us)
+
+        monkeypatch.setattr(cosim.ThermalField, "advance", counted)
+        start, steady = sim.thermal.hold_cell(sim.sensor.site)
+        stops = [sim.advance_to_epoch_change(target) for _ in range(3)]
+        completion_ps = round(sim.defense_log[0]["event_complete_us"] * 1e6)
+        assert park_ps < sim.trigger_ps < completion_ps < target
+        assert stops == [sim.trigger_ps, completion_ps, target]
+        assert sim.pending_event is None and len(sim.defense_log) == 1
+        assert advances == []
+        sim.set_spot(None)
+        assert advances == [(target - park_ps) / 1e6]
+        # Three unheated windows end before the park time.
+        ends_ps = (np.arange(park_ps // sim.window_ps, target // sim.window_ps)
+                   + 1) * sim.window_ps
+        delta_ts = relax(start, steady,
+                         np.exp(-(ends_ps - park_ps) / 1e6 / sim.thermal.tau_us))
+        p0 = sim.sensor.zero_probability(1.0 + sim.thermal.alpha_per_k * delta_ts)
+        ref = np.random.default_rng(np.random.SeedSequence(1).spawn(1)[0])
+        unheated = ref.binomial(255, sim.sensor.zero_probability(np.ones(3)))
+        assert np.array_equal(counter_rows(sim)[:, 1],
+                              np.concatenate([unheated, ref.binomial(255, p0)]))
+
     def test_repeated_steps_match_one_advance_to(self):
         target = 2_000_000_000
         sims = []

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import advance_for, build_key_model, build_sim, counter_rows
-from probesim import cli
+from probesim import cli, harness
 from probesim.artifacts import CSV_CHUNK_ROWS
 from probesim.defense import DefensePolicy
 from probesim.harness import (MAX_DWELLS, MAX_VECTORS, SCENARIO_KEYS,
@@ -18,7 +18,8 @@ from probesim.harness import (MAX_DWELLS, MAX_VECTORS, SCENARIO_KEYS,
                               scenario_key_bits, stability_test,
                               write_counters_csv)
 from probesim.netlist import NetlistError, load_netlist
-from probesim.sensor import SensorInstance, TuneValue
+from probesim.sensor import (SensorInstance, TuneValue, chain_code_bits,
+                             ro_calibration)
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "src/probesim/scenarios"
 
@@ -490,6 +491,15 @@ def function_copy(tmp_path, vectors, region_um):
     return path
 
 
+def forbid_tuning(monkeypatch):
+    """Make a sensor tune fail the test: a rule checked before any work
+    never reaches it."""
+    def tune_sensor(*args):
+        raise AssertionError("the sensor was tuned before the rule was checked")
+
+    monkeypatch.setattr(harness, "tune_sensor", tune_sensor)
+
+
 def run_edited(capsys, tmp_path, command, scenario, line, bad):
     """Run the CLI on a copy of a bundled scenario with one line changed.
 
@@ -520,6 +530,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert "tune:" in out and "trigger_threshold:" in out
         assert (tmp_path / "summary.txt").exists()
+        # The oscillator sweep against one %-format per line.
+        sensor = SensorInstance(**load_scenario(SCENARIOS / "stability.scn").sensor)
+        ref = ["code,period_ns\n"] + [
+            "%d,%.6f\n" % (code, ro_calibration(
+                code, sensor.chain_len, per_tap_ps=sensor.per_tap_ps,
+                base_ps=sensor.element_base_ps))
+            for code in range(2 ** chain_code_bits(sensor.chain_len))]
+        assert (tmp_path / "ro_calibration.csv").read_text() == "".join(ref)
 
     def test_stability_command(self, capsys):
         rc = cli.main(["stability", "--scenario",
@@ -662,15 +680,67 @@ class TestCli:
                      id=f"attack-xor_unprotected-{MAX_VECTORS + 1} vectors"),
         # One probe cell listed twice.
         ("eop", "eop_shift", "probe_cells = s2,s5", "probe_cells = s2,s2"),
+        # Names the netlist does not have, rejected once it is loaded: a
+        # cell, a flip-flop and an external input of shift8.net and
+        # xor4_poly.net, and a key of 3 bits for the 8 of key8.net.
+        ("eop", "eop_shift", "probe_cells = s2,s5", "probe_cells = s2,nosuch"),
+        ("attack", "xor_polymorphic", "output_cells = cf0,cf1,cf2,cf3",
+         "output_cells = cf0,cf1,cf2,nosuch"),
+        ("attack", "xor_polymorphic",
+         "operand_nets = a0,a1,a2,a3;b0,b1,b2,b3",
+         "operand_nets = a0,a1,a2,a3;b0,b1,b2,zz"),
+        ("attack", "unprotected_key", "key = 10110001", "key = 101"),
     ])
-    def test_bad_probe_input_exit_code(self, capsys, tmp_path, command,
-                                       scenario, line, bad):
-        # Each is rejected before any run: while the scenario is decoded,
-        # or once the netlist gives the fabric.
+    def test_bad_probe_input_exit_code(self, capsys, tmp_path, monkeypatch,
+                                       command, scenario, line, bad):
+        # Each is rejected before any work: while the scenario is decoded,
+        # or once the netlist gives the fabric, its cells and its inputs.
+        forbid_tuning(monkeypatch)
         rc, err, named = run_edited(capsys, tmp_path, command, scenario,
                                     line, bad)
         assert rc == 2
         assert "config error:" in err and named in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("scenario, line, named", [
+        ("eop_shift", "probe_cells = s2,s5", "[eop] needs probe_cells"),
+        ("xor_polymorphic", "operand_nets = a0,a1,a2,a3;b0,b1,b2,b3",
+         "[function] needs operand_nets"),
+        ("xor_polymorphic", "output_cells = cf0,cf1,cf2,cf3",
+         "[function] needs output_cells"),
+        ("xor_polymorphic", "vectors = 0,0;15,0;0,15;15,15;5,10",
+         "[function] needs vectors"),
+    ])
+    def test_missing_needed_key_exit_code(self, capsys, tmp_path, monkeypatch,
+                                          scenario, line, named):
+        forbid_tuning(monkeypatch)
+        rc, err, _ = run_edited(capsys, tmp_path, "attack", scenario, line, "")
+        assert rc == 2
+        assert "config error:" in err and named in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("netlist, line, message", [
+        ("key8.net", "protect k0 k1 k2 k3 k4 k5 k6 k7",
+         "eofm_key needs a protect line"),
+        # shift8.net protects its stages, fed from each other.
+        ("shift8.net", None, "protected data nets must be external inputs"),
+    ])
+    def test_key_netlist_exit_code(self, capsys, tmp_path, monkeypatch,
+                                   netlist, line, message):
+        forbid_tuning(monkeypatch)
+        text = (SCENARIOS / netlist).read_text()
+        if line is not None:
+            assert text.count(line) == 1
+            text = text.replace(line, "")
+        (tmp_path / "chip.net").write_text(text)
+        path = tmp_path / "unprotected_key.scn"
+        path.write_text((SCENARIOS / "unprotected_key.scn").read_text()
+                        .replace("netlist = key8.net", "netlist = chip.net"))
+        rc = cli.main(["attack", "--scenario", str(path),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and message in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("vectors", [MAX_VECTORS, MAX_VECTORS + 1])

@@ -17,8 +17,8 @@ from probesim.sensor import (PROBE, SCORE, SensorInstance, SensorReadout,
                              longest_run, max_count,
                              max_zero_count, probe_count, probe_zero_rate,
                              pulse_cdf, read_counters, ro_calibration,
-                             ro_calibration_series, tap_from_code, tune,
-                             tune_uniform, window_pulses, window_zero_counts)
+                             tap_from_code, tune, tune_uniform, window_pulses,
+                             window_zero_counts)
 from probesim.thermal import LaserSpot, ThermalField
 
 
@@ -740,9 +740,8 @@ def scalar_reference_tune(sensor, seed, t_sense_ms=100.0, window=255):
 
 class TestRoCalibration:
     def test_code_zero_is_minimum_period(self):
-        series = ro_calibration_series(chain_len=8)
-        periods = [p for _, p in series]
-        assert series[0][1] == min(periods)
+        periods = ro_calibration(np.arange(256), 8)
+        assert periods[0] == periods.min()
 
     def test_period_formula(self):
         # 11 stages at 350 ps plus the chain, doubled, in ns.
