@@ -17,7 +17,7 @@ from .artifacts import write_columns
 from .cosim import ScenarioError
 from .defense import CapacityError, DefenseError
 from .fabric import FabricError
-from .harness import ConfigError, load_scenario
+from .harness import ConfigError
 from .netlist import NetlistError
 from .sensor import TuningError, chain_code_bits, ro_calibration
 
@@ -57,11 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_tune(args) -> int:
-    scn = load_scenario(args.scenario, args.seed)
+    scn = harness.load_scenario(args.scenario, args.seed)
     sensor = harness.build_sensor(scn)
-    tuned = harness.tune_sensor(scn, sensor)
-    threshold = harness.derive_threshold(sensor, scn.seed,
-                                         scn.characterize_windows, scn.t_detect)
+    tuned, threshold = harness.arm_sensor(scn, sensor)
     print(f"tune: {tuned}")
     print(f"ambient_slack_ps: {sensor.slack_ps(1.0):.3f}")
     print(f"trigger_threshold: {threshold:.0f}")
@@ -81,27 +79,26 @@ def _cmd_tune(args) -> int:
     return 0
 
 
-def _cmd_run(args, require_kind=None) -> int:
-    scn = load_scenario(args.scenario, args.seed)
-    if require_kind and not scn.kind.startswith(require_kind):
+# The scenario kinds each run command accepts.
+RUN_KINDS = {
+    "eofm": ("eofm_key", "eofm_function"),
+    "eop": ("eop",),
+    "attack": harness.KINDS,
+    "stability": ("stability",),
+}
+
+
+def _cmd_run(args) -> int:
+    scn = harness.load_scenario(args.scenario, args.seed)
+    kinds = RUN_KINDS[args.command]
+    if scn.kind not in kinds:
         raise ConfigError(
-            f"{args.scenario}: {args.command} command needs kind {require_kind}*, "
-            f"scenario has {scn.kind}"
+            f"{args.scenario}: {args.command} command needs kind "
+            f"{' | '.join(kinds)}, scenario has {scn.kind}"
         )
-    out = Path(args.out) if args.out else None
-    result = harness.run(scn, out)
+    result = harness.run(scn, Path(args.out) if args.out else None)
     sys.stdout.write(result.summary.to_text())
-    return 0
-
-
-def _cmd_stability(args) -> int:
-    scn = load_scenario(args.scenario, args.seed)
-    if scn.kind != "stability":
-        raise ConfigError(f"{args.scenario}: stability command needs kind = stability")
-    out = Path(args.out) if args.out else None
-    result = harness.run(scn, out)
-    sys.stdout.write(result.summary.to_text())
-    if result.stability.triggered:
+    if args.command == "stability" and result.stability.triggered:
         print("stability FAILURE: false-positive trigger at "
               f"{result.stability.false_positive_at_us:.0f} us")
         return EXIT_SCENARIO
@@ -122,14 +119,8 @@ def _cmd_batch(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "tune": _cmd_tune,
-        "eofm": lambda a: _cmd_run(a, require_kind="eofm"),
-        "eop": lambda a: _cmd_run(a, require_kind="eop"),
-        "attack": _cmd_run,
-        "stability": _cmd_stability,
-        "batch": _cmd_batch,
-    }
+    handlers = {"tune": _cmd_tune, "batch": _cmd_batch,
+                **dict.fromkeys(RUN_KINDS, _cmd_run)}
     try:
         return handlers[args.command](args)
     except (ConfigError, NetlistError) as exc:

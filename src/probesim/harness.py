@@ -487,13 +487,13 @@ class RunSummary:
     seed: int
     tune: str
     threshold: float
-    trigger_time_us: float | None
-    total_sim_time_us: float
-    windows: int
-    mean_zero_count: float
-    max_zero_count: int
-    max_pulse_len: int
-    resources: dict
+    trigger_time_us: float | None = None
+    total_sim_time_us: float = 0.0
+    windows: int = 0
+    mean_zero_count: float = 0.0
+    max_zero_count: int = 0
+    max_pulse_len: int = 0
+    resources: dict = field(default_factory=dict)
     true_key: str | None = None
     recovered_key: str | None = None
     bits_correct: int | None = None
@@ -652,6 +652,17 @@ class RunResult:
     counters: tuple | None = None
 
 
+def arm_sensor(scn: Scenario, sensor: SensorInstance) -> tuple[TuneValue, float]:
+    """The tune and trigger threshold a run of ``scn`` uses: the pinned or
+    searched tune, and the pinned or derived threshold."""
+    tuned = tune_sensor(scn, sensor)
+    threshold = scn.defense.get("threshold")
+    if threshold is None:
+        threshold = derive_threshold(sensor, scn.seed, scn.characterize_windows,
+                                     scn.t_detect)
+    return tuned, threshold
+
+
 def run(scn: Scenario, out_dir=None) -> RunResult:
     """Execute one scenario end to end and (optionally) write artifacts."""
     try:
@@ -662,7 +673,6 @@ def run(scn: Scenario, out_dir=None) -> RunResult:
         raise ConfigError(
             f"scenario {scn.name}: netlist file {scn.netlist_path} not found"
         ) from None
-    thermal = ThermalField.for_model(model, **scn.thermal)
     sensor = build_sensor(scn)
     _check_netlist_rules(scn, model, sensor)
     policy = build_policy(scn)
@@ -675,28 +685,91 @@ def run(scn: Scenario, out_dir=None) -> RunResult:
                 f"allowed_region holds {capacity} FF slots for "
                 f"{len(model.protected)} protected bits"
             )
-    tuned = tune_sensor(scn, sensor)
-    if policy.threshold is None:
-        policy.threshold = derive_threshold(
-            sensor, scn.seed, scn.characterize_windows, scn.t_detect
-        )
-
-    if scn.kind == "eofm_key":
-        result = _run_eofm_key(scn, model, thermal, sensor, policy)
-    elif scn.kind == "eofm_function":
-        result = _run_eofm_function(scn, model, thermal, sensor, policy)
-    elif scn.kind == "eop":
-        result = _run_eop(scn, model, thermal, sensor, policy)
+    tuned, policy.threshold = arm_sensor(scn, sensor)
+    # Counted from the configured policy: a capacity fallback at the
+    # trigger rewrites its mode to zeroize.
+    summary = RunSummary(scn.name, scn.kind, scn.seed, str(tuned), policy.threshold,
+                         resources=report_resources(model, sensor, policy))
+    result = RunResult(summary)
+    if scn.kind == "stability":
+        result.stability = stability_test(sensor, policy.threshold, scn.seed,
+                                          scn.stability, scn.t_detect)
+        summary.stability = result.stability.as_dict()
+        summary.total_sim_time_us = scn.stability.duration_min * 6e7
     else:
-        result = _run_stability(scn, model, thermal, sensor, policy)
-    result.summary.tune = str(tuned)
-    if result.sim is not None:
-        result.counters = result.sim.counter_columns()
-        _count_stats(result.summary, result.counters)
-    result.summary.resources = report_resources(model, sensor, policy)
+        sim = CoSimulation(model, ThermalField.for_model(model, **scn.thermal),
+                           sensor, policy, _stimulus(scn, model, sensor),
+                           scn.seed, scn.t_detect)
+        scan = scn.scan
+        if scn.kind.startswith("eofm"):
+            x0, y0, x1, y1 = scan.region_um
+            summary.attack_params = {
+                "scan_region_um": f"{x0:.0f},{y0:.0f},{x1:.0f},{y1:.0f}",
+                "scan_pixel_pitch_um": f"{scan.pixel_pitch_um:g}",
+                "scan_dwell_ms": f"{scan.dwell_ms:g}",
+                "scan_target_freq_mhz": f"{scan.target_freq_mhz:g}",
+                "scan_power": f"{scan.power:g}",
+                "scan_noise_sigma": f"{scan.noise_sigma:g}",
+            }
+        if scn.kind == "eofm_key":
+            # Read before the scan, whose defense may re-place the register.
+            key_bits = [sim.stimulus.static[net] for net in model.protected_sources]
+            sites = [model.cell_position_um(n) for n in model.protected]
+            result.image = attacker.eofm_scan(sim, scan)
+            recovered = attacker.recover_bits(result.image, sites, scn.bit_threshold)
+            located = attacker.localize(result.image, scn.bit_threshold, model)
+            summary.attack_params["localized_sites"] = ";".join(
+                f"{s.x}.{s.y}" for s in located)
+            summary.true_key = "".join(str(b) for b in reversed(key_bits))
+            summary.recovered_key = "".join(str(b) for b in reversed(recovered))
+            summary.bits_correct = sum(int(r == k) for r, k in zip(recovered, key_bits))
+            summary.bits_total = len(key_bits)
+        elif scn.kind == "eofm_function":
+            spec = scn.function
+            summary.function_table = attacker.recover_function(
+                sim, scan, spec.operand_nets,
+                [model.cell_position_um(cell) for cell in spec.output_cells],
+                spec.vectors, scn.bit_threshold)
+        elif scn.kind == "eop":
+            spec = scn.eop
+            result.traces = {cell: attacker.eop_probe(
+                sim, model.cell_position_um(cell), spec.duration_cycles,
+                spec.resolution_ps, spec.iterations, spec.noise_sigma, spec.power,
+                scan.spot_sigma_um) for cell in spec.probe_cells}
+            summary.attack_params = {
+                "eop_probe_cells": ",".join(spec.probe_cells),
+                "eop_resolution_ps": spec.resolution_ps,
+                "eop_iterations": spec.iterations,
+                "eop_duration_cycles": spec.duration_cycles,
+            }
+        result.sim = sim
+        result.counters = sim.counter_columns()
+        summary.trigger_time_us = sim.trigger_time_us
+        summary.total_sim_time_us = sim.t_us
+        _, counts, pulses, _ = result.counters
+        if len(counts):
+            summary.windows = len(counts)
+            summary.mean_zero_count = float(counts.mean())
+            summary.max_zero_count = int(counts.max())
+            summary.max_pulse_len = int(pulses.max())
     if out_dir is not None:
         write_artifacts(result, Path(out_dir))
     return result
+
+
+def _stimulus(scn: Scenario, model: FabricModel, sensor: SensorInstance) -> Stimulus:
+    """The run's input program: an eop run's shift pattern on its serial
+    net, or else a reset toggle at the scan's target frequency, with an
+    eofm_key run's key held on the protected data nets."""
+    if scn.kind == "eop" and scn.stimulus.program == "shift":
+        return Stimulus(scn.stimulus.serial_net,
+                        tuple(int(b) for b in scn.stimulus.pattern))
+    static = {}
+    if scn.kind == "eofm_key":
+        static = dict(zip(model.protected_sources,
+                          scenario_key_bits(scn, len(model.protected))))
+    return stimulus_for_target_freq(sensor.clock_mhz, scn.scan.target_freq_mhz,
+                                    static)
 
 
 def _check_netlist_rules(scn: Scenario, model: FabricModel,
@@ -737,132 +810,22 @@ def _check_netlist_rules(scn: Scenario, model: FabricModel,
     if scn.kind == "eofm_key":
         if not model.protected:
             raise ConfigError(f"{scn.netlist_path}: eofm_key needs a protect line")
-        missing = [n for n in model.protected_sources if n not in model.inputs]
+        sources = model.protected_sources
+        missing = [n for n in sources if n not in model.inputs]
         if missing:
             raise ConfigError(
                 f"{scn.netlist_path}: protected data nets must be external "
                 f"inputs, got {missing}")
+        # The stimulus holds one key bit per data net.
+        shared = sorted({n for n in sources if sources.count(n) > 1})
+        if shared:
+            raise ConfigError(
+                f"{scn.netlist_path}: protected data nets must be distinct, "
+                f"got {shared} more than once")
         key = scn.stimulus.key
         if key != "random" and len(key) != len(model.protected):
             raise _bad_value(where, "stimulus", "key",
                              f"{key!r} for {len(model.protected)} protected bits")
-
-
-def _summary_base(scn: Scenario, sim: CoSimulation | None,
-                  threshold: float) -> RunSummary:
-    return RunSummary(
-        scenario=scn.name,
-        kind=scn.kind,
-        seed=scn.seed,
-        tune="",
-        threshold=threshold,
-        trigger_time_us=sim.trigger_time_us if sim else None,
-        total_sim_time_us=sim.t_us if sim else 0.0,
-        windows=0,
-        mean_zero_count=0.0,
-        max_zero_count=0,
-        max_pulse_len=0,
-        resources={},
-    )
-
-
-def _count_stats(summary: RunSummary, columns: tuple) -> None:
-    """Window statistics of a counter log's columns into the summary."""
-    _, counts, pulses, _ = columns
-    if len(counts):
-        summary.windows = len(counts)
-        summary.mean_zero_count = float(counts.mean())
-        summary.max_zero_count = int(counts.max())
-        summary.max_pulse_len = int(pulses.max())
-
-
-def _protected_sites_um(model: FabricModel) -> list[tuple[float, float]]:
-    return [model.cell_position_um(n) for n in model.protected]
-
-
-def _scan_echo(scan: ScanConfig) -> dict:
-    x0, y0, x1, y1 = scan.region_um
-    return {
-        "scan_region_um": f"{x0:.0f},{y0:.0f},{x1:.0f},{y1:.0f}",
-        "scan_pixel_pitch_um": f"{scan.pixel_pitch_um:g}",
-        "scan_dwell_ms": f"{scan.dwell_ms:g}",
-        "scan_target_freq_mhz": f"{scan.target_freq_mhz:g}",
-        "scan_power": f"{scan.power:g}",
-        "scan_noise_sigma": f"{scan.noise_sigma:g}",
-    }
-
-
-def _run_eofm_key(scn, model, thermal, sensor, policy):
-    key_bits = scenario_key_bits(scn, len(model.protected))
-    static = {net: bit for net, bit in zip(model.protected_sources, key_bits)}
-    stim = stimulus_for_target_freq(sensor.clock_mhz, scn.scan.target_freq_mhz,
-                                    static)
-    sim = CoSimulation(model, thermal, sensor, policy, stim, scn.seed,
-                       scn.t_detect)
-    original_sites = _protected_sites_um(model)
-    image = attacker.eofm_scan(sim, scn.scan)
-    recovered = attacker.recover_bits(image, original_sites, scn.bit_threshold)
-    correct = sum(int(r == k) for r, k in zip(recovered, key_bits))
-    located = attacker.localize(image, scn.bit_threshold, model)
-    summary = _summary_base(scn, sim, policy.threshold)
-    summary.attack_params = _scan_echo(scn.scan)
-    summary.attack_params["localized_sites"] = ";".join(
-        f"{s.x}.{s.y}" for s in located)
-    summary.true_key = "".join(str(b) for b in reversed(key_bits))
-    summary.recovered_key = "".join(str(b) for b in reversed(recovered))
-    summary.bits_correct = correct
-    summary.bits_total = len(key_bits)
-    return RunResult(summary, image=image, sim=sim)
-
-
-def _run_eofm_function(scn, model, thermal, sensor, policy):
-    spec = scn.function
-    out_sites = [model.cell_position_um(cell) for cell in spec.output_cells]
-    stim = stimulus_for_target_freq(sensor.clock_mhz, scn.scan.target_freq_mhz)
-    sim = CoSimulation(model, thermal, sensor, policy, stim, scn.seed,
-                       scn.t_detect)
-    table = attacker.recover_function(sim, scn.scan, spec.operand_nets,
-                                      out_sites, spec.vectors, scn.bit_threshold)
-    summary = _summary_base(scn, sim, policy.threshold)
-    summary.attack_params = _scan_echo(scn.scan)
-    summary.function_table = table
-    return RunResult(summary, sim=sim)
-
-
-def _run_eop(scn, model, thermal, sensor, policy):
-    spec = scn.eop
-    if scn.stimulus.program == "shift":
-        stim = Stimulus(scn.stimulus.serial_net,
-                        tuple(int(b) for b in scn.stimulus.pattern))
-    else:
-        stim = stimulus_for_target_freq(sensor.clock_mhz,
-                                        scn.scan.target_freq_mhz)
-    sim = CoSimulation(model, thermal, sensor, policy, stim, scn.seed,
-                       scn.t_detect)
-    traces = {}
-    for cell in spec.probe_cells:
-        traces[cell] = attacker.eop_probe(
-            sim, model.cell_position_um(cell), spec.duration_cycles,
-            spec.resolution_ps, spec.iterations, spec.noise_sigma, spec.power,
-            scn.scan.spot_sigma_um,
-        )
-    summary = _summary_base(scn, sim, policy.threshold)
-    summary.attack_params = {
-        "eop_probe_cells": ",".join(spec.probe_cells),
-        "eop_resolution_ps": spec.resolution_ps,
-        "eop_iterations": spec.iterations,
-        "eop_duration_cycles": spec.duration_cycles,
-    }
-    return RunResult(summary, traces=traces, sim=sim)
-
-
-def _run_stability(scn, model, thermal, sensor, policy):
-    report = stability_test(sensor, policy.threshold, scn.seed, scn.stability,
-                            scn.t_detect)
-    summary = _summary_base(scn, None, policy.threshold)
-    summary.stability = report.as_dict()
-    summary.total_sim_time_us = scn.stability.duration_min * 6e7
-    return RunResult(summary, stability=report)
 
 
 def write_artifacts(result: RunResult, out_dir: Path) -> None:

@@ -384,6 +384,18 @@ class TestThresholdAndResources:
         assert res["defense_region_slices"] == 45
         assert res["defense_region_ff_slots"] == 45 * 4
 
+    def test_resources_after_a_capacity_fallback(self, tmp_path):
+        # Slices 15,8 and 16,8 hold 8 slots for the 8 bits, but the sensor's
+        # slice is excluded at the trigger, so the relocation falls back to
+        # zeroize.  The resources still count the configured region.
+        path = edited_copy(tmp_path, "mtd_inter_key", "allowed_region = 26,4,30,12",
+                           "allowed_region = 15,8,16,8")
+        result = run(load_scenario(path))
+        assert result.sim.trigger_time_us is not None
+        assert result.sim.policy.mode == "zeroize"
+        assert result.summary.resources["defense_region_slices"] == 2
+        assert result.summary.resources["defense_region_ff_slots"] == 8
+
     def test_eight_loc_region_capacity(self):
         # Eight reconfigurable slices at four FF slots each: 32 slots.
         from probesim.defense import region_slices
@@ -500,18 +512,25 @@ def forbid_tuning(monkeypatch):
     monkeypatch.setattr(harness, "tune_sensor", tune_sensor)
 
 
-def run_edited(capsys, tmp_path, command, scenario, line, bad):
-    """Run the CLI on a copy of a bundled scenario with one line changed.
-
-    Returns the exit code, stderr and the ``[section] key`` that the
-    changed line sets.
-    """
+def edited_copy(tmp_path, scenario, line, bad) -> Path:
+    """A copy of a bundled scenario, and its netlist, with one line changed."""
     text = (SCENARIOS / f"{scenario}.scn").read_text()
     assert text.count(line) == 1
     path = tmp_path / f"{scenario}.scn"
     path.write_text(text.replace(line, bad))
     netlist = load_scenario(SCENARIOS / f"{scenario}.scn").netlist_path
     (tmp_path / netlist.name).write_text(netlist.read_text())
+    return path
+
+
+def run_edited(capsys, tmp_path, command, scenario, line, bad):
+    """Run the CLI on a copy of a bundled scenario with one line changed.
+
+    Returns the exit code, stderr and the ``[section] key`` that the
+    changed line sets.
+    """
+    path = edited_copy(tmp_path, scenario, line, bad)
+    text = (SCENARIOS / f"{scenario}.scn").read_text()
     rc = cli.main([command, "--scenario", str(path),
                    "--out", str(tmp_path / "out")])
     section = re.findall(r"^\[(\w+)\]", text[:text.index(line)], re.M)[-1]
@@ -549,6 +568,47 @@ class TestCli:
         rc = cli.main(["stability", "--scenario",
                        str(SCENARIOS / "eop_shift.scn")])
         assert rc == 2
+
+    @pytest.mark.parametrize("scenario, kind", [
+        ("unprotected_key", "eofm_key"), ("xor_unprotected", "eofm_function"),
+        ("eop_shift", "eop"), ("stability", "stability")])
+    @pytest.mark.parametrize("command", ["eofm", "eop", "attack", "stability"])
+    def test_run_command_accepts_its_kinds(self, capsys, tmp_path, command,
+                                           scenario, kind):
+        rc = cli.main([command, "--scenario", str(SCENARIOS / f"{scenario}.scn"),
+                       "--out", str(tmp_path / "out")])
+        accepted = {"eofm": kind.startswith("eofm"), "eop": kind == "eop",
+                    "attack": True, "stability": kind == "stability"}[command]
+        assert rc == (0 if accepted else 2)
+        assert (tmp_path / "out" / "summary.txt").exists() == accepted
+        if not accepted:
+            assert f"scenario has {kind}" in capsys.readouterr().err
+
+    def test_stability_false_positive_exit_code(self, capsys, tmp_path):
+        # At threshold 1 the first idle log with a zero triggers.
+        path = str(edited_copy(tmp_path, "stability", "threshold = auto",
+                               "threshold = 1"))
+        assert cli.main(["stability", "--scenario", path]) == 5
+        assert "stability FAILURE: false-positive trigger" in capsys.readouterr().out
+        # attack runs the same scenario and reports the trigger only.
+        assert cli.main(["attack", "--scenario", path]) == 0
+        out = capsys.readouterr().out
+        assert "stability_triggered: True" in out and "FAILURE" not in out
+
+    def test_tune_reports_the_pinned_threshold(self, capsys, tmp_path):
+        # tune arms the sensor as a run does: the scenario's threshold, not
+        # the derived one.
+        path = str(edited_copy(tmp_path, "mtd_intra_key", "threshold = auto",
+                               "threshold = 7"))
+        assert cli.main(["tune", "--scenario", path,
+                         "--out", str(tmp_path / "out")]) == 0
+        tuned = capsys.readouterr().out
+        assert "trigger_threshold: 7\n" in tuned
+        assert "trigger_threshold: 7\n" in (tmp_path / "out" / "summary.txt").read_text()
+        assert cli.main(["attack", "--scenario", path]) == 0
+        ran = capsys.readouterr().out
+        assert tuned.splitlines()[0] in ran.splitlines()  # the tune line
+        assert "trigger_threshold: 7\n" in ran
 
     def test_attack_command_writes_artifacts(self, capsys, tmp_path):
         rc = cli.main(["attack", "--scenario",
@@ -724,14 +784,20 @@ class TestCli:
          "eofm_key needs a protect line"),
         # shift8.net protects its stages, fed from each other.
         ("shift8.net", None, "protected data nets must be external inputs"),
+        # Two key bits on one net: the stimulus could hold only one of them.
+        pytest.param("key8.net", ("ff k1 d=kd1 ", "ff k1 d=kd0 "),
+                     "protected data nets must be distinct, got ['kd0']",
+                     id="key8.net-shared data net"),
     ])
     def test_key_netlist_exit_code(self, capsys, tmp_path, monkeypatch,
                                    netlist, line, message):
         forbid_tuning(monkeypatch)
         text = (SCENARIOS / netlist).read_text()
         if line is not None:
+            # A line to delete, or a line and its replacement.
+            line, bad = line if isinstance(line, tuple) else (line, "")
             assert text.count(line) == 1
-            text = text.replace(line, "")
+            text = text.replace(line, bad)
         (tmp_path / "chip.net").write_text(text)
         path = tmp_path / "unprotected_key.scn"
         path.write_text((SCENARIOS / "unprotected_key.scn").read_text()
