@@ -59,6 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_tune(args) -> int:
     scn = harness.load_scenario(args.scenario, args.seed)
     sensor = harness.build_sensor(scn)
+    harness.load_model(scn, sensor)
     tuned, threshold = harness.arm_sensor(scn, sensor)
     print(f"tune: {tuned}")
     print(f"ambient_slack_ps: {sensor.slack_ps(1.0):.3f}")
@@ -109,7 +110,12 @@ def _cmd_batch(args) -> int:
     out = Path(args.out) if args.out else Path("runs")
     summaries = harness.run_batch(args.scenario, out, args.seed)
     for s in summaries:
-        trig = f"{s.trigger_time_us:.1f}us" if s.trigger_time_us is not None else "-"
+        if s.trigger_time_us is not None:
+            trig = f"{s.trigger_time_us:.1f}us"
+        elif s.stability and s.stability["triggered"]:
+            trig = "false-positive"  # an idle run has no trigger time
+        else:
+            trig = "-"
         extra = ""
         if s.bits_total:
             extra = f" bits={s.bits_correct}/{s.bits_total}"

@@ -663,8 +663,9 @@ def arm_sensor(scn: Scenario, sensor: SensorInstance) -> tuple[TuneValue, float]
     return tuned, threshold
 
 
-def run(scn: Scenario, out_dir=None) -> RunResult:
-    """Execute one scenario end to end and (optionally) write artifacts."""
+def load_model(scn: Scenario, sensor: SensorInstance) -> FabricModel:
+    """The scenario's netlist, checked against the rules that tie the
+    scenario to it; a run and ``probesim tune`` load it before arming."""
     try:
         model = load_netlist(scn.netlist_path)
     except NetlistError as exc:
@@ -673,8 +674,14 @@ def run(scn: Scenario, out_dir=None) -> RunResult:
         raise ConfigError(
             f"scenario {scn.name}: netlist file {scn.netlist_path} not found"
         ) from None
-    sensor = build_sensor(scn)
     _check_netlist_rules(scn, model, sensor)
+    return model
+
+
+def run(scn: Scenario, out_dir=None) -> RunResult:
+    """Execute one scenario end to end and (optionally) write artifacts."""
+    sensor = build_sensor(scn)
+    model = load_model(scn, sensor)
     policy = build_policy(scn)
     if policy.mode == "mtd_inter":
         # A region that could never hold the register is a scenario defect;

@@ -182,9 +182,18 @@ class SensorInstance:
         ambient = self.slack_ps(1.0, t)
         shift = (self.clock_route_ps - self.data_route_ps - self.lut_pin_base_ps
                  - t.lut_select * self.lut_pin_step_ps)
-        slack = ambient + (factor - 1.0) * shift + offset_ps
+        return self.slack_zero_probability(
+            ambient + (factor - 1.0) * shift + offset_ps)
+
+    def slack_zero_probability(self, slack: float | np.ndarray) -> float | np.ndarray:
+        """zero_probability()'s last step: the probability that one sample
+        reads 0 at a slack in ps; a float for a scalar, an array otherwise."""
         if self.jitter_sigma_ps > 0:
-            p0 = 1.0 - ndtr(slack / self.jitter_sigma_ps)
+            # A jitter so small that slack / jitter overflows is a step too:
+            # ndtr(+-inf) is exactly 1 or 0.
+            with np.errstate(over="ignore"):
+                z = slack / self.jitter_sigma_ps
+            p0 = 1.0 - ndtr(z)
         else:
             p0 = np.less(slack, 0.0).astype(float)
         return float(p0) if np.ndim(p0) == 0 else p0
@@ -322,18 +331,49 @@ PROBE_BATCH = 10_000
 # Purposes of a candidate's keyed uniform.
 PROBE, SCORE = 0, 1
 _MASK64 = 2 ** 64 - 1
+_SPLITMIX = (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+_SPLITMIX_U64 = tuple(np.uint64(c) for c in _SPLITMIX)
 
 
 def _splitmix64(x):
     """One splitmix64 step on a Python int or a uint64 array.
 
-    uint64 arithmetic wraps modulo 2**64 and the masks truncate a Python
-    int to the same bits, so both give the same values.
+    uint64 array arithmetic wraps modulo 2**64, and the masks truncate a
+    Python int to the same bits, so both give the same values.  The int
+    path keeps Python ints throughout: numpy uint64 scalars would warn on
+    the overflow.
     """
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    if isinstance(x, np.ndarray):
+        add, mul1, mul2 = _SPLITMIX_U64
+        x = x + add
+        x ^= x >> 30
+        x *= mul1
+        x ^= x >> 27
+        x *= mul2
+        return x ^ (x >> 31)
+    add, mul1, mul2 = _SPLITMIX
+    x = (x + add) & _MASK64
+    x = ((x ^ (x >> 30)) * mul1) & _MASK64
+    x = ((x ^ (x >> 27)) * mul2) & _MASK64
     return x ^ (x >> 31)
+
+
+def _fold(x, fields):
+    """Fold each field into the key ``x`` by one splitmix64 step.
+
+    A field is an int or an integer array; an array makes the key a uint64
+    array, broadcast over the fields.
+    """
+    for field in fields:
+        field = (field.astype(np.uint64) if isinstance(field, np.ndarray)
+                 else int(field))
+        x = _splitmix64(x ^ field)
+    return x
+
+
+def _unit(x):
+    """The uniform of a folded key: its top 52 bits, offset by half a step."""
+    return ((x >> 12) + 0.5) / 2.0 ** 52
 
 
 def tune_uniform(seed: int, tune: TuneValue, purpose: int):
@@ -347,12 +387,8 @@ def tune_uniform(seed: int, tune: TuneValue, purpose: int):
     offset by half a step, give the uniform, so it is exact and lies
     strictly inside (0, 1).
     """
-    x = seed & 0xFFFFFFFF
-    for field in (purpose, tune.data_code, tune.clock_code, tune.lut_select):
-        field = (field.astype(np.uint64) if isinstance(field, np.ndarray)
-                 else int(field))
-        x = _splitmix64(x ^ field)
-    return ((x >> 12) + 0.5) / 2.0 ** 52
+    return _unit(_fold(seed & 0xFFFFFFFF, (purpose, tune.data_code,
+                                           tune.clock_code, tune.lut_select)))
 
 
 def _smallest(ok, top: int, shape) -> np.ndarray:
@@ -481,20 +517,32 @@ def is_metastable(rate: float, band=METASTABLE_BAND) -> bool:
     return band[0] <= rate <= band[1]
 
 
+@functools.lru_cache(maxsize=8)
+def _band_counts(batch: int, band: tuple) -> tuple[int, int] | None:
+    """The run k_lo..k_hi of probe counts whose rate k / batch lies in the
+    band, or None when no count's does."""
+    k = np.arange(batch + 1)
+    inside = np.flatnonzero((band[0] <= k / batch) & (k / batch <= band[1]))
+    return (int(inside[0]), int(inside[-1])) if inside.size else None
+
+
 def _probe_in_band(p0, u, batch: int, band) -> np.ndarray:
-    """is_metastable() of probe_count(p0, u, batch) / batch, per element.
+    """is_metastable() of probe_count(p0, u, batch) / batch, per element of
+    the arrays ``p0`` and ``u``.
 
     The counts whose rate lies in the band are one run k_lo..k_hi, so the
     test needs two CDF values, bdtr(k_lo - 1) < u <= bdtr(k_hi), and no
-    inversion.
+    inversion.  The upper one, the costly one, is evaluated only where the
+    lower test holds.
     """
-    k = np.arange(batch + 1)
-    inside = np.flatnonzero((band[0] <= k / batch) & (k / batch <= band[1]))
-    if inside.size == 0:
-        return np.zeros(np.shape(u), dtype=bool)
-    k_lo, k_hi = inside[0], inside[-1]
-    below = bdtr(k_lo - 1, batch, p0) if k_lo > 0 else 0.0
-    return (below < u) & (u <= bdtr(k_hi, batch, p0))
+    counts = _band_counts(batch, tuple(band))
+    if counts is None:
+        return np.zeros(u.shape, dtype=bool)
+    k_lo, k_hi = counts
+    ok = (bdtr(k_lo - 1, batch, p0) < u if k_lo > 0
+          else np.ones(u.shape, dtype=bool))
+    ok[ok] = u[ok] <= bdtr(k_hi, batch, p0[ok])
+    return ok
 
 
 def tune(sensor: SensorInstance, seed: int, t_sense_ms: float = 100.0,
@@ -509,21 +557,36 @@ def tune(sensor: SensorInstance, seed: int, t_sense_ms: float = 100.0,
     the characterization interval; ties break toward the smallest clock
     code.  Raises TuningError when no candidate is metastable.
 
-    The 32 searches run in lock-step and the neighbourhoods are scored as
-    one array.  A candidate's probe and score are probe_count() and
-    max_count() at its keyed uniforms, as in probe_zero_rate() and
-    max_zero_count(); the searches only ask whether the probe saw a zero,
-    u > bdtr(0), or lies in the band, which needs no inversion.
+    A candidate's probe and score are probe_count() and max_count() at its
+    keyed uniforms, as in probe_zero_rate() and max_zero_count(); the
+    searches only ask whether the probe saw a zero, u > bdtr(0), or lies in
+    the band, which needs no inversion.  Candidates are read from tables
+    built once per call: the clock arrival of every clock code and the data
+    arrival of every (data code, LUT select), whose difference plus the
+    ambient offset is slack_ps(1.0) to the bit, and the keys of the seed,
+    each purpose and each data code, folded as tune_uniform() folds them.
+    The 32 searches run in lock-step over the select-0 probe outcomes of
+    every clock code, and the neighbourhoods are scored as one array.
     """
     clock_max = 2 ** sensor.clock_code_bits - 1
-    data = np.arange(32)
+    data, clocks = np.arange(32), np.arange(clock_max + 1)
+    clock_at = sensor.clock_arrival_ps(TuneValue(0, clocks, 0))
+    data_at = sensor.data_arrival_ps(
+        TuneValue(data[:, None], 0, np.arange(sensor.lut_arity)))
+
+    def zero_probability(d, c, s):  # sensor.zero_probability(1.0, cand)
+        return sensor.slack_zero_probability(
+            clock_at[c] - data_at[d, s] + sensor.ambient_offset_ps)
+
+    probe_key, score_key = (_fold(seed & 0xFFFFFFFF, (purpose, data))
+                            for purpose in (PROBE, SCORE))
+    searched = _unit(_fold(probe_key[:, None], (clocks, 0)))
     lo = np.zeros(32, dtype=np.int64)
     hi = np.full(32, clock_max, dtype=np.int64)
     while (active := lo < hi).any():
         mid = (lo + hi) // 2
-        cand = TuneValue(data, mid, 0)
-        p0 = sensor.zero_probability(1.0, cand)
-        zeros = tune_uniform(seed, cand, PROBE) > bdtr(0, probe_batch, p0)
+        zeros = (searched[data, mid]
+                 > bdtr(0, probe_batch, zero_probability(data, mid, 0)))
         lo = np.where(active & zeros, mid + 1, lo)  # zeros: clock too early
         hi = np.where(active & ~zeros, mid, hi)
 
@@ -532,17 +595,15 @@ def tune(sensor: SensorInstance, seed: int, t_sense_ms: float = 100.0,
                                   np.arange(sensor.lut_arity))
     keep = (c >= 0) & (c <= clock_max)
     d, c, s = d[keep], c[keep], s[keep]
-    cand = TuneValue(d, c, s)
-    p0 = sensor.zero_probability(1.0, cand)
-    ok = _probe_in_band(p0, tune_uniform(seed, cand, PROBE), probe_batch, band)
+    p0 = zero_probability(d, c, s)
+    ok = _probe_in_band(p0, _unit(_fold(probe_key[d], (c, s))), probe_batch, band)
     if not ok.any():
         raise TuningError(
             "no metastable tune found; check path delay parameters"
         )
     d, c, s, p0 = d[ok], c[ok], s[ok], p0[ok]
     n_windows = characterization_windows(sensor, t_sense_ms, window)
-    score = max_count(p0, tune_uniform(seed, TuneValue(d, c, s), SCORE),
-                      n_windows, window)
+    score = max_count(p0, _unit(_fold(score_key[d], (c, s))), n_windows, window)
     best = np.lexsort((s, d, c, score))[0]
     sensor.tune = TuneValue(int(d[best]), int(c[best]), int(s[best]))
     return sensor.tune

@@ -12,6 +12,8 @@ from probesim.thermal import LaserSpot, ThermalField, relax
 
 # A longer run of the property tests, for CI:
 #   python -m pytest tests/test_artifacts.py --hypothesis-profile=ci
+#   python -m pytest tests/test_sensor.py::TestTune::test_tune_equals_scalar_reference \
+#       --hypothesis-profile=ci
 # Tier-1 runs the default profile.
 settings.register_profile("ci", max_examples=1000, deadline=None)
 

@@ -610,6 +610,29 @@ class TestCli:
         assert tuned.splitlines()[0] in ran.splitlines()  # the tune line
         assert "trigger_threshold: 7\n" in ran
 
+    def test_tune_checks_the_netlist_rules(self, capsys, tmp_path):
+        # tune loads the netlist as a run does: a sensor site off key8.net's
+        # 32x16 grid exits 2 before any tuning.
+        path = str(edited_copy(tmp_path, "stability", "site = 15,8",
+                               "site = 99,99"))
+        for command in ("tune", "stability"):
+            assert cli.main([command, "--scenario", path]) == 2
+            captured = capsys.readouterr()
+            assert "[sensor] site must be" in captured.err
+            assert "tune:" not in captured.out
+
+    def test_batch_reports_a_stability_false_positive(self, capsys, tmp_path):
+        # The idle run has no trigger time; batch shows its false positive
+        # from the summary's stability fields and still exits 0.
+        path = str(edited_copy(tmp_path, "stability", "threshold = auto",
+                               "threshold = 1"))
+        assert cli.main(["batch", "--scenario", path,
+                         "--out", str(tmp_path / "runs")]) == 0
+        assert capsys.readouterr().out == "stability: trigger=false-positive\n"
+        summary = (tmp_path / "runs" / "stability" / "summary.txt").read_text()
+        assert "trigger_time_us: none\n" in summary
+        assert "stability_triggered: True\n" in summary
+
     def test_attack_command_writes_artifacts(self, capsys, tmp_path):
         rc = cli.main(["attack", "--scenario",
                        str(SCENARIOS / "eop_shift.scn"),
@@ -625,7 +648,7 @@ class TestCli:
                        "--out", str(tmp_path)])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "stability:" in out and "eop_shift:" in out
+        assert "stability: trigger=-\n" in out and "eop_shift:" in out
 
     def test_tuning_failure_exit_code(self, capsys, tmp_path):
         # A chain far too slow to match the data path never finds a boundary.

@@ -12,7 +12,7 @@ from scipy.stats import chi2_contingency, chisquare
 from probesim.fabric import SliceCoord
 from probesim.sensor import (PROBE, SCORE, SensorInstance, SensorReadout,
                              TuneValue, TuningError, _smallest,
-                             _smallest_near, chain_code_bits,
+                             _smallest_near, _splitmix64, chain_code_bits,
                              chain_delay, decode_chain_taps, is_metastable,
                              longest_run, max_count,
                              max_zero_count, probe_count, probe_zero_rate,
@@ -475,6 +475,24 @@ class TestLatch:
             update_latch(False, SensorReadout(0, 0, 255), threshold=256)
 
 
+@st.composite
+def tune_sensors(draw):
+    """Sensor parameters for the tuner's property test: every chain length
+    from 2 to 16, jitter from none (a step) to far wider than one tap, and
+    offset, tap, pin and route delays around the defaults, with the data
+    route near the chain's base delay so that most draws can be tuned."""
+    chain_len = draw(st.sampled_from([2, 4, 8, 16]))
+    return {
+        "chain_len": chain_len,
+        "jitter_sigma_ps": draw(st.floats(0.0, 200.0)),
+        "ambient_offset_ps": draw(st.floats(-400.0, 400.0)),
+        "per_tap_ps": draw(st.floats(40.0, 120.0)),
+        "lut_pin_step_ps": draw(st.floats(0.0, 40.0)),
+        "data_route_ps": chain_len * 600.0 + draw(st.floats(-2500.0, 1000.0)),
+        "clock_route_ps": draw(st.floats(0.0, 1000.0)),
+    }
+
+
 class TestTune:
     @pytest.mark.parametrize("tune_value", [TuneValue(16, 2, 2),
                                             TuneValue(15, 1, 5),
@@ -574,6 +592,44 @@ class TestTune:
             tune_uniform(9, TuneValue(1, 2, 3), SCORE)
         assert tune_uniform(9, TuneValue(1, 2, 3), SCORE) != \
             tune_uniform(9, TuneValue(1, 2, 3), PROBE)
+
+    def test_keyed_uniform_paths_agree_at_the_edges(self):
+        # The int and uint64 array paths give the same bits at the ends of
+        # the 64-bit range, for negative and wide seeds and the top codes,
+        # and neither warns: a uint64 scalar on the int path would.
+        edges = [0, 1, 2**32 - 1, 2**63 - 1, 2**63, 2**64 - 1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _splitmix64(np.array(edges, dtype=np.uint64)).tolist() == \
+                [_splitmix64(x) for x in edges]
+            for chain_len in (2, 16):
+                clock_top = 2 ** chain_code_bits(chain_len) - 1
+                d, c, sel = (a.ravel() for a in np.meshgrid(
+                    [0, 31], [0, clock_top - 1, clock_top], [0, 5],
+                    indexing="ij"))
+                for seed in (-1, -2**31, -2**63, 2**32, 2**64 + 3, 2**80 - 1):
+                    for purpose in (PROBE, SCORE):
+                        u = tune_uniform(seed, TuneValue(d, c, sel), purpose)
+                        assert u.tolist() == [
+                            tune_uniform(seed, TuneValue(int(a), int(b), int(e)),
+                                         purpose)
+                            for a, b, e in zip(d, c, sel)]
+                        assert ((u > 0) & (u < 1)).all()
+
+    @settings(deadline=None, database=None, derandomize=True)
+    @given(params=tune_sensors(), seed=st.integers(-2**40, 2**40))
+    def test_tune_equals_scalar_reference(self, params, seed):
+        # The table-driven tuner against the one-candidate-at-a-time search
+        # through the oracles, over drawn sensors: both give one tune or
+        # both raise TuningError.  A zero jitter is the step path, where
+        # no candidate is metastable.
+        try:
+            expected = scalar_reference_tune(SensorInstance(**params), seed)
+        except TuningError:
+            with pytest.raises(TuningError):
+                tune(SensorInstance(**params), seed)
+        else:
+            assert tune(SensorInstance(**params), seed) == expected
 
     @pytest.mark.parametrize("params", [{}, {"chain_len": 2}, {"chain_len": 4},
                                         {"jitter_sigma_ps": 40.0},
@@ -735,6 +791,8 @@ def scalar_reference_tune(sensor, seed, t_sense_ms=100.0, window=255):
                 key = (score, clock, data, select)
                 if best is None or key < best[0]:
                     best = (key, cand)
+    if best is None:
+        raise TuningError("no metastable candidate")
     return best[1]
 
 
