@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_tune(args) -> int:
     scn = harness.load_scenario(args.scenario, args.seed)
     sensor = harness.build_sensor(scn)
-    harness.load_model(scn, sensor)
+    harness.load_model(scn, sensor)  # the netlist rules a run checks first
     tuned, threshold = harness.arm_sensor(scn, sensor)
     print(f"tune: {tuned}")
     print(f"ambient_slack_ps: {sensor.slack_ps(1.0):.3f}")
