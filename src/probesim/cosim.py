@@ -125,6 +125,9 @@ class CoSimulation:
     def __init__(self, model: FabricModel, thermal: ThermalField,
                  sensor: SensorInstance, policy: defense_mod.DefensePolicy,
                  stimulus: Stimulus, seed: int, t_detect: int = 255):
+        if thermal.site != sensor.site:
+            raise ScenarioError(f"thermal cell {thermal.site} is not the "
+                                f"sensor's site {sensor.site}")
         self.model = model
         self.thermal = thermal
         self.sensor = sensor
@@ -215,7 +218,7 @@ class CoSimulation:
         if t_target_ps < self.t_ps:
             raise ScenarioError("time cannot run backwards")
         if t_target_ps // self.window_ps > self.windows_done:
-            self._run_schedule(*self.thermal.hold_cell(self.sensor.site),
+            self._run_schedule(*self.thermal.hold(),
                                self._parked_ps, t_target_ps - self._parked_ps,
                                t_target_ps)
         stops = [t_target_ps]
@@ -236,8 +239,8 @@ class CoSimulation:
 
         Gives the same windows, events and field as set_spot() plus
         advance_to() the dwell's end per center, from one pass: the sensor
-        cell's schedule (ThermalField.raster_cell), its windows
-        (_run_schedule) and one log entry for the field (advance_raster).
+        cell's schedule (ThermalField.raster) and its windows
+        (_run_schedule).
         The defense events of the pass only mark times.  After it, the
         raster enters the trigger's epoch, and then the completion's if it
         is due by the raster's end.  Each epoch's activity is recorded as
@@ -250,12 +253,10 @@ class CoSimulation:
         end_ps = t0 + len(centers) * dwell_ps
         self.activity()
         self._settle_field()
-        dwell_us = dwell_ps / 1e6
         epoch = self.epoch_id
-        self._run_schedule(*self.thermal.raster_cell(
-            self.sensor.site, centers, power, sigma_um, dwell_us),
-            t0, dwell_ps, end_ps)
-        self.thermal.advance_raster(centers, power, sigma_um, dwell_us)
+        self._run_schedule(*self.thermal.raster(centers, power, sigma_um,
+                                                dwell_ps / 1e6),
+                           t0, dwell_ps, end_ps)
         self.t_ps = self._parked_ps = end_ps
         if self.epoch_id != epoch:  # the pass fired the trigger
             self.activity()

@@ -33,9 +33,8 @@ MAX_EOP_SAMPLES = 1_000_000
 # every pixel and primitive are arrays that grow with it.
 MAX_PIXELS = 65_536
 # Most spot dwells of one run: an eofm_function run rasters its region once
-# per vector.  The thermal log keeps every dwell's spot center, 16 bytes
-# each, or 16 MB at this bound.  On a 2-vCPU x86 host a raster takes about
-# 8 us of CPU per dwell, 8 s at this bound, plus 1.3 to 1.8 ms per vector.
+# per vector.  On a 2-vCPU x86 host a raster takes about 8 us of CPU per
+# dwell, 8 s at this bound, plus 1.3 to 1.8 ms per vector.
 # It admits 16 rasters of MAX_PIXELS.
 MAX_DWELLS = 16 * MAX_PIXELS
 # Most vectors of an eofm_function run.  Each vector is one raster plus a
@@ -163,6 +162,7 @@ def _is_bits(text: str) -> bool:
 
 
 _TEXT = str, bool, "non-empty"
+_SIGMA = float, lambda v: 1e-3 <= v <= 1e150, "finite, >= 0.001 and <= 1e150"
 _WINDOWS = f", with at most {MAX_WINDOWS} sensor windows in the run"
 
 SCENARIO_KEYS = {(section, key): (*value, dest) for section, key, value, dest in [
@@ -181,8 +181,10 @@ SCENARIO_KEYS = {(section, key): (*value, dest) for section, key, value, dest in
                         "x,y, integers >= 0, on the netlist grid"), "sensor.site"),
     ("sensor", "chain_len", (int, lambda n: n > 0 and n & (n - 1) == 0,
                              "a power of two"), "sensor.chain_len"),
-    ("sensor", "clock_mhz", (float, lambda v: 0 < v <= 1e6,
-                             "finite, > 0 and <= 1e6"), "sensor.clock_mhz"),
+    # The cycle, 1e6 / clock_mhz ps, overflows to inf below about 5.6e-303
+    # MHz, and it is rounded to an int ps when the scenario is decoded.
+    ("sensor", "clock_mhz", (float, lambda v: 1e-300 <= v <= 1e6,
+                             "finite, >= 1e-300 and <= 1e6"), "sensor.clock_mhz"),
     ("sensor", "jitter_sigma_ps", _at_least(0), "sensor.jitter_sigma_ps"),
     ("sensor", "element_base_ps", _at_least(0), "sensor.element_base_ps"),
     ("sensor", "per_tap_ps", _at_least(0), "sensor.per_tap_ps"),
@@ -214,10 +216,10 @@ SCENARIO_KEYS = {(section, key): (*value, dest) for section, key, value, dest in
                                  f"{MAX_STIMULUS_PERIOD // 2}"),
      "scan.target_freq_mhz"),
     ("scan", "power", _at_least(0), "scan.power"),
-    # 1 nm: the Gaussians divide by sigma squared, which underflows to 0
-    # below about 1e-154 um.
-    ("scan", "spot_sigma_um", _at_least(1e-3), "scan.spot_sigma_um"),
-    ("scan", "psf_sigma_um", _at_least(1e-3), "scan.psf_sigma_um"),
+    # The Gaussians divide by sigma squared, which underflows to 0 below
+    # about 1e-154 um and overflows above about 1.3e154 um.
+    ("scan", "spot_sigma_um", _SIGMA, "scan.spot_sigma_um"),
+    ("scan", "psf_sigma_um", _SIGMA, "scan.psf_sigma_um"),
     ("scan", "noise_sigma", _at_least(0), "scan.noise_sigma"),
     ("scan", "bit_threshold", _above(0), "bit_threshold"),
     ("defense", "mode", _one_of(*MODES), "defense.mode"),
@@ -232,7 +234,9 @@ SCENARIO_KEYS = {(section, key): (*value, dest) for section, key, value, dest in
         lambda t: None if t == "auto" else float(t),
         lambda v: v is None or math.isfinite(v) and v > 0,
         "auto, or finite, > 0 and <= t_detect_cycles"), "defense.threshold"),
-    ("stimulus", "program", _one_of("reset_toggle", "shift"), "stimulus.program"),
+    ("stimulus", "program", (str, lambda v: v in ("reset_toggle", "shift"),
+                             "one of reset_toggle | shift, and reset_toggle "
+                             "unless [scenario] kind is eop"), "stimulus.program"),
     ("stimulus", "key", (str, lambda k: k == "random" or _is_bits(k),
                          "a bit string, MSB first, with one bit per protected "
                          "flip-flop of the netlist, or random"), "stimulus.key"),
@@ -397,7 +401,13 @@ def _decode_scenario(parser, path: Path, seed_override) -> Scenario:
             raise _bad_value(path, "function", "vectors",
                              f"{rasters} vectors of {nx * ny} pixels for "
                              f"{dwells} dwells")
-        windows = dwells * scn.scan.dwell_ps // window_ps
+        # A dwell of more than MAX_WINDOWS windows fails the bound alone, and
+        # is rejected before dwell_ps rounds it to an int, which overflows
+        # near 1e300 ms.
+        if scn.scan.dwell_ms * 1e9 >= (MAX_WINDOWS + 1) * window_ps:
+            windows = math.inf
+        else:
+            windows = dwells * scn.scan.dwell_ps // window_ps
         if windows > MAX_WINDOWS:
             raise _bad_value(path, "scan", "dwell_ms",
                              f"{scn.scan.dwell_ms:g} for {windows} windows")
@@ -411,6 +421,10 @@ def _decode_scenario(parser, path: Path, seed_override) -> Scenario:
         if period > MAX_STIMULUS_PERIOD:
             raise _bad_value(path, "scan", "target_freq_mhz",
                              f"{target:g} with clock_mhz = {clock:g}")
+    # Only an eop run drives a shift pattern; the other kinds would ignore it.
+    if scn.stimulus.program == "shift" and scn.kind != "eop":
+        raise _bad_value(path, "stimulus", "program",
+                         f"'shift' for kind {scn.kind}")
     threshold = scn.defense.get("threshold")
     if threshold is not None and threshold > scn.t_detect:
         raise _bad_value(path, "defense", "threshold",
@@ -704,7 +718,8 @@ def run(scn: Scenario, out_dir=None) -> RunResult:
         summary.stability = result.stability.as_dict()
         summary.total_sim_time_us = scn.stability.duration_min * 6e7
     else:
-        sim = CoSimulation(model, ThermalField.for_model(model, **scn.thermal),
+        sim = CoSimulation(model, ThermalField(sensor.site, model.site_pitch_um,
+                                               **scn.thermal),
                            sensor, policy, _stimulus(scn, model, sensor),
                            scn.seed, scn.t_detect)
         scan = scn.scan

@@ -201,9 +201,9 @@ class SensorInstance:
 
 def read_counters(sensor: SensorInstance, thermal, rng,
                   window: int = 255) -> SensorReadout:
-    """Zero count and longest zero pulse over `window` consecutive samples."""
-    dt = thermal.delta_t_at_site(sensor.site)
-    p0 = sensor.zero_probability(thermal.delay_factor(dt))
+    """Zero count and longest zero pulse over `window` consecutive samples,
+    with the sensor at the temperature of the field's cell."""
+    p0 = sensor.zero_probability(thermal.delay_factor(thermal.delta_t))
     zeros = rng.random(window) < p0
     return SensorReadout(
         zero_count=int(zeros.sum()),

@@ -14,6 +14,8 @@ from probesim.thermal import LaserSpot, ThermalField, relax
 #   python -m pytest tests/test_artifacts.py --hypothesis-profile=ci
 #   python -m pytest tests/test_sensor.py::TestTune::test_tune_equals_scalar_reference \
 #       --hypothesis-profile=ci
+#   python -m pytest tests/test_thermal.py::test_every_cell_matches_eager_reference \
+#       --hypothesis-profile=ci
 # Tier-1 runs the default profile.
 settings.register_profile("ci", max_examples=1000, deadline=None)
 
@@ -57,7 +59,7 @@ def shift_stimulus(pattern, static=None):
 def build_sim(model, key=None, policy=None, seed=1, stimulus=None,
               sensor_site=SliceCoord(15, 8)):
     sensor = SensorInstance(site=sensor_site, tune=DEFAULT_TUNE)
-    thermal = ThermalField.for_model(model)
+    thermal = ThermalField(sensor_site, model.site_pitch_um)
     policy = policy or DefensePolicy(mode="none", threshold=3.0)
     if policy.threshold is None:
         policy.threshold = 3.0
@@ -101,47 +103,34 @@ def signal_at(activity, x_um, y_um, psf_sigma_um):
                                   psf_sigma_um)[0])
 
 
-def field_cells(field, sites=(), spot_um=None) -> np.ndarray:
-    """A field's temperature at each given site, at the grid's four corners
-    and at the cell under the point spot_um, in that order.
-
-    A ThermalField replays its log one cell at a time, so tests that compare
-    two fields read these cells rather than every cell of the grid.
-    """
-    w, h, pitch = field.grid_width, field.grid_height, field.site_pitch_um
-    sites = [*sites, SliceCoord(0, 0), SliceCoord(w - 1, 0),
-             SliceCoord(0, h - 1), SliceCoord(w - 1, h - 1)]
-    if spot_um is not None:
-        sites.append(SliceCoord(int(spot_um[0] // pitch),
-                                int(spot_um[1] // pitch)))
-    return np.array([field.delta_t_at_site(site) for site in sites])
-
-
 class EagerField:
-    """Reference thermal field: every update is applied to the whole grid
-    when it is made, with a raster as one set_spot and one advance per
-    dwell.  It has the interface a CoSimulation uses, so a run can be made
-    with it in place of a ThermalField."""
+    """Reference thermal field: every update is applied to every cell of the
+    grid when it is made, with a raster as one set_spot and one advance per
+    dwell.  It has a ThermalField's interface at a chosen site, so a
+    CoSimulation can run on it; ``grid`` holds every cell."""
 
-    def __init__(self, grid_width=32, grid_height=16, site_pitch_um=10.0,
+    def __init__(self, site, grid_width=32, grid_height=16, site_pitch_um=10.0,
                  tau_us=50.0, alpha_per_k=0.002, power_to_rate_k_per_us=0.4):
-        self.grid_width = grid_width
-        self.grid_height = grid_height
+        self.site = site
         self.site_pitch_um = site_pitch_um
         self.tau_us = tau_us
         self.alpha_per_k = alpha_per_k
         self.power_to_rate_k_per_us = power_to_rate_k_per_us
-        self.delta_t = np.zeros((grid_height, grid_width))
+        self.grid = np.zeros((grid_height, grid_width))
         xs = (np.arange(grid_width) + 0.5) * site_pitch_um
         ys = (np.arange(grid_height) + 0.5) * site_pitch_um
         self.cell_x, self.cell_y = np.meshgrid(xs, ys)
-        self.source = np.zeros_like(self.delta_t)
+        self.source = np.zeros_like(self.grid)
         self.spot = None
+
+    @property
+    def delta_t(self):
+        return float(self.grid[self.site.y, self.site.x])
 
     def set_spot(self, spot):
         self.spot = spot
         if spot is None or spot.power == 0.0:
-            self.source = np.zeros_like(self.delta_t)
+            self.source = np.zeros_like(self.grid)
             return
         dx = self.cell_x - spot.center_um[0]
         dy = self.cell_y - spot.center_um[1]
@@ -149,33 +138,25 @@ class EagerField:
         self.source = spot.power * self.power_to_rate_k_per_us * g
 
     def advance(self, dt_us):
-        self.delta_t = relax(self.delta_t, self.source * self.tau_us,
-                             math.exp(-dt_us / self.tau_us))
+        self.grid = relax(self.grid, self.source * self.tau_us,
+                          math.exp(-dt_us / self.tau_us))
 
-    def advance_raster(self, centers_um, power, sigma_um, dwell_us):
-        for center in centers_um:
-            self.set_spot(LaserSpot(tuple(center), power, sigma_um))
-            self.advance(dwell_us)
+    def hold(self):
+        return (np.array([self.delta_t]),
+                np.array([self.source[self.site.y, self.site.x] * self.tau_us]))
 
-    def cell(self, site):
-        height, width = self.delta_t.shape
-        return min(max(site.y, 0), height - 1), min(max(site.x, 0), width - 1)
-
-    def delta_t_at_site(self, site):
-        return float(self.delta_t[self.cell(site)])
-
-    def hold_cell(self, site):
-        return (np.array([self.delta_t_at_site(site)]),
-                np.array([self.source[self.cell(site)] * self.tau_us]))
-
-    def raster_cell(self, site, centers_um, power, sigma_um, dwell_us):
-        """Runs the raster on a copy of the field."""
-        saved = self.delta_t, self.source, self.spot
+    def raster_grids(self, centers_um, power, sigma_um, dwell_us):
+        """Every cell's temperature at the start of each dwell and its steady
+        state under each spot, as (dwells, height, width) arrays."""
         starts, steady = [], []
         for center in centers_um:
-            starts.append(self.delta_t_at_site(site))
+            starts.append(self.grid)
             self.set_spot(LaserSpot(tuple(center), power, sigma_um))
-            steady.append(self.source[self.cell(site)] * self.tau_us)
+            steady.append(self.source * self.tau_us)
             self.advance(dwell_us)
-        self.delta_t, self.source, self.spot = saved
-        return np.array(starts), np.array(steady)
+        shape = (len(starts), *self.grid.shape)
+        return np.array(starts).reshape(shape), np.array(steady).reshape(shape)
+
+    def raster(self, centers_um, power, sigma_um, dwell_us):
+        starts, steady = self.raster_grids(centers_um, power, sigma_um, dwell_us)
+        return starts[:, self.site.y, self.site.x], steady[:, self.site.y, self.site.x]

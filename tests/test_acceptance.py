@@ -90,7 +90,7 @@ def test_criterion_3_trigger_margin():
                             "over 1000 windows are separable with 0 FP/FN"):
         sensor = SensorInstance(site=SliceCoord(15, 8))
         tune(sensor, seed=1)
-        field = ThermalField(32, 16)
+        field = ThermalField(sensor.site)
         rng = np.random.default_rng(31)
         off_counts = [read_counters(sensor, field, rng, 255).zero_count
                       for _ in range(1000)]

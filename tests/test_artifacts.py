@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (build_key_model, build_shift_model, build_sim,
-                      field_cells, shift_stimulus)
+                      shift_stimulus)
 from probesim import artifacts
 from probesim.artifacts import (CSV_CHUNK_ROWS, format_columns, iter_lines,
                                 write_pgm)
@@ -19,6 +19,7 @@ from probesim.attacker import EofmImage, EopTrace
 from probesim.cosim import CoSimulation, Stimulus
 from probesim.fabric import FabricModel, SliceCoord
 from probesim.harness import MAX_WINDOWS, load_scenario, run
+from probesim.thermal import ThermalField
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "probesim" / "scenarios"
 
@@ -87,18 +88,26 @@ class TestWritersOnRuns:
 
     @pytest.mark.parametrize("name", ["unprotected_key", "mtd_inter_key"])
     def test_eofm_image_and_field(self, tmp_path, name):
-        result = run(load_scenario(SCENARIOS / f"{name}.scn", 395), tmp_path)
+        scn = load_scenario(SCENARIOS / f"{name}.scn", 395)
+        result = run(scn, tmp_path)
         image = result.image
         per_line_image_csv(tmp_path / "ref.csv", image)
         assert same_bytes(tmp_path / "image.csv", tmp_path / "ref.csv")
         per_line_pgm(tmp_path / "ref.pgm", image.amplitudes,
                      max(float(image.amplitudes.max()), 1e-12))
         assert same_bytes(tmp_path / "image.pgm", tmp_path / "ref.pgm")
-        # Cells of the field the raster left behind, as one row, through
-        # the same writer.
+        # The sensor cell at each dwell start of the same raster, as one
+        # row, through the same writer.  The raster leaves the cell where
+        # the run's field ends.
         ny, nx = image.shape
-        cells = field_cells(result.sim.thermal, [result.sim.sensor.site],
-                            image.pixel_center_um(nx - 1, ny - 1))[None, :]
+        cx, cy = image.pixel_center_um(np.tile(np.arange(nx), ny),
+                                       np.repeat(np.arange(ny), nx))
+        field = ThermalField(result.sim.sensor.site,
+                             result.sim.thermal.site_pitch_um, **scn.thermal)
+        starts, _ = field.raster(np.column_stack([cx, cy]), scn.scan.power,
+                                 scn.scan.spot_sigma_um, scn.scan.dwell_ps / 1e6)
+        assert field.delta_t == result.sim.thermal.delta_t
+        cells = starts[None, :]
         assert cells.max() > 0
         write_pgm(tmp_path / "field.pgm", cells, float(cells.max()))
         per_line_pgm(tmp_path / "ref.pgm", cells, float(cells.max()))

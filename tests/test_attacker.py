@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (advance_for, build_key_model, build_shift_model,
-                      build_sim, field_cells, shift_stimulus, signal_at)
+from conftest import (EagerField, advance_for, build_key_model,
+                      build_shift_model, build_sim, shift_stimulus, signal_at)
 from probesim import cosim
 from probesim.attacker import (EofmImage, ScanConfig, eofm_scan, eop_probe,
                                localize, recover_bits)
@@ -447,11 +447,8 @@ class TestRasterSchedule:
         # gets wrong (a dwell, an overlap, a noise draw) is far larger.
         np.testing.assert_allclose(image, ref_image, rtol=0, atol=1e-14)
         assert sim.t_ps == ref.t_ps
-        ny, nx = image.shape
-        last_spot = eofm.pixel_center_um(nx - 1, ny - 1)
-        sites = [sim.sensor.site]
-        assert np.array_equal(field_cells(sim.thermal, sites, last_spot),
-                              field_cells(ref.thermal, sites, last_spot))
+        assert sim.thermal.delta_t == ref.thermal.delta_t
+        assert sim.thermal.spot == ref.thermal.spot
         return sim
 
     def fire_ps(self, scan, **policy_kwargs):
@@ -551,12 +548,13 @@ class TestRasterSchedule:
     def test_no_per_pixel_steps(self, monkeypatch):
         # The raster neither parks the spot nor advances time once per pixel:
         # its 80 dwells, the trigger and the completion inside them are one
-        # pass, and the field gets one log entry from advance_raster.  The
-        # spot is parked twice: at the raster's last center, then lifted.
-        calls = {"set_spot": 0, "advance": 0, "advance_to": 0,
+        # pass, and one thermal call.  The spot is parked twice: at the
+        # raster's last center, then lifted.
+        calls = {"set_spot": 0, "advance": 0, "raster": 0, "advance_to": 0,
                  "advance_to_epoch_change": 0}
         for name, owner in (("set_spot", cosim.ThermalField),
                             ("advance", cosim.ThermalField),
+                            ("raster", cosim.ThermalField),
                             ("advance_to", cosim.CoSimulation),
                             ("advance_to_epoch_change", cosim.CoSimulation)):
             original = getattr(owner, name)
@@ -569,8 +567,21 @@ class TestRasterSchedule:
         sim = key_race_sim(mode="mtd_inter", pr_latency_us=223.0)
         eofm_scan(sim, small_scan())
         assert len(sim.defense_log) == 1 and sim.pending_event is None
-        assert calls == {"set_spot": 2, "advance": 0, "advance_to": 0,
-                         "advance_to_epoch_change": 0}
+        assert calls == {"set_spot": 2, "advance": 0, "raster": 1,
+                         "advance_to": 0, "advance_to_epoch_change": 0}
+
+    def test_eager_reference_field_gives_the_same_run(self):
+        # The full-grid reference field at the sensor's site, in place of
+        # the sensor's one cell: the same windows, trigger, defense and cell.
+        sims = [key_race_sim(mode="mtd_inter", pr_latency_us=223.0)
+                for _ in range(2)]
+        sims[1].thermal = EagerField(sims[1].sensor.site)
+        for sim in sims:
+            eofm_scan(sim, small_scan())
+        assert np.array_equal(sims[0].window_counts, sims[1].window_counts)
+        assert sims[0].trigger_ps == sims[1].trigger_ps is not None
+        assert sims[0].defense_log == sims[1].defense_log
+        assert sims[0].thermal.delta_t == sims[1].thermal.delta_t > 0
 
 
 @settings(max_examples=25, deadline=None)
@@ -629,8 +640,7 @@ def test_ambient_runs_have_unit_delay_factor(alpha, power, warm, sigma_um,
     field = sim.thermal
     field.alpha_per_k = alpha
     dwell_ps = round(dwell_ms * 1e9)
-    _, steady = field.raster_cell(sim.sensor.site, centers, power, sigma_um,
-                                  dwell_ps / 1e6)
+    _, steady = field.raster(centers, power, sigma_um, dwell_ps / 1e6)
     # The sensor cell relaxes from the warm start through each dwell.
     decay = math.exp(-dwell_ps / 1e6 / tau_us)
     starts = [warm]

@@ -4,11 +4,11 @@ import pytest
 from conftest import (DEFAULT_TUNE, advance_for, build_key_model, build_sim,
                       counter_rows)
 from probesim import cosim, defense
-from probesim.cosim import (ScenarioError, Stimulus, half_period_cycles,
-                            stimulus_for_target_freq)
+from probesim.cosim import (CoSimulation, ScenarioError, Stimulus,
+                            half_period_cycles, stimulus_for_target_freq)
 from probesim.defense import DefensePolicy, region_slices
 from probesim.fabric import SliceCoord
-from probesim.thermal import LaserSpot, relax
+from probesim.thermal import LaserSpot, ThermalField, relax
 
 
 KEY = (1, 0, 1, 1, 0, 0, 0, 1)
@@ -61,6 +61,15 @@ class TestStimulus:
             Stimulus("sin", (1, 0, 2, 1))
         with pytest.raises(ScenarioError):
             Stimulus("rst", ())
+
+
+def test_field_of_another_cell_rejected():
+    # The field is the sensor's cell; one built elsewhere would heat the
+    # sensor as if it sat there.
+    sim, model = mtd_sim()
+    with pytest.raises(ScenarioError, match="not the sensor's site"):
+        CoSimulation(model, ThermalField(SliceCoord(14, 8)), sim.sensor,
+                     sim.policy, sim.stimulus, 1)
 
 
 class TestActivity:
@@ -205,7 +214,7 @@ class TestCounterLog:
         park_on_sensor(sim)
         # One hold of 39 windows, projected from the unheated start.
         ends_us = (np.arange(39) + 1) * sim.window_ps / 1e6
-        start, steady = sim.thermal.hold_cell(sim.sensor.site)
+        start, steady = sim.thermal.hold()
         delta_ts = relax(start, steady, np.exp(-ends_us / sim.thermal.tau_us))
         p0 = sim.sensor.zero_probability(1.0 + sim.thermal.alpha_per_k * delta_ts)
         advance_for(sim, 100_000_000)
@@ -266,7 +275,7 @@ class TestAdvanceToEpochChange:
             advance(field, dt_us)
 
         monkeypatch.setattr(cosim.ThermalField, "advance", counted)
-        start, steady = sim.thermal.hold_cell(sim.sensor.site)
+        start, steady = sim.thermal.hold()
         stops = [sim.advance_to_epoch_change(target) for _ in range(3)]
         completion_ps = round(sim.defense_log[0]["event_complete_us"] * 1e6)
         assert park_ps < sim.trigger_ps < completion_ps < target

@@ -111,6 +111,8 @@ class TestScenarioFiles:
     @pytest.mark.parametrize("line, edge", [
         ("spot_sigma_um = 8.0", "spot_sigma_um = 0.001"),
         ("psf_sigma_um = 4.0", "psf_sigma_um = 0.001"),
+        ("spot_sigma_um = 8.0", "spot_sigma_um = 1e150"),
+        ("psf_sigma_um = 4.0", "psf_sigma_um = 1e150"),
         ("dwell_ms = 1.0", "dwell_ms = 1e-6"),
         # 256 x 256 pixels.
         ("region_um = 0,0,320,160", "region_um = 0,0,2560,2560"),
@@ -704,6 +706,14 @@ class TestCli:
          "spot_sigma_um = 1e-200"),
         ("attack", "mtd_inter_key", "psf_sigma_um = 4.0",
          "psf_sigma_um = 1e-200"),
+        # sigma**2 overflows a float64.
+        ("attack", "unprotected_key", "spot_sigma_um = 8.0",
+         "spot_sigma_um = 1e300"),
+        ("attack", "unprotected_key", "psf_sigma_um = 4.0",
+         "psf_sigma_um = 1e300"),
+        # Only an eop run drives a shift pattern.
+        ("attack", "unprotected_key", "program = reset_toggle",
+         "program = shift"),
         # Far more than 65,536 pixels over the scanned region.
         ("attack", "mtd_inter_key", "pixel_pitch_um = 10.0",
          "pixel_pitch_um = 1e-300"),
@@ -723,6 +733,8 @@ class TestCli:
         # over five rasters of 32 pixels, one per function vector.
         ("attack", "mtd_inter_key", "dwell_ms = 1.0", "dwell_ms = 1e9"),
         ("attack", "xor_unprotected", "dwell_ms = 1.0", "dwell_ms = 1000"),
+        # A dwell whose length in ps overflows when it is rounded to an int.
+        ("attack", "unprotected_key", "dwell_ms = 1.0", "dwell_ms = 1e300"),
         # 1.9e12 windows; and 3.8e7, over the bound only through the two
         # probe cells.
         ("eop", "eop_shift", "iterations = 10000",
@@ -871,6 +883,8 @@ class TestCli:
     @pytest.mark.parametrize("command, scenario, line, bad", [
         ("attack", "unprotected_key", "clock_mhz = 100.0", "clock_mhz = 0"),
         ("eop", "eop_shift", "clock_mhz = 100.0", "clock_mhz = 0"),
+        # A cycle of 1e6 / 5e-324 ps is inf, which no int holds.
+        ("stability", "stability", "clock_mhz = 100.0", "clock_mhz = 5e-324"),
         ("attack", "unprotected_key", "t_detect_cycles = 255",
          "t_detect_cycles = 0"),
         ("attack", "unprotected_key", "t_detect_cycles = 255",

@@ -32,8 +32,7 @@ def one_probability(sensor: SensorInstance, factor=1.0):
 
 def sample(sensor: SensorInstance, thermal, rng) -> int:
     """Draw one sensor output bit under the current thermal state."""
-    dt = thermal.delta_t_at_site(sensor.site)
-    p1 = one_probability(sensor, thermal.delay_factor(dt))
+    p1 = one_probability(sensor, thermal.delay_factor(thermal.delta_t))
     return int(rng.random() < p1)
 
 
@@ -110,8 +109,9 @@ class TestChainDelay:
         assert all(b >= a for a, b in zip(delays, delays[1:]))
 
 
-def make_field():
-    return ThermalField(32, 16)
+def make_field(site=SliceCoord(0, 0)):
+    """The thermal field of a sensor at ``site``."""
+    return ThermalField(site)
 
 
 def sensor_with_slack(slack_ps, jitter=15.0):
@@ -144,12 +144,12 @@ class TestSample:
         # heated site, within three standard errors.
         s = SensorInstance(site=SliceCoord(4, 4))
         s.tune = TuneValue(16, 2, 2)
-        field = make_field()
+        field = make_field(s.site)
         # A long hold over the site settles its cell at power * 0.4 * 50,
         # which is 8 K.
         field.set_spot(LaserSpot(((4 + 0.5) * 10.0, (4 + 0.5) * 10.0), 0.4))
         field.advance(5000.0)
-        delta_t = field.delta_t_at_site(s.site)
+        delta_t = field.delta_t
         assert delta_t == pytest.approx(8.0, rel=1e-12)
         factor = field.delay_factor(delta_t)
         p0 = s.zero_probability(factor)
