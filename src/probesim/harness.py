@@ -1,14 +1,15 @@
 """Scenario runner: loads configs, wires the subsystems, emits artifacts.
 
 Scenario files are INI-style structured text with explicit units in the key
-names (``dwell_ms``, ``pr_latency_us``, ...).  A fixed seed makes a run
+names (``dwell_ms``, ``pr_latency_us``, ...), read line by line by
+``_read_sections``.  A fixed seed makes a run
 bit-identical: every random stream derives from it.
 """
 
 from __future__ import annotations
 
-import configparser
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -284,6 +285,15 @@ SCENARIO_KEYS = {(section, key): (*value, dest) for section, key, value, dest in
     ("stability", "drift_tau_s", _above(0), "stability.drift_tau_s"),
 ]}
 _SECTIONS = {section for section, _ in SCENARIO_KEYS}
+# The sections each kind reads, beyond those every kind may set: a
+# stability run sets [thermal] and [defense] too.
+_EVERY_KIND = {"scenario", "thermal", "sensor", "defense"}
+KIND_SECTIONS = {
+    "eofm_key": {"scan", "stimulus"},
+    "eofm_function": {"scan", "stimulus", "function"},
+    "eop": {"scan", "stimulus", "eop"},
+    "stability": {"stability"},
+}
 # The keys a kind needs, beyond [scenario] kind and netlist.
 KIND_NEEDS = {
     "eop": [("eop", "probe_cells")],
@@ -295,14 +305,65 @@ KIND_NEEDS = {
 def load_scenario(path, seed_override: int | None = None) -> Scenario:
     """Parse and validate one .scn file."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"scenario file {path} not found")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    return _decode_scenario(_read_sections(path), path, seed_override)
+
+
+def _read_sections(path: Path) -> dict[str, dict[str, str]]:
+    """Each section of a scenario file, as a dict of its keys' text.
+
+    A line is blank, a comment (its first character past any indent is
+    ``#`` or ``;``), a ``[section]`` header or ``key = value``, split at
+    its first ``=`` or ``:``; a ``#`` after whitespace starts a comment.
+    Keys are lower-cased and both sides stripped.  An indented line, a
+    line with no delimiter, a key before any section, an unknown or
+    repeated section or key, and a file that cannot be read or is not
+    UTF-8 raise ConfigError naming the line.
+    """
     try:
-        parser.read(path)
-        return _decode_scenario(parser, path, seed_override)
-    except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        data = path.read_bytes()
+    except FileNotFoundError:
+        raise ConfigError(f"scenario file {path} not found") from None
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot be read: {exc.strerror}") from None
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}:{lineno}: not UTF-8 text") from None
+    sections: dict[str, dict[str, str]] = {}
+    keys = section = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line[0] in "#;":
+            continue
+        if "#" in line and (cut := re.search(r"\s#", line)):
+            line = line[:cut.start()].rstrip()
+        if raw[0].isspace():
+            problem = "an indented line (there are no continuation lines)"
+        elif line[0] == "[" and line[-1] == "]":
+            section = line[1:-1]
+            if section in _SECTIONS and section not in sections:
+                keys = sections[section] = {}
+                continue
+            problem = (f"repeated section [{section}]" if section in sections
+                       else f"unknown section [{section}]")
+        else:
+            key, delimiter, value = line.partition("=")
+            if ":" in key:  # the first delimiter is a colon
+                key, delimiter, value = line.partition(":")
+            key = key.rstrip().lower()
+            if not delimiter:
+                problem = "no = or : in the line"
+            elif keys is None:
+                problem = "a key before any [section]"
+            elif (section, key) in SCENARIO_KEYS and key not in keys:
+                keys[key] = value.lstrip()
+                continue
+            else:
+                problem = (f"repeated key [{section}] {key}" if key in keys
+                           else f"unknown key [{section}] {key}")
+        raise ConfigError(f"{path}:{lineno}: {problem}")
+    return sections
 
 
 def _bad_value(where, section: str, key: str, got) -> ConfigError:
@@ -310,19 +371,15 @@ def _bad_value(where, section: str, key: str, got) -> ConfigError:
     return ConfigError(f"{where}: [{section}] {key} must be {rule}, got {got}")
 
 
-def _decode_scenario(parser, path: Path, seed_override) -> Scenario:
-    if "scenario" not in parser:
+def _decode_scenario(sections: dict, path: Path, seed_override) -> Scenario:
+    if "scenario" not in sections:
         raise ConfigError(f"{path}: missing [scenario] section")
     if seed_override is not None:
         # Checked like the seed it replaces.
-        parser["scenario"]["seed"] = str(seed_override)
+        sections["scenario"]["seed"] = str(seed_override)
     scn = Scenario(name=path.stem, kind="", netlist_path=Path())
-    for section in parser.sections():
-        if section not in _SECTIONS:
-            raise ConfigError(f"{path}: unknown section [{section}]")
-        for key, text in parser[section].items():
-            if (section, key) not in SCENARIO_KEYS:
-                raise ConfigError(f"{path}: unknown key [{section}] {key}")
+    for section, keys in sections.items():
+        for key, text in keys.items():
             parse, ok, _, dest = SCENARIO_KEYS[section, key]
             try:
                 value = parse(text)
@@ -339,8 +396,13 @@ def _decode_scenario(parser, path: Path, seed_override) -> Scenario:
                 setattr(target, attr, value)
     for section, key in (("scenario", "kind"), ("scenario", "netlist"),
                          *KIND_NEEDS.get(scn.kind, ())):
-        if not parser.has_option(section, key):
+        if key not in sections.get(section, ()):
             raise ConfigError(f"{path}: [{section}] needs {key}")
+    unread = [f"[{section}]" for section in sections if section not in
+              _EVERY_KIND and section not in KIND_SECTIONS[scn.kind]]
+    if unread:
+        raise ConfigError(f"{path}: kind {scn.kind} never reads "
+                          + ", ".join(unread))
     if not SCENARIO_KEYS["scenario", "name"][1](scn.name):  # the file name
         raise _bad_value(path, "scenario", "name", f"{scn.name!r} from the file name")
     scn.netlist_path = (path.parent / scn.netlist_path).resolve()
@@ -688,6 +750,10 @@ def load_model(scn: Scenario, sensor: SensorInstance) -> FabricModel:
         raise ConfigError(
             f"scenario {scn.name}: netlist file {scn.netlist_path} not found"
         ) from None
+    except OSError as exc:
+        raise ConfigError(f"scenario {scn.name}: netlist file "
+                          f"{scn.netlist_path} cannot be read: {exc.strerror}"
+                          ) from None
     _check_netlist_rules(scn, model, sensor)
     return model
 

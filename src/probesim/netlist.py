@@ -54,7 +54,13 @@ def load_netlist(path) -> FabricModel:
     path = Path(path)
     model: FabricModel | None = None
     protected: list[str] | None = None
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    data = path.read_bytes()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise NetlistError(path, lineno, "not UTF-8 text") from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -299,16 +299,21 @@ def window_pulses(counts: np.ndarray, window: int, rng) -> np.ndarray:
     the counts are split across calls.
     """
     counts = np.asarray(counts)
-    pulses = np.where(counts >= window, window, np.minimum(counts, 1))
-    mixed = np.flatnonzero((counts > 1) & (counts < window))
+    pulses = np.zeros_like(counts)
+    # Most windows count no zeros; only the others are indexed and drawn.
+    nonzero = np.flatnonzero(counts)
+    k = counts[nonzero]
+    drawn = np.where(k >= window, window, 1)
+    mixed = np.flatnonzero((k > 1) & (k < window))
     if mixed.size:
-        k = counts[mixed]
+        k = k[mixed]
         u = 1.0 - rng.random(mixed.size)
         top = min((1 << int(k.max()).bit_length()) - 1, window)
         cdf = pulse_cdf(window, top)
         start = k * (k + 1) // 2
-        pulses[mixed] = _smallest(lambda r: cdf[start + np.minimum(r, k)] >= u,
-                                  top, k.shape)
+        drawn[mixed] = _smallest(lambda r: cdf[start + np.minimum(r, k)] >= u,
+                                 top, k.shape)
+    pulses[nonzero] = drawn
     return pulses
 
 

@@ -16,6 +16,8 @@ from probesim.thermal import LaserSpot, ThermalField, relax
 #       --hypothesis-profile=ci
 #   python -m pytest tests/test_thermal.py::test_every_cell_matches_eager_reference \
 #       --hypothesis-profile=ci
+#   python -m pytest tests/test_harness.py::TestScenarioReader::test_matches_configparser \
+#       --hypothesis-profile=ci
 # Tier-1 runs the default profile.
 settings.register_profile("ci", max_examples=1000, deadline=None)
 

@@ -2,11 +2,13 @@ import configparser
 import filecmp
 import math
 import re
+import string
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import advance_for, build_key_model, build_sim, counter_rows
 from probesim import cli, harness
@@ -92,10 +94,8 @@ class TestScenarioFiles:
     def test_every_key_is_set_by_a_bundled_scenario(self):
         used = set()
         for path in SCENARIOS.glob("*.scn"):
-            parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-            parser.read(path)
-            used |= {(section, key) for section in parser.sections()
-                     for key in parser[section]}
+            used |= {(section, key) for section, keys in
+                     harness._read_sections(path).items() for key in keys}
         assert set(SCENARIO_KEYS) - used == set(self.CALIBRATION_KEYS)
 
     def test_readme_lists_every_key_with_its_rule(self):
@@ -166,6 +166,123 @@ class TestScenarioFiles:
         scn = load_scenario(SCENARIOS / "unprotected_key.scn", 5)
         scn.stimulus.key = "random"
         assert scenario_key_bits(scn, 8) == scenario_key_bits(scn, 8)
+
+
+# Files within the scenario grammar: known sections and keys, the keys in
+# any case, both delimiters with any spacing, full-line and inline
+# comments, and blank lines.  Values hold no % (configparser would
+# interpolate it) and no line break.
+_BLANK = st.sampled_from(["", " ", "\t", "  \t "])
+_SPACE = st.sampled_from(["", " ", "  ", "\t"])
+_WORDS = st.text(st.sampled_from(string.ascii_letters + string.digits
+                                 + " ,.;:=#[]-+_/µé"), max_size=12)
+_COMMENT = st.builds("{}{}{}".format, _BLANK, st.sampled_from("#;"),
+                     st.text(st.sampled_from(string.printable[:94] + " µé"),
+                             max_size=12))
+_INLINE = st.one_of(st.just(""), st.builds("{}#{}".format,
+                                           st.sampled_from([" ", "\t", "  "]),
+                                           _WORDS))
+_FILLER = st.lists(st.one_of(_BLANK, _COMMENT), max_size=2)
+_SECTION_KEYS = {}
+for _section, _key in SCENARIO_KEYS:
+    _SECTION_KEYS.setdefault(_section, []).append(_key)
+
+
+@st.composite
+def _case_mix(draw, key):
+    upper = draw(st.lists(st.booleans(), min_size=len(key), max_size=len(key)))
+    return "".join(c.upper() if u else c for c, u in zip(key, upper))
+
+
+@st.composite
+def scenario_lines(draw):
+    lines = draw(_FILLER)
+    names = draw(st.lists(st.sampled_from(sorted(_SECTION_KEYS)), unique=True,
+                          max_size=5))
+    for name in names:
+        lines.append(f"[{name}]" + draw(_INLINE))
+        lines += draw(_FILLER)
+        keys = draw(st.lists(st.sampled_from(_SECTION_KEYS[name]), unique=True,
+                             max_size=4))
+        for key in keys:
+            lines.append(draw(_case_mix(key)) + draw(_SPACE)
+                         + draw(st.sampled_from("=:")) + draw(_SPACE)
+                         + draw(_WORDS)
+                         + draw(_INLINE))
+            lines += draw(_FILLER)
+    return "\n".join(lines) + "\n"
+
+
+def configparser_sections(path):
+    """The sections and key texts configparser reads, in file order."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser.read(path, encoding="utf-8")
+    return [(name, list(parser[name].items())) for name in parser.sections()]
+
+
+def edited_bytes(tmp_path, old, new, bad_line):
+    """A copy of unprotected_key.scn, and its netlist, with ``old`` replaced
+    by ``new``; returns the copy and the number of the last line that is
+    ``bad_line``."""
+    text = (SCENARIOS / "unprotected_key.scn").read_bytes()
+    assert text.count(old) == 1
+    text = text.replace(old, new)
+    path = tmp_path / "unprotected_key.scn"
+    path.write_bytes(text)
+    (tmp_path / "key8.net").write_bytes((SCENARIOS / "key8.net").read_bytes())
+    return path, text[:text.rindex(bad_line)].count(b"\n") + 1
+
+
+class TestScenarioReader:
+    @settings(deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=scenario_lines())
+    def test_matches_configparser(self, tmp_path, text):
+        path = tmp_path / "grammar.scn"
+        path.write_text(text, encoding="utf-8")
+        sections = harness._read_sections(path)
+        assert [(name, list(keys.items())) for name, keys in sections.items()] \
+            == configparser_sections(path)
+
+    @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.scn")),
+                             ids=lambda p: p.name)
+    def test_bundled_scenarios_read_as_configparser_reads_them(self, path):
+        sections = harness._read_sections(path)
+        assert [(name, list(keys.items())) for name, keys in sections.items()] \
+            == configparser_sections(path)
+
+    @pytest.mark.parametrize("old, new, bad_line, message", [
+        # configparser folds an indented line into the value before it:
+        # t_detect_cycles would read '255\n\n[scan]'.
+        (b"[scan]", b"  [scan]", b"  [scan]", "an indented line"),
+        (b"dwell_ms = 1.0", b"dwell_ms 1.0", b"dwell_ms 1.0", "no = or :"),
+        (b"[scenario]\n", b"seed = 2\n[scenario]\n", b"seed = 2",
+         "a key before any [section]"),
+        (b"mode = none\n", b"mode = none\n[scan]\npower = 2\n", b"[scan]",
+         "repeated section [scan]"),
+        (b"power = 1.0", b"power = 1.0\nPower = 2.0", b"Power = 2.0",
+         "repeated key [scan] power"),
+        # configparser copies [DEFAULT] keys into every section.
+        (b"[scenario]\n", b"[DEFAULT]\nseed = 3\n[scenario]\n", b"[DEFAULT]",
+         "unknown section [DEFAULT]"),
+        (b"key = 10110001\n", b"key = 10110001\n# caf\xe9\n", b"# caf",
+         "not UTF-8 text"),
+    ])
+    def test_malformed_line_exit_code(self, capsys, tmp_path, old, new,
+                                      bad_line, message):
+        path, lineno = edited_bytes(tmp_path, old, new, bad_line)
+        with pytest.raises(ConfigError, match=re.escape(f":{lineno}: {message}")):
+            load_scenario(path)
+        assert cli.main(["attack", "--scenario", str(path),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert f"{path}:{lineno}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_percent_is_literal(self, tmp_path):
+        # configparser reads %% as % and rejects a lone %.
+        path, _ = edited_bytes(tmp_path, b"name = unprotected_key",
+                               b"name = run%%1%", b"name")
+        assert load_scenario(path).name == "run%%1%"
 
 
 class TestRunPipeline:
@@ -979,6 +1096,64 @@ class TestCli:
                                 bad)
         assert rc == 2
         assert "config error:" in err and f"unknown section {bad}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        # A byte that is not UTF-8 in a comment after the last line; the
+        # scenario's own case is in TestScenarioReader.
+        ("netlist", "key8.net:{last}: not UTF-8 text"),
+        ("netlist directory", "chip.net cannot be read: Is a directory"),
+        ("scenario directory", "chip.scn: cannot be read: Is a directory"),
+    ])
+    def test_unreadable_input_exit_code(self, capsys, tmp_path, monkeypatch,
+                                        edit, message):
+        forbid_tuning(monkeypatch)
+        path = edited_copy(tmp_path, "unprotected_key", "key = 10110001",
+                           "key = 10110001")
+        if edit == "netlist":
+            netlist = tmp_path / "key8.net"
+            text = netlist.read_bytes()
+            netlist.write_bytes(text + b"# caf\xe9\n")
+            message = message.format(last=text.count(b"\n") + 1)
+        elif edit == "netlist directory":
+            (tmp_path / "chip.net").mkdir()
+            path.write_text(path.read_text().replace("netlist = key8.net",
+                                                     "netlist = chip.net"))
+        else:
+            path = tmp_path / "chip.scn"
+            path.mkdir()
+        assert cli.main(["attack", "--scenario", str(path),
+                         "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and message in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("scenario, added, unread", [
+        # An eofm_key run reads none of these three.
+        ("unprotected_key", "[stability]\nduration_min = 5\n[eop]\n"
+         "probe_cells = k0\n[function]\nvectors = 1\n",
+         "[stability], [eop], [function]"),
+        ("xor_unprotected", "[eop]\nprobe_cells = cf0\n", "[eop]"),
+        ("xor_unprotected", "[stability]\ndrift_tau_s = 5\n", "[stability]"),
+        ("eop_shift", "[function]\nvectors = 1\n", "[function]"),
+        ("eop_shift", "[stability]\nduration_min = 5\n", "[stability]"),
+        ("mtd_inter_key", "[function]\noutput_cells = k0\n", "[function]"),
+        ("stability", "[scan]\npower = 1.0\n", "[scan]"),
+        ("stability", "[stimulus]\nprogram = reset_toggle\n", "[stimulus]"),
+        ("stability", "[eop]\niterations = 5\n", "[eop]"),
+        ("stability", "[function]\nvectors = 1\n", "[function]"),
+    ])
+    def test_unread_section_exit_code(self, capsys, tmp_path, monkeypatch,
+                                      scenario, added, unread):
+        forbid_tuning(monkeypatch)
+        path = edited_copy(tmp_path, scenario, "[scenario]\n", "[scenario]\n")
+        path.write_text(path.read_text() + added)
+        kind = load_scenario(SCENARIOS / f"{scenario}.scn").kind
+        command = "stability" if kind == "stability" else "attack"
+        assert cli.main([command, "--scenario", str(path),
+                         "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"kind {kind} never reads {unread}\n" in err
         assert not (tmp_path / "out").exists()
 
     def test_missing_netlist_exit_code(self, capsys, tmp_path):

@@ -299,6 +299,18 @@ class TestWindowPulses:
                  window_pulses(counts[301:], 255, rng)]
         assert np.array_equal(whole, np.concatenate(parts))
 
+    def test_windows_without_zeros_draw_nothing(self):
+        # Windows of count 0 consume no uniform: dropping them leaves the
+        # other windows' pulses and the generator's state as they were.
+        counts = np.random.default_rng(4).binomial(255, 0.01, size=900)
+        assert 0 < np.count_nonzero(counts) < 900
+        rng = np.random.default_rng(9)
+        pulses = window_pulses(counts, 255, rng)
+        dense_rng = np.random.default_rng(9)
+        dense = window_pulses(counts[counts > 0], 255, dense_rng)
+        assert np.array_equal(pulses[counts > 0], dense)
+        assert rng.random() == dense_rng.random()
+
     def test_joint_distribution_matches_read_counters(self):
         # The binomial count plus the conditional pulse draw against the
         # sample-level reference, over the joint (zero_count, max_pulse)
