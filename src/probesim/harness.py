@@ -2,8 +2,8 @@
 
 Scenario files are INI-style structured text with explicit units in the key
 names (``dwell_ms``, ``pr_latency_us``, ...), read line by line by
-``_read_sections``.  A fixed seed makes a run
-bit-identical: every random stream derives from it.
+``_read_sections``.  A fixed seed makes a run bit-identical: every random
+stream derives from it.
 """
 
 from __future__ import annotations
@@ -314,10 +314,10 @@ def _read_sections(path: Path) -> dict[str, dict[str, str]]:
     A line is blank, a comment (its first character past any indent is
     ``#`` or ``;``), a ``[section]`` header or ``key = value``, split at
     its first ``=`` or ``:``; a ``#`` after whitespace starts a comment.
-    Keys are lower-cased and both sides stripped.  An indented line, a
-    line with no delimiter, a key before any section, an unknown or
-    repeated section or key, and a file that cannot be read or is not
-    UTF-8 raise ConfigError naming the line.
+    Keys are lower-cased and both sides stripped.  An indented line other
+    than a comment, a line with no delimiter, a key before any section, an
+    unknown or repeated section or key, and a file that cannot be read or
+    is not UTF-8 raise ConfigError naming the line.
     """
     try:
         data = path.read_bytes()

@@ -300,10 +300,10 @@ def window_pulses(counts: np.ndarray, window: int, rng) -> np.ndarray:
     """
     counts = np.asarray(counts)
     pulses = np.zeros_like(counts)
-    # Most windows count no zeros; only the others are indexed and drawn.
+    # Most windows count no zeros, so only the others are indexed.
     nonzero = np.flatnonzero(counts)
     k = counts[nonzero]
-    drawn = np.where(k >= window, window, 1)
+    nonzero_pulses = np.where(k >= window, window, 1)
     mixed = np.flatnonzero((k > 1) & (k < window))
     if mixed.size:
         k = k[mixed]
@@ -311,9 +311,9 @@ def window_pulses(counts: np.ndarray, window: int, rng) -> np.ndarray:
         top = min((1 << int(k.max()).bit_length()) - 1, window)
         cdf = pulse_cdf(window, top)
         start = k * (k + 1) // 2
-        drawn[mixed] = _smallest(lambda r: cdf[start + np.minimum(r, k)] >= u,
-                                 top, k.shape)
-    pulses[nonzero] = drawn
+        nonzero_pulses[mixed] = _smallest(
+            lambda r: cdf[start + np.minimum(r, k)] >= u, top, k.shape)
+    pulses[nonzero] = nonzero_pulses
     return pulses
 
 

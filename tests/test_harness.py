@@ -220,19 +220,6 @@ def configparser_sections(path):
     return [(name, list(parser[name].items())) for name in parser.sections()]
 
 
-def edited_bytes(tmp_path, old, new, bad_line):
-    """A copy of unprotected_key.scn, and its netlist, with ``old`` replaced
-    by ``new``; returns the copy and the number of the last line that is
-    ``bad_line``."""
-    text = (SCENARIOS / "unprotected_key.scn").read_bytes()
-    assert text.count(old) == 1
-    text = text.replace(old, new)
-    path = tmp_path / "unprotected_key.scn"
-    path.write_bytes(text)
-    (tmp_path / "key8.net").write_bytes((SCENARIOS / "key8.net").read_bytes())
-    return path, text[:text.rindex(bad_line)].count(b"\n") + 1
-
-
 class TestScenarioReader:
     @settings(deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -251,6 +238,8 @@ class TestScenarioReader:
         assert [(name, list(keys.items())) for name, keys in sections.items()] \
             == configparser_sections(path)
 
+    # Each edit of unprotected_key.scn, the last line equal to bad_line in
+    # the edited file, and the error that names that line.
     @pytest.mark.parametrize("old, new, bad_line, message", [
         # configparser folds an indented line into the value before it:
         # t_detect_cycles would read '255\n\n[scan]'.
@@ -270,7 +259,13 @@ class TestScenarioReader:
     ])
     def test_malformed_line_exit_code(self, capsys, tmp_path, old, new,
                                       bad_line, message):
-        path, lineno = edited_bytes(tmp_path, old, new, bad_line)
+        text = (SCENARIOS / "unprotected_key.scn").read_bytes()
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+        path = tmp_path / "unprotected_key.scn"
+        path.write_bytes(text)
+        (tmp_path / "key8.net").write_bytes((SCENARIOS / "key8.net").read_bytes())
+        lineno = text[:text.rindex(bad_line)].count(b"\n") + 1
         with pytest.raises(ConfigError, match=re.escape(f":{lineno}: {message}")):
             load_scenario(path)
         assert cli.main(["attack", "--scenario", str(path),
@@ -280,8 +275,8 @@ class TestScenarioReader:
 
     def test_percent_is_literal(self, tmp_path):
         # configparser reads %% as % and rejects a lone %.
-        path, _ = edited_bytes(tmp_path, b"name = unprotected_key",
-                               b"name = run%%1%", b"name")
+        path = edited_copy(tmp_path, "unprotected_key", "name = unprotected_key",
+                           "name = run%%1%")
         assert load_scenario(path).name == "run%%1%"
 
 

@@ -299,16 +299,23 @@ class TestWindowPulses:
                  window_pulses(counts[301:], 255, rng)]
         assert np.array_equal(whole, np.concatenate(parts))
 
-    def test_windows_without_zeros_draw_nothing(self):
-        # Windows of count 0 consume no uniform: dropping them leaves the
-        # other windows' pulses and the generator's state as they were.
-        counts = np.random.default_rng(4).binomial(255, 0.01, size=900)
-        assert 0 < np.count_nonzero(counts) < 900
-        rng = np.random.default_rng(9)
+    @pytest.mark.parametrize("p0", [0.0, 0.001, 0.2, 0.995, 1.0])
+    def test_matches_dense_reference(self, p0):
+        # The same pulses, from the same uniforms in the same order, as the
+        # pass over every window that window_pulses once made; windows of
+        # count 0 consume no uniform, so the generators end level.
+        counts = np.random.default_rng(4).binomial(255, p0, size=900)
+        rng, dense_rng = np.random.default_rng(9), np.random.default_rng(9)
         pulses = window_pulses(counts, 255, rng)
-        dense_rng = np.random.default_rng(9)
-        dense = window_pulses(counts[counts > 0], 255, dense_rng)
-        assert np.array_equal(pulses[counts > 0], dense)
+        dense = np.where(counts >= 255, 255, np.minimum(counts, 1))
+        mixed = np.flatnonzero((counts > 1) & (counts < 255))
+        if mixed.size:
+            u = 1.0 - dense_rng.random(mixed.size)
+            cdf = pulse_cdf(255, 255)
+            for i, k, ui in zip(mixed, counts[mixed], u):
+                row = cdf[k * (k + 1) // 2:][:k + 1]
+                dense[i] = np.argmax(row >= ui)
+        assert np.array_equal(pulses, dense)
         assert rng.random() == dense_rng.random()
 
     def test_joint_distribution_matches_read_counters(self):
