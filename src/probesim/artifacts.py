@@ -28,7 +28,11 @@ from __future__ import annotations
 import numpy as np
 
 # Rows formatted per write; one buffer for the whole log would cost more
-# memory than the log itself.
+# memory than the log itself.  It must stay below 10**4: _range_digits
+# writes each index digit of place 10**4 or more as two fills, one change
+# of the digit per chunk (at 16,384 rows, counters.csv would print windows
+# 30,000 to 32,767 as 20,000 to 22,767), and sizes _RANGE_DIGITS and
+# _RANGE_WORDS by it.
 CSV_CHUNK_ROWS = 4096
 
 # Up to this, a double's integer and fractional parts are exact.
@@ -205,6 +209,14 @@ _RANGE_DIGITS = [
      + ord("0")).astype(np.uint8)
     for j in range(4)
 ]
+# _RANGE_WORDS[t] is the four ASCII digits of t % 10**4, most significant
+# first, as one native uint32, for 10**4 plus a chunk of t: one store writes
+# a row's four low digits.  It is built from the uint8 rows above, whose
+# periods divide 10**4.
+_RANGE_WORDS = np.stack(
+    [np.resize(row[:10 ** (j + 1)], len(_RANGE_DIGITS[-1]))
+     for j, row in reversed(list(enumerate(_RANGE_DIGITS)))],
+    axis=1).view(np.uint32)[:, 0]
 
 
 def _range_digits(block, start: int, short: int) -> None:
@@ -213,22 +225,28 @@ def _range_digits(block, start: int, short: int) -> None:
     they lead.
 
     Digit j of a range (place 10**j) has period 10**(j + 1): below 10**4
-    it is a slice of _RANGE_DIGITS, and from 10**4 up it changes at most
-    once in a block shorter than 10**4 rows, so it is two fills.  A range
-    rises, so the rows whose value is short of digit j are a prefix, up
-    to 10**j - start.
+    it is a slice of _RANGE_DIGITS, or for a block four or more digits
+    wide, the four low digits are one slice of _RANGE_WORDS, one 4-byte
+    store per row.  From 10**4 up a digit changes at most once in a block
+    shorter than 10**4 rows, so it is two fills.  A range rises, so the
+    rows whose value is short of digit j are a prefix, up to 10**j - start.
     """
     width = block.shape[1]
+    low = len(_RANGE_DIGITS)
+    if width >= low:
+        phase = start % 10 ** low
+        block[:, width - low:].view(np.uint32)[:, 0] = \
+            _RANGE_WORDS[phase:phase + len(block)]
     for k in range(width):
         j = width - 1 - k
         unit = 10 ** j
-        if j < len(_RANGE_DIGITS):
-            phase = start % (10 * unit)
-            block[:, k] = _RANGE_DIGITS[j][phase:phase + len(block)]
-        else:
+        if j >= low:
             digit, into = divmod(start, unit)
             block[:unit - into, k] = ord("0") + digit % 10
             block[unit - into:, k] = ord("0") + (digit + 1) % 10
+        elif width < low:
+            phase = start % (10 * unit)
+            block[:, k] = _RANGE_DIGITS[j][phase:phase + len(block)]
         if k < short:
             block[:unit - start, k] = 0
 

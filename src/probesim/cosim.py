@@ -13,7 +13,6 @@ primitive's toggle amplitude at the lock-in frequency.
 from __future__ import annotations
 
 import math
-from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
@@ -152,9 +151,11 @@ class CoSimulation:
         # Time of the trigger, a window end, once it has fired: the sensor's
         # sticky latch.
         self.trigger_ps: int | None = None
-        # Zero count of every window so far, in window order, 8 bytes each;
-        # counter_columns() builds the full counter log from them.
-        self.window_counts = array("q")
+        # Zero count of every window so far, in window order: the first
+        # windows_done entries of one buffer, which _run_schedule grows to
+        # hold each schedule's windows and fills in place.  counter_columns()
+        # builds the full counter log from them.
+        self._counts = np.empty(0, dtype=np.int64)
         self._pulses = np.zeros(0, dtype=np.int64)
         self.defense_log: list[dict] = []
         # Start time of each epoch, by epoch id; starts never decrease.
@@ -179,6 +180,16 @@ class CoSimulation:
     @property
     def latched(self) -> bool:
         return self.trigger_ps is not None
+
+    @property
+    def window_counts(self) -> np.ndarray:
+        """Zero count of every window so far, in window order: a read-only
+        view of the count buffer.  The buffer is only written past the
+        windows drawn, and grows into a new one, so a view keeps what it
+        shows while the run goes on."""
+        counts = self._counts[:self.windows_done]
+        counts.flags.writeable = False
+        return counts
 
     def set_spot(self, spot: LaserSpot | None) -> None:
         """Park the spot, or lift it with None, from now on."""
@@ -281,19 +292,27 @@ class CoSimulation:
         drawn in the same pass.
         """
         threshold = self.policy.threshold
-        for runs in self._stretch_p0(starts, steady, begin_ps, dwell_ps,
-                                     end_ps // self.window_ps - self.windows_done):
-            counts = np.concatenate([
-                window_zero_counts(p0, m, self.t_detect, self.sensor_rng)
-                for p0, m in runs])
-            if threshold is not None and not self.latched:
-                hits = np.flatnonzero(counts >= threshold)
-                if len(hits):
-                    self.model.set_latch_net(1)
-                    self._fire_defense(
-                        (self.windows_done + int(hits[0]) + 1) * self.window_ps)
-            self.window_counts.frombytes(counts.tobytes())
-            self.windows_done += len(counts)
+        w = self.windows_done
+        n = end_ps // self.window_ps - w
+        if w + n > len(self._counts):
+            # Sized to the schedule, or doubled, so that a run of short holds
+            # copies the counts drawn so far a logarithmic number of times.
+            grown = np.empty(max(w + n, 2 * len(self._counts)), dtype=np.int64)
+            grown[:w] = self._counts[:w]
+            self._counts = grown
+        for runs in self._stretch_p0(starts, steady, begin_ps, dwell_ps, n):
+            chunk = w
+            for p0, m in runs:
+                self._counts[w:w + m] = window_zero_counts(
+                    p0, m, self.t_detect, self.sensor_rng)
+                w += m
+            counts = self._counts[chunk:w]
+            if (threshold is not None and not self.latched
+                    and counts.max() >= threshold):
+                hit = int(np.argmax(counts >= threshold))
+                self.model.set_latch_net(1)
+                self._fire_defense((chunk + hit + 1) * self.window_ps)
+            self.windows_done = w
 
     def _stretch_p0(self, starts, steady, begin_ps: int, dwell_ps: int, n: int):
         """Zero probabilities of the next n windows of a spot schedule that
@@ -343,14 +362,14 @@ class CoSimulation:
         count, max pulse and latched flag (a bool array).
 
         Only the zero counts feed back into the run; the rest follows from
-        them.  The count column is a view of window_counts, which cannot
-        grow while the view is held, so drop it before advancing again.  A
-        window is latched when it ends at or after the trigger.  Max pulses
-        are drawn here, in one batch for the windows logged since the last
-        call; the pulse stream is consumed in window order, so the pulses
-        do not depend on when or how often this is called.
+        them.  The count column is window_counts, a read-only view of the
+        count buffer that keeps its values as the run goes on.  A window is
+        latched when it ends at or after the trigger.  Max pulses are drawn
+        here, in one batch for the windows logged since the last call; the
+        pulse stream is consumed in window order, so the pulses do not
+        depend on when or how often this is called.
         """
-        counts = np.frombuffer(self.window_counts, dtype=np.int64)
+        counts = self.window_counts
         n = len(counts)
         drawn = len(self._pulses)
         if drawn < n:

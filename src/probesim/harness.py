@@ -174,8 +174,13 @@ SCENARIO_KEYS = {(section, key): (*value, dest) for section, key, value, dest in
     ("scenario", "netlist", _TEXT, "netlist_path"),
     ("scenario", "seed", _integer(0), "seed"),
     ("thermal", "tau_us", _above(0), "thermal.tau_us"),
-    ("thermal", "alpha_per_k", _at_least(0), "thermal.alpha_per_k"),
-    ("thermal", "power_to_rate_k_per_us", _at_least(0),
+    ("thermal", "alpha_per_k", (*_at_least(0)[:2], _at_least(0)[2] + ", with "
+                                "alpha_per_k * the peak rise * the sensor's "
+                                "heated path delay finite"),
+     "thermal.alpha_per_k"),
+    ("thermal", "power_to_rate_k_per_us", (
+        *_at_least(0)[:2], _at_least(0)[2] + ", with a finite peak rise: "
+        "the spot power * power_to_rate_k_per_us * tau_us"),
      "thermal.power_to_rate_k_per_us"),
     ("sensor", "site", (lambda t: SliceCoord(*_numbers(t, 2, int)),
                         lambda s: s.x >= 0 and s.y >= 0,
@@ -487,6 +492,26 @@ def _decode_scenario(sections: dict, path: Path, seed_override) -> Scenario:
     if scn.stimulus.program == "shift" and scn.kind != "eop":
         raise _bad_value(path, "stimulus", "program",
                          f"'shift' for kind {scn.kind}")
+    # The sensor cell relaxes towards a steady rise of at most the spot's
+    # power * power_to_rate_k_per_us * tau_us; past a float64 that is inf,
+    # and relax() takes inf - inf, a NaN zero probability.  The delay factor
+    # 1 + alpha_per_k * rise then scales the sensor's heated paths, so
+    # alpha_per_k * rise, and that times the longest heated path, must stay
+    # finite too; the factor 2 covers the rounding of the run's products.
+    thermal = ThermalField(sensor.site, **scn.thermal)
+    power = {"eop": scn.eop.power, "stability": 0.0}.get(scn.kind, scn.scan.power)
+    rate, alpha = thermal.power_to_rate_k_per_us, thermal.alpha_per_k
+    rise = power * rate * thermal.tau_us
+    if not math.isfinite(rise):
+        raise _bad_value(path, "thermal", "power_to_rate_k_per_us",
+                         f"{rate:g} with tau_us = {thermal.tau_us:g} and a "
+                         f"spot power of {power:g}")
+    heated = alpha * rise
+    if not math.isfinite(heated) or math.isinf(2.0 * heated
+                                               * sensor.heated_path_ps):
+        raise _bad_value(path, "thermal", "alpha_per_k",
+                         f"{alpha:g} for a peak rise of {rise:g} K and a "
+                         f"heated path of {sensor.heated_path_ps:g} ps")
     threshold = scn.defense.get("threshold")
     if threshold is not None and threshold > scn.t_detect:
         raise _bad_value(path, "defense", "threshold",
@@ -837,7 +862,9 @@ def run(scn: Scenario, out_dir=None) -> RunResult:
         _, counts, pulses, _ = result.counters
         if len(counts):
             summary.windows = len(counts)
-            summary.mean_zero_count = float(counts.mean())
+            # The integer sum is exact: it stays below 2**53 even at
+            # MAX_WINDOWS windows of MAX_WINDOW zeros, so this is mean().
+            summary.mean_zero_count = float(counts.sum()) / len(counts)
             summary.max_zero_count = int(counts.max())
             summary.max_pulse_len = int(pulses.max())
     if out_dir is not None:

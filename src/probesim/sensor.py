@@ -135,6 +135,13 @@ class SensorInstance:
     def cycle_ps(self) -> int:
         return round(1e6 / self.clock_mhz)
 
+    @property
+    def heated_path_ps(self) -> float:
+        """The longest path delay that scales with the delay factor, at any
+        LUT select: the clock route, or the data route and LUT pin."""
+        return max(self.clock_route_ps, self.data_route_ps + self.lut_pin_base_ps
+                   + (self.lut_arity - 1) * self.lut_pin_step_ps)
+
     def validate_tune(self, tune: TuneValue) -> TuneValue:
         if not 0 <= tune.data_code <= 31:
             raise ValueError(f"data code {tune.data_code} outside 5 bits")
@@ -299,9 +306,9 @@ def window_pulses(counts: np.ndarray, window: int, rng) -> np.ndarray:
     the counts are split across calls.
     """
     counts = np.asarray(counts)
-    pulses = np.zeros_like(counts)
+    pulses = np.zeros(counts.shape, dtype=counts.dtype)
     # Most windows count no zeros, so only the others are indexed.
-    nonzero = np.flatnonzero(counts)
+    nonzero = counts != 0
     k = counts[nonzero]
     nonzero_pulses = np.where(k >= window, window, 1)
     mixed = np.flatnonzero((k > 1) & (k < window))

@@ -8,6 +8,7 @@ from probesim.cosim import (CoSimulation, ScenarioError, Stimulus,
                             half_period_cycles, stimulus_for_target_freq)
 from probesim.defense import DefensePolicy, region_slices
 from probesim.fabric import SliceCoord
+from probesim.sensor import window_zero_counts
 from probesim.thermal import LaserSpot, ThermalField, relax
 
 
@@ -238,6 +239,33 @@ class TestCounterLog:
         assert ((logs[0][:, 1] > 1) & (logs[0][:, 1] < 255)).any()
         assert np.array_equal(logs[0], logs[1])
 
+    def test_count_view_keeps_its_windows_as_the_buffer_grows(self):
+        # A view taken after a hold still reads the hold's windows once a
+        # raster has grown the count buffer past them, and cannot be written.
+        model = build_key_model(KEY)
+        sim = build_sim(model, key=KEY)
+        park_on_sensor(sim, power=0.6)
+        advance_for(sim, 20 * sim.window_ps)
+        held = sim.window_counts
+        drawn = held.copy()
+        assert len(held) == 20 and (held > 0).any()
+        site, pitch = sim.sensor.site, sim.thermal.site_pitch_um
+        sim.raster([((site.x + 0.5) * pitch, (site.y + 0.5) * pitch)] * 64,
+                   50 * sim.window_ps, 0.6, 8.0)
+        assert len(sim.window_counts) == 20 + 64 * 50
+        assert np.array_equal(held, drawn)
+        assert np.array_equal(sim.window_counts[:20], drawn)
+        for view in (held, sim.window_counts):
+            with pytest.raises(ValueError):
+                view[0] = 7
+
+    @pytest.mark.parametrize("p0", [1e-4, 0.02, 0.5, 0.97])
+    @pytest.mark.parametrize("n", [1, 7, 4096, 1_000_003])
+    def test_mean_zero_count_from_the_integer_sum(self, p0, n):
+        # harness.run takes the mean zero count from the exact integer sum.
+        counts = window_zero_counts(p0, n, 255, np.random.default_rng(n))
+        assert float(counts.sum()) / len(counts) == counts.mean()
+
 
 class TestAdvanceToEpochChange:
     def test_stops_at_the_trigger_then_at_the_completion(self, chunk):
@@ -310,7 +338,7 @@ class TestAdvanceToEpochChange:
                 sim.advance_to(target)
             sims.append(sim)
         a, b = sims
-        assert a.window_counts == b.window_counts
+        assert np.array_equal(a.window_counts, b.window_counts)
         assert a.epoch_id == b.epoch_id
         assert a.epoch_segments(0, target) == b.epoch_segments(0, target)
         assert a.defense_log == b.defense_log

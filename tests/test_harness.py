@@ -132,6 +132,30 @@ class TestScenarioFiles:
                                      "pixel_pitch_um = 40"))
         assert load_scenario(path).scan.n_pixels == (1, 2)
 
+    @pytest.mark.parametrize("scenario, lines, edges", [
+        # alpha_per_k just inside its bound: 2 * alpha * the 20 K rise * the
+        # 3,369 ps heated path is 1.75e308.
+        ("mtd_inter_key", ("alpha_per_k = 0.002",), ("alpha_per_k = 1.3e303",)),
+        # A rise of 1e308 K, with alpha_per_k inside its bound.
+        ("mtd_inter_key", ("tau_us = 50.0", "alpha_per_k = 0.002",
+                           "power_to_rate_k_per_us = 0.4"),
+         ("tau_us = 1e300", "alpha_per_k = 0.0002",
+          "power_to_rate_k_per_us = 1e8")),
+        # A stability run parks no spot, so its rise is 0.
+        ("stability", ("tau_us = 50.0", "power_to_rate_k_per_us = 0.4",
+                       "alpha_per_k = 0.002"),
+         ("tau_us = 1e300", "power_to_rate_k_per_us = 1e300",
+          "alpha_per_k = 1e300")),
+    ])
+    def test_thermal_values_on_their_bounds_run_silently(self, tmp_path,
+                                                         scenario, lines,
+                                                         edges):
+        path = edited_copy(tmp_path, scenario, lines, edges)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run(load_scenario(path))
+        assert math.isfinite(result.summary.mean_zero_count)
+
     @pytest.mark.parametrize("target", ["50", "25", "12.5", "0.01"])
     def test_target_freq_of_whole_clock_cycles_accepted(self, tmp_path,
                                                         target):
@@ -627,23 +651,31 @@ def forbid_tuning(monkeypatch):
 
 
 def edited_copy(tmp_path, scenario, line, bad) -> Path:
-    """A copy of a bundled scenario, and its netlist, with one line changed."""
+    """A copy of a bundled scenario, and its netlist, with one line changed,
+    or with each of a tuple of lines changed to the bad line of the same
+    place in a tuple of them."""
     text = (SCENARIOS / f"{scenario}.scn").read_text()
-    assert text.count(line) == 1
+    edits = zip(line, bad, strict=True) if isinstance(line, tuple) else [(line, bad)]
+    for old, new in edits:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
     path = tmp_path / f"{scenario}.scn"
-    path.write_text(text.replace(line, bad))
+    path.write_text(text)
     netlist = load_scenario(SCENARIOS / f"{scenario}.scn").netlist_path
     (tmp_path / netlist.name).write_text(netlist.read_text())
     return path
 
 
 def run_edited(capsys, tmp_path, command, scenario, line, bad):
-    """Run the CLI on a copy of a bundled scenario with one line changed.
+    """Run the CLI on a copy of a bundled scenario with one line changed,
+    or several (see edited_copy).
 
     Returns the exit code, stderr and the ``[section] key`` that the
-    changed line sets.
+    changed line, or the first of them, sets.
     """
     path = edited_copy(tmp_path, scenario, line, bad)
+    if isinstance(line, tuple):
+        line, bad = line[0], bad[0]
     text = (SCENARIOS / f"{scenario}.scn").read_text()
     rc = cli.main([command, "--scenario", str(path),
                    "--out", str(tmp_path / "out")])
@@ -804,6 +836,23 @@ class TestCli:
          "bit_threshold = nan"),
         ("eop", "eop_shift", "seed = 1", "seed = -3"),
         ("eop", "eop_shift", "tau_us = 50.0", "tau_us = 0"),
+        # A peak rise, power * power_to_rate_k_per_us * tau_us, of inf: the
+        # window stream's relax() would take inf - inf.  An eop run heats
+        # with [eop] power.
+        ("attack", "mtd_inter_key",
+         ("power_to_rate_k_per_us = 0.4", "tau_us = 50.0"),
+         ("power_to_rate_k_per_us = 1e300", "tau_us = 1e300")),
+        ("eop", "eop_shift", ("power_to_rate_k_per_us = 0.4", "\npower = 1.0"),
+         ("power_to_rate_k_per_us = 1e300", "\npower = 1e10")),
+        # alpha_per_k * the rise of inf (an overflow in _stretch_p0, or a
+        # trigger in the first window); and of 2e307, finite, but the race's
+        # heated share, that times a 3,369 ps path, is not.
+        ("attack", "mtd_inter_key", ("alpha_per_k = 0.002", "tau_us = 50.0"),
+         ("alpha_per_k = 1e300", "tau_us = 1e300")),
+        ("attack", "mtd_inter_key",
+         ("alpha_per_k = 0.002", "power_to_rate_k_per_us = 0.4"),
+         ("alpha_per_k = 1e300", "power_to_rate_k_per_us = 1e300")),
+        ("attack", "mtd_inter_key", "alpha_per_k = 0.002", "alpha_per_k = 1e306"),
         ("eop", "eop_shift", "program = shift", "program = shfit"),
         ("attack", "mtd_inter_key", "threshold = auto", "threshold = 0"),
         ("attack", "mtd_inter_key", "threshold = auto", "threshold = 300"),
