@@ -285,11 +285,12 @@ class CoSimulation:
 
         The schedule is dwells of dwell_ps from begin_ps, in which the
         sensor cell relaxes from starts[d] towards steady[d].  Every sensor
-        window is drawn here, and the trigger is checked only here: the
-        first window at or over the threshold latches the sensor and fires
-        the defense at its end.  The sensor never moves, so the response
-        the trigger starts changes no window, and the windows after it are
-        drawn in the same pass.
+        window is drawn here, into the count buffer in place, and the
+        trigger is checked only here, one chunk at a time: the first window
+        at or over the threshold latches the sensor and fires the defense
+        at its end.  The sensor never moves, so the response the trigger
+        starts changes no window, and the windows after it are drawn in the
+        same pass.
         """
         threshold = self.policy.threshold
         w = self.windows_done
