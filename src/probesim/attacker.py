@@ -139,14 +139,43 @@ def eofm_scan(sim: CoSimulation, scan: ScanConfig) -> EofmImage:
     return EofmImage(image, x0, y0, scan.pixel_pitch_um)
 
 
+def label_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
+    """The 4-connected components of a 2-D boolean mask, as
+    scipy.ndimage.label gives them by default: an int32 array that numbers
+    each component 1..n in the raster order of its first pixel, 0 off the
+    mask, and n.
+
+    Each pixel points at a pixel of its component no later than itself.  A
+    round hooks the root at the later end of every edge between two trees
+    to the earliest root across such an edge, then follows the pointers
+    until each leads to a root.  A tree not hooked in one round has every
+    neighbour hooked in it, and is hooked in the next, so the rounds grow
+    with the log of the pixels.  A component's root is its first pixel.
+    """
+    flat = mask.ravel()
+    pixel = np.arange(mask.size)
+    index = pixel.reshape(mask.shape)
+    across = mask[:, :-1] & mask[:, 1:]
+    down = mask[:-1] & mask[1:]
+    a = np.concatenate([index[:, :-1][across], index[:-1][down]])
+    b = np.concatenate([index[:, 1:][across], index[1:][down]])
+    parent = pixel.copy()
+    while (apart := parent[a] != parent[b]).any():
+        ra, rb = parent[a[apart]], parent[b[apart]]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        up = parent[parent]
+        while (up != parent).any():
+            parent, up = up, up[up]
+    roots = np.flatnonzero(flat & (parent == pixel))
+    labels = np.zeros(mask.size, dtype=np.int32)
+    labels[flat] = np.searchsorted(roots, parent[flat]) + 1
+    return labels.reshape(mask.shape), len(roots)
+
+
 def localize(image: EofmImage, threshold: float,
              model=None) -> list[SliceCoord]:
     """Connected bright components mapped to their nearest slice sites."""
-    # Imported here, its one use, so importing probesim does not load it.
-    from scipy import ndimage
-
-    mask = image.amplitudes >= threshold
-    labels, n = ndimage.label(mask)
+    labels, n = label_components(image.amplitudes >= threshold)
     sites = []
     pitch = model.site_pitch_um if model is not None else 10.0
     for comp in range(1, n + 1):

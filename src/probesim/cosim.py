@@ -28,6 +28,25 @@ from .thermal import LaserSpot, ThermalField, relax
 # run of the five EOFM scenarios by about 0.7 MB over 4,096.
 RASTER_CHUNK_WINDOWS = 4096
 
+# The windows of each distinct schedule draw, by everything the draw reads
+# (_stream_key): a process that runs one sensor, seed and scan in several
+# scenarios (probesim batch, a sweep) draws each window stream once.  The
+# bundled eofm scenarios at one seed draw six streams, one key raster and
+# five XOR rasters, which the other three scenarios repeat.  Each value is
+# the non-zero windows' offsets (uint32) and counts (uint8, or uint16 for a
+# window over 255 samples), read-only, and the sensor generator's state
+# after the draw.  Bounds: at most STREAM_CACHE_ENTRIES entries, the oldest
+# dropped first; a schedule of more than STREAM_CACHE_KEY_BYTES of dwell
+# temperatures (4,096 dwells, against 512 in the largest bundled raster) or
+# with more than STREAM_CACHE_NONZERO non-zero windows (7,285 in the
+# largest bundled run, mtd_inter_key at seed 1, whose tune leaves about
+# 0.58 million of harness.MAX_WINDOWS ambient windows non-zero) is drawn
+# and not kept.  So the cache holds at most 8 x (64 kB + 384 kB), 3.5 MB.
+STREAM_CACHE_ENTRIES = 8
+STREAM_CACHE_KEY_BYTES = 2 ** 16
+STREAM_CACHE_NONZERO = 2 ** 16
+STREAM_CACHE: dict[tuple, tuple] = {}
+
 # A raster dwell is ambient when |alpha| * max(|start|, |steady|) of the
 # sensor cell is below this; every window in it then has a delay factor
 # 1.0 + alpha * dT of exactly 1.0.  That holds for |alpha * dT| <= 2**-54
@@ -286,34 +305,89 @@ class CoSimulation:
         The schedule is dwells of dwell_ps from begin_ps, in which the
         sensor cell relaxes from starts[d] towards steady[d].  Every sensor
         window is drawn here, into the count buffer in place, and the
-        trigger is checked only here, one chunk at a time: the first window
-        at or over the threshold latches the sensor and fires the defense
-        at its end.  The sensor never moves, so the response the trigger
-        starts changes no window, and the windows after it are drawn in the
-        same pass.
+        trigger is checked only here: the first window at or over the
+        threshold latches the sensor and fires the defense at its end.  The
+        sensor never moves, so the response the trigger starts changes no
+        window, and the windows after it are drawn in the same pass.
+
+        A schedule drawn before in this process with the same inputs
+        (STREAM_CACHE) is filled from its stored windows, and the sensor
+        generator is left as the draw left it.  The threshold and the latch
+        take no part in the draw, so the trigger check runs on either path.
         """
-        threshold = self.policy.threshold
-        w = self.windows_done
-        n = end_ps // self.window_ps - w
-        if w + n > len(self._counts):
+        w0 = self.windows_done
+        n = end_ps // self.window_ps - w0
+        if n <= 0:
+            return
+        if w0 + n > len(self._counts):
             # Sized to the schedule, or doubled, so that a run of short holds
             # copies the counts drawn so far a logarithmic number of times.
-            grown = np.empty(max(w + n, 2 * len(self._counts)), dtype=np.int64)
-            grown[:w] = self._counts[:w]
+            grown = np.empty(max(w0 + n, 2 * len(self._counts)), dtype=np.int64)
+            grown[:w0] = self._counts[:w0]
             self._counts = grown
+        key = self._stream_key(starts, steady, begin_ps, dwell_ps, n)
+        drawn = STREAM_CACHE.get(key) if key is not None else None
+        if drawn is not None:
+            offsets, nonzero, state = drawn
+            counts = self._counts[w0:w0 + n]
+            counts.fill(0)
+            counts[offsets] = nonzero
+            self.sensor_rng.bit_generator.state = state
+            self._check_trigger(w0, counts)
+            self.windows_done = w0 + n
+            return
+        w = w0
         for runs in self._stretch_p0(starts, steady, begin_ps, dwell_ps, n):
             chunk = w
             for p0, m in runs:
                 self._counts[w:w + m] = window_zero_counts(
                     p0, m, self.t_detect, self.sensor_rng)
                 w += m
-            counts = self._counts[chunk:w]
-            if (threshold is not None and not self.latched
-                    and counts.max() >= threshold):
-                hit = int(np.argmax(counts >= threshold))
-                self.model.set_latch_net(1)
-                self._fire_defense((chunk + hit + 1) * self.window_ps)
+            self._check_trigger(chunk, self._counts[chunk:w])
             self.windows_done = w
+        if key is not None:
+            counts = self._counts[w0:w]
+            offsets = np.flatnonzero(counts)
+            if len(offsets) <= STREAM_CACHE_NONZERO:
+                offsets = offsets.astype(np.uint32)
+                nonzero = counts[offsets].astype(
+                    np.uint8 if self.t_detect <= 255 else np.uint16)
+                offsets.flags.writeable = nonzero.flags.writeable = False
+                if len(STREAM_CACHE) >= STREAM_CACHE_ENTRIES:
+                    del STREAM_CACHE[next(iter(STREAM_CACHE))]  # the oldest
+                STREAM_CACHE[key] = (offsets, nonzero,
+                                     self.sensor_rng.bit_generator.state)
+
+    def _stream_key(self, starts, steady, begin_ps: int, dwell_ps: int,
+                    n: int) -> tuple | None:
+        """Everything the draw of the next n windows of a spot schedule
+        reads, or None for a schedule too large to keep: the sensor
+        generator's state, the sensor's fields with its tune, the thermal
+        constants, the window grid and the schedule.  The sensor's fields
+        and the thermal constants are read at each call, as the field's
+        attributes may be set after the CoSimulation is built."""
+        starts = np.asarray(starts, dtype=float)
+        steady = np.asarray(steady, dtype=float)
+        if starts.nbytes + steady.nbytes > STREAM_CACHE_KEY_BYTES:
+            return None
+        state = self.sensor_rng.bit_generator.state
+        return (state["bit_generator"], *state["state"].values(),
+                state["has_uint32"], state["uinteger"],
+                *vars(self.sensor).values(), self.thermal.alpha_per_k,
+                self.thermal.tau_us, self.t_detect, self.window_ps,
+                self.windows_done, n, begin_ps, dwell_ps,
+                starts.tobytes(), steady.tobytes())
+
+    def _check_trigger(self, first: int, counts: np.ndarray) -> None:
+        """Latch the sensor and fire the defense at the end of the first of
+        these windows, from window ``first`` on, at or over the threshold,
+        unless it has latched before."""
+        threshold = self.policy.threshold
+        if (threshold is not None and not self.latched
+                and counts.max() >= threshold):
+            hit = int(np.argmax(counts >= threshold))
+            self.model.set_latch_net(1)
+            self._fire_defense((first + hit + 1) * self.window_ps)
 
     def _stretch_p0(self, starts, steady, begin_ps: int, dwell_ps: int, n: int):
         """Zero probabilities of the next n windows of a spot schedule that

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -753,15 +753,38 @@ class RunResult:
     counters: tuple | None = None
 
 
+# The tune and threshold of each distinct arming, by everything arm_sensor
+# reads: a process that runs one sensor at one seed in several scenarios
+# (probesim batch, a sweep) tunes and characterizes it once.  The bundled
+# eofm scenarios at one seed arm two sensors, the key and the XOR one, for
+# five runs.  An entry is a few hundred bytes; at most ARM_CACHE_ENTRIES are
+# kept, the oldest dropped first.  An arming that raises is not kept.
+ARM_CACHE_ENTRIES = 8
+ARM_CACHE: dict[tuple, tuple[TuneValue, float]] = {}
+
+
 def arm_sensor(scn: Scenario, sensor: SensorInstance) -> tuple[TuneValue, float]:
     """The tune and trigger threshold a run of ``scn`` uses: the pinned or
-    searched tune, and the pinned or derived threshold."""
-    tuned = tune_sensor(scn, sensor)
+    searched tune, and the pinned or derived threshold.  Sets the sensor's
+    tune.  Both are pure functions of the sensor's fields before tuning,
+    the seed, the sensing time, the window, the pinned tune, the threshold
+    setting and the characterization windows, so a process arms each
+    distinct set of them once (ARM_CACHE)."""
     threshold = scn.defense.get("threshold")
-    if threshold is None:
-        threshold = derive_threshold(sensor, scn.seed, scn.characterize_windows,
-                                     scn.t_detect)
-    return tuned, threshold
+    key = (astuple(sensor), scn.seed, scn.t_sense_ms, scn.t_detect,
+           scn.pinned_tune, threshold, scn.characterize_windows)
+    armed = ARM_CACHE.get(key)
+    if armed is None:
+        tuned = tune_sensor(scn, sensor)
+        if threshold is None:
+            threshold = derive_threshold(sensor, scn.seed,
+                                         scn.characterize_windows, scn.t_detect)
+        armed = tuned, threshold
+        if len(ARM_CACHE) >= ARM_CACHE_ENTRIES:
+            del ARM_CACHE[next(iter(ARM_CACHE))]  # the oldest
+        ARM_CACHE[key] = armed
+    sensor.tune = armed[0]
+    return armed
 
 
 def load_model(scn: Scenario, sensor: SensorInstance) -> FabricModel:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from probesim import cosim, harness
 from probesim.cosim import CoSimulation, Stimulus, stimulus_for_target_freq
 from probesim.defense import DefensePolicy
 from probesim.fabric import FabricModel, FlipFlop, SliceCoord
@@ -25,6 +26,15 @@ settings.register_profile("ci", max_examples=1000, deadline=None)
 # earlier generator-stream tuner; slack is 66 ps (4.4 sigma), zero rate ~5e-6
 # per sample.
 DEFAULT_TUNE = TuneValue(16, 2, 2)
+
+
+@pytest.fixture(autouse=True)
+def empty_caches():
+    """Each test arms its sensors and draws its window streams afresh: a
+    test that patches a step of the draw, such as _stretch_p0, sees it run
+    rather than a cached result of an earlier test."""
+    harness.ARM_CACHE.clear()
+    cosim.STREAM_CACHE.clear()
 
 
 def build_key_model(key=(1, 0, 1, 1, 0, 0, 0, 1), x0=16, y=8):

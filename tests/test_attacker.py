@@ -1,15 +1,19 @@
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import ndimage
 
 from conftest import (EagerField, advance_for, build_key_model,
                       build_shift_model, build_sim, shift_stimulus, signal_at)
 from probesim import cosim
 from probesim.attacker import (EofmImage, ScanConfig, eofm_scan, eop_probe,
-                               localize, recover_bits)
+                               label_components, localize, recover_bits)
 from probesim.cosim import (EpochActivity, ScenarioError, Stimulus,
                             stimulus_for_target_freq)
 from probesim.defense import DefensePolicy, region_slices
@@ -148,6 +152,34 @@ class TestLocalize:
         sites = localize(self.make_image(values), threshold=0.5)
         assert len(sites) == 2
         assert SliceCoord(6, 4) in sites
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(bool, st.tuples(st.integers(1, 24), st.integers(1, 24))))
+    def test_labels_match_ndimage(self, mask):
+        # The same components, numbered in the same order, as scipy's
+        # default 4-connected labelling.
+        labels, n = label_components(mask)
+        ref_labels, ref_n = ndimage.label(mask)
+        assert n == ref_n
+        assert np.array_equal(labels, ref_labels)
+
+    def test_winding_component_is_one(self):
+        # A path that doubles back along every other row of a 63 x 64 mask.
+        mask = np.zeros((63, 64), dtype=bool)
+        mask[::2] = True
+        mask[1::4, -1] = mask[3::4, 0] = True
+        labels, n = label_components(mask)
+        assert n == 1 and np.array_equal(labels, mask.astype(np.int32))
+
+    def test_a_run_loads_no_ndimage(self):
+        # localize labels its mask with numpy; importing scipy.ndimage
+        # costs about 46 ms of CPU.
+        code = ("import sys\n"
+                "from probesim.harness import load_scenario, run\n"
+                f"run(load_scenario({str(SCENARIOS / 'unprotected_key.scn')!r}))\n"
+                "sys.exit('scipy.ndimage' in sys.modules)\n")
+        subprocess.run([sys.executable, "-c", code], check=True)
 
 
 class TestRecoverBits:

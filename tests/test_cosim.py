@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from probesim.cosim import (CoSimulation, ScenarioError, Stimulus,
                             half_period_cycles, stimulus_for_target_freq)
 from probesim.defense import DefensePolicy, region_slices
 from probesim.fabric import SliceCoord
-from probesim.sensor import window_zero_counts
+from probesim.sensor import SensorInstance, TuneValue, window_zero_counts
 from probesim.thermal import LaserSpot, ThermalField, relax
 
 
@@ -356,3 +358,105 @@ class TestAdvanceToEpochChange:
         advance_for(sim, 1_000_000)
         with pytest.raises(ScenarioError):
             sim.advance_to_epoch_change(0)
+
+
+
+def stream_sim(seed=1, threshold=3.0, alpha_per_k=0.002, tau_us=50.0,
+               **sensor_fields):
+    """A key co-simulation with the sensor's fields and the thermal
+    constants given; the stimulus does not follow the sensor's clock."""
+    sensor = SensorInstance(**{"site": SliceCoord(15, 8), "tune": DEFAULT_TUNE,
+                               **sensor_fields})
+    thermal = ThermalField(sensor.site, tau_us=tau_us, alpha_per_k=alpha_per_k)
+    return CoSimulation(build_key_model(KEY), thermal, sensor,
+                        DefensePolicy(mode="none", threshold=threshold),
+                        stimulus_for_target_freq(100.0, 1.25), seed)
+
+
+def sensor_raster(sim, dwell_windows=50, power=0.6):
+    """Eight dwells along the sensor's row, across its site."""
+    site, pitch = sim.sensor.site, sim.thermal.site_pitch_um
+    sim.raster([((site.x - 4 + i + 0.5) * pitch, (site.y + 0.5) * pitch)
+                for i in range(8)], dwell_windows * sim.window_ps, power, 8.0)
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The co-simulations that drew their windows, rather than reading
+    them from the stream cache, one entry per schedule drawn."""
+    drawn = []
+    stretch_p0 = CoSimulation._stretch_p0
+
+    def recorded(sim, *args):
+        drawn.append(sim)
+        return stretch_p0(sim, *args)
+
+    monkeypatch.setattr(CoSimulation, "_stretch_p0", recorded)
+    return drawn
+
+
+class TestStreamCache:
+    def test_a_hit_matches_a_fresh_draw(self, chunk, draws):
+        # The same sensor, seed and raster: the second run reads the first's
+        # windows and leaves the sensor stream where a fresh draw does, so a
+        # hold drawn after the raster matches too.
+        sensor_raster(stream_sim())
+        hit = stream_sim()
+        sensor_raster(hit)
+        cosim.STREAM_CACHE.clear()
+        fresh = stream_sim()
+        sensor_raster(fresh)
+        assert hit not in draws and fresh in draws
+        for sim in (hit, fresh):
+            park_on_sensor(sim, power=0.3)
+            advance_for(sim, 30 * sim.window_ps)
+        assert hit.trigger_ps == fresh.trigger_ps is not None
+        assert hit.defense_log == fresh.defense_log
+        assert np.array_equal(counter_rows(hit), counter_rows(fresh))
+        assert ((fresh.window_counts > 0) & (fresh.window_counts < 255)).any()
+        assert (hit.sensor_rng.bit_generator.state
+                == fresh.sensor_rng.bit_generator.state)
+
+    def test_the_threshold_alone_hits(self, chunk, draws):
+        # The threshold takes no part in the draw: a run at another one
+        # reads the same windows and fires where a fresh draw at it fires.
+        first = stream_sim(threshold=3.0)
+        sensor_raster(first)
+        hit = stream_sim(threshold=40.0)
+        sensor_raster(hit)
+        cosim.STREAM_CACHE.clear()
+        fresh = stream_sim(threshold=40.0)
+        sensor_raster(fresh)
+        assert hit not in draws and fresh in draws
+        assert hit.trigger_ps == fresh.trigger_ps
+        assert first.trigger_ps < hit.trigger_ps
+        assert hit.defense_log == fresh.defense_log
+
+    # A change to each field of the sensor that keeps it valid; a float
+    # field not listed becomes 1.5 x + 1.
+    SENSOR_CHANGES = {
+        "site": lambda site: SliceCoord(site.x - 1, site.y),
+        "chain_len": lambda n: 2 * n,
+        "tune": lambda t: TuneValue(t.data_code, t.clock_code, t.lut_select + 1),
+        "lut_arity": lambda n: n + 1,
+    }
+
+    def test_each_stream_input_misses(self, draws):
+        # Every field of the sensor, the thermal constants, the seed, the
+        # dwell and the power take part in the draw, so a change to any one
+        # of them draws again.  The raster follows a moved sensor, so only
+        # the site field tells the schedules apart.
+        base = stream_sim().sensor
+        variants = [
+            (field.name, {field.name: self.SENSOR_CHANGES.get(
+                field.name, lambda v: 1.5 * v + 1.0)(getattr(base, field.name))}, {})
+            for field in dataclasses.fields(SensorInstance)]
+        variants += [("alpha_per_k", {"alpha_per_k": 0.003}, {}),
+                     ("tau_us", {"tau_us": 40.0}, {}), ("seed", {"seed": 2}, {}),
+                     ("dwell", {}, {"dwell_windows": 51}),
+                     ("power", {}, {"power": 0.5})]
+        for name, sim_args, raster_args in variants:
+            sensor_raster(stream_sim())  # the base schedule, kept
+            sim = stream_sim(**sim_args)
+            sensor_raster(sim, **raster_args)
+            assert draws[-1] is sim, name

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from probesim.harness import load_scenario, run
+from probesim.harness import load_scenario, run, run_batch
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "src/probesim/scenarios"
 MANIFEST = Path(__file__).with_name("artifact_digests.json")
@@ -28,21 +28,43 @@ def numpy_minor() -> str:
     return ".".join(np.__version__.split(".")[:2])
 
 
-def digests(name: str, seed: int, out_dir: Path) -> dict[str, str]:
-    """sha256 of each artifact of one run, by file name."""
-    run(load_scenario(SCENARIOS / f"{name}.scn", seed), out_dir)
+def tree_digests(out_dir: Path) -> dict[str, str]:
+    """sha256 of each artifact file in a run's directory, by file name."""
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(out_dir.iterdir())}
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("name", NAMES)
-def test_artifacts_match_committed_digests(tmp_path, name, seed):
+def digests(name: str, seed: int, out_dir: Path) -> dict[str, str]:
+    """sha256 of each artifact of one run, by file name."""
+    run(load_scenario(SCENARIOS / f"{name}.scn", seed), out_dir)
+    return tree_digests(out_dir)
+
+
+@pytest.fixture
+def manifest() -> dict:
+    """The committed digests by "<name>/<seed>"; skips under another numpy."""
     manifest = json.loads(MANIFEST.read_text())
     if manifest["numpy"] != numpy_minor():
         pytest.skip(f"digests were written with numpy {manifest['numpy']}, "
                     f"this is numpy {np.__version__}")
-    assert digests(name, seed, tmp_path) == manifest["runs"][f"{name}/{seed}"]
+    return manifest["runs"]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", NAMES)
+def test_artifacts_match_committed_digests(tmp_path, manifest, name, seed):
+    assert digests(name, seed, tmp_path) == manifest[f"{name}/{seed}"]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_batch_artifacts_match_committed_digests(tmp_path, manifest, seed):
+    # Every bundled scenario in one process, in batch order, as
+    # `probesim batch` runs them: later runs arm their sensors and read
+    # their window streams from the earlier ones (harness.ARM_CACHE,
+    # cosim.STREAM_CACHE) and must write the same bytes.
+    run_batch([SCENARIOS / f"{name}.scn" for name in NAMES], tmp_path, seed)
+    for name in NAMES:
+        assert tree_digests(tmp_path / name) == manifest[f"{name}/{seed}"], name
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import configparser
+import dataclasses
 import filecmp
 import math
 import re
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import advance_for, build_key_model, build_sim, counter_rows
-from probesim import cli, harness
+from probesim import cli, cosim, harness
 from probesim.artifacts import CSV_CHUNK_ROWS
 from probesim.defense import DefensePolicy
 from probesim.harness import (MAX_DWELLS, MAX_VECTORS, SCENARIO_KEYS,
@@ -625,6 +626,88 @@ class TestBatch:
         err = capsys.readouterr().err
         assert "config error:" in err and "[scenario] name" in err
         assert not (tmp_path / "runs").exists()
+
+
+def forbid_arming_and_draws(monkeypatch):
+    """Make a tune, a threshold derivation or a window draw fail the test:
+    a run that repeats an earlier one reads all three from the caches."""
+    def fail(*args):
+        raise AssertionError("repeated work was done again")
+
+    monkeypatch.setattr(harness, "tune_sensor", fail)
+    monkeypatch.setattr(harness, "derive_threshold", fail)
+    monkeypatch.setattr(cosim.CoSimulation, "_stretch_p0", fail)
+
+
+class TestRunCaches:
+    @pytest.mark.parametrize("first, second", [
+        ("unprotected_key", "mtd_inter_key"), ("mtd_inter_key", "mtd_intra_key"),
+        ("xor_unprotected", "xor_polymorphic")])
+    @pytest.mark.parametrize("seed", [1, 70])
+    def test_a_cached_run_matches_a_fresh_one(self, tmp_path, monkeypatch,
+                                              first, second, seed):
+        # The scenarios of a pair scan with one sensor, so the second arms
+        # and draws nothing after the first, and writes the bytes a fresh
+        # process writes.  At seed 70 the key scenarios trigger in an early
+        # chunk of the raster.
+        run(load_scenario(SCENARIOS / f"{first}.scn", seed))
+        with monkeypatch.context() as patch:
+            forbid_arming_and_draws(patch)
+            hit = run(load_scenario(SCENARIOS / f"{second}.scn", seed),
+                      tmp_path / "hit")
+        harness.ARM_CACHE.clear()
+        cosim.STREAM_CACHE.clear()
+        fresh = run(load_scenario(SCENARIOS / f"{second}.scn", seed),
+                    tmp_path / "fresh")
+        assert np.array_equal(hit.sim.window_counts, fresh.sim.window_counts)
+        assert hit.sim.trigger_ps == fresh.sim.trigger_ps is not None
+        names = sorted(p.name for p in (tmp_path / "fresh").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "hit").iterdir())
+        for name in names:
+            assert filecmp.cmp(tmp_path / "hit" / name, tmp_path / "fresh" / name,
+                               shallow=False), name
+
+    def test_each_arming_input_misses(self, monkeypatch):
+        scn = load_scenario(SCENARIOS / "mtd_intra_key.scn")
+        tuned = []
+        tune_sensor = harness.tune_sensor
+
+        def recorded(scn, sensor):
+            tuned.append(scn)
+            return tune_sensor(scn, sensor)
+
+        monkeypatch.setattr(harness, "tune_sensor", recorded)
+        armed = harness.arm_sensor(scn, harness.build_sensor(scn))
+        sensor = harness.build_sensor(scn)
+        assert harness.arm_sensor(scn, sensor) == armed and tuned == [scn]
+        assert sensor.tune == armed[0]  # probesim tune reads it
+        for name, change in [
+                ("sensor", dict(sensor={**scn.sensor, "jitter_sigma_ps": 16.0})),
+                ("seed", dict(seed=2)), ("t_sense_ms", dict(t_sense_ms=50.0)),
+                ("t_detect", dict(t_detect=127)),
+                ("pinned_tune", dict(pinned_tune=armed[0])),
+                ("threshold", dict(defense={**scn.defense, "threshold": 7.0})),
+                ("characterize_windows", dict(characterize_windows=500))]:
+            changed = dataclasses.replace(scn, **change)
+            harness.arm_sensor(changed, harness.build_sensor(changed))
+            assert tuned[-1] is changed, name
+
+    def test_tune_command_after_a_run(self, capsys, monkeypatch):
+        # probesim tune prints the ambient slack of the sensor's tune, which
+        # a cached arming sets as a tune does.
+        path = str(SCENARIOS / "mtd_intra_key.scn")
+        assert cli.main(["tune", "--scenario", path]) == 0
+        tuned = capsys.readouterr().out
+        forbid_arming_and_draws(monkeypatch)
+        assert cli.main(["tune", "--scenario", path]) == 0
+        assert capsys.readouterr().out == tuned
+
+    def test_a_failed_arming_is_not_kept(self, tmp_path):
+        path = edited_copy(tmp_path, "stability", "tune = 16,2,3", "tune = 16,2,9")
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="LUT select 9"):
+                run(load_scenario(path))
+        assert not harness.ARM_CACHE
 
 
 def function_copy(tmp_path, vectors, region_um):
