@@ -460,3 +460,20 @@ class TestStreamCache:
             sim = stream_sim(**sim_args)
             sensor_raster(sim, **raster_args)
             assert draws[-1] is sim, name
+        # A raster's temperatures follow from tau_us, the dwell and the
+        # power.  Given as temperatures, each input of a schedule alone, and
+        # tau_us, at which the cell relaxes within each dwell, draw again.
+        window_ps = stream_sim().window_ps
+        base = dict(starts=np.array([0.0, 6.0]), steady=np.array([12.0, 3.0]),
+                    begin_ps=0, dwell_ps=50 * window_ps, end_ps=100 * window_ps)
+        for name, sim_args, schedule in [
+                ("tau_us", {"tau_us": 40.0}, {}),
+                ("starts", {}, {"starts": np.array([0.0, 6.5])}),
+                ("steady", {}, {"steady": np.array([12.0, 3.5])}),
+                ("begin_ps", {}, {"begin_ps": 1}),
+                ("dwell_ps", {}, {"dwell_ps": 50 * window_ps + 1}),
+                ("end_ps", {}, {"end_ps": 99 * window_ps})]:
+            stream_sim()._run_schedule(**base)  # the base schedule, kept
+            sim = stream_sim(**sim_args)
+            sim._run_schedule(**{**base, **schedule})
+            assert draws[-1] is sim, name
