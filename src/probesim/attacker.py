@@ -148,9 +148,10 @@ def label_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
     Each pixel points at a pixel of its component no later than itself.  A
     round hooks the root at the later end of every edge between two trees
     to the earliest root across such an edge, then follows the pointers
-    until each leads to a root.  A tree not hooked in one round has every
-    neighbour hooked in it, and is hooked in the next, so the rounds grow
-    with the log of the pixels.  A component's root is its first pixel.
+    until each leads to a root.  A tree that a round leaves unhooked has
+    each neighbour hooked in that round, to it or to an earlier root, so
+    the next round merges it: the trees at least halve every two rounds.
+    A component's root is its first pixel.
     """
     flat = mask.ravel()
     pixel = np.arange(mask.size)

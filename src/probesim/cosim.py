@@ -42,9 +42,14 @@ RASTER_CHUNK_WINDOWS = 4096
 # largest bundled run, mtd_inter_key at seed 1, whose tune leaves about
 # 0.58 million of harness.MAX_WINDOWS ambient windows non-zero) is drawn
 # and not kept.  So the cache holds at most 8 x (64 kB + 384 kB), 3.5 MB.
+# A schedule of fewer than STREAM_CACHE_MIN_WINDOWS windows, such as each
+# of eop_shift's two 941-window holds, is not kept either: keying and
+# keeping it took about 10 us, as much as a draw of its windows at one p0,
+# and a run of short holds would push the rasters out.
 STREAM_CACHE_ENTRIES = 8
 STREAM_CACHE_KEY_BYTES = 2 ** 16
 STREAM_CACHE_NONZERO = 2 ** 16
+STREAM_CACHE_MIN_WINDOWS = 4096
 STREAM_CACHE: dict[tuple, tuple] = {}
 
 # A raster dwell is ambient when |alpha| * max(|start|, |steady|) of the
@@ -361,11 +366,13 @@ class CoSimulation:
     def _stream_key(self, starts, steady, begin_ps: int, dwell_ps: int,
                     n: int) -> tuple | None:
         """Everything the draw of the next n windows of a spot schedule
-        reads, or None for a schedule too large to keep: the sensor
-        generator's state, the sensor's fields with its tune, the thermal
-        constants, the window grid and the schedule.  The sensor's fields
-        and the thermal constants are read at each call, as the field's
-        attributes may be set after the CoSimulation is built."""
+        reads, or None for a schedule too short or too large to keep: the
+        sensor generator's state, the sensor's fields with its tune, the
+        thermal constants, the window grid and the schedule.  The sensor's
+        fields and the thermal constants are read at each call, as the
+        field's attributes may be set after the CoSimulation is built."""
+        if n < STREAM_CACHE_MIN_WINDOWS:
+            return None
         starts = np.asarray(starts, dtype=float)
         steady = np.asarray(steady, dtype=float)
         if starts.nbytes + steady.nbytes > STREAM_CACHE_KEY_BYTES:

@@ -362,7 +362,7 @@ class TestAdvanceToEpochChange:
 
 
 def stream_sim(seed=1, threshold=3.0, alpha_per_k=0.002, tau_us=50.0,
-               **sensor_fields):
+               t_detect=255, **sensor_fields):
     """A key co-simulation with the sensor's fields and the thermal
     constants given; the stimulus does not follow the sensor's clock."""
     sensor = SensorInstance(**{"site": SliceCoord(15, 8), "tune": DEFAULT_TUNE,
@@ -370,11 +370,12 @@ def stream_sim(seed=1, threshold=3.0, alpha_per_k=0.002, tau_us=50.0,
     thermal = ThermalField(sensor.site, tau_us=tau_us, alpha_per_k=alpha_per_k)
     return CoSimulation(build_key_model(KEY), thermal, sensor,
                         DefensePolicy(mode="none", threshold=threshold),
-                        stimulus_for_target_freq(100.0, 1.25), seed)
+                        stimulus_for_target_freq(100.0, 1.25), seed, t_detect)
 
 
-def sensor_raster(sim, dwell_windows=50, power=0.6):
-    """Eight dwells along the sensor's row, across its site."""
+def sensor_raster(sim, dwell_windows=600, power=0.6):
+    """Eight dwells along the sensor's row, across its site: 4,800
+    windows, at least cosim.STREAM_CACHE_MIN_WINDOWS."""
     site, pitch = sim.sensor.site, sim.thermal.site_pitch_um
     sim.raster([((site.x - 4 + i + 0.5) * pitch, (site.y + 0.5) * pitch)
                 for i in range(8)], dwell_windows * sim.window_ps, power, 8.0)
@@ -432,6 +433,50 @@ class TestStreamCache:
         assert first.trigger_ps < hit.trigger_ps
         assert hit.defense_log == fresh.defense_log
 
+    @pytest.mark.parametrize("t_detect, dtype", [(255, np.uint8),
+                                                 (300, np.uint16)])
+    def test_entries_are_narrow_and_read_only(self, t_detect, dtype):
+        # Counts up to the window's 300 samples need 16 bits.
+        sensor_raster(stream_sim(t_detect=t_detect), power=1.0)
+        hit = stream_sim(t_detect=t_detect)
+        sensor_raster(hit, power=1.0)
+        assert hit.window_counts.max() == t_detect
+        (offsets, counts, _), = cosim.STREAM_CACHE.values()
+        assert offsets.dtype == np.uint32 and counts.dtype == dtype
+        assert np.array_equal(hit.window_counts[offsets], counts)
+        assert np.count_nonzero(hit.window_counts) == len(offsets)
+        for stored in (offsets, counts):
+            with pytest.raises(ValueError):
+                stored[0] = 1
+
+    def test_bounds(self, monkeypatch, draws):
+        # At most STREAM_CACHE_ENTRIES schedules, the oldest dropped first.
+        entries = cosim.STREAM_CACHE_ENTRIES
+        sims = [stream_sim(seed=seed) for seed in range(entries + 2)]
+        for sim in sims:
+            sensor_raster(sim)
+        assert len(cosim.STREAM_CACHE) == entries
+        for seed in (entries + 1, 0):
+            sim = stream_sim(seed=seed)
+            sensor_raster(sim)
+            assert (sim in draws) == (seed == 0), seed
+        # A schedule of fewer windows, more dwell bytes or more non-zero
+        # windows than the bounds is drawn and not kept; one on the bounds
+        # is kept.
+        windows = len(sims[0].window_counts)
+        nonzero = np.count_nonzero(sims[0].window_counts)
+        for min_windows, key_bytes, kept_nonzero, kept in [
+                (windows + 1, 16 * 8, nonzero, False),
+                (windows, 16 * 7, nonzero, False),
+                (windows, 16 * 8, nonzero - 1, False),
+                (windows, 16 * 8, nonzero, True)]:
+            cosim.STREAM_CACHE.clear()
+            monkeypatch.setattr(cosim, "STREAM_CACHE_MIN_WINDOWS", min_windows)
+            monkeypatch.setattr(cosim, "STREAM_CACHE_KEY_BYTES", key_bytes)
+            monkeypatch.setattr(cosim, "STREAM_CACHE_NONZERO", kept_nonzero)
+            sensor_raster(stream_sim(seed=0))  # eight dwells
+            assert len(cosim.STREAM_CACHE) == kept
+
     # A change to each field of the sensor that keeps it valid; a float
     # field not listed becomes 1.5 x + 1.
     SENSOR_CHANGES = {
@@ -453,7 +498,7 @@ class TestStreamCache:
             for field in dataclasses.fields(SensorInstance)]
         variants += [("alpha_per_k", {"alpha_per_k": 0.003}, {}),
                      ("tau_us", {"tau_us": 40.0}, {}), ("seed", {"seed": 2}, {}),
-                     ("dwell", {}, {"dwell_windows": 51}),
+                     ("dwell", {}, {"dwell_windows": 601}),
                      ("power", {}, {"power": 0.5})]
         for name, sim_args, raster_args in variants:
             sensor_raster(stream_sim())  # the base schedule, kept
@@ -465,14 +510,15 @@ class TestStreamCache:
         # tau_us, at which the cell relaxes within each dwell, draw again.
         window_ps = stream_sim().window_ps
         base = dict(starts=np.array([0.0, 6.0]), steady=np.array([12.0, 3.0]),
-                    begin_ps=0, dwell_ps=50 * window_ps, end_ps=100 * window_ps)
+                    begin_ps=0, dwell_ps=2500 * window_ps,
+                    end_ps=5000 * window_ps)
         for name, sim_args, schedule in [
                 ("tau_us", {"tau_us": 40.0}, {}),
                 ("starts", {}, {"starts": np.array([0.0, 6.5])}),
                 ("steady", {}, {"steady": np.array([12.0, 3.5])}),
                 ("begin_ps", {}, {"begin_ps": 1}),
-                ("dwell_ps", {}, {"dwell_ps": 50 * window_ps + 1}),
-                ("end_ps", {}, {"end_ps": 99 * window_ps})]:
+                ("dwell_ps", {}, {"dwell_ps": 2500 * window_ps + 1}),
+                ("end_ps", {}, {"end_ps": 4999 * window_ps})]:
             stream_sim()._run_schedule(**base)  # the base schedule, kept
             sim = stream_sim(**sim_args)
             sim._run_schedule(**{**base, **schedule})
