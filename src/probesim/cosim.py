@@ -322,8 +322,6 @@ class CoSimulation:
         """
         w0 = self.windows_done
         n = end_ps // self.window_ps - w0
-        if n <= 0:
-            return
         if w0 + n > len(self._counts):
             # Sized to the schedule, or doubled, so that a run of short holds
             # copies the counts drawn so far a logarithmic number of times.
