@@ -350,9 +350,10 @@ class CoSimulation:
             self.windows_done = w
         if key is not None:
             counts = self._counts[w0:w]
-            offsets = np.flatnonzero(counts)
-            if len(offsets) <= STREAM_CACHE_NONZERO:
-                offsets = offsets.astype(np.uint32)
+            # Counted first, so that a schedule over the bound never builds
+            # its offsets: up to 8 bytes a window near harness.MAX_WINDOWS.
+            if np.count_nonzero(counts) <= STREAM_CACHE_NONZERO:
+                offsets = np.flatnonzero(counts).astype(np.uint32)
                 nonzero = counts[offsets].astype(
                     np.uint8 if self.t_detect <= 255 else np.uint16)
                 offsets.flags.writeable = nonzero.flags.writeable = False

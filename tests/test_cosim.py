@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -476,6 +477,25 @@ class TestStreamCache:
             monkeypatch.setattr(cosim, "STREAM_CACHE_NONZERO", kept_nonzero)
             sensor_raster(stream_sim(seed=0))  # eight dwells
             assert len(cosim.STREAM_CACHE) == kept
+
+    def test_a_stream_over_the_bound_builds_no_offsets(self, monkeypatch):
+        # Parked on the sensor, almost every window of a hold counts zeros.
+        # Over the non-zero bound the draw keeps nothing, and its peak is the
+        # count buffer and a chunk's temporaries (about 0.34 MB), not 8 more
+        # bytes a window of offsets.
+        monkeypatch.setattr(cosim, "STREAM_CACHE_NONZERO", 1000)
+        sim = stream_sim()
+        park_on_sensor(sim)
+        n = 250_000
+        tracemalloc.start()
+        try:
+            advance_for(sim, n * sim.window_ps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.count_nonzero(sim.window_counts) > 0.99 * n
+        assert not cosim.STREAM_CACHE
+        assert peak < 1.5 * n * 8
 
     # A change to each field of the sensor that keeps it valid; a float
     # field not listed becomes 1.5 x + 1.
