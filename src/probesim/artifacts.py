@@ -25,6 +25,9 @@ value, or a magnitude at or past the bound, is formatted by the reference
 
 from __future__ import annotations
 
+import io
+import itertools
+
 import numpy as np
 
 # Rows formatted per write; one buffer for the whole log would cost more
@@ -82,11 +85,23 @@ def write_pgm(path, values: np.ndarray, peak: float) -> None:
                       for i in range(0, nx * ny, nx))
 
 
-def write_counters_csv(path, columns) -> None:
+def write_counters_csv(path, columns, keep_bytes: int = 0) -> bytes | None:
     """Write the counter log, one CSV line per window, from its four
-    columns: window index, zero count, max pulse and latched flag."""
-    write_columns(path, "window_index,zero_count,max_pulse,latched", columns,
-                  [None] * 4)
+    columns: window index, zero count, max pulse and latched flag.
+
+    Returns the file's bytes if they are at most ``keep_bytes`` long, or
+    else None; they are held only while they stay within it."""
+    header = b"window_index,zero_count,max_pulse,latched\n"
+    body = io.BytesIO() if keep_bytes else None
+    with open(path, "wb") as fh:
+        for chunk in itertools.chain([header], iter_lines(columns, [None] * 4)):
+            fh.write(chunk)
+            if body is not None:
+                body.write(chunk)
+                if body.tell() > keep_bytes:
+                    body = None
+    # getvalue() hands over the buffer's bytes without a copy.
+    return None if body is None else body.getvalue()
 
 
 def _percent_chunk(columns, places) -> bytes:

@@ -52,6 +52,20 @@ STREAM_CACHE_NONZERO = 2 ** 16
 STREAM_CACHE_MIN_WINDOWS = 4096
 STREAM_CACHE: dict[tuple, tuple] = {}
 
+# The last counter log, by everything it is a function of (_log_key): a
+# process that runs one sensor, seed and scan in several scenarios draws
+# its max pulses and formats its counters.csv once.  The bundled key
+# scenarios at one seed write one log, and the two XOR scenarios another.
+# The value is a KeptLog.  Bounds: one entry, dropped before a log that
+# misses draws and formats, so at most one log is held; a log of fewer
+# than STREAM_CACHE_MIN_WINDOWS windows (eop_shift's 1,882) or with more
+# than STREAM_CACHE_NONZERO non-zero windows has no key; a body over
+# LOG_BODY_BYTES is written and not kept (mtd_inter_key writes 2.5 MB at
+# seed 1).  So the cache holds at most 4 MiB of body and 512 kB of key and
+# pulses.
+LOG_BODY_BYTES = 4 * 2 ** 20
+LOG_CACHE: dict[tuple, KeptLog] = {}
+
 # A raster dwell is ambient when |alpha| * max(|start|, |steady|) of the
 # sensor cell is below this; every window in it then has a delay factor
 # 1.0 + alpha * dT of exactly 1.0.  That holds for |alpha * dT| <= 2**-54
@@ -62,6 +76,30 @@ AMBIENT_LIMIT = 2.0 ** -55
 
 class ScenarioError(Exception):
     """Scenario-level contract violation (bad region, bad stimulus, ...)."""
+
+
+@dataclass
+class KeptLog:
+    """A LOG_CACHE entry: the max pulses of the log's non-zero windows
+    (uint8, or uint16 for a window over 255 samples), read-only, the pulse
+    generator's state after their draw, and the counters.csv bytes, which
+    harness.write_artifacts sets at the log's first write."""
+
+    pulses: np.ndarray
+    state: dict
+    body: bytes | None = None
+
+
+def _rng_key(rng) -> tuple:
+    """A generator's full state as a hashable tuple."""
+    state = rng.bit_generator.state
+    return (state["bit_generator"], *state["state"].values(),
+            state["has_uint32"], state["uinteger"])
+
+
+def _narrow(t_detect: int):
+    """The narrowest unsigned dtype that holds a count of t_detect."""
+    return np.uint8 if t_detect <= 255 else np.uint16
 
 
 @dataclass
@@ -181,6 +219,9 @@ class CoSimulation:
         # builds the full counter log from them.
         self._counts = np.empty(0, dtype=np.int64)
         self._pulses = np.zeros(0, dtype=np.int64)
+        # The LOG_CACHE entry of the log counter_columns() last returned, or
+        # None if that log has no key or grew after its first call.
+        self.kept_log: KeptLog | None = None
         self.defense_log: list[dict] = []
         # Start time of each epoch, by epoch id; starts never decrease.
         self._epochs: list[int] = [0]
@@ -323,9 +364,15 @@ class CoSimulation:
         w0 = self.windows_done
         n = end_ps // self.window_ps - w0
         if w0 + n > len(self._counts):
-            # Sized to the schedule, or doubled, so that a run of short holds
-            # copies the counts drawn so far a logarithmic number of times.
-            grown = np.empty(max(w0 + n, 2 * len(self._counts)), dtype=np.int64)
+            # Sized to fit a schedule of at least STREAM_CACHE_MIN_WINDOWS
+            # windows and a quarter of the windows so far, or else doubled.
+            # The equal rasters of an eofm_function run so leave no slot to
+            # spare, and each growth is to at least 1.25 times the windows
+            # drawn so far, so a run of holds of any length copies them a
+            # logarithmic number of times.
+            exact = n >= max(STREAM_CACHE_MIN_WINDOWS, w0 // 4)
+            grown = np.empty(w0 + n if exact else max(w0 + n, 2 * len(self._counts)),
+                             dtype=np.int64)
             grown[:w0] = self._counts[:w0]
             self._counts = grown
         key = self._stream_key(starts, steady, begin_ps, dwell_ps, n)
@@ -357,8 +404,7 @@ class CoSimulation:
             mask = counts != 0
             if np.count_nonzero(mask) <= STREAM_CACHE_NONZERO:
                 offsets = np.flatnonzero(mask).astype(np.uint32)
-                nonzero = counts[offsets].astype(
-                    np.uint8 if self.t_detect <= 255 else np.uint16)
+                nonzero = counts[offsets].astype(_narrow(self.t_detect))
                 offsets.flags.writeable = nonzero.flags.writeable = False
                 if len(STREAM_CACHE) >= STREAM_CACHE_ENTRIES:
                     del STREAM_CACHE[next(iter(STREAM_CACHE))]  # the oldest
@@ -379,9 +425,7 @@ class CoSimulation:
         steady = np.asarray(steady, dtype=float)
         if starts.nbytes + steady.nbytes > STREAM_CACHE_KEY_BYTES:
             return None
-        state = self.sensor_rng.bit_generator.state
-        return (state["bit_generator"], *state["state"].values(),
-                state["has_uint32"], state["uinteger"],
+        return (*_rng_key(self.sensor_rng),
                 *vars(self.sensor).values(), self.thermal.alpha_per_k,
                 self.thermal.tau_us, self.t_detect, self.window_ps,
                 self.windows_done, n, begin_ps, dwell_ps,
@@ -452,18 +496,61 @@ class CoSimulation:
         here, in one batch for the windows logged since the last call; the
         pulse stream is consumed in window order, so the pulses do not
         depend on when or how often this is called.
+
+        A first call whose log was logged before in this process
+        (LOG_CACHE) fills the pulses from the kept log, and the pulse
+        generator is left as the draw left it.
         """
         counts = self.window_counts
         n = len(counts)
+        # Window i ends at (i + 1) * window_ps.
+        first = (n if self.trigger_ps is None
+                 else max(-(-self.trigger_ps // self.window_ps) - 1, 0))
         drawn = len(self._pulses)
-        if drawn < n:
+        keyed = self._log_key(counts, first) if not drawn else None
+        if keyed is not None:
+            key, offsets, nonzero = keyed
+            kept = LOG_CACHE.get(key)
+            if kept is None:
+                LOG_CACHE.clear()  # before the draw: at most one log is held
+                # The zero windows draw nothing, so the non-zero ones alone
+                # draw the pulses a draw over every window does.
+                pulses = window_pulses(nonzero, self.t_detect, self.pulse_rng)
+                pulses = pulses.astype(_narrow(self.t_detect))
+                pulses.flags.writeable = False
+                kept = LOG_CACHE[key] = KeptLog(
+                    pulses, self.pulse_rng.bit_generator.state)
+            else:
+                self.pulse_rng.bit_generator.state = kept.state
+            self._pulses = np.zeros(n, dtype=counts.dtype)
+            self._pulses[offsets] = kept.pulses
+            self.kept_log = kept
+        elif drawn < n:
             new = window_pulses(counts[drawn:], self.t_detect, self.pulse_rng)
             self._pulses = np.concatenate([self._pulses, new]) if drawn else new
+            self.kept_log = None
         latched = np.zeros(n, dtype=bool)
-        if self.trigger_ps is not None:
-            # Window i ends at (i + 1) * window_ps.
-            latched[max(-(-self.trigger_ps // self.window_ps) - 1, 0):] = True
+        latched[first:] = True
         return range(n), counts, self._pulses, latched
+
+    def _log_key(self, counts, first: int) -> tuple | None:
+        """Everything a counter log with no pulses drawn yet is a function
+        of, with the offsets and counts of its non-zero windows, or None
+        for a log too short or with too many non-zero windows to keep.  The
+        key is the window size, the window count, the first latched window,
+        the pulse generator's state and the non-zero windows' offsets and
+        counts."""
+        if len(counts) < STREAM_CACHE_MIN_WINDOWS:
+            return None
+        # A bool mask, as in _run_schedule: 0.2 ms for 200,784 windows.
+        mask = counts != 0
+        if np.count_nonzero(mask) > STREAM_CACHE_NONZERO:
+            return None
+        offsets = np.flatnonzero(mask).astype(np.uint32)
+        nonzero = counts[offsets]
+        key = (self.t_detect, len(counts), first, *_rng_key(self.pulse_rng),
+               offsets.tobytes(), nonzero.astype(_narrow(self.t_detect)).tobytes())
+        return key, offsets, nonzero
 
     # -- defense ---------------------------------------------------------------
 

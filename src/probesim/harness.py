@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import attacker, sensor as sensor_mod
+from . import attacker, cosim, sensor as sensor_mod
 from .artifacts import write_columns, write_counters_csv
 from .attacker import EofmImage, EopTrace, ScanConfig
 from .cosim import (CoSimulation, ScenarioError, Stimulus, half_period_cycles,
@@ -984,7 +984,18 @@ def write_artifacts(result: RunResult, out_dir: Path) -> None:
     if result.stability is not None:
         result.stability.to_csv(out_dir / "counters.csv")
     if result.counters is not None:
-        write_counters_csv(out_dir / "counters.csv", result.counters)
+        # A log kept in cosim.LOG_CACHE is formatted at its first write, and
+        # its bytes, within cosim.LOG_BODY_BYTES, kept for the runs that
+        # share it.
+        path = out_dir / "counters.csv"
+        kept = result.sim.kept_log
+        if kept is not None and kept.body is not None:
+            path.write_bytes(kept.body)
+        else:
+            body = write_counters_csv(path, result.counters,
+                                      0 if kept is None else cosim.LOG_BODY_BYTES)
+            if kept is not None:
+                kept.body = body
     if result.sim is not None:
         write_defense_log(out_dir / "defense_log.csv", result.sim.defense_log)
 

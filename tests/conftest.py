@@ -30,11 +30,13 @@ DEFAULT_TUNE = TuneValue(16, 2, 2)
 
 @pytest.fixture(autouse=True)
 def empty_caches():
-    """Each test arms its sensors and draws its window streams afresh: a
-    test that patches a step of the draw, such as _stretch_p0, sees it run
-    rather than a cached result of an earlier test."""
+    """Each test arms its sensors, draws its window streams and writes its
+    counter logs afresh: a test that patches a step of the draw, such as
+    _stretch_p0, sees it run rather than a cached result of an earlier
+    test."""
     harness.ARM_CACHE.clear()
     cosim.STREAM_CACHE.clear()
+    cosim.LOG_CACHE.clear()
 
 
 def build_key_model(key=(1, 0, 1, 1, 0, 0, 0, 1), x0=16, y=8):
