@@ -28,15 +28,20 @@ settings.register_profile("ci", max_examples=1000, deadline=None)
 DEFAULT_TUNE = TuneValue(16, 2, 2)
 
 
+def clear_caches():
+    """Empty every cache a process keeps between runs."""
+    harness.ARM_CACHE.clear()
+    cosim.STREAM_CACHE.clear()
+    cosim.LOG_CACHE.clear()
+
+
 @pytest.fixture(autouse=True)
 def empty_caches():
     """Each test arms its sensors, draws its window streams and writes its
     counter logs afresh: a test that patches a step of the draw, such as
     _stretch_p0, sees it run rather than a cached result of an earlier
     test."""
-    harness.ARM_CACHE.clear()
-    cosim.STREAM_CACHE.clear()
-    cosim.LOG_CACHE.clear()
+    clear_caches()
 
 
 def build_key_model(key=(1, 0, 1, 1, 0, 0, 0, 1), x0=16, y=8):

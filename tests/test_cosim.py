@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -543,3 +544,159 @@ class TestStreamCache:
             sim = stream_sim(**sim_args)
             sim._run_schedule(**{**base, **schedule})
             assert draws[-1] is sim, name
+
+
+@pytest.fixture
+def pulse_draws(monkeypatch):
+    """The number of entries in the log cache at each draw of max pulses,
+    rather than a read of them from the log cache."""
+    drawn = []
+    window_pulses = cosim.window_pulses
+
+    def recorded(*args):
+        drawn.append(len(cosim.LOG_CACHE))
+        return window_pulses(*args)
+
+    monkeypatch.setattr(cosim, "window_pulses", recorded)
+    return drawn
+
+
+def raster_log(sim, **raster_args):
+    """The counter log of a raster across the sensor, with the pulse
+    generator's state after it."""
+    sensor_raster(sim, **raster_args)
+    return counter_rows(sim), sim.pulse_rng.bit_generator.state
+
+
+class TestLogCache:
+    @pytest.mark.parametrize("threshold", [3.0, None])
+    def test_a_hit_matches_a_fresh_draw(self, pulse_draws, threshold):
+        # The same log again: the second run reads the first's pulses and
+        # leaves the pulse generator where a fresh draw does.
+        first = stream_sim(threshold=threshold)
+        raster_log(first)
+        hit = stream_sim(threshold=threshold)
+        rows, state = raster_log(hit)
+        assert len(pulse_draws) == 1 and hit.kept_log is first.kept_log
+        cosim.LOG_CACHE.clear()
+        fresh = stream_sim(threshold=threshold)
+        fresh_rows, fresh_state = raster_log(fresh)
+        assert len(pulse_draws) == 2
+        assert np.array_equal(rows, fresh_rows) and state == fresh_state
+        assert hit.counter_columns()[2].dtype == fresh.counter_columns()[2].dtype
+        assert ((rows[:, 2] > 1) & (rows[:, 2] < 255)).any()
+        assert (rows[:, 3] == 1).any() == (threshold is not None)
+        # Later draws of the pulse stream match too.
+        assert hit.pulse_rng.random() == fresh.pulse_rng.random()
+
+    def test_each_log_input_misses(self, pulse_draws):
+        # The trigger window, the seed, the counts, the window count, the
+        # window size and the pulse generator's state each take part in the
+        # log, so a change to any one of them draws again.
+        base_rows, _ = raster_log(stream_sim())
+        base_first = int(np.argmax(base_rows[:, 3]))
+
+        def advanced():
+            sim = stream_sim()
+            sim.pulse_rng.random()
+            return sim
+
+        for name, make, raster_args in [
+                ("threshold", lambda: stream_sim(threshold=40.0), {}),
+                ("seed", lambda: stream_sim(seed=2), {}),
+                ("counts", lambda: stream_sim(), {"power": 0.5}),
+                ("windows", lambda: stream_sim(), {"dwell_windows": 601}),
+                ("t_detect", lambda: stream_sim(t_detect=254), {}),
+                ("pulse state", advanced, {})]:
+            raster_log(stream_sim())  # the base log, kept
+            drawn = len(pulse_draws)
+            sim = make()
+            rows, _ = raster_log(sim, **raster_args)
+            assert len(pulse_draws) == drawn + 1, name
+            assert list(cosim.LOG_CACHE.values()) == [sim.kept_log], name
+        # Each input alone: the same counts and window count, and another
+        # trigger window or pulse state.
+        high = stream_sim(threshold=40.0)
+        raster_log(high)
+        assert np.array_equal(high.window_counts, base_rows[:, 1])
+        assert int(np.argmax(counter_rows(high)[:, 3])) != base_first
+        moved = advanced()
+        raster_log(moved)
+        assert np.array_equal(moved.window_counts, base_rows[:, 1])
+
+    @pytest.mark.parametrize("t_detect, dtype", [(255, np.uint8),
+                                                 (300, np.uint16)])
+    def test_entries_are_narrow_and_read_only(self, t_detect, dtype):
+        # Pulses up to the window's 300 samples need 16 bits.
+        rows, _ = raster_log(stream_sim(t_detect=t_detect), power=1.0)
+        assert rows[:, 2].max() == t_detect
+        (kept,) = cosim.LOG_CACHE.values()
+        assert kept.pulses.dtype == dtype
+        assert np.array_equal(kept.pulses, rows[rows[:, 1] != 0, 2])
+        assert kept.body is None  # formatted at the log's first write
+        with pytest.raises(ValueError):
+            kept.pulses[0] = 1
+
+    def test_bounds(self, monkeypatch, pulse_draws):
+        # One entry: a new log drops the last one before its pulses are
+        # drawn, so the cache is empty at the draw.
+        sims = [stream_sim(seed=seed) for seed in range(3)]
+        for sim in sims:
+            raster_log(sim)
+        assert pulse_draws == [0, 0, 0]
+        assert list(cosim.LOG_CACHE.values()) == [sims[-1].kept_log]
+        # A log of fewer windows than the floor, or with more non-zero
+        # windows than the bound, has no key; one on the bounds has one.
+        windows = len(sims[0].window_counts)
+        nonzero = np.count_nonzero(sims[0].window_counts)
+        for min_windows, kept_nonzero, kept in [(windows + 1, nonzero, False),
+                                                (windows, nonzero - 1, False),
+                                                (windows, nonzero, True)]:
+            cosim.LOG_CACHE.clear()
+            monkeypatch.setattr(cosim, "STREAM_CACHE_MIN_WINDOWS", min_windows)
+            monkeypatch.setattr(cosim, "STREAM_CACHE_NONZERO", kept_nonzero)
+            sim = stream_sim(seed=0)
+            raster_log(sim)
+            assert len(cosim.LOG_CACHE) == kept
+            assert (sim.kept_log is not None) == kept
+
+    def test_a_log_read_before_it_ends_is_not_kept_again(self, pulse_draws):
+        # A second read of a grown log draws the new windows' pulses after
+        # the kept ones, as a single read does, and has no entry.
+        read_midway = stream_sim()
+        sensor_raster(read_midway)
+        counter_rows(read_midway)
+        kept = read_midway.kept_log
+        sensor_raster(read_midway)
+        rows = counter_rows(read_midway)
+        assert kept is not None and read_midway.kept_log is None
+        cosim.LOG_CACHE.clear()
+        once = stream_sim()
+        sensor_raster(once)
+        sensor_raster(once)
+        assert np.array_equal(rows, counter_rows(once))
+        assert (read_midway.pulse_rng.bit_generator.state
+                == once.pulse_rng.bit_generator.state)
+
+
+class TestCountBuffer:
+    def test_equal_rasters_fill_the_buffer(self):
+        # Five rasters of 4,800 windows, as an eofm_function run scans its
+        # vectors, grow the buffer to exactly their windows.
+        sim = stream_sim()
+        for _ in range(5):
+            sensor_raster(sim)
+        assert len(sim._counts) == sim.windows_done == 5 * 4800
+
+    @pytest.mark.parametrize("windows", [37, 4096, 9000])
+    def test_many_holds_copy_the_counts_a_logarithmic_number_of_times(
+            self, windows):
+        sim = stream_sim(threshold=None)
+        park_on_sensor(sim, power=0.3)
+        buffers = [sim._counts]
+        for _ in range(120):
+            advance_for(sim, windows * sim.window_ps)
+            if sim._counts is not buffers[-1]:
+                buffers.append(sim._counts)
+        assert sim.windows_done == 120 * windows
+        assert len(buffers) - 1 <= math.log(120, 1.25) + 2

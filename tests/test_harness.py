@@ -4,6 +4,7 @@ import filecmp
 import math
 import re
 import string
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import advance_for, build_key_model, build_sim, counter_rows
+from conftest import (advance_for, build_key_model, build_sim, clear_caches,
+                      counter_rows)
 from probesim import cli, cosim, harness
 from probesim.artifacts import CSV_CHUNK_ROWS
 from probesim.defense import DefensePolicy
@@ -628,15 +630,18 @@ class TestBatch:
         assert not (tmp_path / "runs").exists()
 
 
-def forbid_arming_and_draws(monkeypatch):
-    """Make a tune, a threshold derivation or a window draw fail the test:
-    a run that repeats an earlier one reads all three from the caches."""
-    def fail(*args):
-        raise AssertionError("repeated work was done again")
+def fail(*args):
+    raise AssertionError("repeated work was done again")
 
+
+def forbid_arming_and_draws(monkeypatch):
+    """Make a tune, a threshold derivation, a window draw or a max-pulse
+    draw fail the test: a run that repeats an earlier one reads all four
+    from the caches."""
     monkeypatch.setattr(harness, "tune_sensor", fail)
     monkeypatch.setattr(harness, "derive_threshold", fail)
     monkeypatch.setattr(cosim.CoSimulation, "_stretch_p0", fail)
+    monkeypatch.setattr(cosim, "window_pulses", fail)
 
 
 class TestRunCaches:
@@ -655,8 +660,7 @@ class TestRunCaches:
             forbid_arming_and_draws(patch)
             hit = run(load_scenario(SCENARIOS / f"{second}.scn", seed),
                       tmp_path / "hit")
-        harness.ARM_CACHE.clear()
-        cosim.STREAM_CACHE.clear()
+        clear_caches()
         fresh = run(load_scenario(SCENARIOS / f"{second}.scn", seed),
                     tmp_path / "fresh")
         assert np.array_equal(hit.sim.window_counts, fresh.sim.window_counts)
@@ -708,6 +712,131 @@ class TestRunCaches:
             with pytest.raises(ConfigError, match="LUT select 9"):
                 run(load_scenario(path))
         assert not harness.ARM_CACHE
+
+
+def run_named(name, seed, out_dir=None):
+    return run(load_scenario(SCENARIOS / f"{name}.scn", seed), out_dir)
+
+
+class TestLogCache:
+    @pytest.mark.parametrize("names", [
+        ("unprotected_key", "mtd_inter_key", "mtd_intra_key"),
+        ("xor_unprotected", "xor_polymorphic")])
+    @pytest.mark.parametrize("seed", [1, 70])
+    def test_a_kept_log_matches_a_fresh_run(self, tmp_path, monkeypatch,
+                                            names, seed):
+        # The scenarios of a group write one counter log: the first draws
+        # its pulses and formats it, and the others draw and format nothing
+        # and write what a fresh process writes.
+        first = run_named(names[0], seed, tmp_path / "kept" / names[0])
+        kept = first.sim.kept_log
+        assert kept.body == (tmp_path / "kept" / names[0]
+                             / "counters.csv").read_bytes()
+        hits = {}
+        with monkeypatch.context() as patch:
+            forbid_arming_and_draws(patch)
+            patch.setattr(harness, "write_counters_csv", fail)
+            for name in names[1:]:
+                hits[name] = run_named(name, seed, tmp_path / "kept" / name)
+                assert hits[name].sim.kept_log is kept
+        for name, hit in hits.items():
+            clear_caches()
+            fresh = run_named(name, seed, tmp_path / "fresh" / name)
+            assert ((tmp_path / "kept" / name / "counters.csv").read_bytes()
+                    == (tmp_path / "fresh" / name / "counters.csv").read_bytes()
+                    == kept.body), name
+            for hit_col, fresh_col in zip(hit.counters, fresh.counters):
+                assert np.array_equal(hit_col, fresh_col), name
+            assert hit.counters[2].dtype == fresh.counters[2].dtype
+            assert (hit.sim.pulse_rng.bit_generator.state
+                    == fresh.sim.pulse_rng.bit_generator.state), name
+            assert hit.summary.max_pulse_len == fresh.summary.max_pulse_len > 1
+
+    def test_each_log_input_misses(self):
+        # Another seed redraws every count, a scan at another power moves
+        # the counts, and another threshold moves the trigger window alone;
+        # each draws its log's pulses afresh.
+        scn = load_scenario(SCENARIOS / "xor_unprotected.scn")
+        for name, changed in [
+                ("seed", load_scenario(SCENARIOS / "xor_unprotected.scn", 2)),
+                ("counts", dataclasses.replace(
+                    scn, scan=dataclasses.replace(scn.scan, power=0.9))),
+                ("threshold", dataclasses.replace(
+                    scn, defense={**scn.defense, "threshold": 9.0}))]:
+            base = run(scn).sim  # the base log, kept
+            other = run(changed).sim
+            assert other.kept_log is not base.kept_log, name
+            assert list(cosim.LOG_CACHE.values()) == [other.kept_log], name
+            assert len(other.window_counts) == len(base.window_counts), name
+            assert (np.array_equal(other.window_counts, base.window_counts)
+                    == (name == "threshold")), name
+        assert other.trigger_ps != base.trigger_ps  # the threshold, last
+
+    def test_a_run_without_out_dir_formats_no_log(self, tmp_path, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "write_counters_csv", fail)
+            kept = run_named("xor_unprotected", 1).sim.kept_log
+        assert kept.body is None
+        hit = run_named("xor_polymorphic", 1, tmp_path)
+        assert hit.sim.kept_log is kept
+        assert kept.body == (tmp_path / "counters.csv").read_bytes()
+
+    def test_a_miss_drops_the_last_log_before_it_formats(self, tmp_path,
+                                                         monkeypatch):
+        last = run_named("xor_unprotected", 1, tmp_path / "last").sim.kept_log
+        assert last.body is not None
+        held = []
+        write_counters_csv = harness.write_counters_csv
+
+        def recorded(*args):
+            held.append(list(cosim.LOG_CACHE.values()))
+            return write_counters_csv(*args)
+
+        monkeypatch.setattr(harness, "write_counters_csv", recorded)
+        kept = run_named("mtd_intra_key", 1, tmp_path / "new").sim.kept_log
+        assert held == [[kept]] and kept.body is not None
+
+    def test_a_body_over_the_bound_is_written_and_not_kept(self, tmp_path,
+                                                           monkeypatch):
+        size = len(run_named("xor_unprotected", 1, tmp_path / "sized")
+                   .sim.kept_log.body)
+        for bound, kept in [(size - 1, False), (size, True)]:
+            clear_caches()
+            monkeypatch.setattr(cosim, "LOG_BODY_BYTES", bound)
+            first = run_named("xor_unprotected", 1, tmp_path / f"{bound}")
+            assert (first.sim.kept_log.body is not None) == kept
+            hit = run_named("xor_polymorphic", 1, tmp_path / f"{bound}-hit")
+            assert hit.sim.kept_log is first.sim.kept_log
+            for out in (f"{bound}", f"{bound}-hit"):
+                assert filecmp.cmp(tmp_path / "sized" / "counters.csv",
+                                   tmp_path / out / "counters.csv",
+                                   shallow=False)
+
+    def test_fills_every_cache(self):
+        # The test after this one starts with the caches this run fills
+        # emptied by the autouse fixture.
+        run_named("xor_unprotected", 1)
+        assert harness.ARM_CACHE and cosim.STREAM_CACHE and cosim.LOG_CACHE
+
+    def test_starts_with_every_cache_empty(self):
+        assert not (harness.ARM_CACHE or cosim.STREAM_CACHE or cosim.LOG_CACHE)
+
+
+def test_count_buffer_of_an_eofm_function_run_fits_its_log():
+    # The five equal rasters of xor_unprotected leave no slot to spare in
+    # the count buffer, and the run's peak traced memory stays below the
+    # 2.25 MB that doubling the buffer took (with caches and lazy tables
+    # left filled by a first run, then the caches emptied).
+    run_named("xor_unprotected", 1)
+    clear_caches()
+    tracemalloc.start()
+    try:
+        result = run_named("xor_unprotected", 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.sim._counts) == result.sim.windows_done == 62_745
+    assert peak < 2.25e6
 
 
 def function_copy(tmp_path, vectors, region_um):

@@ -299,6 +299,20 @@ class TestWindowPulses:
                  window_pulses(counts[301:], 255, rng)]
         assert np.array_equal(whole, np.concatenate(parts))
 
+    def test_zero_windows_draw_nothing(self):
+        # A kept counter log draws the pulses of its non-zero windows alone
+        # (CoSimulation.counter_columns): they and the generator's end state
+        # are those of a draw over every window.
+        counts = np.random.default_rng(4).binomial(255, 0.004, size=5000)
+        counts[:3] = [255, 1, 0]
+        full, alone = np.random.default_rng(9), np.random.default_rng(9)
+        whole = window_pulses(counts, 255, full)
+        nonzero = np.flatnonzero(counts)
+        assert 0 < len(nonzero) < len(counts)
+        assert np.array_equal(window_pulses(counts[nonzero], 255, alone),
+                              whole[nonzero])
+        assert full.bit_generator.state == alone.bit_generator.state
+
     @pytest.mark.parametrize("p0", [0.0, 0.001, 0.2, 0.995, 1.0])
     def test_matches_dense_reference(self, p0):
         # The same pulses, from the same uniforms in the same order, as the
