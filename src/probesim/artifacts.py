@@ -25,7 +25,6 @@ value, or a magnitude at or past the bound, is formatted by the reference
 
 from __future__ import annotations
 
-import io
 import itertools
 
 import numpy as np
@@ -85,23 +84,25 @@ def write_pgm(path, values: np.ndarray, peak: float) -> None:
                       for i in range(0, nx * ny, nx))
 
 
-def write_counters_csv(path, columns, keep_bytes: int = 0) -> bytes | None:
+def write_counters_csv(path, columns, keep_bytes: int = 0) -> tuple | None:
     """Write the counter log, one CSV line per window, from its four
     columns: window index, zero count, max pulse and latched flag.
 
-    Returns the file's bytes if they are at most ``keep_bytes`` long, or
-    else None; they are held only while they stay within it."""
+    Returns the file's bytes, as its header and chunks of lines, if they
+    are at most ``keep_bytes`` long, or else None; the chunks are held
+    only while they stay within it.  Held as written, they cost no copy
+    and no allocation of the whole log."""
     header = b"window_index,zero_count,max_pulse,latched\n"
-    body = io.BytesIO() if keep_bytes else None
+    parts, size = [], 0
     with open(path, "wb") as fh:
         for chunk in itertools.chain([header], iter_lines(columns, [None] * 4)):
             fh.write(chunk)
-            if body is not None:
-                body.write(chunk)
-                if body.tell() > keep_bytes:
-                    body = None
-    # getvalue() hands over the buffer's bytes without a copy.
-    return None if body is None else body.getvalue()
+            size += len(chunk)
+            if parts is not None:
+                parts.append(chunk)
+                if size > keep_bytes:
+                    parts = None
+    return None if parts is None else tuple(parts)
 
 
 def _percent_chunk(columns, places) -> bytes:

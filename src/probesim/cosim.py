@@ -82,12 +82,13 @@ class ScenarioError(Exception):
 class KeptLog:
     """A LOG_CACHE entry: the max pulses of the log's non-zero windows
     (uint8, or uint16 for a window over 255 samples), read-only, the pulse
-    generator's state after their draw, and the counters.csv bytes, which
-    harness.write_artifacts sets at the log's first write."""
+    generator's state after their draw, and the bytes of counters.csv as
+    written, a tuple of chunks, which harness.write_artifacts sets at the
+    log's first write."""
 
     pulses: np.ndarray
     state: dict
-    body: bytes | None = None
+    body: tuple[bytes, ...] | None = None
 
 
 def _rng_key(rng) -> tuple:

@@ -990,7 +990,8 @@ def write_artifacts(result: RunResult, out_dir: Path) -> None:
         path = out_dir / "counters.csv"
         kept = result.sim.kept_log
         if kept is not None and kept.body is not None:
-            path.write_bytes(kept.body)
+            with open(path, "wb") as fh:
+                fh.writelines(kept.body)
         else:
             body = write_counters_csv(path, result.counters,
                                       0 if kept is None else cosim.LOG_BODY_BYTES)

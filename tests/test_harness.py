@@ -730,8 +730,8 @@ class TestLogCache:
         # and write what a fresh process writes.
         first = run_named(names[0], seed, tmp_path / "kept" / names[0])
         kept = first.sim.kept_log
-        assert kept.body == (tmp_path / "kept" / names[0]
-                             / "counters.csv").read_bytes()
+        assert b"".join(kept.body) == (tmp_path / "kept" / names[0]
+                                       / "counters.csv").read_bytes()
         hits = {}
         with monkeypatch.context() as patch:
             forbid_arming_and_draws(patch)
@@ -744,7 +744,7 @@ class TestLogCache:
             fresh = run_named(name, seed, tmp_path / "fresh" / name)
             assert ((tmp_path / "kept" / name / "counters.csv").read_bytes()
                     == (tmp_path / "fresh" / name / "counters.csv").read_bytes()
-                    == kept.body), name
+                    == b"".join(kept.body)), name
             for hit_col, fresh_col in zip(hit.counters, fresh.counters):
                 assert np.array_equal(hit_col, fresh_col), name
             assert hit.counters[2].dtype == fresh.counters[2].dtype
@@ -779,7 +779,7 @@ class TestLogCache:
         assert kept.body is None
         hit = run_named("xor_polymorphic", 1, tmp_path)
         assert hit.sim.kept_log is kept
-        assert kept.body == (tmp_path / "counters.csv").read_bytes()
+        assert b"".join(kept.body) == (tmp_path / "counters.csv").read_bytes()
 
     def test_a_miss_drops_the_last_log_before_it_formats(self, tmp_path,
                                                          monkeypatch):
@@ -798,8 +798,9 @@ class TestLogCache:
 
     def test_a_body_over_the_bound_is_written_and_not_kept(self, tmp_path,
                                                            monkeypatch):
-        size = len(run_named("xor_unprotected", 1, tmp_path / "sized")
-                   .sim.kept_log.body)
+        body = run_named("xor_unprotected", 1, tmp_path / "sized").sim.kept_log.body
+        size = (tmp_path / "sized" / "counters.csv").stat().st_size
+        assert sum(map(len, body)) == size
         for bound, kept in [(size - 1, False), (size, True)]:
             clear_caches()
             monkeypatch.setattr(cosim, "LOG_BODY_BYTES", bound)
