@@ -586,43 +586,70 @@ class TestLogCache:
         assert hit.counter_columns()[2].dtype == fresh.counter_columns()[2].dtype
         assert ((rows[:, 2] > 1) & (rows[:, 2] < 255)).any()
         assert (rows[:, 3] == 1).any() == (threshold is not None)
-        # Later draws of the pulse stream match too.
-        assert hit.pulse_rng.random() == fresh.pulse_rng.random()
 
     def test_each_log_input_misses(self, pulse_draws):
-        # The trigger window, the seed, the counts, the window count, the
+        # The trigger window, the counts, the seed, the window count, the
         # window size and the pulse generator's state each take part in the
         # log, so a change to any one of them draws again.
-        base_rows, _ = raster_log(stream_sim())
-        base_first = int(np.argmax(base_rows[:, 3]))
-
-        def advanced():
-            sim = stream_sim()
-            sim.pulse_rng.random()
-            return sim
-
-        for name, make, raster_args in [
-                ("threshold", lambda: stream_sim(threshold=40.0), {}),
-                ("seed", lambda: stream_sim(seed=2), {}),
-                ("counts", lambda: stream_sim(), {"power": 0.5}),
-                ("windows", lambda: stream_sim(), {"dwell_windows": 601}),
-                ("t_detect", lambda: stream_sim(t_detect=254), {}),
-                ("pulse state", advanced, {})]:
-            raster_log(stream_sim())  # the base log, kept
+        for name, base_args, sim_args, raster_args in [
+                ("threshold", {}, {"threshold": 40.0}, {}),
+                ("counts", {"threshold": None}, {"threshold": None},
+                 {"power": 0.5}),
+                ("seed", {}, {"seed": 2}, {}),
+                ("windows", {}, {}, {"dwell_windows": 601}),
+                ("t_detect", {}, {"t_detect": 254}, {}),
+                ("pulse state", {}, {}, {})]:
+            base_rows, _ = raster_log(stream_sim(**base_args))  # kept
+            sim = stream_sim(**sim_args)
+            if name == "pulse state":
+                sim.pulse_rng.random()
             drawn = len(pulse_draws)
-            sim = make()
             rows, _ = raster_log(sim, **raster_args)
             assert len(pulse_draws) == drawn + 1, name
             assert list(cosim.LOG_CACHE.values()) == [sim.kept_log], name
-        # Each input alone: the same counts and window count, and another
-        # trigger window or pulse state.
-        high = stream_sim(threshold=40.0)
-        raster_log(high)
-        assert np.array_equal(high.window_counts, base_rows[:, 1])
-        assert int(np.argmax(counter_rows(high)[:, 3])) != base_first
-        moved = advanced()
-        raster_log(moved)
-        assert np.array_equal(moved.window_counts, base_rows[:, 1])
+            if name in ("threshold", "counts", "pulse state"):
+                # Each alone: the other inputs are the base log's.
+                assert len(rows) == len(base_rows), name
+                assert (np.array_equal(rows[:, 1], base_rows[:, 1])
+                        == (name != "counts")), name
+                assert (np.array_equal(rows[:, 3], base_rows[:, 3])
+                        == (name != "threshold")), name
+
+    def test_other_counts_in_the_same_windows_miss(self, pulse_draws):
+        # Two holds on the sensor whose non-zero windows are the same ones,
+        # with other counts: only the counts tell the logs apart.
+        logs = []
+        for power in (0.45, 0.5):
+            sim = stream_sim(threshold=None)
+            park_on_sensor(sim, power=power)
+            advance_for(sim, 4200 * sim.window_ps)
+            logs.append(counter_rows(sim)[:, 1])
+        assert len(pulse_draws) == 2
+        assert np.array_equal(np.flatnonzero(logs[0]), np.flatnonzero(logs[1]))
+        assert not np.array_equal(logs[0], logs[1])
+
+    def test_the_same_counts_in_another_log_miss(self, pulse_draws):
+        # Logs written into the count buffer, latched from window 99, with
+        # the same non-zero counts: one window later, one more window or
+        # another window size is another log.
+        counts = np.random.default_rng(5).integers(1, 255, size=400)
+
+        def log(shift=0, windows=5000, t_detect=255):
+            sim = stream_sim(threshold=None, t_detect=t_detect)
+            sim._counts = np.zeros(windows, dtype=np.int64)
+            sim._counts[shift + 10 * np.arange(400)] = counts
+            sim.windows_done = windows
+            sim.trigger_ps = 100 * sim.window_ps
+            return counter_rows(sim)
+
+        for name, change in [("offsets", {"shift": 1}),
+                             ("windows", {"windows": 5001}),
+                             ("t_detect", {"t_detect": 254})]:
+            base = log()  # kept
+            drawn = len(pulse_draws)
+            rows = log(**change)
+            assert len(pulse_draws) == drawn + 1, name
+            assert np.argmax(rows[:, 3]) == np.argmax(base[:, 3]) == 99, name
 
     @pytest.mark.parametrize("t_detect, dtype", [(255, np.uint8),
                                                  (300, np.uint16)])
