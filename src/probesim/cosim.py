@@ -498,9 +498,9 @@ class CoSimulation:
         pulse stream is consumed in window order, so the pulses do not
         depend on when or how often this is called.
 
-        A first call whose log was logged before in this process
-        (LOG_CACHE) fills the pulses from the kept log, and the pulse
-        generator is left as the draw left it.
+        A first call whose log an earlier run of this process drew
+        (LOG_CACHE) fills the pulses from the kept log and leaves the pulse
+        generator as that draw left it.
         """
         counts = self.window_counts
         n = len(counts)
