@@ -33,10 +33,10 @@ RASTER_CHUNK_WINDOWS = 4096
 # scenarios (probesim batch, a sweep) draws each window stream once.  The
 # bundled eofm scenarios at one seed draw six streams, one key raster and
 # five XOR rasters, which the other three scenarios repeat.  Each value is
-# the non-zero windows' offsets (uint32) and counts (uint8, or uint16 for a
-# window over 255 samples), read-only, and the sensor generator's state
-# after the draw.  Bounds: at most STREAM_CACHE_ENTRIES entries, the oldest
-# dropped first; a schedule of more than STREAM_CACHE_KEY_BYTES of dwell
+# the schedule's read-only entry of CoSimulation.record, which a hit adds
+# to its own record as it is, and the sensor generator's state after the
+# draw.  Bounds: at most STREAM_CACHE_ENTRIES entries, the oldest dropped
+# first; a schedule of more than STREAM_CACHE_KEY_BYTES of dwell
 # temperatures (4,096 dwells, against 512 in the largest bundled raster) or
 # with more than STREAM_CACHE_NONZERO non-zero windows (7,285 in the
 # largest bundled run, mtd_inter_key at seed 1, whose tune leaves about
@@ -52,9 +52,11 @@ STREAM_CACHE_NONZERO = 2 ** 16
 STREAM_CACHE_MIN_WINDOWS = 4096
 STREAM_CACHE: dict[tuple, tuple] = {}
 
-# The last counter log, by everything it is a function of (_log_key): a
-# process that runs one sensor, seed and scan in several scenarios draws
-# its max pulses and formats its counters.csv once.  The bundled key
+# The last counter log, by everything it is a function of: a process that
+# runs one sensor, seed and scan in several scenarios draws its max pulses
+# and formats its counters.csv once.  The key (counter_columns) is the
+# window size, the window count, the first latched window, the pulse
+# generator's state and the bytes of the run's record.  The bundled key
 # scenarios at one seed write one log, and the two XOR scenarios another.
 # The value is a KeptLog.  Bounds: one entry, dropped before a log that
 # misses draws and formats, so at most one log is held; a log of fewer
@@ -80,11 +82,11 @@ class ScenarioError(Exception):
 
 @dataclass
 class KeptLog:
-    """A LOG_CACHE entry: the max pulses of the log's non-zero windows
-    (uint8, or uint16 for a window over 255 samples), read-only, the pulse
-    generator's state after their draw, and the bytes of counters.csv as
-    written, a tuple of chunks, which harness.write_artifacts sets at the
-    log's first write."""
+    """A LOG_CACHE entry: the max pulses of the log's non-zero windows, in
+    record order (uint8, or uint16 for a window over 255 samples),
+    read-only, the pulse generator's state after their draw, and the bytes
+    of counters.csv as written, a tuple of chunks, which
+    harness.write_artifacts sets at the log's first write."""
 
     pulses: np.ndarray
     state: dict
@@ -214,12 +216,17 @@ class CoSimulation:
         # Time of the trigger, a window end, once it has fired: the sensor's
         # sticky latch.
         self.trigger_ps: int | None = None
-        # Zero count of every window so far, in window order: the first
-        # windows_done entries of one buffer, which _run_schedule grows to
-        # hold each schedule's windows and fills in place.  counter_columns()
-        # builds the full counter log from them.
-        self._counts = np.empty(0, dtype=np.int64)
-        self._pulses = np.zeros(0, dtype=np.int64)
+        # The windows so far, one entry per schedule in window order:
+        # (start, offsets, counts), the schedule's first window, and the
+        # offsets from it (uint32) and zero counts (uint8, or uint16 for a
+        # window over 255 samples) of its non-zero windows, read-only.  A
+        # window in no entry counted no zero.  counter_columns() builds the
+        # full counter log from them.
+        self.record: list[tuple[int, np.ndarray, np.ndarray]] = []
+        # The max pulses of the record's first non-zero windows, in record
+        # order, drawn by counter_columns() over its first _logged windows.
+        self._nonzero_pulses = np.zeros(0, dtype=_narrow(t_detect))
+        self._logged = 0
         # The LOG_CACHE entry of the log counter_columns() last returned, or
         # None if that log has no key or grew after its first call.
         self.kept_log: KeptLog | None = None
@@ -246,16 +253,6 @@ class CoSimulation:
     @property
     def latched(self) -> bool:
         return self.trigger_ps is not None
-
-    @property
-    def window_counts(self) -> np.ndarray:
-        """Zero count of every window so far, in window order: a read-only
-        view of the count buffer.  The buffer is only written past the
-        windows drawn, and grows into a new one, so a view keeps what it
-        shows while the run goes on."""
-        counts = self._counts[:self.windows_done]
-        counts.flags.writeable = False
-        return counts
 
     def set_spot(self, spot: LaserSpot | None) -> None:
         """Park the spot, or lift it with None, from now on."""
@@ -351,66 +348,56 @@ class CoSimulation:
 
         The schedule is dwells of dwell_ps from begin_ps, in which the
         sensor cell relaxes from starts[d] towards steady[d].  Every sensor
-        window is drawn here, into the count buffer in place, and the
-        trigger is checked only here: the first window at or over the
-        threshold latches the sensor and fires the defense at its end.  The
-        sensor never moves, so the response the trigger starts changes no
-        window, and the windows after it are drawn in the same pass.
+        window is drawn here, a chunk at a time, and only the non-zero ones
+        are kept, as the schedule's record entry.  The trigger is checked
+        only here, on the entry: the first window at or over the threshold
+        latches the sensor and fires the defense at its end.  The sensor
+        never moves and the defense draws from its own stream, so the
+        response the trigger starts changes no window, and checking the
+        whole schedule after its draw fires where a check per window does.
 
         A schedule drawn before in this process with the same inputs
-        (STREAM_CACHE) is filled from its stored windows, and the sensor
-        generator is left as the draw left it.  The threshold and the latch
-        take no part in the draw, so the trigger check runs on either path.
+        (STREAM_CACHE) adds the stored entry to the record as it is, and
+        the sensor generator is left as the draw left it.  The threshold
+        and the latch take no part in the draw, so the trigger check runs
+        on either path.
         """
         w0 = self.windows_done
         n = end_ps // self.window_ps - w0
-        if w0 + n > len(self._counts):
-            # Sized to fit a schedule of at least STREAM_CACHE_MIN_WINDOWS
-            # windows and a quarter of the windows so far, or else doubled.
-            # The equal rasters of an eofm_function run so leave no slot to
-            # spare, and each growth is to at least 1.25 times the windows
-            # drawn so far, so a run of holds of any length copies them a
-            # logarithmic number of times.
-            exact = n >= max(STREAM_CACHE_MIN_WINDOWS, w0 // 4)
-            grown = np.empty(w0 + n if exact else max(w0 + n, 2 * len(self._counts)),
-                             dtype=np.int64)
-            grown[:w0] = self._counts[:w0]
-            self._counts = grown
         key = self._stream_key(starts, steady, begin_ps, dwell_ps, n)
         drawn = STREAM_CACHE.get(key) if key is not None else None
         if drawn is not None:
-            offsets, nonzero, state = drawn
-            counts = self._counts[w0:w0 + n]
-            counts.fill(0)
-            counts[offsets] = nonzero
+            entry, state = drawn
             self.sensor_rng.bit_generator.state = state
-            self._check_trigger(w0, counts)
-            self.windows_done = w0 + n
-            return
-        w = w0
-        for runs in self._stretch_p0(starts, steady, begin_ps, dwell_ps, n):
-            chunk = w
-            for p0, m in runs:
-                self._counts[w:w + m] = window_zero_counts(
-                    p0, m, self.t_detect, self.sensor_rng)
-                w += m
-            self._check_trigger(chunk, self._counts[chunk:w])
-            self.windows_done = w
-        if key is not None:
-            counts = self._counts[w0:w]
-            # Counted first, so that a schedule over the bound never builds
-            # its offsets: up to 8 bytes a window near harness.MAX_WINDOWS.
-            # Found in a bool mask: np.flatnonzero of the int64 counts took
-            # five times as long (0.50 against 0.10 ms for 200,784 windows).
-            mask = counts != 0
-            if np.count_nonzero(mask) <= STREAM_CACHE_NONZERO:
-                offsets = np.flatnonzero(mask).astype(np.uint32)
-                nonzero = counts[offsets].astype(_narrow(self.t_detect))
-                offsets.flags.writeable = nonzero.flags.writeable = False
+        else:
+            # Sized for n non-zero windows and shrunk in place to the ones
+            # drawn, so they are held once: a hold on the sensor counts
+            # zeros in almost every window.
+            offsets = np.empty(n, dtype=np.uint32)
+            nonzero = np.empty(n, dtype=_narrow(self.t_detect))
+            w = kept = 0
+            for runs in self._stretch_p0(starts, steady, begin_ps, dwell_ps, n):
+                counts = np.concatenate([window_zero_counts(
+                    p0, m, self.t_detect, self.sensor_rng) for p0, m in runs])
+                # Found in a bool mask: np.flatnonzero of the int64 counts
+                # took five times as long (0.50 against 0.10 ms for 200,784
+                # windows).
+                hits = np.flatnonzero(counts != 0)
+                offsets[kept:kept + len(hits)] = hits + w
+                nonzero[kept:kept + len(hits)] = counts[hits]
+                w += len(counts)
+                kept += len(hits)
+            offsets.resize(kept)
+            nonzero.resize(kept)
+            offsets.flags.writeable = nonzero.flags.writeable = False
+            entry = (w0, offsets, nonzero)
+            if key is not None and kept <= STREAM_CACHE_NONZERO:
                 if len(STREAM_CACHE) >= STREAM_CACHE_ENTRIES:
                     del STREAM_CACHE[next(iter(STREAM_CACHE))]  # the oldest
-                STREAM_CACHE[key] = (offsets, nonzero,
-                                     self.sensor_rng.bit_generator.state)
+                STREAM_CACHE[key] = (entry, self.sensor_rng.bit_generator.state)
+        self.record.append(entry)
+        self.windows_done = w0 + n
+        self._check_trigger(entry)
 
     def _stream_key(self, starts, steady, begin_ps: int, dwell_ps: int,
                     n: int) -> tuple | None:
@@ -432,16 +419,22 @@ class CoSimulation:
                 self.windows_done, n, begin_ps, dwell_ps,
                 starts.tobytes(), steady.tobytes())
 
-    def _check_trigger(self, first: int, counts: np.ndarray) -> None:
-        """Latch the sensor and fire the defense at the end of the first of
-        these windows, from window ``first`` on, at or over the threshold,
-        unless it has latched before."""
+    def _check_trigger(self, entry: tuple) -> None:
+        """Latch the sensor and fire the defense at the end of the entry's
+        first window at or over the threshold, unless it has latched
+        before.  A window not in the entry counted no zero, so the
+        threshold must be above 0."""
         threshold = self.policy.threshold
-        if (threshold is not None and not self.latched
-                and counts.max() >= threshold):
-            hit = int(np.argmax(counts >= threshold))
+        if threshold is not None and not threshold > 0:
+            raise ScenarioError(f"threshold {threshold} must be above 0")
+        if threshold is None or self.latched:
+            return
+        start, offsets, counts = entry
+        over = counts >= threshold
+        if over.any():
             self.model.set_latch_net(1)
-            self._fire_defense((first + hit + 1) * self.window_ps)
+            hit = int(offsets[np.argmax(over)])
+            self._fire_defense((start + hit + 1) * self.window_ps)
 
     def _stretch_p0(self, starts, steady, begin_ps: int, dwell_ps: int, n: int):
         """Zero probabilities of the next n windows of a spot schedule that
@@ -488,70 +481,58 @@ class CoSimulation:
 
     def counter_columns(self) -> tuple:
         """The counter log as four columns: window index (a range), zero
-        count, max pulse and latched flag (a bool array).
+        count, max pulse and latched flag (a bool array), from the record.
 
         Only the zero counts feed back into the run; the rest follows from
-        them.  The count column is window_counts, a read-only view of the
-        count buffer that keeps its values as the run goes on.  A window is
-        latched when it ends at or after the trigger.  Max pulses are drawn
-        here, in one batch for the windows logged since the last call; the
-        pulse stream is consumed in window order, so the pulses do not
-        depend on when or how often this is called.
+        them.  A window is latched when it ends at or after the trigger.
+        Max pulses are drawn here, for the record's non-zero windows alone,
+        in one batch for the windows logged since the last call: a zero
+        window draws none (window_pulses), and the pulse stream is consumed
+        in window order, so the pulses do not depend on when or how often
+        this is called.
 
         A first call whose log an earlier run of this process drew
-        (LOG_CACHE) fills the pulses from the kept log and leaves the pulse
+        (LOG_CACHE) takes the pulses from the kept log and leaves the pulse
         generator as that draw left it.
         """
-        counts = self.window_counts
-        n = len(counts)
+        n = self.windows_done
         # Window i ends at (i + 1) * window_ps.
         first = (n if self.trigger_ps is None
                  else max(-(-self.trigger_ps // self.window_ps) - 1, 0))
-        drawn = len(self._pulses)
-        keyed = self._log_key(counts, first) if not drawn else None
-        if keyed is not None:
-            key, offsets, nonzero = keyed
-            kept = LOG_CACHE.get(key)
-            if kept is None:
-                LOG_CACHE.clear()  # before the draw: at most one log is held
-                # The zero windows draw nothing, so the non-zero ones alone
-                # draw the pulses a draw over every window does.
-                pulses = window_pulses(nonzero, self.t_detect, self.pulse_rng)
-                pulses = pulses.astype(_narrow(self.t_detect))
-                pulses.flags.writeable = False
-                kept = LOG_CACHE[key] = KeptLog(
-                    pulses, self.pulse_rng.bit_generator.state)
-            else:
+        if self._logged < n:
+            nonzero = np.concatenate([counts for _, _, counts in self.record])
+            key = kept = None
+            if (not self._logged and n >= STREAM_CACHE_MIN_WINDOWS
+                    and len(nonzero) <= STREAM_CACHE_NONZERO):
+                key = (self.t_detect, n, first, *_rng_key(self.pulse_rng),
+                       *(part for start, offsets, counts in self.record
+                         for part in (start, offsets.tobytes(), counts.tobytes())))
+                kept = LOG_CACHE.get(key)
+                if kept is None:
+                    LOG_CACHE.clear()  # before the draw: at most one log is held
+            if kept is not None:
                 self.pulse_rng.bit_generator.state = kept.state
-            self._pulses = np.zeros(n, dtype=counts.dtype)
-            self._pulses[offsets] = kept.pulses
+                self._nonzero_pulses = kept.pulses
+            else:
+                new = window_pulses(nonzero[len(self._nonzero_pulses):],
+                                    self.t_detect, self.pulse_rng)
+                self._nonzero_pulses = np.concatenate([self._nonzero_pulses, new])
+                if key is not None:
+                    self._nonzero_pulses.flags.writeable = False
+                    kept = LOG_CACHE[key] = KeptLog(
+                        self._nonzero_pulses, self.pulse_rng.bit_generator.state)
             self.kept_log = kept
-        elif drawn < n:
-            new = window_pulses(counts[drawn:], self.t_detect, self.pulse_rng)
-            self._pulses = np.concatenate([self._pulses, new]) if drawn else new
-            self.kept_log = None
+            self._logged = n
+        counts = np.zeros(n, dtype=np.int64)
+        pulses = np.zeros(n, dtype=np.int64)
+        done = 0
+        for start, offsets, entry_counts in self.record:
+            counts[start:][offsets] = entry_counts
+            pulses[start:][offsets] = self._nonzero_pulses[done:done + len(offsets)]
+            done += len(offsets)
         latched = np.zeros(n, dtype=bool)
         latched[first:] = True
-        return range(n), counts, self._pulses, latched
-
-    def _log_key(self, counts, first: int) -> tuple | None:
-        """Everything a counter log with no pulses drawn yet is a function
-        of, with the offsets and counts of its non-zero windows, or None
-        for a log too short or with too many non-zero windows to keep.  The
-        key is the window size, the window count, the first latched window,
-        the pulse generator's state and the non-zero windows' offsets and
-        counts."""
-        if len(counts) < STREAM_CACHE_MIN_WINDOWS:
-            return None
-        # A bool mask, as in _run_schedule: 0.2 ms for 200,784 windows.
-        mask = counts != 0
-        if np.count_nonzero(mask) > STREAM_CACHE_NONZERO:
-            return None
-        offsets = np.flatnonzero(mask).astype(np.uint32)
-        nonzero = counts[offsets]
-        key = (self.t_detect, len(counts), first, *_rng_key(self.pulse_rng),
-               offsets.tobytes(), nonzero.astype(_narrow(self.t_detect)).tobytes())
-        return key, offsets, nonzero
+        return range(n), counts, pulses, latched
 
     # -- defense ---------------------------------------------------------------
 

@@ -43,11 +43,11 @@ MAX_DWELLS = 16 * MAX_PIXELS
 # bound, a one-pixel region at 1 ns dwells takes 1.5 s of CPU on a 2-vCPU
 # x86 host, about 0.4 ms per vector.
 MAX_VECTORS = 4096
-# Most sensor windows of one co-simulated run.  The window log holds 16
-# bytes per window (count and pulse), about 0.5 GB at this bound, and
-# counters.csv writes one row each.  It admits a raster of MAX_PIXELS at the
-# bundled 1 ms dwell (25.7 million 2.55 us windows); the largest bundled run
-# has 200,784.
+# Most sensor windows of one co-simulated run.  The counter log's count and
+# pulse columns take 16 bytes per window, about 0.5 GB at this bound, and
+# counters.csv writes one row each; the run's record takes 5 or 6 bytes per
+# non-zero window.  It admits a raster of MAX_PIXELS at the bundled 1 ms
+# dwell (25.7 million 2.55 us windows); the largest bundled run has 200,784.
 MAX_WINDOWS = 32_000_000
 # Longest stimulus period, in clock cycles: a reset toggle's full period or
 # a shift pattern's length.  Every epoch's activity replays two periods

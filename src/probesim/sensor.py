@@ -313,7 +313,9 @@ def window_pulses(counts: np.ndarray, window: int, rng) -> np.ndarray:
     nonzero_pulses = np.where(k >= window, window, 1)
     mixed = np.flatnonzero((k > 1) & (k < window))
     if mixed.size:
-        k = k[mixed]
+        # In int64: the table's row start k (k + 1) / 2 overflows a narrow
+        # count's dtype.
+        k = k[mixed].astype(np.int64)
         u = 1.0 - rng.random(mixed.size)
         top = min((1 << int(k.max()).bit_length()) - 1, window)
         cdf = pulse_cdf(window, top)

@@ -109,6 +109,16 @@ def advance_for(sim, duration_ps):
     sim.advance_to(sim.t_ps + duration_ps)
 
 
+def window_counts(sim):
+    """Zero count of every window of a co-simulation so far, in window
+    order: its record expanded, as counter_columns() expands it, with no
+    draw of max pulses."""
+    counts = np.zeros(sim.windows_done, dtype=np.int64)
+    for start, offsets, nonzero in sim.record:
+        counts[start:][offsets] = nonzero
+    return counts
+
+
 def counter_rows(sim):
     """A co-simulation's counter log as one (windows, 4) int64 array with
     columns window index, zero count, max pulse and latched flag."""

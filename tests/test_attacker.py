@@ -10,7 +10,8 @@ from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 from conftest import (EagerField, advance_for, build_key_model,
-                      build_shift_model, build_sim, shift_stimulus, signal_at)
+                      build_shift_model, build_sim, shift_stimulus, signal_at,
+                      window_counts)
 from probesim import cosim
 from probesim.attacker import (EofmImage, ScanConfig, eofm_scan, eop_probe,
                                label_components, localize, recover_bits)
@@ -468,7 +469,7 @@ class TestRasterSchedule:
         sim = make_sim()
         eofm = eofm_scan(sim, scan)
         image = eofm.amplitudes
-        assert np.array_equal(sim.window_counts, ref.window_counts)
+        assert np.array_equal(window_counts(sim), window_counts(ref))
         assert sim.trigger_time_us == ref.trigger_time_us
         assert sim.defense_log == ref.defense_log
         assert sim.epoch_id == ref.epoch_id
@@ -539,9 +540,13 @@ class TestRasterSchedule:
         schedule = cosim.CoSimulation._stretch_p0
 
         def recorded(sim, *args):
+            # The schedule's windows follow those drawn before it, and each
+            # chunk's follow the runs of the chunks before.
+            first = sim.windows_done
             for runs in schedule(sim, *args):
-                recorded_chunks.append((sim, sim.windows_done,
+                recorded_chunks.append((sim, first,
                                         [isinstance(p0, float) for p0, _ in runs]))
+                first += sum(m for _, m in runs)
                 yield runs
 
         monkeypatch.setattr(cosim.CoSimulation, "_stretch_p0", recorded)
@@ -610,7 +615,7 @@ class TestRasterSchedule:
         sims[1].thermal = EagerField(sims[1].sensor.site)
         for sim in sims:
             eofm_scan(sim, small_scan())
-        assert np.array_equal(sims[0].window_counts, sims[1].window_counts)
+        assert np.array_equal(window_counts(sims[0]), window_counts(sims[1]))
         assert sims[0].trigger_ps == sims[1].trigger_ps is not None
         assert sims[0].defense_log == sims[1].defense_log
         assert sims[0].thermal.delta_t == sims[1].thermal.delta_t > 0

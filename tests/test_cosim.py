@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import (DEFAULT_TUNE, advance_for, build_key_model, build_sim,
-                      counter_rows)
+                      counter_rows, window_counts)
 from probesim import cosim, defense
 from probesim.cosim import (CoSimulation, ScenarioError, Stimulus,
                             half_period_cycles, stimulus_for_target_freq)
@@ -184,6 +184,27 @@ class TestDefenseTiming:
             times.append(sim.trigger_time_us)
         assert all(b <= a for a, b in zip(times, times[1:]))
 
+    @pytest.mark.parametrize("threshold", [0.5, 1.0, 3.0, 40.0, 300.0])
+    def test_fires_at_the_first_window_at_the_threshold(self, chunk,
+                                                       threshold):
+        # The check reads the non-zero windows alone, and a window that
+        # counted no zero is under any threshold above 0, so the trigger is
+        # the end of the first window a dense check finds.
+        sim = stream_sim(threshold=threshold)
+        park_on_sensor(sim, power=0.45)
+        advance_for(sim, 3000 * sim.window_ps)
+        over = np.flatnonzero(window_counts(sim) >= threshold)
+        assert ((over[0] + 1) * sim.window_ps if over.size else None) == sim.trigger_ps
+        assert (sim.trigger_ps is None) == (threshold > 255)
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan])
+    def test_a_threshold_not_above_zero_is_rejected(self, threshold):
+        # A window that counted no zero is in no record entry, so a check
+        # of the entries would never fire at a threshold of 0.
+        sim = stream_sim(threshold=threshold)
+        with pytest.raises(ScenarioError, match="must be above 0"):
+            advance_for(sim, 10 * sim.window_ps)
+
     def test_seed_rerolls_placement(self):
         placements = []
         for seed in (1, 2):
@@ -242,26 +263,6 @@ class TestCounterLog:
             logs.append(counter_rows(sim))
         assert ((logs[0][:, 1] > 1) & (logs[0][:, 1] < 255)).any()
         assert np.array_equal(logs[0], logs[1])
-
-    def test_count_view_keeps_its_windows_as_the_buffer_grows(self):
-        # A view taken after a hold still reads the hold's windows once a
-        # raster has grown the count buffer past them, and cannot be written.
-        model = build_key_model(KEY)
-        sim = build_sim(model, key=KEY)
-        park_on_sensor(sim, power=0.6)
-        advance_for(sim, 20 * sim.window_ps)
-        held = sim.window_counts
-        drawn = held.copy()
-        assert len(held) == 20 and (held > 0).any()
-        site, pitch = sim.sensor.site, sim.thermal.site_pitch_um
-        sim.raster([((site.x + 0.5) * pitch, (site.y + 0.5) * pitch)] * 64,
-                   50 * sim.window_ps, 0.6, 8.0)
-        assert len(sim.window_counts) == 20 + 64 * 50
-        assert np.array_equal(held, drawn)
-        assert np.array_equal(sim.window_counts[:20], drawn)
-        for view in (held, sim.window_counts):
-            with pytest.raises(ValueError):
-                view[0] = 7
 
     @pytest.mark.parametrize("p0", [1e-4, 0.02, 0.5, 0.97])
     @pytest.mark.parametrize("n", [1, 7, 4096, 1_000_003])
@@ -342,7 +343,7 @@ class TestAdvanceToEpochChange:
                 sim.advance_to(target)
             sims.append(sim)
         a, b = sims
-        assert np.array_equal(a.window_counts, b.window_counts)
+        assert np.array_equal(window_counts(a), window_counts(b))
         assert a.epoch_id == b.epoch_id
         assert a.epoch_segments(0, target) == b.epoch_segments(0, target)
         assert a.defense_log == b.defense_log
@@ -416,7 +417,7 @@ class TestStreamCache:
         assert hit.trigger_ps == fresh.trigger_ps is not None
         assert hit.defense_log == fresh.defense_log
         assert np.array_equal(counter_rows(hit), counter_rows(fresh))
-        assert ((fresh.window_counts > 0) & (fresh.window_counts < 255)).any()
+        assert ((window_counts(fresh) > 0) & (window_counts(fresh) < 255)).any()
         assert (hit.sensor_rng.bit_generator.state
                 == fresh.sensor_rng.bit_generator.state)
 
@@ -438,15 +439,20 @@ class TestStreamCache:
     @pytest.mark.parametrize("t_detect, dtype", [(255, np.uint8),
                                                  (300, np.uint16)])
     def test_entries_are_narrow_and_read_only(self, t_detect, dtype):
-        # Counts up to the window's 300 samples need 16 bits.
+        # Counts up to the window's 300 samples need 16 bits.  The hit's
+        # record holds the stored arrays themselves, with no copy.
         sensor_raster(stream_sim(t_detect=t_detect), power=1.0)
         hit = stream_sim(t_detect=t_detect)
         sensor_raster(hit, power=1.0)
-        assert hit.window_counts.max() == t_detect
-        (offsets, counts, _), = cosim.STREAM_CACHE.values()
+        assert window_counts(hit).max() == t_detect
+        (entry, _), = cosim.STREAM_CACHE.values()
+        start, offsets, counts = entry
+        (held,) = hit.record
+        assert held is entry and held[1] is offsets and held[2] is counts
+        assert start == 0
         assert offsets.dtype == np.uint32 and counts.dtype == dtype
-        assert np.array_equal(hit.window_counts[offsets], counts)
-        assert np.count_nonzero(hit.window_counts) == len(offsets)
+        assert np.array_equal(window_counts(hit)[offsets], counts)
+        assert np.count_nonzero(window_counts(hit)) == len(offsets)
         for stored in (offsets, counts):
             with pytest.raises(ValueError):
                 stored[0] = 1
@@ -465,8 +471,8 @@ class TestStreamCache:
         # A schedule of fewer windows, more dwell bytes or more non-zero
         # windows than the bounds is drawn and not kept; one on the bounds
         # is kept.
-        windows = len(sims[0].window_counts)
-        nonzero = np.count_nonzero(sims[0].window_counts)
+        windows = len(window_counts(sims[0]))
+        nonzero = np.count_nonzero(window_counts(sims[0]))
         for min_windows, key_bytes, kept_nonzero, kept in [
                 (windows + 1, 16 * 8, nonzero, False),
                 (windows, 16 * 7, nonzero, False),
@@ -481,9 +487,9 @@ class TestStreamCache:
 
     def test_a_stream_over_the_bound_builds_no_offsets(self, monkeypatch):
         # Parked on the sensor, almost every window of a hold counts zeros.
-        # Over the non-zero bound the draw keeps nothing, and its peak is the
-        # count buffer and a chunk's temporaries (about 0.34 MB), not 8 more
-        # bytes a window of offsets.
+        # Over the non-zero bound the draw keeps nothing in the cache, and
+        # its peak is the record's 5 bytes a non-zero window, held once, and
+        # a chunk's temporaries (about 1.65 MB).
         monkeypatch.setattr(cosim, "STREAM_CACHE_NONZERO", 1000)
         sim = stream_sim()
         park_on_sensor(sim)
@@ -494,7 +500,7 @@ class TestStreamCache:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.count_nonzero(sim.window_counts) > 0.99 * n
+        assert np.count_nonzero(window_counts(sim)) > 0.99 * n
         assert not cosim.STREAM_CACHE
         assert peak < 1.5 * n * 8
 
@@ -629,20 +635,22 @@ class TestLogCache:
         assert not np.array_equal(logs[0], logs[1])
 
     def test_the_same_counts_in_another_log_miss(self, pulse_draws):
-        # Logs written into the count buffer, latched from window 99, with
-        # the same non-zero counts: one window later, one more window or
-        # another window size is another log.
+        # Logs written as one record entry, latched from window 99, with the
+        # same non-zero counts: one window later, by the offsets or by the
+        # entry's start, one more window or another window size is another
+        # log.
         counts = np.random.default_rng(5).integers(1, 255, size=400)
 
-        def log(shift=0, windows=5000, t_detect=255):
+        def log(start=0, shift=0, windows=5000, t_detect=255):
             sim = stream_sim(threshold=None, t_detect=t_detect)
-            sim._counts = np.zeros(windows, dtype=np.int64)
-            sim._counts[shift + 10 * np.arange(400)] = counts
+            sim.record = [(start, (shift + 10 * np.arange(400)).astype(np.uint32),
+                           counts.astype(np.uint8))]
             sim.windows_done = windows
             sim.trigger_ps = 100 * sim.window_ps
             return counter_rows(sim)
 
         for name, change in [("offsets", {"shift": 1}),
+                             ("start", {"start": 1}),
                              ("windows", {"windows": 5001}),
                              ("t_detect", {"t_detect": 254})]:
             base = log()  # kept
@@ -674,8 +682,8 @@ class TestLogCache:
         assert list(cosim.LOG_CACHE.values()) == [sims[-1].kept_log]
         # A log of fewer windows than the floor, or with more non-zero
         # windows than the bound, has no key; one on the bounds has one.
-        windows = len(sims[0].window_counts)
-        nonzero = np.count_nonzero(sims[0].window_counts)
+        windows = len(window_counts(sims[0]))
+        nonzero = np.count_nonzero(window_counts(sims[0]))
         for min_windows, kept_nonzero, kept in [(windows + 1, nonzero, False),
                                                 (windows, nonzero - 1, False),
                                                 (windows, nonzero, True)]:
@@ -704,26 +712,3 @@ class TestLogCache:
         assert np.array_equal(rows, counter_rows(once))
         assert (read_midway.pulse_rng.bit_generator.state
                 == once.pulse_rng.bit_generator.state)
-
-
-class TestCountBuffer:
-    def test_equal_rasters_fill_the_buffer(self):
-        # Five rasters of 4,800 windows, as an eofm_function run scans its
-        # vectors, grow the buffer to exactly their windows.
-        sim = stream_sim()
-        for _ in range(5):
-            sensor_raster(sim)
-        assert len(sim._counts) == sim.windows_done == 5 * 4800
-
-    @pytest.mark.parametrize("windows", [37, 4096, 9000])
-    def test_many_holds_copy_the_counts_a_logarithmic_number_of_times(
-            self, windows):
-        sim = stream_sim(threshold=None)
-        park_on_sensor(sim, power=0.3)
-        buffers = [sim._counts]
-        for _ in range(120):
-            advance_for(sim, windows * sim.window_ps)
-            if sim._counts is not buffers[-1]:
-                buffers.append(sim._counts)
-        assert sim.windows_done == 120 * windows
-        assert len(buffers) - 1 <= math.log(120, 1.25) + 2

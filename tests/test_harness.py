@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import (advance_for, build_key_model, build_sim, clear_caches,
-                      counter_rows)
+                      counter_rows, window_counts)
 from probesim import cli, cosim, harness
 from probesim.artifacts import CSV_CHUNK_ROWS
 from probesim.defense import DefensePolicy
@@ -463,7 +463,7 @@ class TestCountersCsv:
     def test_run_matches_percent_format(self, tmp_path, name, seed):
         result = run(load_scenario(SCENARIOS / f"{name}.scn", seed), tmp_path)
         sim = result.sim
-        counts = np.array(sim.window_counts, dtype=np.int64)
+        counts = window_counts(sim)
         index = np.arange(len(counts))
         # The latched flag as the float trigger time gives it.
         latched = (index + 1) * sim.window_ps >= round(sim.trigger_time_us * 1e6)
@@ -663,13 +663,36 @@ class TestRunCaches:
         clear_caches()
         fresh = run(load_scenario(SCENARIOS / f"{second}.scn", seed),
                     tmp_path / "fresh")
-        assert np.array_equal(hit.sim.window_counts, fresh.sim.window_counts)
+        assert np.array_equal(window_counts(hit.sim), window_counts(fresh.sim))
         assert hit.sim.trigger_ps == fresh.sim.trigger_ps is not None
         names = sorted(p.name for p in (tmp_path / "fresh").iterdir())
         assert names == sorted(p.name for p in (tmp_path / "hit").iterdir())
         for name in names:
             assert filecmp.cmp(tmp_path / "hit" / name, tmp_path / "fresh" / name,
                                shallow=False), name
+
+    @pytest.mark.parametrize("seed", [1, 70])
+    def test_a_stream_hit_copies_nothing(self, tmp_path, monkeypatch, seed):
+        # The raster of mtd_inter_key is unprotected_key's: the hit's record
+        # holds the stored arrays themselves, and its mean and max count and
+        # counters.csv are a fresh draw's.  At seed 70 mtd_inter_key
+        # triggers in an early chunk of that one entry.
+        run_named("unprotected_key", seed)
+        (stored, _), = cosim.STREAM_CACHE.values()
+        with monkeypatch.context() as patch:
+            patch.setattr(cosim.CoSimulation, "_stretch_p0", fail)
+            hit = run_named("mtd_inter_key", seed, tmp_path / "hit")
+        (entry,) = hit.sim.record
+        assert entry is stored
+        assert entry[1] is stored[1] and entry[2] is stored[2]
+        clear_caches()
+        fresh = run_named("mtd_inter_key", seed, tmp_path / "fresh")
+        assert entry[1] is not fresh.sim.record[0][1]
+        assert hit.sim.trigger_ps == fresh.sim.trigger_ps is not None
+        assert hit.summary.mean_zero_count == fresh.summary.mean_zero_count
+        assert hit.summary.max_zero_count == fresh.summary.max_zero_count
+        assert filecmp.cmp(tmp_path / "hit" / "counters.csv",
+                           tmp_path / "fresh" / "counters.csv", shallow=False)
 
     def test_each_arming_input_misses(self, monkeypatch):
         scn = load_scenario(SCENARIOS / "mtd_intra_key.scn")
@@ -767,8 +790,8 @@ class TestLogCache:
             other = run(changed).sim
             assert other.kept_log is not base.kept_log, name
             assert list(cosim.LOG_CACHE.values()) == [other.kept_log], name
-            assert len(other.window_counts) == len(base.window_counts), name
-            assert (np.array_equal(other.window_counts, base.window_counts)
+            assert len(window_counts(other)) == len(window_counts(base)), name
+            assert (np.array_equal(window_counts(other), window_counts(base))
                     == (name == "threshold")), name
         assert other.trigger_ps != base.trigger_ps  # the threshold, last
 
@@ -823,11 +846,12 @@ class TestLogCache:
         assert not (harness.ARM_CACHE or cosim.STREAM_CACHE or cosim.LOG_CACHE)
 
 
-def test_count_buffer_of_an_eofm_function_run_fits_its_log():
-    # The five equal rasters of xor_unprotected leave no slot to spare in
-    # the count buffer, and the run's peak traced memory stays below the
-    # 2.25 MB that doubling the buffer took (with caches and lazy tables
-    # left filled by a first run, then the caches emptied).
+def test_an_eofm_function_run_peaks_within_its_log():
+    # The record of xor_unprotected's five rasters holds their non-zero
+    # windows alone, and the run's peak traced memory, with its counter
+    # log's dense columns, stays below the 2.25 MB that a doubled dense
+    # count buffer once took (with caches and lazy tables left filled by a
+    # first run, then the caches emptied).
     run_named("xor_unprotected", 1)
     clear_caches()
     tracemalloc.start()
@@ -836,7 +860,8 @@ def test_count_buffer_of_an_eofm_function_run_fits_its_log():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(result.sim._counts) == result.sim.windows_done == 62_745
+    assert len(result.sim.record) == 5
+    assert result.sim.windows_done == 62_745
     assert peak < 2.25e6
 
 

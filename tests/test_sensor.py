@@ -313,14 +313,18 @@ class TestWindowPulses:
                               whole[nonzero])
         assert full.bit_generator.state == alone.bit_generator.state
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
     @pytest.mark.parametrize("p0", [0.0, 0.001, 0.2, 0.995, 1.0])
-    def test_matches_dense_reference(self, p0):
+    def test_matches_dense_reference(self, p0, dtype):
         # The same pulses, from the same uniforms in the same order, as the
         # pass over every window that window_pulses once made; windows of
-        # count 0 consume no uniform, so the generators end level.
+        # count 0 consume no uniform, so the generators end level.  The
+        # counts of a co-simulation's record are uint8 or uint16, and give
+        # the pulses of their int64 values, in their own dtype.
         counts = np.random.default_rng(4).binomial(255, p0, size=900)
         rng, dense_rng = np.random.default_rng(9), np.random.default_rng(9)
-        pulses = window_pulses(counts, 255, rng)
+        pulses = window_pulses(counts.astype(dtype), 255, rng)
+        assert pulses.dtype == dtype
         dense = np.where(counts >= 255, 255, np.minimum(counts, 1))
         mixed = np.flatnonzero((counts > 1) & (counts < 255))
         if mixed.size:
