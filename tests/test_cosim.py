@@ -194,7 +194,8 @@ class TestDefenseTiming:
         park_on_sensor(sim, power=0.45)
         advance_for(sim, 3000 * sim.window_ps)
         over = np.flatnonzero(window_counts(sim) >= threshold)
-        assert ((over[0] + 1) * sim.window_ps if over.size else None) == sim.trigger_ps
+        fire_ps = (over[0] + 1) * sim.window_ps if over.size else None
+        assert sim.trigger_ps == fire_ps
         assert (sim.trigger_ps is None) == (threshold > 255)
 
     @pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan])
