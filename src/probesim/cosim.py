@@ -34,39 +34,24 @@ RASTER_CHUNK_WINDOWS = 4096
 # bundled eofm scenarios at one seed draw six streams, one key raster and
 # five XOR rasters, which the other three scenarios repeat.  Each value is
 # the schedule's read-only entry of CoSimulation.record, which a hit adds
-# to its own record as it is, and the sensor generator's state after the
-# draw.  Bounds: at most STREAM_CACHE_ENTRIES entries, the oldest dropped
-# first; a schedule of more than STREAM_CACHE_KEY_BYTES of dwell
+# to its own record as it is, and the sensor and pulse generators' states
+# after the draw.  Bounds: at most STREAM_CACHE_ENTRIES entries, the oldest
+# dropped first; a schedule of more than STREAM_CACHE_KEY_BYTES of dwell
 # temperatures (4,096 dwells, against 512 in the largest bundled raster) or
 # with more than STREAM_CACHE_NONZERO non-zero windows (7,285 in the
 # largest bundled run, mtd_inter_key at seed 1, whose tune leaves about
 # 0.58 million of harness.MAX_WINDOWS ambient windows non-zero) is drawn
-# and not kept.  So the cache holds at most 8 x (64 kB + 384 kB), 3.5 MB.
-# A schedule of fewer than STREAM_CACHE_MIN_WINDOWS windows, such as each
-# of eop_shift's two 941-window holds, is not kept either: keying and
-# keeping it took about 10 us, as much as a draw of its windows at one p0,
-# and a run of short holds would push the rasters out.
+# and not kept.  An entry takes 6 bytes per non-zero window, or 8 for a
+# window over 255 samples, so the cache holds at most 8 x (64 kB + 512 kB),
+# 4.5 MB.  A schedule of fewer than STREAM_CACHE_MIN_WINDOWS windows, such
+# as each of eop_shift's two 941-window holds, is not kept either: keying
+# and keeping it took about 10 us, as much as a draw of its windows at one
+# p0, and a run of short holds would push the rasters out.
 STREAM_CACHE_ENTRIES = 8
 STREAM_CACHE_KEY_BYTES = 2 ** 16
 STREAM_CACHE_NONZERO = 2 ** 16
 STREAM_CACHE_MIN_WINDOWS = 4096
 STREAM_CACHE: dict[tuple, tuple] = {}
-
-# The last counter log, by everything it is a function of: a process that
-# runs one sensor, seed and scan in several scenarios draws its max pulses
-# and formats its counters.csv once.  The key (counter_columns) is the
-# window size, the window count, the first latched window, the pulse
-# generator's state and the bytes of the run's record.  The bundled key
-# scenarios at one seed write one log, and the two XOR scenarios another.
-# The value is a KeptLog.  Bounds: one entry, dropped before a log that
-# misses draws and formats, so at most one log is held; a log of fewer
-# than STREAM_CACHE_MIN_WINDOWS windows (eop_shift's 1,882) or with more
-# than STREAM_CACHE_NONZERO non-zero windows has no key; a body over
-# LOG_BODY_BYTES is written and not kept (mtd_inter_key writes 2.5 MB at
-# seed 1).  So the cache holds at most 4 MiB of body and 512 kB of key and
-# pulses.
-LOG_BODY_BYTES = 4 * 2 ** 20
-LOG_CACHE: dict[tuple, KeptLog] = {}
 
 # A raster dwell is ambient when |alpha| * max(|start|, |steady|) of the
 # sensor cell is below this; every window in it then has a delay factor
@@ -78,19 +63,6 @@ AMBIENT_LIMIT = 2.0 ** -55
 
 class ScenarioError(Exception):
     """Scenario-level contract violation (bad region, bad stimulus, ...)."""
-
-
-@dataclass
-class KeptLog:
-    """A LOG_CACHE entry: the max pulses of the log's non-zero windows, in
-    record order (uint8, or uint16 for a window over 255 samples),
-    read-only, the pulse generator's state after their draw, and the bytes
-    of counters.csv as written, a tuple of chunks, which
-    harness.write_artifacts sets at the log's first write."""
-
-    pulses: np.ndarray
-    state: dict
-    body: tuple[bytes, ...] | None = None
 
 
 def _rng_key(rng) -> tuple:
@@ -217,19 +189,12 @@ class CoSimulation:
         # sticky latch.
         self.trigger_ps: int | None = None
         # The windows so far, one entry per schedule in window order:
-        # (start, offsets, counts), the schedule's first window, and the
-        # offsets from it (uint32) and zero counts (uint8, or uint16 for a
-        # window over 255 samples) of its non-zero windows, read-only.  A
-        # window in no entry counted no zero.  counter_columns() builds the
-        # full counter log from them.
-        self.record: list[tuple[int, np.ndarray, np.ndarray]] = []
-        # The max pulses of the record's first non-zero windows, in record
-        # order, drawn by counter_columns() over its first _logged windows.
-        self._nonzero_pulses = np.zeros(0, dtype=_narrow(t_detect))
-        self._logged = 0
-        # The LOG_CACHE entry of the log counter_columns() last returned, or
-        # None if that log has no key or grew after its first call.
-        self.kept_log: KeptLog | None = None
+        # (start, offsets, counts, pulses), the schedule's first window, and
+        # the offsets from it (uint32), zero counts and max pulses (uint8,
+        # or uint16 for a window over 255 samples) of its non-zero windows,
+        # read-only.  A window in no entry counted no zero and has no
+        # pulse.  counter_columns() builds the full counter log from them.
+        self.record: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
         self.defense_log: list[dict] = []
         # Start time of each epoch, by epoch id; starts never decrease.
         self._epochs: list[int] = [0]
@@ -253,6 +218,15 @@ class CoSimulation:
     @property
     def latched(self) -> bool:
         return self.trigger_ps is not None
+
+    @property
+    def first_latched(self) -> int:
+        """The first window that ends at or after the trigger, or the
+        window count if the trigger has not fired."""
+        if self.trigger_ps is None:
+            return self.windows_done
+        # Window i ends at (i + 1) * window_ps.
+        return max(-(-self.trigger_ps // self.window_ps) - 1, 0)
 
     def set_spot(self, spot: LaserSpot | None) -> None:
         """Park the spot, or lift it with None, from now on."""
@@ -349,26 +323,31 @@ class CoSimulation:
         The schedule is dwells of dwell_ps from begin_ps, in which the
         sensor cell relaxes from starts[d] towards steady[d].  Every sensor
         window is drawn here, a chunk at a time, and only the non-zero ones
-        are kept, as the schedule's record entry.  The trigger is checked
-        only here, on the entry: the first window at or over the threshold
-        latches the sensor and fires the defense at its end.  The sensor
-        never moves and the defense draws from its own stream, so the
-        response the trigger starts changes no window, and checking the
-        whole schedule after its draw fires where a check per window does.
+        are kept, as the schedule's record entry, with their max pulses
+        drawn right after them.  The trigger is checked only here, on the
+        entry: the first window at or over the threshold latches the sensor
+        and fires the defense at its end.  The sensor never moves and the
+        defense draws from its own stream, so the response the trigger
+        starts changes no window, and checking the whole schedule after its
+        draw fires where a check per window does.
 
         A schedule drawn before in this process with the same inputs
         (STREAM_CACHE) adds the stored entry to the record as it is, and
-        the sensor generator is left as the draw left it.  The threshold
-        and the latch take no part in the draw, so the trigger check runs
-        on either path.
+        the sensor and pulse generators are left as the draw left them.
+        Nothing else reads the pulse generator, and a window's pulse does
+        not depend on how the counts are split across window_pulses calls,
+        so the pulses are those of one draw over the whole log.  The
+        threshold and the latch take no part in the draw, so the trigger
+        check runs on either path.
         """
         w0 = self.windows_done
         n = end_ps // self.window_ps - w0
         key = self._stream_key(starts, steady, begin_ps, dwell_ps, n)
         drawn = STREAM_CACHE.get(key) if key is not None else None
         if drawn is not None:
-            entry, state = drawn
+            entry, state, pulse_state = drawn
             self.sensor_rng.bit_generator.state = state
+            self.pulse_rng.bit_generator.state = pulse_state
         else:
             # Sized for n non-zero windows and shrunk in place to the ones
             # drawn, so they are held once: a hold on the sensor counts
@@ -387,14 +366,27 @@ class CoSimulation:
                 nonzero[kept:kept + len(hits)] = counts[hits]
                 w += len(counts)
                 kept += len(hits)
-            offsets.resize(kept)
-            nonzero.resize(kept)
-            offsets.flags.writeable = nonzero.flags.writeable = False
-            entry = (w0, offsets, nonzero)
+            # No view of either buffer is left from the loop, so the check
+            # for other references, which a trace or profile function
+            # (cProfile, pdb, a coverage tracer) fails, can be skipped.
+            offsets.resize(kept, refcheck=False)
+            nonzero.resize(kept, refcheck=False)
+            # In blocks of at most RASTER_CHUNK_WINDOWS non-zero windows, so
+            # a hot hold's temporaries stay a chunk's.
+            pulses = np.empty_like(nonzero)
+            for i in range(0, kept, RASTER_CHUNK_WINDOWS):
+                block = slice(i, i + RASTER_CHUNK_WINDOWS)
+                pulses[block] = window_pulses(nonzero[block], self.t_detect,
+                                              self.pulse_rng)
+            for stored in (offsets, nonzero, pulses):
+                stored.flags.writeable = False
+            entry = (w0, offsets, nonzero, pulses)
             if key is not None and kept <= STREAM_CACHE_NONZERO:
                 if len(STREAM_CACHE) >= STREAM_CACHE_ENTRIES:
                     del STREAM_CACHE[next(iter(STREAM_CACHE))]  # the oldest
-                STREAM_CACHE[key] = (entry, self.sensor_rng.bit_generator.state)
+                STREAM_CACHE[key] = (
+                    entry, self.sensor_rng.bit_generator.state,
+                    self.pulse_rng.bit_generator.state)
         self.record.append(entry)
         self.windows_done = w0 + n
         self._check_trigger(entry)
@@ -403,17 +395,17 @@ class CoSimulation:
                     n: int) -> tuple | None:
         """Everything the draw of the next n windows of a spot schedule
         reads, or None for a schedule too short or too large to keep: the
-        sensor generator's state, the sensor's fields with its tune, the
-        thermal constants, the window grid and the schedule.  The sensor's
-        fields and the thermal constants are read at each call, as the
-        field's attributes may be set after the CoSimulation is built."""
+        sensor and pulse generators' states, the sensor's fields with its
+        tune, the thermal constants, the window grid and the schedule.  The
+        sensor's fields and the thermal constants are read at each call, as
+        the field's attributes may be set after the CoSimulation is built."""
         if n < STREAM_CACHE_MIN_WINDOWS:
             return None
         starts = np.asarray(starts, dtype=float)
         steady = np.asarray(steady, dtype=float)
         if starts.nbytes + steady.nbytes > STREAM_CACHE_KEY_BYTES:
             return None
-        return (*_rng_key(self.sensor_rng),
+        return (*_rng_key(self.sensor_rng), *_rng_key(self.pulse_rng),
                 *vars(self.sensor).values(), self.thermal.alpha_per_k,
                 self.thermal.tau_us, self.t_detect, self.window_ps,
                 self.windows_done, n, begin_ps, dwell_ps,
@@ -429,7 +421,7 @@ class CoSimulation:
             raise ScenarioError(f"threshold {threshold} must be above 0")
         if threshold is None or self.latched:
             return
-        start, offsets, counts = entry
+        start, offsets, counts, _ = entry
         over = counts >= threshold
         if over.any():
             self.model.set_latch_net(1)
@@ -481,57 +473,17 @@ class CoSimulation:
 
     def counter_columns(self) -> tuple:
         """The counter log as four columns: window index (a range), zero
-        count, max pulse and latched flag (a bool array), from the record.
-
-        Only the zero counts feed back into the run; the rest follows from
-        them.  A window is latched when it ends at or after the trigger.
-        Max pulses are drawn here, for the record's non-zero windows alone,
-        in one batch for the windows logged since the last call: a zero
-        window draws none (window_pulses), and the pulse stream is consumed
-        in window order, so the pulses do not depend on when or how often
-        this is called.
-
-        A first call whose log an earlier run of this process drew
-        (LOG_CACHE) takes the pulses from the kept log and leaves the pulse
-        generator as that draw left it.
+        count, max pulse and latched flag (a bool array), expanded from the
+        record.  A window is latched when it ends at or after the trigger.
         """
         n = self.windows_done
-        # Window i ends at (i + 1) * window_ps.
-        first = (n if self.trigger_ps is None
-                 else max(-(-self.trigger_ps // self.window_ps) - 1, 0))
-        if self._logged < n:
-            nonzero = np.concatenate([counts for _, _, counts in self.record])
-            key = kept = None
-            if (not self._logged and n >= STREAM_CACHE_MIN_WINDOWS
-                    and len(nonzero) <= STREAM_CACHE_NONZERO):
-                key = (self.t_detect, n, first, *_rng_key(self.pulse_rng),
-                       *(part for start, offsets, counts in self.record
-                         for part in (start, offsets.tobytes(), counts.tobytes())))
-                kept = LOG_CACHE.get(key)
-                if kept is None:
-                    LOG_CACHE.clear()  # before the draw: at most one log is held
-            if kept is not None:
-                self.pulse_rng.bit_generator.state = kept.state
-                self._nonzero_pulses = kept.pulses
-            else:
-                new = window_pulses(nonzero[len(self._nonzero_pulses):],
-                                    self.t_detect, self.pulse_rng)
-                self._nonzero_pulses = np.concatenate([self._nonzero_pulses, new])
-                if key is not None:
-                    self._nonzero_pulses.flags.writeable = False
-                    kept = LOG_CACHE[key] = KeptLog(
-                        self._nonzero_pulses, self.pulse_rng.bit_generator.state)
-            self.kept_log = kept
-            self._logged = n
         counts = np.zeros(n, dtype=np.int64)
         pulses = np.zeros(n, dtype=np.int64)
-        done = 0
-        for start, offsets, entry_counts in self.record:
+        for start, offsets, entry_counts, entry_pulses in self.record:
             counts[start:][offsets] = entry_counts
-            pulses[start:][offsets] = self._nonzero_pulses[done:done + len(offsets)]
-            done += len(offsets)
+            pulses[start:][offsets] = entry_pulses
         latched = np.zeros(n, dtype=bool)
-        latched[first:] = True
+        latched[self.first_latched:] = True
         return range(n), counts, pulses, latched
 
     # -- defense ---------------------------------------------------------------

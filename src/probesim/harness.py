@@ -43,11 +43,12 @@ MAX_DWELLS = 16 * MAX_PIXELS
 # bound, a one-pixel region at 1 ns dwells takes 1.5 s of CPU on a 2-vCPU
 # x86 host, about 0.4 ms per vector.
 MAX_VECTORS = 4096
-# Most sensor windows of one co-simulated run.  The counter log's count and
-# pulse columns take 16 bytes per window, about 0.5 GB at this bound, and
-# counters.csv writes one row each; the run's record takes 5 or 6 bytes per
-# non-zero window.  It admits a raster of MAX_PIXELS at the bundled 1 ms
-# dwell (25.7 million 2.55 us windows); the largest bundled run has 200,784.
+# Most sensor windows of one co-simulated run.  The run's record takes 6
+# or 8 bytes per non-zero window.  counters.csv writes one row each, from
+# dense count and pulse columns of 16 bytes per window (about 0.5 GB at
+# this bound) that are built only when it is written.  It admits a raster
+# of MAX_PIXELS at the bundled 1 ms dwell (25.7 million 2.55 us windows);
+# the largest bundled run has 200,784.
 MAX_WINDOWS = 32_000_000
 # Longest stimulus period, in clock cycles: a reset toggle's full period or
 # a shift pattern's length.  Every epoch's activity replays two periods
@@ -748,9 +749,6 @@ class RunResult:
     traces: dict[str, EopTrace] | None = None
     stability: StabilityReport | None = None
     sim: CoSimulation | None = None
-    # The co-simulation's counter log columns (CoSimulation.counter_columns),
-    # built once per run for the summary and counters.csv.
-    counters: tuple | None = None
 
 
 # The tune and threshold of each distinct arming, by everything arm_sensor
@@ -880,17 +878,19 @@ def run(scn: Scenario, out_dir=None) -> RunResult:
                 "eop_duration_cycles": spec.duration_cycles,
             }
         result.sim = sim
-        result.counters = sim.counter_columns()
         summary.trigger_time_us = sim.trigger_time_us
         summary.total_sim_time_us = sim.t_us
-        _, counts, pulses, _ = result.counters
-        if len(counts):
-            summary.windows = len(counts)
-            # The integer sum is exact: it stays below 2**53 even at
-            # MAX_WINDOWS windows of MAX_WINDOW zeros, so this is mean().
-            summary.mean_zero_count = float(counts.sum()) / len(counts)
-            summary.max_zero_count = int(counts.max())
-            summary.max_pulse_len = int(pulses.max())
+        if sim.windows_done:
+            # From the record's non-zero windows.  The int64 sum is exact:
+            # it stays below 2**53 even at MAX_WINDOWS windows of
+            # MAX_WINDOW zeros, so this is the mean of every window's count.
+            counts = np.concatenate([counts for _, _, counts, _ in sim.record])
+            pulses = np.concatenate([pulses for *_, pulses in sim.record])
+            summary.windows = sim.windows_done
+            summary.mean_zero_count = (float(counts.sum(dtype=np.int64))
+                                       / sim.windows_done)
+            summary.max_zero_count = int(counts.max(initial=0))
+            summary.max_pulse_len = int(pulses.max(initial=0))
     if out_dir is not None:
         write_artifacts(result, Path(out_dir))
     return result
@@ -967,6 +967,47 @@ def _check_netlist_rules(scn: Scenario, model: FabricModel,
                              f"{key!r} for {len(model.protected)} protected bits")
 
 
+# The last counter log's bytes, by everything they are a function of: a
+# process that runs one sensor, seed and scan in several scenarios writes
+# the same counters.csv from each, and formats it once.  The key
+# (write_counter_log) is the window count, the first latched window and
+# each entry of the run's record (CoSimulation.record): its start, and the
+# bytes of its offsets, counts and pulses.  The bundled key scenarios at
+# one seed write one log, and the two XOR scenarios another.  The value is
+# the file's bytes as written, a tuple of chunks.  Bounds: one entry,
+# dropped before a log that misses is formatted, so at most one log is
+# held; a log of fewer than cosim.STREAM_CACHE_MIN_WINDOWS windows
+# (eop_shift's 1,882) or with more than cosim.STREAM_CACHE_NONZERO non-zero
+# windows has no key; a body over LOG_BODY_BYTES is written and not kept
+# (mtd_inter_key writes 2.5 MB at seed 1).  So the cache holds at most
+# 4 MiB of body and 512 kB of key.
+LOG_BODY_BYTES = 4 * 2 ** 20
+LOG_CACHE: dict[tuple, tuple[bytes, ...]] = {}
+
+
+def write_counter_log(path, sim: CoSimulation) -> None:
+    """Write a co-simulation's counters.csv.  A log that an earlier run of
+    this process wrote (LOG_CACHE) is written from its kept bytes; any
+    other is formatted from the record (CoSimulation.counter_columns)."""
+    key = None
+    if (sim.windows_done >= cosim.STREAM_CACHE_MIN_WINDOWS
+            and sum(len(entry[1]) for entry in sim.record)
+            <= cosim.STREAM_CACHE_NONZERO):
+        key = (sim.windows_done, sim.first_latched,
+               *(part for start, *arrays in sim.record
+                 for part in (start, *(a.tobytes() for a in arrays))))
+    body = LOG_CACHE.get(key)
+    if body is not None:
+        with open(path, "wb") as fh:
+            fh.writelines(body)
+        return
+    LOG_CACHE.clear()  # before the format: at most one log is held
+    body = write_counters_csv(path, sim.counter_columns(),
+                              0 if key is None else LOG_BODY_BYTES)
+    if body is not None:
+        LOG_CACHE[key] = body
+
+
 def write_artifacts(result: RunResult, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "summary.txt", "w") as fh:
@@ -983,21 +1024,8 @@ def write_artifacts(result: RunResult, out_dir: Path) -> None:
                 (out_dir / "trace.csv").write_bytes(data)
     if result.stability is not None:
         result.stability.to_csv(out_dir / "counters.csv")
-    if result.counters is not None:
-        # A log kept in cosim.LOG_CACHE is formatted at its first write, and
-        # its bytes, within cosim.LOG_BODY_BYTES, kept for the runs that
-        # share it.
-        path = out_dir / "counters.csv"
-        kept = result.sim.kept_log
-        if kept is not None and kept.body is not None:
-            with open(path, "wb") as fh:
-                fh.writelines(kept.body)
-        else:
-            body = write_counters_csv(path, result.counters,
-                                      0 if kept is None else cosim.LOG_BODY_BYTES)
-            if kept is not None:
-                kept.body = body
     if result.sim is not None:
+        write_counter_log(out_dir / "counters.csv", result.sim)
         write_defense_log(out_dir / "defense_log.csv", result.sim.defense_log)
 
 

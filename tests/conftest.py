@@ -8,7 +8,7 @@ from probesim import cosim, harness
 from probesim.cosim import CoSimulation, Stimulus, stimulus_for_target_freq
 from probesim.defense import DefensePolicy
 from probesim.fabric import FabricModel, FlipFlop, SliceCoord
-from probesim.sensor import SensorInstance, TuneValue
+from probesim.sensor import SensorInstance, TuneValue, window_pulses
 from probesim.thermal import LaserSpot, ThermalField, relax
 
 # A longer run of the property tests, for CI:
@@ -32,7 +32,7 @@ def clear_caches():
     """Empty every cache a process keeps between runs."""
     harness.ARM_CACHE.clear()
     cosim.STREAM_CACHE.clear()
-    cosim.LOG_CACHE.clear()
+    harness.LOG_CACHE.clear()
 
 
 @pytest.fixture(autouse=True)
@@ -42,6 +42,26 @@ def empty_caches():
     _stretch_p0, sees it run rather than a cached result of an earlier
     test."""
     clear_caches()
+
+
+@pytest.fixture
+def formats(monkeypatch):
+    """The number of entries in the log cache at each counter log that is
+    formatted, rather than written from the log cache."""
+    formatted = []
+    write_counters_csv = harness.write_counters_csv
+
+    def recorded(*args):
+        formatted.append(len(harness.LOG_CACHE))
+        return write_counters_csv(*args)
+
+    monkeypatch.setattr(harness, "write_counters_csv", recorded)
+    return formatted
+
+
+def kept_logs():
+    """The bytes of each counter log in the log cache."""
+    return [b"".join(body) for body in harness.LOG_CACHE.values()]
 
 
 def build_key_model(key=(1, 0, 1, 1, 0, 0, 0, 1), x0=16, y=8):
@@ -111,12 +131,25 @@ def advance_for(sim, duration_ps):
 
 def window_counts(sim):
     """Zero count of every window of a co-simulation so far, in window
-    order: its record expanded, as counter_columns() expands it, with no
-    draw of max pulses."""
+    order: its record expanded, as counter_columns() expands it."""
     counts = np.zeros(sim.windows_done, dtype=np.int64)
-    for start, offsets, nonzero in sim.record:
+    for start, offsets, nonzero, _ in sim.record:
         counts[start:][offsets] = nonzero
     return counts
+
+
+def assert_pulses_of_one_draw(sim, seed):
+    """A co-simulation's record holds the max pulses of one window_pulses
+    call over its counts joined end to end, in their dtype, drawn from a
+    generator seeded as the run's pulse stream is, and that generator ends
+    where the run's does.  Returns the pulses."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[3])
+    counts = np.concatenate([counts for _, _, counts, _ in sim.record])
+    pulses = np.concatenate([pulses for *_, pulses in sim.record])
+    drawn = window_pulses(counts, sim.t_detect, rng)
+    assert np.array_equal(pulses, drawn) and pulses.dtype == drawn.dtype
+    assert rng.bit_generator.state == sim.pulse_rng.bit_generator.state
+    return pulses
 
 
 def counter_rows(sim):

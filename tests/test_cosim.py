@@ -5,9 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (DEFAULT_TUNE, advance_for, build_key_model, build_sim,
-                      counter_rows, window_counts)
-from probesim import cosim, defense
+from conftest import (DEFAULT_TUNE, advance_for, assert_pulses_of_one_draw,
+                      build_key_model, build_sim, counter_rows, kept_logs,
+                      window_counts)
+from probesim import cosim, defense, harness
 from probesim.cosim import (CoSimulation, ScenarioError, Stimulus,
                             half_period_cycles, stimulus_for_target_freq)
 from probesim.defense import DefensePolicy, region_slices
@@ -421,6 +422,8 @@ class TestStreamCache:
         assert ((window_counts(fresh) > 0) & (window_counts(fresh) < 255)).any()
         assert (hit.sensor_rng.bit_generator.state
                 == fresh.sensor_rng.bit_generator.state)
+        assert (hit.pulse_rng.bit_generator.state
+                == fresh.pulse_rng.bit_generator.state)
 
     def test_the_threshold_alone_hits(self, chunk, draws):
         # The threshold takes no part in the draw: a run at another one
@@ -440,21 +443,25 @@ class TestStreamCache:
     @pytest.mark.parametrize("t_detect, dtype", [(255, np.uint8),
                                                  (300, np.uint16)])
     def test_entries_are_narrow_and_read_only(self, t_detect, dtype):
-        # Counts up to the window's 300 samples need 16 bits.  The hit's
-        # record holds the stored arrays themselves, with no copy.
+        # Counts and pulses up to the window's 300 samples need 16 bits.
+        # The hit's record holds the stored arrays themselves, with no copy.
         sensor_raster(stream_sim(t_detect=t_detect), power=1.0)
         hit = stream_sim(t_detect=t_detect)
         sensor_raster(hit, power=1.0)
-        assert window_counts(hit).max() == t_detect
-        (entry, _), = cosim.STREAM_CACHE.values()
-        start, offsets, counts = entry
+        rows = counter_rows(hit)
+        assert rows[:, 1].max() == rows[:, 2].max() == t_detect
+        (entry, *_), = cosim.STREAM_CACHE.values()
+        start, offsets, counts, pulses = entry
         (held,) = hit.record
         assert held is entry and held[1] is offsets and held[2] is counts
+        assert held[3] is pulses
         assert start == 0
-        assert offsets.dtype == np.uint32 and counts.dtype == dtype
-        assert np.array_equal(window_counts(hit)[offsets], counts)
-        assert np.count_nonzero(window_counts(hit)) == len(offsets)
-        for stored in (offsets, counts):
+        assert offsets.dtype == np.uint32
+        assert counts.dtype == pulses.dtype == dtype
+        assert np.array_equal(rows[offsets, 1], counts)
+        assert np.array_equal(rows[offsets, 2], pulses)
+        assert np.count_nonzero(rows[:, 1]) == len(offsets)
+        for stored in (offsets, counts, pulses):
             with pytest.raises(ValueError):
                 stored[0] = 1
 
@@ -553,163 +560,84 @@ class TestStreamCache:
             assert draws[-1] is sim, name
 
 
-@pytest.fixture
-def pulse_draws(monkeypatch):
-    """The number of entries in the log cache at each draw of max pulses,
-    rather than a read of them from the log cache."""
-    drawn = []
-    window_pulses = cosim.window_pulses
-
-    def recorded(*args):
-        drawn.append(len(cosim.LOG_CACHE))
-        return window_pulses(*args)
-
-    monkeypatch.setattr(cosim, "window_pulses", recorded)
-    return drawn
+def test_a_hot_hold_draws_its_pulses_as_one_log():
+    # Parked on the sensor, a hold of 250,000 windows counts zeros in
+    # almost all of them, whose pulses are drawn in blocks of
+    # RASTER_CHUNK_WINDOWS non-zero windows.
+    sim = stream_sim(seed=1)
+    park_on_sensor(sim)
+    advance_for(sim, 250_000 * sim.window_ps)
+    assert len(sim.record[0][1]) > 60 * cosim.RASTER_CHUNK_WINDOWS
+    pulses = assert_pulses_of_one_draw(sim, seed=1)
+    assert ((pulses > 1) & (pulses < sim.t_detect)).any()
 
 
-def raster_log(sim, **raster_args):
-    """The counter log of a raster across the sensor, with the pulse
-    generator's state after it."""
-    sensor_raster(sim, **raster_args)
-    return counter_rows(sim), sim.pulse_rng.bit_generator.state
+# The non-zero windows of a made-up record entry: every tenth window from
+# its start, with these counts and pulses.
+LOG_COUNTS = np.random.default_rng(5).integers(1, 255, size=400).astype(np.uint8)
+LOG_PULSES = LOG_COUNTS // 3
+
+
+def made_up_log(path, start=0, shift=0, windows=5000, latched_from=99,
+                counts=LOG_COUNTS, pulses=LOG_PULSES, t_detect=255):
+    """Write the counter log of a co-simulation whose record is one entry
+    of 400 non-zero windows, latched from a window, and return its bytes."""
+    sim = stream_sim(threshold=None, t_detect=t_detect)
+    sim.record = [(start, (shift + 10 * np.arange(400)).astype(np.uint32),
+                   counts.copy(), pulses.copy())]
+    sim.windows_done = windows
+    sim.trigger_ps = (latched_from + 1) * sim.window_ps
+    harness.write_counter_log(path, sim)
+    return path.read_bytes()
 
 
 class TestLogCache:
-    @pytest.mark.parametrize("threshold", [3.0, None])
-    def test_a_hit_matches_a_fresh_draw(self, pulse_draws, threshold):
-        # The same log again: the second run reads the first's pulses and
-        # leaves the pulse generator where a fresh draw does.
-        first = stream_sim(threshold=threshold)
-        raster_log(first)
-        hit = stream_sim(threshold=threshold)
-        rows, state = raster_log(hit)
-        assert len(pulse_draws) == 1 and hit.kept_log is first.kept_log
-        cosim.LOG_CACHE.clear()
-        fresh = stream_sim(threshold=threshold)
-        fresh_rows, fresh_state = raster_log(fresh)
-        assert len(pulse_draws) == 2
-        assert np.array_equal(rows, fresh_rows) and state == fresh_state
-        assert hit.counter_columns()[2].dtype == fresh.counter_columns()[2].dtype
-        assert ((rows[:, 2] > 1) & (rows[:, 2] < 255)).any()
-        assert (rows[:, 3] == 1).any() == (threshold is not None)
+    def test_a_hit_writes_the_kept_bytes(self, tmp_path, formats):
+        # The same record in other arrays, at another window size: the
+        # bytes are a function of the record alone, so the second log is
+        # written from the first's kept bytes.
+        base = made_up_log(tmp_path / "base.csv")
+        assert made_up_log(tmp_path / "hit.csv", t_detect=254) == base
+        assert formats == [0] and kept_logs() == [base]
 
-    def test_each_log_input_misses(self, pulse_draws):
-        # The trigger window, the counts, the seed, the window count, the
-        # window size and the pulse generator's state each take part in the
-        # log, so a change to any one of them draws again.
-        for name, base_args, sim_args, raster_args in [
-                ("threshold", {}, {"threshold": 40.0}, {}),
-                ("counts", {"threshold": None}, {"threshold": None},
-                 {"power": 0.5}),
-                ("seed", {}, {"seed": 2}, {}),
-                ("windows", {}, {}, {"dwell_windows": 601}),
-                ("t_detect", {}, {"t_detect": 254}, {}),
-                ("pulse state", {}, {}, {})]:
-            base_rows, _ = raster_log(stream_sim(**base_args))  # kept
-            sim = stream_sim(**sim_args)
-            if name == "pulse state":
-                sim.pulse_rng.random()
-            drawn = len(pulse_draws)
-            rows, _ = raster_log(sim, **raster_args)
-            assert len(pulse_draws) == drawn + 1, name
-            assert list(cosim.LOG_CACHE.values()) == [sim.kept_log], name
-            if name in ("threshold", "counts", "pulse state"):
-                # Each alone: the other inputs are the base log's.
-                assert len(rows) == len(base_rows), name
-                assert (np.array_equal(rows[:, 1], base_rows[:, 1])
-                        == (name != "counts")), name
-                assert (np.array_equal(rows[:, 3], base_rows[:, 3])
-                        == (name != "threshold")), name
-
-    def test_other_counts_in_the_same_windows_miss(self, pulse_draws):
-        # Two holds on the sensor whose non-zero windows are the same ones,
-        # with other counts: only the counts tell the logs apart.
-        logs = []
-        for power in (0.45, 0.5):
-            sim = stream_sim(threshold=None)
-            park_on_sensor(sim, power=power)
-            advance_for(sim, 4200 * sim.window_ps)
-            logs.append(counter_rows(sim)[:, 1])
-        assert len(pulse_draws) == 2
-        assert np.array_equal(np.flatnonzero(logs[0]), np.flatnonzero(logs[1]))
-        assert not np.array_equal(logs[0], logs[1])
-
-    def test_the_same_counts_in_another_log_miss(self, pulse_draws):
-        # Logs written as one record entry, latched from window 99, with the
-        # same non-zero counts: one window later, by the offsets or by the
-        # entry's start, one more window or another window size is another
-        # log.
-        counts = np.random.default_rng(5).integers(1, 255, size=400)
-
-        def log(start=0, shift=0, windows=5000, t_detect=255):
-            sim = stream_sim(threshold=None, t_detect=t_detect)
-            sim.record = [(start, (shift + 10 * np.arange(400)).astype(np.uint32),
-                           counts.astype(np.uint8))]
-            sim.windows_done = windows
-            sim.trigger_ps = 100 * sim.window_ps
-            return counter_rows(sim)
-
-        for name, change in [("offsets", {"shift": 1}),
+    def test_each_key_part_misses(self, tmp_path, formats):
+        # The window count, the first latched window and each part of the
+        # record entry take part in the log, so a change to any one of them
+        # formats again and writes what a fresh process writes.
+        counts, pulses = LOG_COUNTS.copy(), LOG_PULSES.copy()
+        counts[7] += 1
+        pulses[7] += 1
+        for name, change in [("windows", {"windows": 5001}),
+                             ("first latched", {"latched_from": 100}),
                              ("start", {"start": 1}),
-                             ("windows", {"windows": 5001}),
-                             ("t_detect", {"t_detect": 254})]:
-            base = log()  # kept
-            drawn = len(pulse_draws)
-            rows = log(**change)
-            assert len(pulse_draws) == drawn + 1, name
-            assert np.argmax(rows[:, 3]) == np.argmax(base[:, 3]) == 99, name
+                             ("offsets", {"shift": 1}),
+                             ("counts", {"counts": counts}),
+                             ("pulses", {"pulses": pulses})]:
+            base = made_up_log(tmp_path / "base.csv")  # kept
+            formatted = len(formats)
+            log = made_up_log(tmp_path / "changed.csv", **change)
+            assert len(formats) == formatted + 1, name
+            assert kept_logs() == [log], name
+            harness.LOG_CACHE.clear()
+            assert made_up_log(tmp_path / "fresh.csv", **change) == log, name
+            assert log != base, name
 
-    @pytest.mark.parametrize("t_detect, dtype", [(255, np.uint8),
-                                                 (300, np.uint16)])
-    def test_entries_are_narrow_and_read_only(self, t_detect, dtype):
-        # Pulses up to the window's 300 samples need 16 bits.
-        rows, _ = raster_log(stream_sim(t_detect=t_detect), power=1.0)
-        assert rows[:, 2].max() == t_detect
-        (kept,) = cosim.LOG_CACHE.values()
-        assert kept.pulses.dtype == dtype
-        assert np.array_equal(kept.pulses, rows[rows[:, 1] != 0, 2])
-        assert kept.body is None  # formatted at the log's first write
-        with pytest.raises(ValueError):
-            kept.pulses[0] = 1
-
-    def test_bounds(self, monkeypatch, pulse_draws):
-        # One entry: a new log drops the last one before its pulses are
-        # drawn, so the cache is empty at the draw.
-        sims = [stream_sim(seed=seed) for seed in range(3)]
-        for sim in sims:
-            raster_log(sim)
-        assert pulse_draws == [0, 0, 0]
-        assert list(cosim.LOG_CACHE.values()) == [sims[-1].kept_log]
+    def test_bounds(self, tmp_path, monkeypatch, formats):
+        # One entry: a new log drops the last one before it is formatted,
+        # so the cache is empty at the format.
+        logs = [made_up_log(tmp_path / "log.csv", start=start)
+                for start in range(3)]
+        assert formats == [0, 0, 0] and kept_logs() == [logs[-1]]
         # A log of fewer windows than the floor, or with more non-zero
-        # windows than the bound, has no key; one on the bounds has one.
-        windows = len(window_counts(sims[0]))
-        nonzero = np.count_nonzero(window_counts(sims[0]))
-        for min_windows, kept_nonzero, kept in [(windows + 1, nonzero, False),
-                                                (windows, nonzero - 1, False),
-                                                (windows, nonzero, True)]:
-            cosim.LOG_CACHE.clear()
+        # windows than the bound, has no key, and one over the body bound
+        # is written and not kept; one on the bounds is kept.
+        size = len(logs[0])
+        for min_windows, kept_nonzero, body_bytes, kept in [
+                (5001, 400, size, False), (5000, 399, size, False),
+                (5000, 400, size - 1, False), (5000, 400, size, True)]:
+            harness.LOG_CACHE.clear()
             monkeypatch.setattr(cosim, "STREAM_CACHE_MIN_WINDOWS", min_windows)
             monkeypatch.setattr(cosim, "STREAM_CACHE_NONZERO", kept_nonzero)
-            sim = stream_sim(seed=0)
-            raster_log(sim)
-            assert len(cosim.LOG_CACHE) == kept
-            assert (sim.kept_log is not None) == kept
-
-    def test_a_log_read_before_it_ends_is_not_kept_again(self, pulse_draws):
-        # A second read of a grown log draws the new windows' pulses after
-        # the kept ones, as a single read does, and has no entry.
-        read_midway = stream_sim()
-        sensor_raster(read_midway)
-        counter_rows(read_midway)
-        kept = read_midway.kept_log
-        sensor_raster(read_midway)
-        rows = counter_rows(read_midway)
-        assert kept is not None and read_midway.kept_log is None
-        cosim.LOG_CACHE.clear()
-        once = stream_sim()
-        sensor_raster(once)
-        sensor_raster(once)
-        assert np.array_equal(rows, counter_rows(once))
-        assert (read_midway.pulse_rng.bit_generator.state
-                == once.pulse_rng.bit_generator.state)
+            monkeypatch.setattr(harness, "LOG_BODY_BYTES", body_bytes)
+            assert made_up_log(tmp_path / "bound.csv") == logs[0]
+            assert kept_logs() == [logs[0]] * kept

@@ -61,7 +61,7 @@ def test_batch_artifacts_match_committed_digests(tmp_path, manifest, seed):
     # Every bundled scenario in one process, in batch order, as
     # `probesim batch` runs them: later runs arm their sensors, read their
     # window streams and write their counter logs from the earlier ones
-    # (harness.ARM_CACHE, cosim.STREAM_CACHE, cosim.LOG_CACHE) and must
+    # (harness.ARM_CACHE, cosim.STREAM_CACHE, harness.LOG_CACHE) and must
     # write the same bytes.
     run_batch([SCENARIOS / f"{name}.scn" for name in NAMES], tmp_path, seed)
     for name in NAMES:
@@ -74,7 +74,7 @@ def test_reversed_batch_artifacts_match_committed_digests(tmp_path, manifest,
     # The same in reverse batch order, so that the runs that drew, tuned
     # and formatted first now read the caches, and the runs that read them
     # now fill them: xor_unprotected formats the XOR log that
-    # xor_polymorphic writes again (cosim.LOG_CACHE), and unprotected_key
+    # xor_polymorphic writes again (harness.LOG_CACHE), and unprotected_key
     # the key log of both mtd scenarios.
     names = NAMES[::-1]
     run_batch([SCENARIOS / f"{name}.scn" for name in names], tmp_path, seed)

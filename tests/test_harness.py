@@ -4,6 +4,7 @@ import filecmp
 import math
 import re
 import string
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -12,8 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import (advance_for, build_key_model, build_sim, clear_caches,
-                      counter_rows, window_counts)
+from conftest import (advance_for, assert_pulses_of_one_draw, build_key_model,
+                      build_sim, clear_caches, counter_rows, kept_logs,
+                      window_counts)
 from probesim import cli, cosim, harness
 from probesim.artifacts import CSV_CHUNK_ROWS
 from probesim.defense import DefensePolicy
@@ -468,7 +470,8 @@ class TestCountersCsv:
         # The latched flag as the float trigger time gives it.
         latched = (index + 1) * sim.window_ps >= round(sim.trigger_time_us * 1e6)
         assert 0 < latched.sum() < len(latched)
-        rows = np.column_stack([index, counts, result.counters[2], latched])
+        rows = np.column_stack([index, counts, sim.counter_columns()[2],
+                                latched])
         percent_counters_csv(tmp_path / "ref.csv", rows)
         assert ((tmp_path / "counters.csv").read_bytes()
                 == (tmp_path / "ref.csv").read_bytes())
@@ -678,18 +681,22 @@ class TestRunCaches:
         # counters.csv are a fresh draw's.  At seed 70 mtd_inter_key
         # triggers in an early chunk of that one entry.
         run_named("unprotected_key", seed)
-        (stored, _), = cosim.STREAM_CACHE.values()
+        (stored, *_), = cosim.STREAM_CACHE.values()
         with monkeypatch.context() as patch:
             patch.setattr(cosim.CoSimulation, "_stretch_p0", fail)
             hit = run_named("mtd_inter_key", seed, tmp_path / "hit")
         (entry,) = hit.sim.record
         assert entry is stored
-        assert entry[1] is stored[1] and entry[2] is stored[2]
+        assert all(part is kept for part, kept in zip(entry, stored))
         clear_caches()
         fresh = run_named("mtd_inter_key", seed, tmp_path / "fresh")
         assert hit.sim.trigger_ps == fresh.sim.trigger_ps is not None
+        for rng in ("sensor_rng", "pulse_rng"):
+            assert (getattr(hit.sim, rng).bit_generator.state
+                    == getattr(fresh.sim, rng).bit_generator.state), rng
         assert hit.summary.mean_zero_count == fresh.summary.mean_zero_count
         assert hit.summary.max_zero_count == fresh.summary.max_zero_count
+        assert hit.summary.max_pulse_len == fresh.summary.max_pulse_len
         assert filecmp.cmp(tmp_path / "hit" / "counters.csv",
                            tmp_path / "fresh" / "counters.csv", shallow=False)
 
@@ -748,36 +755,34 @@ class TestLogCache:
     def test_a_kept_log_matches_a_fresh_run(self, tmp_path, monkeypatch,
                                             names, seed):
         # The scenarios of a group write one counter log: the first draws
-        # its pulses and formats it, and the others draw and format nothing
-        # and write what a fresh process writes.
+        # and formats it, and the others draw and format nothing and write
+        # what a fresh process writes.
         first = run_named(names[0], seed, tmp_path / "kept" / names[0])
-        kept = first.sim.kept_log
-        assert b"".join(kept.body) == (tmp_path / "kept" / names[0]
-                                       / "counters.csv").read_bytes()
+        log = (tmp_path / "kept" / names[0] / "counters.csv").read_bytes()
+        assert kept_logs() == [log]
         hits = {}
         with monkeypatch.context() as patch:
             forbid_arming_and_draws(patch)
             patch.setattr(harness, "write_counters_csv", fail)
+            patch.setattr(cosim.CoSimulation, "counter_columns", fail)
             for name in names[1:]:
                 hits[name] = run_named(name, seed, tmp_path / "kept" / name)
-                assert hits[name].sim.kept_log is kept
+        assert kept_logs() == [log]
         for name, hit in hits.items():
             clear_caches()
             fresh = run_named(name, seed, tmp_path / "fresh" / name)
             assert ((tmp_path / "kept" / name / "counters.csv").read_bytes()
                     == (tmp_path / "fresh" / name / "counters.csv").read_bytes()
-                    == b"".join(kept.body)), name
-            for hit_col, fresh_col in zip(hit.counters, fresh.counters):
-                assert np.array_equal(hit_col, fresh_col), name
-            assert hit.counters[2].dtype == fresh.counters[2].dtype
+                    == log), name
             assert (hit.sim.pulse_rng.bit_generator.state
                     == fresh.sim.pulse_rng.bit_generator.state), name
-            assert hit.summary.max_pulse_len == fresh.summary.max_pulse_len > 1
+            assert (hit.summary.max_pulse_len == fresh.summary.max_pulse_len
+                    == first.summary.max_pulse_len > 1), name
 
-    def test_each_log_input_misses(self):
+    def test_each_log_input_misses(self, tmp_path, formats):
         # Another seed redraws every count, a scan at another power moves
         # the counts, and another threshold moves the trigger window alone;
-        # each draws its log's pulses afresh.
+        # each formats its log afresh.
         scn = load_scenario(SCENARIOS / "xor_unprotected.scn")
         for name, changed in [
                 ("seed", load_scenario(SCENARIOS / "xor_unprotected.scn", 2)),
@@ -785,83 +790,132 @@ class TestLogCache:
                     scn, scan=dataclasses.replace(scn.scan, power=0.9))),
                 ("threshold", dataclasses.replace(
                     scn, defense={**scn.defense, "threshold": 9.0}))]:
-            base = run(scn).sim  # the base log, kept
-            other = run(changed).sim
-            assert other.kept_log is not base.kept_log, name
-            assert list(cosim.LOG_CACHE.values()) == [other.kept_log], name
+            base = run(scn, tmp_path / "base").sim  # the base log, kept
+            formatted = len(formats)
+            other = run(changed, tmp_path / name).sim
+            assert len(formats) == formatted + 1, name
+            assert kept_logs() == [
+                (tmp_path / name / "counters.csv").read_bytes()], name
             assert len(window_counts(other)) == len(window_counts(base)), name
             assert (np.array_equal(window_counts(other), window_counts(base))
                     == (name == "threshold")), name
         assert other.trigger_ps != base.trigger_ps  # the threshold, last
 
-    def test_a_run_without_out_dir_formats_no_log(self, tmp_path, monkeypatch):
+    def test_a_run_without_out_dir_formats_no_log(self, tmp_path, monkeypatch,
+                                                  formats):
+        # It neither builds the log's columns nor fills the log cache, so a
+        # later run of the same log formats it.
         with monkeypatch.context() as patch:
             patch.setattr(harness, "write_counters_csv", fail)
-            kept = run_named("xor_unprotected", 1).sim.kept_log
-        assert kept.body is None
-        hit = run_named("xor_polymorphic", 1, tmp_path)
-        assert hit.sim.kept_log is kept
-        assert b"".join(kept.body) == (tmp_path / "counters.csv").read_bytes()
+            patch.setattr(cosim.CoSimulation, "counter_columns", fail)
+            run_named("xor_unprotected", 1)
+        assert not harness.LOG_CACHE
+        run_named("xor_polymorphic", 1, tmp_path)
+        assert formats == [0]
+        assert kept_logs() == [(tmp_path / "counters.csv").read_bytes()]
 
     def test_a_miss_drops_the_last_log_before_it_formats(self, tmp_path,
-                                                         monkeypatch):
-        last = run_named("xor_unprotected", 1, tmp_path / "last").sim.kept_log
-        assert last.body is not None
-        held = []
-        write_counters_csv = harness.write_counters_csv
-
-        def recorded(*args):
-            held.append(list(cosim.LOG_CACHE.values()))
-            return write_counters_csv(*args)
-
-        monkeypatch.setattr(harness, "write_counters_csv", recorded)
-        kept = run_named("mtd_intra_key", 1, tmp_path / "new").sim.kept_log
-        assert held == [[kept]] and kept.body is not None
+                                                         formats):
+        run_named("xor_unprotected", 1, tmp_path / "last")
+        assert len(harness.LOG_CACHE) == 1
+        run_named("mtd_intra_key", 1, tmp_path / "new")
+        assert formats == [0, 0]
+        assert kept_logs() == [(tmp_path / "new" / "counters.csv").read_bytes()]
 
     def test_a_body_over_the_bound_is_written_and_not_kept(self, tmp_path,
-                                                           monkeypatch):
-        body = run_named("xor_unprotected", 1, tmp_path / "sized").sim.kept_log.body
+                                                           monkeypatch,
+                                                           formats):
+        run_named("xor_unprotected", 1, tmp_path / "sized")
         size = (tmp_path / "sized" / "counters.csv").stat().st_size
-        assert sum(map(len, body)) == size
         for bound, kept in [(size - 1, False), (size, True)]:
             clear_caches()
-            monkeypatch.setattr(cosim, "LOG_BODY_BYTES", bound)
-            first = run_named("xor_unprotected", 1, tmp_path / f"{bound}")
-            assert (first.sim.kept_log.body is not None) == kept
-            hit = run_named("xor_polymorphic", 1, tmp_path / f"{bound}-hit")
-            assert hit.sim.kept_log is first.sim.kept_log
+            monkeypatch.setattr(harness, "LOG_BODY_BYTES", bound)
+            formatted = len(formats)
+            run_named("xor_unprotected", 1, tmp_path / f"{bound}")
+            assert len(harness.LOG_CACHE) == kept
+            run_named("xor_polymorphic", 1, tmp_path / f"{bound}-hit")
+            assert len(formats) == formatted + 2 - kept
             for out in (f"{bound}", f"{bound}-hit"):
                 assert filecmp.cmp(tmp_path / "sized" / "counters.csv",
                                    tmp_path / out / "counters.csv",
                                    shallow=False)
 
-    def test_fills_every_cache(self):
+    def test_fills_every_cache(self, tmp_path):
         # The test after this one starts with the caches this run fills
         # emptied by the autouse fixture.
-        run_named("xor_unprotected", 1)
-        assert harness.ARM_CACHE and cosim.STREAM_CACHE and cosim.LOG_CACHE
+        run_named("xor_unprotected", 1, tmp_path)
+        assert harness.ARM_CACHE and cosim.STREAM_CACHE and harness.LOG_CACHE
 
     def test_starts_with_every_cache_empty(self):
-        assert not (harness.ARM_CACHE or cosim.STREAM_CACHE or cosim.LOG_CACHE)
+        assert not (harness.ARM_CACHE or cosim.STREAM_CACHE
+                    or harness.LOG_CACHE)
+
+
+@pytest.mark.parametrize("name, drawn", [("unprotected_key", True),
+                                         ("xor_unprotected", True),
+                                         ("eop_shift", False)])
+def test_a_run_draws_its_pulses_as_one_log(name, drawn):
+    # The key raster, the five XOR rasters and eop_shift's two holds: each
+    # schedule draws the pulses of its non-zero windows after them, and
+    # together they are the pulses of one draw over the whole log.  Only
+    # a count between 1 and the window draws a uniform; eop_shift's holds
+    # count at most one zero per window at seed 1.
+    sim = run_named(name, 1).sim
+    pulses = assert_pulses_of_one_draw(sim, seed=1)
+    assert ((pulses > 1) & (pulses < sim.t_detect)).any() == drawn
+
+
+def traced_run(name, seed):
+    """A run without artifacts under tracemalloc, after a first run that
+    fills the lazy tables, with the caches then emptied; returns the run
+    and the traced memory it holds when it returns and at its peak."""
+    run_named(name, seed)
+    clear_caches()
+    tracemalloc.start()
+    try:
+        result = run_named(name, seed)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
 
 
 def test_peak_memory_of_an_eofm_function_run():
     # The record of xor_unprotected's five rasters holds their non-zero
-    # windows alone, and the run's peak traced memory, with its counter
-    # log's dense columns, stays below the 2.25 MB that a doubled dense
-    # count buffer once took (with caches and lazy tables left filled by a
-    # first run, then the caches emptied).
-    run_named("xor_unprotected", 1)
-    clear_caches()
-    tracemalloc.start()
-    try:
-        result = run_named("xor_unprotected", 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # windows alone, and the run's peak traced memory stays below the
+    # 2.25 MB that a doubled dense count buffer once took.
+    result, _, peak = traced_run("xor_unprotected", 1)
     assert len(result.sim.record) == 5
     assert result.sim.windows_done == 62_745
     assert peak < 2.25e6
+
+
+def test_memory_held_by_an_eofm_function_run():
+    # A run without out_dir builds no dense counter log columns: what it
+    # holds when it returns is its record, its image and the caches it
+    # filled, not 17 bytes for each of its 62,745 windows.
+    result, held, _ = traced_run("xor_unprotected", 1)
+    assert result.sim.windows_done == 62_745
+    assert held < 0.3e6
+
+
+@pytest.mark.parametrize("name", ["eop_shift", "mtd_inter_key"])
+def test_a_profiled_run_writes_a_plain_runs_bytes(tmp_path, name):
+    # Under a profile or trace function (cProfile, pdb, a coverage tracer)
+    # numpy's reference check of an in-place resize fails; the window draw
+    # skips it, and a run writes a plain run's bytes.
+    run_named(name, 1, tmp_path / "plain")
+    clear_caches()
+    sys.setprofile(lambda *args: None)
+    try:
+        run_named(name, 1, tmp_path / "profiled")
+    finally:
+        sys.setprofile(None)
+    names = sorted(p.name for p in (tmp_path / "plain").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "profiled").iterdir())
+    for file in names:
+        assert filecmp.cmp(tmp_path / "plain" / file,
+                           tmp_path / "profiled" / file, shallow=False), file
 
 
 def function_copy(tmp_path, vectors, region_um):

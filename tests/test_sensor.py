@@ -300,8 +300,8 @@ class TestWindowPulses:
         assert np.array_equal(whole, np.concatenate(parts))
 
     def test_zero_windows_draw_nothing(self):
-        # A kept counter log draws the pulses of its non-zero windows alone
-        # (CoSimulation.counter_columns): they and the generator's end state
+        # A schedule draws the pulses of its non-zero windows alone
+        # (CoSimulation._run_schedule): they and the generator's end state
         # are those of a draw over every window.
         counts = np.random.default_rng(4).binomial(255, 0.004, size=5000)
         counts[:3] = [255, 1, 0]
